@@ -1,128 +1,8 @@
 """Teacher-aggregation panoptic segmentation for H&E tumor-microenvironment
 analysis: logit fusion, nucleus voting, mitosis filtering, evaluation
 metrics, cell counting, spatial analytics, and a bit-exact raster format.
+
+Import from the submodules, e.g. ``from tmeseg.aggregate import aggregate``.
 """
 
 __version__ = "0.1.0"
-
-from .aggregate import (
-    AggregationResult,
-    NucleusDecision,
-    TeacherBundle,
-    aggregate,
-    apply_mitosis,
-    background_mask,
-    classify_nucleus,
-    detect_mitosis,
-    fallback_rules,
-    tissue_segmentation,
-)
-from .config import RunConfig, config_from_json
-from .container import (
-    ContainerError,
-    StackContainer,
-    load_bundle,
-    load_stack,
-    save_bundle,
-    save_stack,
-)
-from .counting import CountRecord, calibrate, count_record
-from .metrics import (
-    ConfusionCounts,
-    dice,
-    evaluate_instances,
-    evaluate_semantic,
-    instance_eval_units,
-    iou,
-    mcc,
-    mcc_table,
-)
-from .postprocess import force_mode, panoptic_assign
-from .raster import InstanceMap, LogitStack
-from .synth import (
-    CandidateSpec,
-    Disc,
-    Ellipse,
-    NucleusSpec,
-    SceneSpec,
-    TissuePatch,
-    build_bundle,
-    random_scene,
-    stitch_safe_scene,
-    synth_fixture,
-)
-from .taxonomy import (
-    ClassMap,
-    Taxonomy,
-    UnknownClassError,
-    default_taxonomy,
-    identity_class_map,
-    load_class_map,
-    load_taxonomy,
-)
-from .tiling import TilePlan, Window, iterate_tiles, stitch_labels, stitch_logits, tiled_aggregate
-from .tme import CaseRecord, association_table, mann_whitney_u, slide_metrics
-
-__all__ = [
-    "AggregationResult",
-    "CandidateSpec",
-    "CaseRecord",
-    "ClassMap",
-    "ConfusionCounts",
-    "ContainerError",
-    "CountRecord",
-    "Disc",
-    "Ellipse",
-    "InstanceMap",
-    "LogitStack",
-    "NucleusDecision",
-    "NucleusSpec",
-    "RunConfig",
-    "SceneSpec",
-    "StackContainer",
-    "Taxonomy",
-    "TeacherBundle",
-    "TilePlan",
-    "TissuePatch",
-    "UnknownClassError",
-    "Window",
-    "aggregate",
-    "apply_mitosis",
-    "association_table",
-    "background_mask",
-    "build_bundle",
-    "calibrate",
-    "classify_nucleus",
-    "config_from_json",
-    "count_record",
-    "default_taxonomy",
-    "detect_mitosis",
-    "dice",
-    "evaluate_instances",
-    "evaluate_semantic",
-    "fallback_rules",
-    "force_mode",
-    "identity_class_map",
-    "instance_eval_units",
-    "iou",
-    "iterate_tiles",
-    "load_bundle",
-    "load_class_map",
-    "load_stack",
-    "load_taxonomy",
-    "mann_whitney_u",
-    "mcc",
-    "mcc_table",
-    "panoptic_assign",
-    "random_scene",
-    "save_bundle",
-    "save_stack",
-    "slide_metrics",
-    "stitch_labels",
-    "stitch_logits",
-    "stitch_safe_scene",
-    "synth_fixture",
-    "tiled_aggregate",
-    "tissue_segmentation",
-    "__version__",
-]

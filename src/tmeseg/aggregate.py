@@ -166,7 +166,11 @@ def background_mask(
 ) -> tuple[np.ndarray, int]:
     """Glass mask (True = background) and the threshold used."""
     cfg = config or RunConfig()
-    gray = grayscale(gaussian_smooth(he, cfg.blur_sigma))
+    return _background(grayscale(gaussian_smooth(he, cfg.blur_sigma)), cfg)
+
+
+def _background(gray: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, int]:
+    """Glass mask from the smoothed grayscale: the pinned threshold, or Otsu."""
     t = cfg.background_threshold
     if t is None:
         t = otsu_threshold(gray)
@@ -185,23 +189,26 @@ def tissue_segmentation(
     where either logit is positive (larger wins, tie to the lower id);
     positive red-blood-cell logits overlay both; the rest is stroma.
     """
-    tax = taxonomy or default_taxonomy()
+    bg, _ = background_mask(bundle.he, config)
+    return _tissue_labels(bundle.tissue_logits, bg, taxonomy or default_taxonomy())
+
+
+def _tissue_labels(logits: LogitStack, bg: np.ndarray, tax: Taxonomy) -> np.ndarray:
     sm_id = tax.resolve("smooth_muscle")
     epi_id = tax.resolve("epithelial_tissue")
     rbc_id = tax.resolve("red_blood_cell")
     str_id = tax.resolve("stroma")
     bg_id = tax.resolve("background")
 
-    sm = bundle.tissue_logits.plane(sm_id)
-    epi = bundle.tissue_logits.plane(epi_id)
-    rbc = bundle.tissue_logits.plane(rbc_id)
+    sm = logits.plane(sm_id)
+    epi = logits.plane(epi_id)
+    rbc = logits.plane(rbc_id)
 
     labels = np.full(sm.shape, str_id, dtype=np.uint8)
     contested = (sm > 0) | (epi > 0)
     winner = np.where(epi > sm, np.uint8(epi_id), np.uint8(sm_id))
     labels[contested] = winner[contested]
     labels[rbc > 0] = rbc_id
-    bg, _ = background_mask(bundle.he, config)
     labels[bg] = bg_id
     return labels
 
@@ -367,8 +374,6 @@ def detect_mitosis(
     epi = tax.resolve("epithelial_tissue")
     check_rgb_tile(he)
     h, w = he.shape[:2]
-    gray = grayscale(he)
-    rgb_sum = he.astype(np.int32).sum(axis=2)
     union = np.zeros((h, w), dtype=bool)
     r = cfg.mitosis_roi_radius_px
     for x, y, score in candidates:
@@ -380,17 +385,18 @@ def detect_mitosis(
         x1 = min(int(np.floor(x + r)), w - 1)
         if y0 > y1 or x0 > x1:
             continue
-        gy, gx = np.meshgrid(
-            np.arange(y0, y1 + 1), np.arange(x0, x1 + 1), indexing="ij"
-        )
+        gy = np.arange(y0, y1 + 1)[:, None]
+        gx = np.arange(x0, x1 + 1)[None, :]
         circle = (gy - y) ** 2 + (gx - x) ** 2 <= float(r) * float(r)
         if not circle.any():
             continue
         box = (slice(y0, y1 + 1), slice(x0, x1 + 1))
-        if np.median(rgb_sum[box][circle]) <= cfg.carbon_rgb_sum_max:
+        roi = he[box]
+        if np.median(roi.astype(np.int32).sum(axis=2)[circle]) <= cfg.carbon_rgb_sum_max:
             continue  # carbon dust
-        t = otsu_threshold(gray[box][circle])
-        dark = circle & (gray[box] <= t)
+        gray = grayscale(roi)
+        t = otsu_threshold(gray[circle])
+        dark = circle & (gray <= t)
         epi_box = tissue[box] == epi
         for blob in contours(dark):
             if blob.area < cfg.mitosis_min_area_px:
@@ -435,9 +441,22 @@ def aggregate(
     tax = taxonomy or default_taxonomy()
     if validate:
         bundle.validate(tax)
+    return _fuse(bundle, tissue_segmentation(bundle, cfg, tax), cfg, tax)
 
-    tissue = tissue_segmentation(bundle, cfg, tax)
 
+def _aggregate_smoothed(
+    bundle: TeacherBundle, gray: np.ndarray, cfg: RunConfig, tax: Taxonomy
+) -> AggregationResult:
+    """``aggregate`` on a validated bundle whose smoothed grayscale
+    (``grayscale(gaussian_smooth(he, cfg.blur_sigma))``) is already known."""
+    bg, _ = _background(gray, cfg)
+    return _fuse(bundle, _tissue_labels(bundle.tissue_logits, bg, tax), cfg, tax)
+
+
+def _fuse(
+    bundle: TeacherBundle, tissue: np.ndarray, cfg: RunConfig, tax: Taxonomy
+) -> AggregationResult:
+    """Stages 3-6 on top of the tissue labels."""
     ids = bundle.nuclei.ids
     inside = ids > 0
     rows, cols = np.nonzero(inside)

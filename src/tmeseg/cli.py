@@ -38,7 +38,7 @@ from .metrics import evaluate_instances, evaluate_semantic, format_table
 from .postprocess import NUCLEUS_CLASSES, force_mode, panoptic_assign
 from .raster import InstanceMap
 from .reference import reference_aggregate
-from .synth import build_bundle, random_scene, stitch_safe_scene
+from .synth import build_bundle, random_scene
 from .taxonomy import default_taxonomy, load_class_map, load_taxonomy
 from .tiling import TilePlan, tiled_aggregate
 from .tme import slide_metrics
@@ -124,16 +124,13 @@ def _write_json(doc: dict, path: Path) -> None:
 def _cmd_synth(args) -> int:
     config = _load_config(args)
     tax = _load_taxonomy(args)
-    if args.kind == "random":
-        scene = random_scene(
-            args.seed,
-            height=args.height,
-            width=args.width,
-            max_nuclei=args.max_nuclei,
-            max_candidates=args.max_candidates,
-        )
-    else:
-        scene = stitch_safe_scene(args.seed, shape=(args.height, args.width))
+    scene = random_scene(
+        args.seed,
+        height=args.height,
+        width=args.width,
+        max_nuclei=args.max_nuclei,
+        max_candidates=args.max_candidates,
+    )
     bundle = build_bundle(scene, tax)
     out_dir = Path(args.out_dir)
     manifest = save_bundle(bundle, out_dir, tax)
@@ -153,7 +150,7 @@ def _cmd_synth(args) -> int:
         outputs += [truth_mask, truth_json]
     record = _provenance("synth", config, [], outputs)
     record["seed"] = args.seed
-    record["kind"] = args.kind
+    record["kind"] = "random"  # provenance schema v1 names the scene generator
     _write_provenance(record, out_dir / "provenance.json")
     print(f"wrote bundle {manifest}")
     return 0
@@ -362,9 +359,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--max-nuclei", type=int, default=20)
     sub.add_argument("--max-candidates", type=int, default=5)
     sub.add_argument(
-        "--kind", choices=("random", "stitch-safe"), default="random"
-    )
-    sub.add_argument(
         "--truth",
         action="store_true",
         help="also run the per-pixel reference and write ground truth",
@@ -377,7 +371,7 @@ def build_parser() -> _Parser:
     )
     sub.add_argument("--bundle", required=True, help="bundle manifest JSON")
     sub.add_argument("--out", required=True, help="output label container")
-    sub.add_argument("--workers", type=int, default=None)
+    sub.add_argument("--workers", type=int, default=1)
     common(sub)
     sub.set_defaults(func=_cmd_aggregate)
 

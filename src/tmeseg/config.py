@@ -20,10 +20,9 @@ class RunConfig:
     margin_um: float = 50.0
     crop_px: int = 384
     stride_px: int = 320
-    # Fixed background threshold; None means derive via Otsu per tile.
+    # Fixed background threshold; None means Otsu over the whole frame.
     background_threshold: Optional[int] = None
     mpp: float = 0.25
-    workers: int = 1
 
     def __post_init__(self):
         if self.blur_sigma <= 0:
@@ -48,8 +47,6 @@ class RunConfig:
             raise ValueError("background_threshold must be in [0, 255]")
         if self.mpp <= 0:
             raise ValueError("mpp must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def to_json(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -184,10 +184,6 @@ def labels_from_container(container: StackContainer) -> np.ndarray:
     return container.planes[0]
 
 
-def container_from_mask(mask: np.ndarray, mpp: Optional[float] = None) -> StackContainer:
-    return StackContainer(("mask",), mask.astype(np.uint8)[None, :, :], "u8", mpp=mpp)
-
-
 def container_from_rgb(he: np.ndarray, mpp: Optional[float] = None) -> StackContainer:
     if he.ndim != 3 or he.shape[2] != 3 or he.dtype != np.uint8:
         raise ContainerError("RGB tile must be (H, W, 3) uint8")

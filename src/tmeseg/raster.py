@@ -66,9 +66,6 @@ class LogitStack:
         if not np.isfinite(self.planes).all():
             raise ValueError("logit planes contain NaN or Inf")
 
-    def crop(self, y0: int, x0: int, h: int, w: int) -> "LogitStack":
-        return LogitStack(self.class_ids, self.planes[:, y0 : y0 + h, x0 : x0 + w])
-
 
 @dataclass
 class InstanceAttrs:
@@ -161,14 +158,11 @@ def check_rgb_tile(img: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_kernel1d(sigma: float) -> np.ndarray:
-    """Normalized 1-d Gaussian taps with radius ceil(3*sigma)."""
+def blur_radius(sigma: float) -> int:
+    """Gaussian kernel radius, ceil(3*sigma): the context one blurred pixel reads."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    radius = math.ceil(3.0 * sigma)
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    return k / k.sum()
+    return math.ceil(3.0 * sigma)
 
 
 def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -178,9 +172,7 @@ def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
     result is independent of channel order and input strides.
     """
     check_rgb_tile(img)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    radius = math.ceil(3.0 * sigma)
+    radius = blur_radius(sigma)
     out = np.empty_like(img)
     for ch in range(3):
         sm = ndimage.gaussian_filter(

@@ -400,98 +400,6 @@ def random_scene(
     )
 
 
-def stitch_safe_scene(
-    seed: int,
-    shape: tuple[int, int] = (768, 768),
-    crop: int = 384,
-    stride: int = 320,
-    margin: int = 33,
-) -> SceneSpec:
-    """Scene whose features never straddle tiling-window borders.
-
-    Window edges partition each axis into cells; every feature cluster is
-    confined ``margin`` pixels inside one cell rectangle, so any window
-    containing the cell sees identical context: the blur never mixes
-    non-glass values across a window border and candidate ROIs never get
-    clipped differently. Pair with a fixed ``background_threshold`` (the
-    per-tile Otsu threshold is histogram-dependent) and the tiled run is
-    pixel-identical to the full-frame run. Noise stays off: reflected
-    padding at window borders must reproduce the constant glass.
-    """
-    from .tiling import axis_offsets  # deferred: tiling imports aggregate
-
-    rng = np.random.default_rng(seed)
-    h, w = shape
-
-    def cells(extent: int) -> list[tuple[int, int]]:
-        edges = {0, extent}
-        for o in axis_offsets(extent, crop, stride):
-            edges.add(o)
-            edges.add(min(o + crop, extent))
-        order = sorted(edges)
-        return [
-            (a, b) for a, b in zip(order, order[1:]) if b - a >= 2 * margin + 30
-        ]
-
-    occupancy = np.zeros((h, w), dtype=bool)
-    tissue, nuclei, candidates = [], [], []
-    for ya, yb in cells(h):
-        for xa, xb in cells(w):
-            if rng.random() < 0.1:
-                continue
-            lo_y, hi_y = ya + margin, yb - margin
-            lo_x, hi_x = xa + margin, xb - margin
-            mid_y, mid_x = (lo_y + hi_y) / 2.0, (lo_x + hi_x) / 2.0
-            ry = (hi_y - lo_y) / 2.0 - 1.0
-            rx = (hi_x - lo_x) / 2.0 - 1.0
-            name = "epithelial_tissue" if rng.random() < 0.7 else "smooth_muscle"
-            tissue.append(
-                TissuePatch(
-                    Ellipse(
-                        mid_y,
-                        mid_x,
-                        ry * float(rng.uniform(0.6, 1.0)),
-                        rx * float(rng.uniform(0.6, 1.0)),
-                    ),
-                    name,
-                    logit=float(rng.uniform(1.0, 3.0)),
-                )
-            )
-            for _ in range(int(rng.integers(2, 6))):
-                r = float(rng.uniform(1.5, 3.0))
-                cy = float(rng.uniform(lo_y + r + 1, hi_y - r - 1))
-                cx = float(rng.uniform(lo_x + r + 1, hi_x - r - 1))
-                disc = Disc(cy, cx, r)
-                rows, cols = disc.pixels(h, w)
-                if rows.size == 0 or occupancy[rows, cols].any():
-                    continue
-                occupancy[rows, cols] = True
-                cls = _NUCLEUS_CHOICES[int(rng.integers(0, len(_NUCLEUS_CHOICES)))]
-                nuclei.append(
-                    NucleusSpec(disc, class_name=cls, logit=2.0, teacher_type=None)
-                )
-            if rng.random() < 0.6:
-                # accepted over epithelium, rejected over smooth muscle
-                candidates.append(
-                    CandidateSpec(
-                        x=float(rng.uniform(lo_x + 4, hi_x - 4)),
-                        y=float(rng.uniform(lo_y + 4, hi_y - 4)),
-                        score=0.9,
-                        draw="blob",
-                        radius=3.0,
-                        intensity=20,
-                    )
-                )
-    return SceneSpec(
-        height=h,
-        width=w,
-        tissue=tuple(tissue),
-        nuclei=tuple(nuclei),
-        candidates=tuple(candidates),
-        noise_seed=None,
-    )
-
-
 def throughput_bundle(
     size: int = 4096, seed: int = 0, taxonomy: Optional[Taxonomy] = None
 ) -> TeacherBundle:

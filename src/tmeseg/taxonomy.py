@@ -29,9 +29,6 @@ class UnknownClassError(KeyError):
 
 BACKGROUND = 0
 
-# Marker used by ClassMap for source classes without an evaluation target.
-UNMAPPED = "unmapped"
-
 
 @dataclass(frozen=True)
 class Taxonomy:
@@ -97,17 +94,11 @@ class Taxonomy:
     def name_of(self, cid: int) -> str:
         return self.names[cid]
 
-    def abbrev_of(self, cid: int) -> str:
-        return self.abbrevs[cid]
-
     def level_of(self, cid: int) -> Optional[int]:
         """Hierarchy level (1..4) containing the class, or None."""
         if not 0 <= cid < len(self.names):
             raise ValueError(f"invalid class id {cid}")
         return self._level_of.get(cid)  # type: ignore[attr-defined]
-
-    def is_valid(self, cid: int) -> bool:
-        return 0 <= cid < len(self.names)
 
     def to_json(self) -> dict:
         return {
@@ -167,16 +158,6 @@ class ClassMap:
     def map_id(self, cid: int) -> Optional[int]:
         """Evaluation index for a source class id (None when unmapped)."""
         return self.mapping[cid]
-
-    def map_name(self, name: str) -> str:
-        """Evaluation class for a name; idempotent on evaluation classes."""
-        if name in self.eval_classes or name == UNMAPPED:
-            return name
-        idx = self.mapping[self.taxonomy.resolve(name)]
-        return UNMAPPED if idx is None else self.eval_classes[idx]
-
-    def eval_index(self, eval_name: str) -> int:
-        return self.eval_classes.index(eval_name)
 
 
 def class_map_from_json(doc: dict, taxonomy: Optional[Taxonomy] = None) -> ClassMap:

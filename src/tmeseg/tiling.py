@@ -1,43 +1,39 @@
-"""Tile iteration, overlap stitching, and the parallel tiled pipeline.
+"""Tile iteration and the parallel tiled pipeline.
 
 Windows of ``crop`` pixels advance by ``stride``; the final window clamps
-to the image edge so coverage is complete. Overlaps resolve by last
-writer in row-major window order for label rasters and by summation for
-logit rasters. The tiled aggregation merges per-window results strictly
-in window-index order, so output is bit-identical for any worker count.
+to the image edge so coverage is complete. Only the Gaussian blur reads
+neighbouring pixels, so only the blur runs window by window: each window
+blurs its pixels plus a ``blur_radius`` margin and writes the smoothed
+grayscale of its own pixels into one canvas. Every later stage runs once
+on the whole frame, so tiled output equals ``aggregate`` for any plan and
+any worker count.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .aggregate import AggregationResult, NucleusDecision, TeacherBundle, aggregate
+from .aggregate import AggregationResult, TeacherBundle, _aggregate_smoothed
 from .config import RunConfig
-from .raster import InstanceMap, connected_components
-from .taxonomy import Taxonomy
-
-WORKERS_ENV = "TMESEG_WORKERS"
+from .raster import blur_radius, gaussian_smooth, grayscale
+from .taxonomy import Taxonomy, default_taxonomy
 
 
 @dataclass(frozen=True)
 class TilePlan:
     crop: int = 384
     stride: int = 320
-    halo: int = 0
 
     def __post_init__(self):
         if self.crop < 1:
             raise ValueError("crop must be >= 1")
         if not 1 <= self.stride <= self.crop:
             raise ValueError("stride must be in [1, crop]")
-        if self.halo < 0:
-            raise ValueError("halo must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,149 +87,61 @@ def iterate_tiles(shape: tuple[int, int], plan: Optional[TilePlan] = None) -> li
     return windows
 
 
-def stitch_labels(
-    tiles: Sequence[tuple[Window, np.ndarray]], shape: tuple[int, int]
-) -> np.ndarray:
-    """Last-writer stitching in window-index order."""
-    first = tiles[0][1]
-    canvas = np.zeros(shape, dtype=first.dtype)
-    for win, tile in sorted(tiles, key=lambda t: t[0].index):
-        canvas[win.slices] = tile
-    return canvas
-
-
-def stitch_logits(
-    tiles: Sequence[tuple[Window, np.ndarray]], shape: tuple[int, int]
-) -> np.ndarray:
-    """Summation stitching for (C, h, w) logit tiles, fixed order."""
-    channels = tiles[0][1].shape[0]
-    canvas = np.zeros((channels,) + tuple(shape), dtype=np.float32)
-    for win, tile in sorted(tiles, key=lambda t: t[0].index):
-        canvas[(slice(None),) + win.slices] += tile
-    return canvas
-
-
 # ---------------------------------------------------------------------------
 # Tiled aggregation
 # ---------------------------------------------------------------------------
-
-
-def crop_bundle(bundle: TeacherBundle, win: Window) -> TeacherBundle:
-    """Window view of a bundle; candidates keep only in-window centers."""
-    ys, xs = win.slices
-    ids = bundle.nuclei.ids[ys, xs]
-    types = {
-        gid: a.teacher_type
-        for gid, a in bundle.nuclei.attrs.items()
-        if a.teacher_type is not None
-    }
-    cands = tuple(
-        (x - win.x0, y - win.y0, s)
-        for x, y, s in bundle.mitosis_candidates
-        if win.x0 <= x < win.x0 + win.width and win.y0 <= y < win.y0 + win.height
-    )
-    return TeacherBundle(
-        he=bundle.he[ys, xs],
-        tissue_logits=bundle.tissue_logits.crop(win.y0, win.x0, win.height, win.width),
-        cell_logits=bundle.cell_logits.crop(win.y0, win.x0, win.height, win.width),
-        nuclei=InstanceMap.from_ids(ids, types),
-        mitosis_candidates=cands,
-        halo=0,
-        mpp=bundle.mpp,
-    )
-
-
-def _claimed_ids(sub_ids: np.ndarray, win: Window, shape: tuple[int, int]) -> set[int]:
-    """Nuclei fully owned by this window.
-
-    A nucleus touching a window border is skipped unless that border is
-    also the image border (it may extend into a neighboring window there).
-    """
-    h, w = shape
-    border = []
-    if win.y0 > 0:
-        border.append(sub_ids[0, :])
-    if win.y0 + win.height < h:
-        border.append(sub_ids[-1, :])
-    if win.x0 > 0:
-        border.append(sub_ids[:, 0])
-    if win.x0 + win.width < w:
-        border.append(sub_ids[:, -1])
-    present = set(np.unique(sub_ids).tolist()) - {0}
-    if not border:
-        return present
-    touching = set(np.unique(np.concatenate(border)).tolist()) - {0}
-    return present - touching
-
 
 # Shared state for forked workers (copy-on-write; nothing is pickled).
 _SHARED: Optional[tuple] = None
 
 
-def _run_window(idx: int):
-    bundle, config, taxonomy, windows, shape = _SHARED
+def _run_window(idx: int) -> tuple[int, np.ndarray]:
+    """Smoothed grayscale of one window's own pixels."""
+    he, sigma, windows = _SHARED
     win = windows[idx]
-    sub = crop_bundle(bundle, win)
-    res = aggregate(sub, config, taxonomy, validate=False)
-    claimed = _claimed_ids(sub.nuclei.ids, win, shape)
-    classes = {gid: res.classes[gid] for gid in claimed}
-    prov = {gid: res.provenance[gid] for gid in claimed}
-    return idx, res.semantic, classes, prov, res.mitosis.ids > 0
+    h, w = he.shape[:2]
+    margin = blur_radius(sigma)
+    y0, x0 = max(win.y0 - margin, 0), max(win.x0 - margin, 0)
+    y1 = min(win.y0 + win.height + margin, h)
+    x1 = min(win.x0 + win.width + margin, w)
+    smooth = gaussian_smooth(he[y0:y1, x0:x1], sigma)
+    cy, cx = win.y0 - y0, win.x0 - x0
+    return idx, grayscale(smooth[cy : cy + win.height, cx : cx + win.width])
 
 
 def tiled_aggregate(
     bundle: TeacherBundle,
     config: Optional[RunConfig] = None,
     plan: Optional[TilePlan] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     taxonomy: Optional[Taxonomy] = None,
 ) -> AggregationResult:
-    """Aggregate window by window and stitch.
+    """``aggregate`` with the blur computed window by window.
 
-    Workers default to the TMESEG_WORKERS environment variable (else 1).
-    Fan-out uses forked processes sharing the bundle read-only; results
-    merge by window index, making output independent of scheduling.
+    Fan-out uses forked processes sharing the H&E tile read-only. The
+    windows' smoothed grayscale is assembled into one canvas, on which the
+    full-frame pipeline runs; the result equals ``aggregate(bundle, config)``.
     """
     global _SHARED
     cfg = config or RunConfig()
+    tax = taxonomy or default_taxonomy()
     plan = plan or TilePlan(crop=cfg.crop_px, stride=cfg.stride_px)
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    bundle.validate(taxonomy)
-    shape = (bundle.height, bundle.width)
-    windows = iterate_tiles(shape, plan)
+    bundle.validate(tax)
+    windows = iterate_tiles((bundle.height, bundle.width), plan)
 
-    _SHARED = (bundle, cfg, taxonomy, windows, shape)
+    _SHARED = (bundle.he, cfg.blur_sigma, windows)
     try:
         if workers == 1 or len(windows) == 1:
-            results = [_run_window(i) for i in range(len(windows))]
+            results = map(_run_window, range(len(windows)))
         else:
             ctx = get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
                 results = list(pool.map(_run_window, range(len(windows))))
+        gray = np.empty((bundle.height, bundle.width), dtype=np.uint8)
+        for idx, core in results:
+            gray[windows[idx].slices] = core
     finally:
         _SHARED = None
-
-    results.sort(key=lambda r: r[0])
-    semantic = np.zeros(shape, dtype=np.uint8)
-    mito = np.zeros(shape, dtype=bool)
-    classes: dict[int, Optional[int]] = {}
-    provenance: dict[int, NucleusDecision] = {}
-    for idx, sem, cls, prov, mit in results:
-        win = windows[idx]
-        semantic[win.slices] = sem
-        mito[win.slices] |= mit
-        classes.update(cls)
-        provenance.update(prov)
-    for gid in bundle.nuclei.instance_ids:
-        classes.setdefault(gid, None)
-        provenance.setdefault(gid, NucleusDecision(rule="unclaimed"))
-    return AggregationResult(
-        semantic=semantic,
-        instances=bundle.nuclei,
-        classes=classes,
-        mitosis=connected_components(mito, 8),
-        provenance=provenance,
-    )
+    return _aggregate_smoothed(bundle, gray, cfg, tax)

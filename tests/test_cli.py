@@ -309,21 +309,3 @@ def test_provenance_tracks_config_and_inputs(workspace, tmp_path, capsys):
     assert prov2["config"]["blur_sigma"] == 3.0
     # same inputs -> same input hashes
     assert prov2["inputs"] == prov["inputs"]
-
-
-def test_synth_stitch_safe_kind(tmp_path):
-    out_dir = tmp_path / "ss"
-    code = cli(
-        [
-            "synth",
-            "--seed", "3",
-            "--out-dir", str(out_dir),
-            "--kind", "stitch-safe",
-            "--height", "400",
-            "--width", "400",
-        ]
-    )
-    assert code == 0
-    record = json.loads((out_dir / "provenance.json").read_text())
-    assert record["kind"] == "stitch-safe"
-    assert (out_dir / "bundle.json").exists()

@@ -13,12 +13,10 @@ from tmeseg.synth import (
     TissuePatch,
     build_bundle,
     random_scene,
-    stitch_safe_scene,
     synth_fixture,
     throughput_bundle,
 )
 from tmeseg.taxonomy import default_taxonomy
-from tmeseg.tiling import axis_offsets
 
 TAX = default_taxonomy()
 
@@ -150,28 +148,6 @@ def test_fixture_returns_reference_truth():
     assert ref["classes"] == {1: TAX.resolve("lymphocyte")}
     assert ref["semantic"].shape == (48, 48)
     assert not ref["mitosis_mask"].any()
-
-
-def test_stitch_safe_scene_keeps_window_edges_glassy():
-    shape = (768, 768)
-    scene = stitch_safe_scene(11, shape=shape)
-    assert scene.noise_seed is None
-    bundle = build_bundle(scene)
-    edges = set()
-    for off in axis_offsets(shape[0], 384, 320):
-        edges.add(off)
-        edges.add(off + 384)
-    margin = 33
-    for e in sorted(edges):
-        lo, hi = max(e - margin, 0), min(e + margin, shape[0])
-        assert (bundle.he[lo:hi, :] == scene.glass).all(), f"row band {e}"
-        assert (bundle.he[:, lo:hi] == scene.glass).all(), f"col band {e}"
-
-
-def test_stitch_safe_scene_has_content():
-    bundle = build_bundle(stitch_safe_scene(3))
-    assert len(bundle.nuclei.instance_ids) > 0
-    assert (bundle.he != GLASS).any()
 
 
 def test_throughput_bundle_small_variant():

@@ -1,20 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmeseg.aggregate import aggregate
 from tmeseg.config import RunConfig
-from tmeseg.synth import Disc, NucleusSpec, SceneSpec, TissuePatch, build_bundle, stitch_safe_scene
-from tmeseg.tiling import (
-    WORKERS_ENV,
-    TilePlan,
-    Window,
-    axis_offsets,
-    crop_bundle,
-    iterate_tiles,
-    stitch_labels,
-    stitch_logits,
-    tiled_aggregate,
-)
+from tmeseg.synth import build_bundle, random_scene
+from tmeseg.tiling import TilePlan, axis_offsets, iterate_tiles, tiled_aggregate
 
 STITCH_CFG = RunConfig(background_threshold=200)
 
@@ -47,8 +38,6 @@ def test_tile_plan_validation():
         TilePlan(crop=384, stride=385)
     with pytest.raises(ValueError):
         TilePlan(crop=0)
-    with pytest.raises(ValueError):
-        TilePlan(halo=-1)
 
 
 def test_iterate_tiles_row_major_and_sized():
@@ -68,59 +57,6 @@ def test_iterate_tiles_small_extent_single_window():
 
 
 # ---------------------------------------------------------------------------
-# Stitching semantics
-# ---------------------------------------------------------------------------
-
-
-def test_stitch_labels_last_writer_wins():
-    w0 = Window(0, 0, 0, 2, 3)
-    w1 = Window(1, 0, 2, 2, 3)  # overlaps column 2
-    a = np.full((2, 3), 1, dtype=np.uint8)
-    b = np.full((2, 3), 2, dtype=np.uint8)
-    out = stitch_labels([(w1, b), (w0, a)], (2, 5))  # order given shuffled
-    assert out[:, :2].tolist() == [[1, 1], [1, 1]]
-    assert out[:, 2:].tolist() == [[2, 2, 2], [2, 2, 2]]
-
-
-def test_stitch_logits_sum_in_overlap():
-    w0 = Window(0, 0, 0, 2, 3)
-    w1 = Window(1, 0, 2, 2, 3)
-    a = np.ones((1, 2, 3), dtype=np.float32)
-    b = np.full((1, 2, 3), 0.5, dtype=np.float32)
-    out = stitch_logits([(w0, a), (w1, b)], (2, 5))
-    assert out[0, 0].tolist() == [1.0, 1.0, 1.5, 0.5, 0.5]
-
-
-# ---------------------------------------------------------------------------
-# Cropping
-# ---------------------------------------------------------------------------
-
-
-def test_crop_bundle_shifts_candidates_and_renumbers_nothing():
-    scene = SceneSpec(
-        height=96,
-        width=96,
-        tissue=(TissuePatch(Disc(48, 48, 30)),),
-        nuclei=(NucleusSpec(Disc(20, 20, 3)), NucleusSpec(Disc(70, 70, 3))),
-    )
-    bundle = build_bundle(scene)
-    win = Window(0, 48, 48, 48, 48)
-    sub = crop_bundle(bundle, win)
-    assert sub.he.shape == (48, 48, 3)
-    assert sub.nuclei.instance_ids == [2]  # global ids survive the crop
-    assert np.array_equal(sub.nuclei.ids, bundle.nuclei.ids[48:, 48:])
-
-
-def test_crop_bundle_keeps_center_in_window_candidates():
-    scene = SceneSpec(height=96, width=96, tissue=(TissuePatch(Disc(48, 48, 40)),))
-    bundle = build_bundle(scene)
-    bundle.mitosis_candidates = ((10.0, 10.0, 0.5), (80.0, 80.0, 0.6))
-    win = Window(0, 48, 48, 48, 48)
-    sub = crop_bundle(bundle, win)
-    assert sub.mitosis_candidates == ((32.0, 32.0, 0.6),)
-
-
-# ---------------------------------------------------------------------------
 # Tiled aggregation
 # ---------------------------------------------------------------------------
 
@@ -131,8 +67,12 @@ def _assert_same_result(a, b):
     assert np.array_equal(a.mitosis.ids > 0, b.mitosis.ids > 0)
 
 
+def _scene_bundle(seed, size):
+    return build_bundle(random_scene(seed, size, size, max_nuclei=200, max_candidates=20))
+
+
 def test_tiled_equals_full_frame_on_stitch_safe_scene():
-    bundle = build_bundle(stitch_safe_scene(3))
+    bundle = _scene_bundle(3, 768)
     full = aggregate(bundle, STITCH_CFG)
     tiled = tiled_aggregate(bundle, STITCH_CFG, TilePlan(), workers=1)
     _assert_same_result(full, tiled)
@@ -141,45 +81,54 @@ def test_tiled_equals_full_frame_on_stitch_safe_scene():
 
 
 def test_tiled_result_independent_of_worker_count():
-    bundle = build_bundle(stitch_safe_scene(7))
+    bundle = _scene_bundle(7, 768)
     one = tiled_aggregate(bundle, STITCH_CFG, TilePlan(), workers=1)
     three = tiled_aggregate(bundle, STITCH_CFG, TilePlan(), workers=3)
     _assert_same_result(one, three)
     assert one.provenance.keys() == three.provenance.keys()
 
 
-def test_workers_default_comes_from_environment(monkeypatch):
-    bundle = build_bundle(stitch_safe_scene(5))
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    from_env = tiled_aggregate(bundle, STITCH_CFG, TilePlan())
-    explicit = tiled_aggregate(bundle, STITCH_CFG, TilePlan(), workers=2)
-    _assert_same_result(from_env, explicit)
-
-
 def test_workers_must_be_positive():
-    bundle = build_bundle(stitch_safe_scene(5, shape=(400, 400)))
+    bundle = _scene_bundle(5, 400)
     with pytest.raises(ValueError):
         tiled_aggregate(bundle, STITCH_CFG, workers=0)
 
 
-def test_border_straddling_nucleus_is_unclaimed():
-    # deliberately NOT stitch-safe: one nucleus across the x=32 window edge
-    scene = SceneSpec(
-        height=64,
-        width=64,
-        tissue=(TissuePatch(Disc(32, 32, 28)),),
-        nuclei=(NucleusSpec(Disc(32, 32, 4), class_name="lymphocyte"),),
-    )
-    bundle = build_bundle(scene)
-    res = tiled_aggregate(
-        bundle, STITCH_CFG, TilePlan(crop=32, stride=32), workers=1
-    )
-    assert res.classes == {1: None}
-    assert res.provenance[1].rule == "unclaimed"
-
-
 def test_single_window_path_short_circuits():
-    bundle = build_bundle(stitch_safe_scene(9, shape=(320, 320)))
+    bundle = _scene_bundle(9, 320)
     res = tiled_aggregate(bundle, STITCH_CFG, TilePlan(), workers=4)
     full = aggregate(bundle, STITCH_CFG)
     _assert_same_result(full, res)
+
+
+@st.composite
+def _tiling_cases(draw):
+    height = draw(st.integers(32, 96))
+    width = draw(st.integers(32, 96))
+    crop = draw(st.integers(3, 112))
+    stride = draw(st.integers((crop + 1) // 2, crop))
+    threshold = draw(st.one_of(st.none(), st.integers(0, 255)))
+    return (
+        draw(st.integers(0, 10_000)),
+        (height, width),
+        TilePlan(crop, stride),
+        RunConfig(background_threshold=threshold),
+        draw(st.sampled_from((1, 2))),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tiling_cases())
+def test_tiled_equals_full_frame_for_any_plan(case):
+    seed, (height, width), plan, cfg, workers = case
+    scene = random_scene(seed, height, width, max_nuclei=40, max_candidates=8)
+    bundle = build_bundle(scene)
+    full = aggregate(bundle, cfg)
+    tiled = tiled_aggregate(bundle, cfg, plan, workers=workers)
+    assert tiled.semantic.tobytes() == full.semantic.tobytes()
+    assert tiled.classes == full.classes
+    assert np.array_equal(tiled.mitosis.ids, full.mitosis.ids)
+    assert {g: d.rule for g, d in tiled.provenance.items()} == {
+        g: d.rule for g, d in full.provenance.items()
+    }
+    tiled.check_invariants()
