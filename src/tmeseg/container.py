@@ -10,6 +10,7 @@ are lossless; f32 payloads must be finite.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .raster import InstanceMap, LogitStack
+from .raster import InstanceMap, LogitStack, all_finite
 from .taxonomy import Taxonomy, default_taxonomy
 
 MAGIC = "TMEF1"
@@ -103,39 +104,70 @@ def save_stack(container: StackContainer, path: str | Path) -> None:
         fh.write(payload)
 
 
-def load_stack(path: str | Path) -> StackContainer:
-    blob = Path(path).read_bytes()
-    if len(blob) < 4:
+def _read_header(fh, path, file_size: int) -> tuple[int, dict]:
+    """Read the length field and the JSON header; return (hlen, header)."""
+    field = fh.read(4)
+    if len(field) < 4:
         raise TruncatedPayloadError(f"{path}: file shorter than the header length field")
-    (hlen,) = struct.unpack("<I", blob[:4])
-    if len(blob) < 4 + hlen:
+    (hlen,) = struct.unpack("<I", field)
+    if 4 + hlen > file_size:  # before reading, so a bogus length allocates nothing
         raise TruncatedPayloadError(f"{path}: truncated header (need {hlen} bytes)")
     try:
-        header = json.loads(blob[4 : 4 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer literals
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ContainerError(f"{path}: unreadable header: {exc}") from exc
-    if header.get("magic") != MAGIC:
-        raise MagicError(f"{path}: bad magic {header.get('magic')!r}; expected {MAGIC!r}")
-    dtype = header.get("dtype")
-    if dtype not in _DTYPES:
-        raise DtypeError(f"{path}: unknown dtype {dtype!r}; expected f32/u8/u32")
-    channels = header.get("channels") or []
-    width = int(header.get("width", 0))
-    height = int(header.get("height", 0))
-    if width < 1 or height < 1 or not channels:
-        raise ContainerError(f"{path}: header must declare width, height, channels")
-    item = np.dtype(_DTYPES[dtype]).itemsize
-    expected = width * height * len(channels) * item
-    actual = len(blob) - 4 - hlen
-    if actual != expected:
-        raise TruncatedPayloadError(
-            f"{path}: expected {expected} payload bytes, found {actual}"
-        )
-    raw = np.frombuffer(blob, dtype=_DTYPES[dtype], offset=4 + hlen)
-    planes = raw.reshape(len(channels), height, width).astype(
-        _NATIVE[dtype], copy=True
-    )
-    if dtype == "f32" and not np.isfinite(planes).all():
+    if not isinstance(header, dict):
+        raise ContainerError(f"{path}: header must be a JSON object")
+    return hlen, header
+
+
+def load_stack(path: str | Path) -> StackContainer:
+    """Read a TMEF1 file, checking the header and payload size before allocating.
+
+    The payload is read once, straight into its final array, so the peak
+    memory of a load is about the payload size.
+    """
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        hlen, header = _read_header(fh, path, file_size)
+        if header.get("magic") != MAGIC:
+            raise MagicError(
+                f"{path}: bad magic {header.get('magic')!r}; expected {MAGIC!r}"
+            )
+        dtype = header.get("dtype")
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
+            raise DtypeError(f"{path}: unknown dtype {dtype!r}; expected f32/u8/u32")
+        width, height = header.get("width"), header.get("height")
+        channels = header.get("channels")
+        if not all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 1
+            for v in (width, height)
+        ):
+            raise ContainerError(f"{path}: width and height must be positive integers")
+        if (
+            not isinstance(channels, list)
+            or not channels
+            or not all(isinstance(c, str) for c in channels)
+        ):
+            raise ContainerError(f"{path}: channels must be a non-empty list of names")
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ContainerError(f"{path}: meta must be a JSON object")
+        wire = np.dtype(_DTYPES[dtype])
+        expected = width * height * len(channels) * wire.itemsize
+        actual = file_size - 4 - hlen
+        if actual != expected:
+            raise TruncatedPayloadError(
+                f"{path}: expected {expected} payload bytes, found {actual}"
+            )
+        planes = np.empty((len(channels), height, width), dtype=wire)
+        got = fh.readinto(memoryview(planes).cast("B"))
+        if got != expected or fh.read(1):  # the file changed after fstat
+            raise TruncatedPayloadError(
+                f"{path}: payload size changed while reading (expected {expected} bytes)"
+            )
+    if dtype == "f32" and not all_finite(planes):
         raise PayloadValueError(f"{path}: f32 payload contains NaN or Inf")
     return StackContainer(
         channels=tuple(channels),
@@ -143,7 +175,7 @@ def load_stack(path: str | Path) -> StackContainer:
         dtype=dtype,
         mpp=header.get("mpp"),
         halo=header.get("halo"),
-        meta=header.get("meta", {}),
+        meta=meta,
     )
 
 
@@ -217,8 +249,14 @@ def instances_from_container(container: StackContainer) -> InstanceMap:
     if container.dtype != "u32" or container.channels != ("instance_ids",):
         raise ContainerError("not an instance map container")
     types_doc = container.meta.get("teacher_types", {})
-    types = {int(k): int(v) for k, v in types_doc.items()}
-    return InstanceMap.from_ids(container.planes[0].astype(np.int32), types)
+    try:
+        types = {int(k): int(v) for k, v in types_doc.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise PayloadValueError(f"bad teacher_types in instance map meta: {exc}") from exc
+    ids = container.planes[0].view(np.int32)
+    if ids.size and ids.min() < 0:  # u32 ids >= 2**31 wrap negative
+        raise PayloadValueError("instance ids must be below 2**31")
+    return InstanceMap.from_ids(ids, types)
 
 
 # ---------------------------------------------------------------------------

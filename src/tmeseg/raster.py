@@ -21,6 +21,22 @@ import numpy as np
 from scipy import ndimage
 
 
+_FINITE_BLOCK = 1 << 20  # elements per isfinite call: a 1 MB mask at most
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """True when no element is NaN or Inf.
+
+    Checks ``_FINITE_BLOCK`` elements at a time, so no full-size mask is
+    allocated.
+    """
+    flat = np.ravel(arr)
+    return all(
+        np.isfinite(flat[i : i + _FINITE_BLOCK]).all()
+        for i in range(0, flat.size, _FINITE_BLOCK)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Containers
 # ---------------------------------------------------------------------------
@@ -63,7 +79,7 @@ class LogitStack:
             raise KeyError(f"logit stack has no channel for class id {class_id}")
 
     def require_finite(self) -> None:
-        if not np.isfinite(self.planes).all():
+        if not all_finite(self.planes):
             raise ValueError("logit planes contain NaN or Inf")
 
 
@@ -105,36 +121,51 @@ class InstanceMap:
         """Build the attribute table (counts, centroids) from an id raster."""
         ids = np.asarray(ids, dtype=np.int32)
         attrs: dict[int, InstanceAttrs] = {}
-        present = np.unique(ids)
-        present = present[present > 0]
-        if present.size:
-            counts = np.bincount(ids.ravel())
-            rows, cols = np.nonzero(ids)
-            vals = ids[rows, cols]
-            row_sum = np.bincount(vals, weights=rows, minlength=counts.size)
-            col_sum = np.bincount(vals, weights=cols, minlength=counts.size)
-            for gid in present.tolist():
-                n = int(counts[gid])
-                attrs[gid] = InstanceAttrs(
-                    pixel_count=n,
-                    centroid=(row_sum[gid] / n, col_sum[gid] / n),
-                    teacher_type=(teacher_types or {}).get(gid),
-                )
+        rows, cols = np.nonzero(ids)
+        gids, index = _group_ids(ids[rows, cols])
+        counts = np.bincount(index, minlength=gids.size)
+        row_sum = np.bincount(index, weights=rows, minlength=gids.size)
+        col_sum = np.bincount(index, weights=cols, minlength=gids.size)
+        for i in np.flatnonzero(counts).tolist():
+            gid, n = int(gids[i]), int(counts[i])
+            attrs[gid] = InstanceAttrs(
+                pixel_count=n,
+                centroid=(row_sum[i] / n, col_sum[i] / n),
+                teacher_type=(teacher_types or {}).get(gid),
+            )
         return cls(ids, attrs)
 
     def validate(self) -> None:
-        present = set(np.unique(self.ids).tolist()) - {0}
-        if present - set(self.attrs):
+        gids, index = _group_ids(self.ids[self.ids != 0])
+        counts = np.bincount(index, minlength=gids.size)
+        present = np.flatnonzero(counts)
+        raster = dict(zip(gids[present].tolist(), counts[present].tolist()))
+        if set(raster) - set(self.attrs):
             raise ValueError("raster contains ids without attribute records")
         if 0 in self.attrs:
             raise ValueError("id 0 is reserved for no-instance")
-        counts = np.bincount(self.ids.ravel())
         for gid, a in self.attrs.items():
-            n = int(counts[gid]) if gid < counts.size else 0
+            n = raster.get(gid, 0)
             if n != a.pixel_count:
                 raise ValueError(
                     f"instance {gid}: pixel_count {a.pixel_count} != raster count {n}"
                 )
+
+
+def _group_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bincount groups for the nonzero id pixels ``vals``: ``gids[index] == vals``.
+
+    Counting only the nonzero pixels keeps temporaries small. Ids up to
+    ``len(vals)`` index themselves; larger ones are renumbered by
+    ``np.unique`` first, so no bincount is sized by an id value.
+    """
+    if not vals.size:
+        return np.zeros(0, dtype=np.int64), vals
+    if vals.min() < 0:
+        raise ValueError("instance ids must be non-negative")
+    if vals.max() > vals.size:
+        return np.unique(vals, return_inverse=True)
+    return np.arange(int(vals.max()) + 1), vals
 
 
 def as_bitmask(arr: np.ndarray) -> np.ndarray:

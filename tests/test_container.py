@@ -1,8 +1,14 @@
 import json
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from tmeseg.cli import cli
 
 from tmeseg.container import (
     ContainerError,
@@ -25,7 +31,7 @@ from tmeseg.container import (
     save_stack,
 )
 from tmeseg.raster import InstanceMap, LogitStack
-from tmeseg.synth import build_bundle, random_scene
+from tmeseg.synth import build_bundle, random_scene, throughput_bundle
 from tmeseg.taxonomy import UnknownClassError, default_taxonomy
 
 TAX = default_taxonomy()
@@ -133,6 +139,58 @@ def test_nonfinite_f32_payload_rejected(tmp_path):
         load_stack(path)
 
 
+def _write_raw(path, header, payload=bytes(4)):
+    enc = header if isinstance(header, bytes) else json.dumps(header).encode()
+    path.write_bytes(struct.pack("<I", len(enc)) + enc + payload)
+    return path
+
+
+def _header(**changes):
+    good = {"magic": "TMEF1", "width": 2, "height": 2, "dtype": "u8", "channels": ["a"]}
+    return {**good, **changes}
+
+
+@pytest.mark.parametrize(
+    "header,error",
+    [
+        pytest.param(b"[1, 2]", ContainerError, id="list"),
+        pytest.param(b'"TMEF1"', ContainerError, id="string"),
+        pytest.param(b"\xff\xfe", ContainerError, id="not-utf8"),
+        pytest.param(b'{"width": ' + b"9" * 5000 + b"}", ContainerError, id="long-int"),
+        pytest.param(_header(width=None), ContainerError, id="width-null"),
+        pytest.param(_header(width=2.9), ContainerError, id="width-float"),
+        pytest.param(_header(width=4, height=True), ContainerError, id="height-bool"),
+        pytest.param(_header(width="2"), ContainerError, id="width-str"),
+        pytest.param(_header(width=float("inf")), ContainerError, id="width-inf"),
+        pytest.param(_header(width=0), ContainerError, id="width-zero"),
+        pytest.param(_header(width=10**30), TruncatedPayloadError, id="width-huge"),
+        pytest.param(_header(channels="rgb"), ContainerError, id="channels-str"),
+        pytest.param(_header(channels=[1]), ContainerError, id="channels-int"),
+        pytest.param(_header(channels=[]), ContainerError, id="channels-empty"),
+        pytest.param(_header(channels=["a", "a"]), ContainerError, id="channels-dup"),
+        pytest.param(_header(dtype=["u8"]), DtypeError, id="dtype-list"),
+        pytest.param(_header(magic=None), MagicError, id="magic-null"),
+        pytest.param(_header(meta=[1]), ContainerError, id="meta-list"),
+    ],
+)
+def test_malformed_header_raises_typed_error(tmp_path, header, error):
+    path = _write_raw(tmp_path / "bad.tmef", header)
+    with pytest.raises(error):
+        load_stack(path)
+    assert cli(["info", str(path)]) == 2
+
+
+def test_trailing_bytes_rejected_and_planes_native(tmp_path):
+    planes = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+    back = load_stack(_write(tmp_path, StackContainer(("a", "b"), planes, "f32")))
+    assert back.planes.dtype == np.float32 and back.planes.flags.c_contiguous
+    assert np.array_equal(back.planes, planes)
+    assert load_stack(_write_raw(tmp_path / "good.tmef", _header())).planes.shape == (1, 2, 2)
+    path = _write_raw(tmp_path / "long.tmef", _header(), bytes(5))
+    with pytest.raises(TruncatedPayloadError, match="expected 4 .* found 5"):
+        load_stack(path)
+
+
 def test_container_errors_are_value_errors():
     for exc in (MagicError, DtypeError, TruncatedPayloadError, PayloadValueError):
         assert issubclass(exc, ContainerError)
@@ -194,6 +252,25 @@ def test_instance_adapter_keeps_teacher_types(tmp_path):
     assert back.attrs[2].teacher_type is None
 
 
+def test_instance_ids_beyond_int32_rejected(tmp_path):
+    ids = np.zeros((1, 4, 4), np.uint32)
+    ids[0, 1, 1] = 2**31
+    path = _write(tmp_path, StackContainer(("instance_ids",), ids, "u32"))
+    with pytest.raises(PayloadValueError, match="2\\*\\*31"):
+        instances_from_container(load_stack(path))
+    ids[0, 1, 1] = 2**31 - 1
+    back = instances_from_container(StackContainer(("instance_ids",), ids, "u32"))
+    assert back.instance_ids == [2**31 - 1]
+
+
+@pytest.mark.parametrize("types", [[1], {"1": None}, {"one": 2}])
+def test_malformed_teacher_types_rejected(types):
+    ids = np.ones((1, 2, 2), np.uint32)
+    c = StackContainer(("instance_ids",), ids, "u32", meta={"teacher_types": types})
+    with pytest.raises(PayloadValueError, match="teacher_types"):
+        instances_from_container(c)
+
+
 # ---------------------------------------------------------------------------
 # Bundle manifest
 # ---------------------------------------------------------------------------
@@ -225,3 +302,103 @@ def test_bundle_manifest_missing_key(tmp_path):
     manifest.write_text(json.dumps(doc))
     with pytest.raises(ContainerError, match="nuclei"):
         load_bundle(manifest)
+
+
+# ---------------------------------------------------------------------------
+# Memory bounds: a load holds about one payload, validation no full frame
+# ---------------------------------------------------------------------------
+
+
+def _traced_peak(fn):
+    """Peak bytes allocated while ``fn`` runs (numpy buffers included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_stack_peak_is_about_one_payload(tmp_path):
+    planes = np.random.default_rng(4).normal(size=(10, 512, 512)).astype(np.float32)
+    names = tuple(f"c{i}" for i in range(10))
+    path = _write(tmp_path, StackContainer(names, planes, "f32"))
+    assert _traced_peak(lambda: load_stack(path)) <= 1.25 * planes.nbytes
+
+
+def test_instance_load_peak_is_about_one_payload(tmp_path):
+    nuclei = throughput_bundle(512).nuclei
+    path = _write(tmp_path, container_from_instances(nuclei))
+    peak = _traced_peak(lambda: instances_from_container(load_stack(path)))
+    assert peak <= 1.5 * nuclei.ids.nbytes
+
+
+def test_instance_validate_allocates_less_than_half_the_raster():
+    nuclei = throughput_bundle(512).nuclei
+    assert _traced_peak(nuclei.validate) <= 0.5 * nuclei.ids.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: corrupt files fail typed, and before any header-sized allocation
+# ---------------------------------------------------------------------------
+
+_VALID = StackContainer(
+    ("a", "b"),
+    np.arange(2 * 3 * 5, dtype=np.float32).reshape(2, 3, 5),
+    "f32",
+    mpp=0.5,
+    halo=2,
+    meta={"k": [1, 2]},
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _valid_blob() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "valid.tmef"
+        save_stack(_VALID, path)
+        return path.read_bytes()
+
+
+@st.composite
+def _corrupted(draw):
+    blob = _valid_blob()
+    hlen = struct.unpack("<I", blob[:4])[0]
+    kind = draw(st.sampled_from(["truncate", "overwrite", "header_value"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if kind == "overwrite":
+        out = bytearray(blob)
+        hot = draw(st.sampled_from([(0, 4 + hlen), (0, len(blob))]))
+        for _ in range(draw(st.integers(1, 4))):
+            out[draw(st.integers(*hot).filter(lambda i: i < len(blob)))] = draw(
+                st.integers(0, 255)
+            )
+        return bytes(out)
+    header = json.loads(blob[4 : 4 + hlen])
+    header[draw(st.sampled_from(sorted(header)))] = draw(_JSON)
+    enc = json.dumps(header).encode()
+    return struct.pack("<I", len(enc)) + enc + blob[4 + hlen :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corrupted())
+def test_corrupt_file_raises_container_error_without_large_allocation(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.tmef"
+        path.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            load_stack(path)
+        except ContainerError:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    # nothing sized by a corrupt header: at most the file plus parser overhead
+    assert peak <= 2 * len(blob) + 65536

@@ -8,6 +8,7 @@ from oracles import (
     union_find_components,
 )
 from tmeseg.raster import (
+    _FINITE_BLOCK,
     InstanceMap,
     LogitStack,
     connected_components,
@@ -193,6 +194,18 @@ def test_logit_stack_validation():
         stack.plane(9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_require_finite_checks_every_block(bad):
+    stack = LogitStack((1,), np.zeros((1, 1, _FINITE_BLOCK + 1), dtype=np.float32))
+    stack.require_finite()
+    flat = stack.planes.reshape(-1)
+    for pos in (0, _FINITE_BLOCK - 1, _FINITE_BLOCK, flat.size - 1):
+        flat[pos] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            stack.require_finite()
+        flat[pos] = 0.0
+
+
 def test_instance_map_attrs_from_ids():
     ids = np.zeros((6, 6), dtype=np.int32)
     ids[1:3, 1:3] = 4
@@ -205,3 +218,23 @@ def test_instance_map_attrs_from_ids():
     assert imap.attrs[9].pixel_count == 1
     assert imap.attrs[9].teacher_type is None
     imap.validate()
+
+
+@pytest.mark.parametrize("other", [5, 2**31 - 1])  # ids up to / far above the pixel count
+def test_instance_counts_for_dense_and_sparse_ids(other):
+    ids = np.zeros((6, 6), dtype=np.int32)
+    ids[1:3, 1:3] = 4
+    ids[4, 4] = other
+    imap = InstanceMap.from_ids(ids)
+    assert imap.instance_ids == [4, other]
+    assert imap.attrs[other].pixel_count == 1
+    assert imap.attrs[other].centroid == (4.0, 4.0)
+    imap.validate()
+    imap.attrs[other].pixel_count = 2
+    with pytest.raises(ValueError, match="pixel_count"):
+        imap.validate()
+    del imap.attrs[other]
+    with pytest.raises(ValueError, match="without attribute records"):
+        imap.validate()
+    with pytest.raises(ValueError, match="non-negative"):
+        InstanceMap.from_ids(-ids)
