@@ -143,16 +143,22 @@ class AggregationResult:
     provenance: dict[int, NucleusDecision]
 
     def check_invariants(self, taxonomy: Optional[Taxonomy] = None) -> None:
+        """Every classed nucleus pixel carries its nucleus' class, and every
+        nucleus touching the mitosis mask is mitotic. One pass over the
+        nucleus pixels."""
         tax = taxonomy or default_taxonomy()
         mit = tax.resolve("mitotic_cell")
-        ids = self.instances.ids
-        mit_hit = self.mitosis.ids > 0
-        for gid in self.instances.instance_ids:
-            cls = self.classes[gid]
-            where = ids == gid
-            if cls is not None and not (self.semantic[where] == cls).all():
-                raise AssertionError(f"nucleus {gid}: semantic/instance class mismatch")
-            if (mit_hit & where).any() and cls != mit:
+        rows, cols, slot, gids = self.instances.pixel_groups()
+        codes = [self.classes[g] for g in gids.tolist()]
+        want = np.array(
+            [UNDEFINED if c is None else c for c in codes], dtype=np.int16
+        )[slot]
+        wrong = (want != UNDEFINED) & (self.semantic[rows, cols] != want)
+        if wrong.any():
+            gid = gids[slot[np.argmax(wrong)]]
+            raise AssertionError(f"nucleus {gid}: semantic/instance class mismatch")
+        for gid in np.unique(gids[slot[self.mitosis.ids[rows, cols] > 0]]).tolist():
+            if self.classes[gid] != mit:
                 raise AssertionError(f"nucleus {gid}: mitosis supersedence violated")
 
 
@@ -261,15 +267,37 @@ def _classify_pixels(
     return labels, fired
 
 
-def _vote(counts_defined: np.ndarray, count_undef: np.ndarray) -> np.ndarray:
-    """Majority vote per row; undefined wins only a strict plurality.
+def _vote_groups(
+    logits: LogitStack,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    slot: np.ndarray,
+    m: int,
+    tax: Taxonomy,
+) -> tuple[np.ndarray, list[NucleusDecision]]:
+    """Classify the pixels, then take a majority vote per nucleus.
 
-    ``counts_defined`` is (M, 10) for class ids 2..11 ascending; returns
-    int16 class ids with UNDEFINED where undefined wins.
+    Pixel ``i`` belongs to nucleus ``slot[i]`` of ``m``. Returns the voted
+    int16 class id per nucleus (UNDEFINED where undefined wins a strict
+    plurality; defined ties go to the lowest class id) and one decision
+    record per nucleus with the vote counts and per-level override hits.
     """
-    max_def = counts_defined.max(axis=1)
-    winner = (np.argmax(counts_defined, axis=1) + 2).astype(np.int16)
-    return np.where(count_undef > max_def, np.int16(UNDEFINED), winner)
+    labels, fired = _classify_pixels(logits, rows, cols, tax)
+    key = slot.astype(np.int64) * 16 + (labels.astype(np.int64) + 1)
+    counts = np.bincount(key, minlength=m * 16).reshape(m, 16)  # col 0 = undefined
+    defined = counts[:, 3:13]  # class ids 2..11 ascending
+    winner = (np.argmax(defined, axis=1) + 2).astype(np.int16)
+    voted = np.where(counts[:, 0] > defined.max(axis=1), np.int16(UNDEFINED), winner)
+    fired_per = np.stack([np.bincount(slot[f], minlength=m) for f in fired], axis=1)
+    decisions = [
+        NucleusDecision(
+            rule="vote" if cls != UNDEFINED else "undefined",
+            votes={c - 1: n for c, n in enumerate(row) if n},
+            level_fired=tuple(hits),
+        )
+        for cls, row, hits in zip(voted.tolist(), counts.tolist(), fired_per.tolist())
+    ]
+    return voted, decisions
 
 
 def classify_nucleus(
@@ -283,20 +311,15 @@ def classify_nucleus(
     Returns (class id or None, decision record with vote counts and the
     per-level override hit counts).
     """
-    tax = taxonomy or default_taxonomy()
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     if rows.size == 0:
         raise ValueError("nucleus pixel set is empty")
-    labels, fired = _classify_pixels(logits, rows, cols, tax)
-    counts = np.bincount(labels + 1, minlength=13)  # slot 0 = undefined
-    cls = int(_vote(counts[None, 3:13], counts[None, 0])[0])
-    votes = {int(c) - 1: int(n) for c, n in enumerate(counts) if n}
-    decision = NucleusDecision(
-        rule="vote" if cls != UNDEFINED else "undefined",
-        votes=votes,
-        level_fired=tuple(int(f.sum()) for f in fired),
+    slot = np.zeros(rows.size, dtype=np.intp)
+    voted, (decision,) = _vote_groups(
+        logits, rows, cols, slot, 1, taxonomy or default_taxonomy()
     )
+    cls = int(voted[0])
     return (None if cls == UNDEFINED else cls), decision
 
 
@@ -329,19 +352,16 @@ def fallback_rules(
     undef = [g for g, c in classes.items() if c is None]
     if not undef:
         return out, rules
-    ids = nuclei.ids
-    m = int(ids.max()) + 1
-    inside = ids > 0
-    nid = ids[inside]
-    tis = tissue[inside]
-    cnt_epi = np.bincount(nid[tis == epi], minlength=m)
-    cnt_str = np.bincount(nid[tis == stro], minlength=m)
-    for gid in undef:
+    rows, cols, slot, gids = nuclei.pixel_groups()
+    tis = tissue[rows, cols]
+    cnt_epi = np.bincount(slot[tis == epi], minlength=gids.size)
+    cnt_str = np.bincount(slot[tis == stro], minlength=gids.size)
+    for gid, i in zip(undef, np.searchsorted(gids, undef).tolist()):
         total = nuclei.attrs[gid].pixel_count
-        if 2 * int(cnt_epi[gid]) > total:
+        if 2 * int(cnt_epi[i]) > total:
             out[gid] = epi_n
             rules[gid] = "fallback_epithelial"
-        elif 2 * int(cnt_str[gid]) > total and nuclei.attrs[gid].teacher_type == fib:
+        elif 2 * int(cnt_str[i]) > total and nuclei.attrs[gid].teacher_type == fib:
             out[gid] = fib
             rules[gid] = "fallback_fibroblast"
     return out, rules
@@ -434,13 +454,11 @@ def aggregate(
     bundle: TeacherBundle,
     config: Optional[RunConfig] = None,
     taxonomy: Optional[Taxonomy] = None,
-    validate: bool = True,
 ) -> AggregationResult:
-    """Run the whole pipeline on one bundle."""
+    """Validate one bundle and run the whole pipeline on it."""
     cfg = config or RunConfig()
     tax = taxonomy or default_taxonomy()
-    if validate:
-        bundle.validate(tax)
+    bundle.validate(tax)
     return _fuse(bundle, tissue_segmentation(bundle, cfg, tax), cfg, tax)
 
 
@@ -457,36 +475,16 @@ def _fuse(
     bundle: TeacherBundle, tissue: np.ndarray, cfg: RunConfig, tax: Taxonomy
 ) -> AggregationResult:
     """Stages 3-6 on top of the tissue labels."""
-    ids = bundle.nuclei.ids
-    inside = ids > 0
-    rows, cols = np.nonzero(inside)
-    nid = ids[rows, cols]
-    labels, fired = _classify_pixels(bundle.cell_logits, rows, cols, tax)
-
-    gids = bundle.nuclei.instance_ids
-    m = (int(ids.max()) + 1) if gids else 1
-    key = nid.astype(np.int64) * 16 + (labels.astype(np.int64) + 1)
-    counts = np.bincount(key, minlength=m * 16).reshape(m, 16)
-    voted = _vote(counts[:, 3:13], counts[:, 0])
-    fired_per = [
-        np.bincount(nid[fired[lvl]], minlength=m) for lvl in range(4)
-    ]
-
-    classes: dict[int, Optional[int]] = {}
-    provenance: dict[int, NucleusDecision] = {}
-    for gid in gids:
-        cls = int(voted[gid])
-        votes = {
-            int(slot) - 1: int(n)
-            for slot, n in enumerate(counts[gid])
-            if n
-        }
-        provenance[gid] = NucleusDecision(
-            rule="vote" if cls != UNDEFINED else "undefined",
-            votes=votes,
-            level_fired=tuple(int(f[gid]) for f in fired_per),
-        )
-        classes[gid] = None if cls == UNDEFINED else cls
+    rows, cols, slot, gids = bundle.nuclei.pixel_groups()
+    voted, decisions = _vote_groups(
+        bundle.cell_logits, rows, cols, slot, gids.size, tax
+    )
+    gid_list = gids.tolist()
+    provenance = dict(zip(gid_list, decisions))
+    classes: dict[int, Optional[int]] = {
+        gid: None if cls == UNDEFINED else cls
+        for gid, cls in zip(gid_list, voted.tolist())
+    }
 
     classes, fb_rules = fallback_rules(bundle.nuclei, classes, tissue, tax)
     for gid, rule in fb_rules.items():
@@ -497,15 +495,13 @@ def _fuse(
     for gid in mit_ids:
         provenance[gid].rule = "mitosis"
 
+    final = np.array(
+        [UNDEFINED if classes[g] is None else classes[g] for g in gid_list],
+        dtype=np.int16,
+    )[slot]
+    keep = final != UNDEFINED
     semantic = tissue.copy()
-    if gids:
-        lut = np.full(m, UNDEFINED, dtype=np.int16)
-        for gid, cls in classes.items():
-            if cls is not None:
-                lut[gid] = cls
-        painted = lut[ids]
-        keep = painted >= 0
-        semantic[keep] = painted[keep].astype(np.uint8)
+    semantic[rows[keep], cols[keep]] = final[keep]
 
     return AggregationResult(
         semantic=semantic,

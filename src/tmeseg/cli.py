@@ -22,7 +22,6 @@ from . import __version__
 from .aggregate import aggregate
 from .config import RunConfig, config_from_json
 from .container import (
-    ContainerError,
     bundle_part_paths,
     container_from_labels,
     labels_from_container,
@@ -91,10 +90,6 @@ def _provenance(
     }
 
 
-def _write_provenance(record: dict, path: Path) -> None:
-    path.write_text(json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
-
-
 def _provenance_path(out: Path) -> Path:
     return out.with_suffix(".provenance.json")
 
@@ -151,7 +146,7 @@ def _cmd_synth(args) -> int:
     record = _provenance("synth", config, [], outputs)
     record["seed"] = args.seed
     record["kind"] = "random"  # provenance schema v1 names the scene generator
-    _write_provenance(record, out_dir / "provenance.json")
+    _write_json(record, out_dir / "provenance.json")
     print(f"wrote bundle {manifest}")
     return 0
 
@@ -178,7 +173,7 @@ def _cmd_aggregate(args) -> int:
     )
     inputs = [Path(args.bundle)] + list(bundle_part_paths(args.bundle).values())
     record = _provenance("aggregate", config, inputs, [out, classes_path])
-    _write_provenance(record, _provenance_path(out))
+    _write_json(record, _provenance_path(out))
     print(f"wrote {out} and {classes_path}")
     return 0
 
@@ -211,7 +206,7 @@ def _cmd_postprocess(args) -> int:
         outputs.append(classes_path)
     record = _provenance("postprocess", config, inputs, outputs)
     record["mode"] = args.mode
-    _write_provenance(record, _provenance_path(out))
+    _write_json(record, _provenance_path(out))
     print(f"wrote {out}")
     return 0
 
@@ -262,7 +257,7 @@ def _cmd_evaluate(args) -> int:
     out = Path(args.out)
     _write_json(report, out)
     record = _provenance("evaluate", config, inputs, [out])
-    _write_provenance(record, _provenance_path(out))
+    _write_json(record, _provenance_path(out))
     return 0
 
 
@@ -292,7 +287,7 @@ def _cmd_count(args) -> int:
     ]
     print(format_table(["class", "components", "pixels"], rows))
     record = _provenance("count", config, [Path(args.mask)], [out])
-    _write_provenance(record, _provenance_path(out))
+    _write_json(record, _provenance_path(out))
     return 0
 
 
@@ -314,7 +309,7 @@ def _cmd_tme(args) -> int:
         f"margin band: {metrics.band_area_mm2:.6f} mm^2"
     )
     record = _provenance("tme", config, [Path(args.mask)], [out])
-    _write_provenance(record, _provenance_path(out))
+    _write_json(record, _provenance_path(out))
     return 0
 
 

@@ -10,6 +10,7 @@ are lossless; f32 payloads must be finite.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -299,14 +300,36 @@ def save_bundle(bundle, out_dir: str | Path, taxonomy: Optional[Taxonomy] = None
     return path
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _read_manifest(manifest_path: Path) -> tuple[dict, dict[str, Path]]:
+    """The checked manifest and its part paths, resolved against its directory."""
+    try:
+        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ContainerError(f"{manifest_path}: unreadable bundle manifest: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ContainerError("bundle manifest must be a JSON object")
+    bad = [k for k in BUNDLE_PARTS if not isinstance(doc.get(k), str)]
+    if bad:
+        raise ContainerError(f"bundle manifest needs file names for parts {bad}")
+    candidates = doc.get("candidates", [])
+    if not isinstance(candidates, list) or not all(
+        isinstance(c, list) and len(c) == 3 and all(map(_is_number, c))
+        for c in candidates
+    ):
+        raise ContainerError("bundle manifest candidates must be [x, y, score] numbers")
+    for key in ("mpp", "halo"):
+        if doc.get(key) is not None and not _is_number(doc[key]):
+            raise ContainerError(f"bundle manifest {key} must be a number")
+    return doc, {k: manifest_path.parent / doc[k] for k in BUNDLE_PARTS}
+
+
 def bundle_part_paths(manifest_path: str | Path) -> dict[str, Path]:
     """Resolve the manifest's part files relative to its directory."""
-    manifest_path = Path(manifest_path)
-    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    missing = [k for k in BUNDLE_PARTS if k not in doc]
-    if missing:
-        raise ContainerError(f"bundle manifest missing keys {missing}")
-    return {k: manifest_path.parent / doc[k] for k in BUNDLE_PARTS}
+    return _read_manifest(Path(manifest_path))[1]
 
 
 def load_bundle(manifest_path: str | Path, taxonomy: Optional[Taxonomy] = None):
@@ -314,9 +337,7 @@ def load_bundle(manifest_path: str | Path, taxonomy: Optional[Taxonomy] = None):
     from .aggregate import TeacherBundle  # deferred: aggregate is a heavier import
 
     tax = taxonomy or default_taxonomy()
-    manifest_path = Path(manifest_path)
-    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    parts = bundle_part_paths(manifest_path)
+    doc, parts = _read_manifest(Path(manifest_path))
     return TeacherBundle(
         he=rgb_from_container(load_stack(parts["he"])),
         tissue_logits=logits_from_container(load_stack(parts["tissue_logits"]), tax),

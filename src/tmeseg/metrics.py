@@ -114,8 +114,9 @@ def instance_eval_units(
 ) -> list[EvalUnit]:
     """Largest-pixel-coverage assignment of predicted classes to GT nuclei.
 
-    Ties go to the lower evaluation index; unmapped pixels lose every tie
-    and win only when they cover the whole instance.
+    One unit per nucleus in the raster, in id order. Ties go to the lower
+    evaluation index; unmapped pixels lose every tie and win only when they
+    cover the whole instance.
     """
     pred = np.asarray(pred)
     if pred.shape != gt_instances.ids.shape:
@@ -127,17 +128,13 @@ def instance_eval_units(
         idx = cmap.map_id(cid)
         lut[cid] = 0 if idx is None else idx + 1  # slot 0 = unmapped
 
-    ids = gt_instances.ids
-    inside = ids > 0
-    nid = ids[inside]
+    rows, cols, slot, gids = gt_instances.pixel_groups()
+    mapped = lut[pred[rows, cols].astype(np.int64)]
+    counts = np.bincount(
+        slot.astype(np.int64) * (k + 1) + mapped, minlength=gids.size * (k + 1)
+    ).reshape(gids.size, k + 1)
     units: list[EvalUnit] = []
-    if nid.size:
-        mapped = lut[pred[inside].astype(np.int64)]
-        m = int(nid.max()) + 1
-        counts = np.bincount(
-            nid.astype(np.int64) * (k + 1) + mapped, minlength=m * (k + 1)
-        ).reshape(m, k + 1)
-    for gid in gt_instances.instance_ids:
+    for gid, row in zip(gids.tolist(), counts[:, 1:]):
         if gid not in gt_classes:
             raise ValueError(f"no ground-truth class for nucleus {gid}")
         gt_eval = cmap.map_id(gt_classes[gid])
@@ -146,11 +143,7 @@ def instance_eval_units(
             raise ValueError(
                 f"ground-truth class {name!r} is unmapped; fix the class map"
             )
-        row = counts[gid, 1:]
-        if row.max() == 0:
-            pred_eval: Optional[int] = None
-        else:
-            pred_eval = int(np.argmax(row))
+        pred_eval = int(np.argmax(row)) if row.any() else None
         units.append(EvalUnit(gid, gt_eval, pred_eval))
     return units
 

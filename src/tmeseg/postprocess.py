@@ -120,22 +120,14 @@ def panoptic_assign(
     reg_rows, reg_ids = _rows_for(stack, NON_NUCLEUS_CLASSES, tax)
     labels = reg_ids[np.argmax(stack.planes[reg_rows], axis=0)]
 
-    inside = nuclei.ids > 0
-    classes: dict[int, int] = {}
-    if inside.any():
-        nid = nuclei.ids[inside]
-        m = int(nid.max()) + 1
-        nuc_rows, nuc_ids = _rows_for(stack, NUCLEUS_CLASSES, tax)
-        sums = np.stack(
-            [
-                np.bincount(nid, weights=stack.planes[r][inside], minlength=m)
-                for r in nuc_rows
-            ]
-        )
-        best = nuc_ids[np.argmax(sums, axis=0)]  # ties -> lowest id
-        lut = np.zeros(m, dtype=np.uint8)
-        for gid in np.unique(nid).tolist():
-            classes[int(gid)] = int(best[gid])
-            lut[gid] = best[gid]
-        labels[inside] = lut[nid]
-    return labels, classes
+    rows, cols, slot, gids = nuclei.pixel_groups()
+    nuc_rows, nuc_ids = _rows_for(stack, NUCLEUS_CLASSES, tax)
+    sums = np.stack(
+        [
+            np.bincount(slot, weights=stack.planes[r][rows, cols], minlength=gids.size)
+            for r in nuc_rows
+        ]
+    )
+    best = nuc_ids[np.argmax(sums, axis=0)]  # ties -> lowest id
+    labels[rows, cols] = best[slot]
+    return labels, dict(zip(gids.tolist(), best.tolist()))

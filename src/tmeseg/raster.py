@@ -21,19 +21,19 @@ import numpy as np
 from scipy import ndimage
 
 
-_FINITE_BLOCK = 1 << 20  # elements per isfinite call: a 1 MB mask at most
+_BLOCK = 1 << 20  # elements per blockwise scan: a 1 MB mask at most
 
 
 def all_finite(arr: np.ndarray) -> bool:
     """True when no element is NaN or Inf.
 
-    Checks ``_FINITE_BLOCK`` elements at a time, so no full-size mask is
+    Checks ``_BLOCK`` elements at a time, so no full-size mask is
     allocated.
     """
     flat = np.ravel(arr)
     return all(
-        np.isfinite(flat[i : i + _FINITE_BLOCK]).all()
-        for i in range(0, flat.size, _FINITE_BLOCK)
+        np.isfinite(flat[i : i + _BLOCK]).all()
+        for i in range(0, flat.size, _BLOCK)
     )
 
 
@@ -119,53 +119,69 @@ class InstanceMap:
         cls, ids: np.ndarray, teacher_types: Optional[dict[int, Optional[int]]] = None
     ) -> "InstanceMap":
         """Build the attribute table (counts, centroids) from an id raster."""
-        ids = np.asarray(ids, dtype=np.int32)
-        attrs: dict[int, InstanceAttrs] = {}
-        rows, cols = np.nonzero(ids)
-        gids, index = _group_ids(ids[rows, cols])
-        counts = np.bincount(index, minlength=gids.size)
-        row_sum = np.bincount(index, weights=rows, minlength=gids.size)
-        col_sum = np.bincount(index, weights=cols, minlength=gids.size)
-        for i in np.flatnonzero(counts).tolist():
-            gid, n = int(gids[i]), int(counts[i])
-            attrs[gid] = InstanceAttrs(
-                pixel_count=n,
-                centroid=(row_sum[i] / n, col_sum[i] / n),
-                teacher_type=(teacher_types or {}).get(gid),
-            )
-        return cls(ids, attrs)
+        imap = cls(ids)
+        rows, cols, slot, gids = imap.pixel_groups()
+        counts = np.bincount(slot)
+        centroids = zip(
+            np.bincount(slot, weights=rows) / counts,
+            np.bincount(slot, weights=cols) / counts,
+        )
+        types = teacher_types or {}
+        for gid, n, centroid in zip(gids.tolist(), counts.tolist(), centroids):
+            imap.attrs[gid] = InstanceAttrs(n, centroid, types.get(gid))
+        return imap
+
+    def pixel_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The instance pixels in raster order, grouped by id.
+
+        Returns ``(rows, cols, slot, gids)``: ``gids`` holds the ids present,
+        ascending, and ``gids[slot]`` is each pixel's id. Per-instance
+        arrays indexed by ``slot`` are sized by ``gids.size``, never by an
+        id value.
+        """
+        flat = self.ids.ravel()
+        # a bool mask per block: np.nonzero on the ints themselves is ~8x slower
+        index = np.concatenate(
+            [np.zeros(0, dtype=np.intp)]
+            + [
+                np.flatnonzero(flat[i : i + _BLOCK] != 0) + i
+                for i in range(0, flat.size, _BLOCK)
+            ]
+        )
+        rows, cols = np.divmod(index, self.width)
+        gids, slot = _group_ids(flat[index])
+        return rows, cols, slot, gids
 
     def validate(self) -> None:
-        gids, index = _group_ids(self.ids[self.ids != 0])
-        counts = np.bincount(index, minlength=gids.size)
-        present = np.flatnonzero(counts)
-        raster = dict(zip(gids[present].tolist(), counts[present].tolist()))
-        if set(raster) - set(self.attrs):
+        _, _, slot, gids = self.pixel_groups()
+        counts = dict(zip(gids.tolist(), np.bincount(slot).tolist()))
+        if set(counts) - set(self.attrs):
             raise ValueError("raster contains ids without attribute records")
         if 0 in self.attrs:
             raise ValueError("id 0 is reserved for no-instance")
+        if set(self.attrs) - set(counts):
+            raise ValueError("attribute records without raster pixels")
         for gid, a in self.attrs.items():
-            n = raster.get(gid, 0)
-            if n != a.pixel_count:
+            if a.pixel_count != counts[gid]:
                 raise ValueError(
-                    f"instance {gid}: pixel_count {a.pixel_count} != raster count {n}"
+                    f"instance {gid}: pixel_count {a.pixel_count} "
+                    f"!= raster count {counts[gid]}"
                 )
 
 
 def _group_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bincount groups for the nonzero id pixels ``vals``: ``gids[index] == vals``.
+    """The ids present in ``vals`` (nonzero id pixels), ascending, and each
+    pixel's slot among them: ``gids[slot] == vals``.
 
-    Counting only the nonzero pixels keeps temporaries small. Ids up to
-    ``len(vals)`` index themselves; larger ones are renumbered by
-    ``np.unique`` first, so no bincount is sized by an id value.
+    Ids up to ``len(vals)`` are grouped by a bincount over their values;
+    larger ones by ``np.unique``, so no array is sized by an id value.
     """
-    if not vals.size:
-        return np.zeros(0, dtype=np.int64), vals
-    if vals.min() < 0:
+    if vals.size and vals.min() < 0:
         raise ValueError("instance ids must be non-negative")
-    if vals.max() > vals.size:
-        return np.unique(vals, return_inverse=True)
-    return np.arange(int(vals.max()) + 1), vals
+    if vals.size and vals.max() <= vals.size:
+        present = np.bincount(vals) > 0
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[vals]
+    return np.unique(vals, return_inverse=True)
 
 
 def as_bitmask(arr: np.ndarray) -> np.ndarray:

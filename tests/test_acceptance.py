@@ -409,6 +409,7 @@ def test_criterion_10_throughput_single_worker():
     elapsed = time.perf_counter() - t0
     assert result.semantic.shape == (4096, 4096)
     assert len(result.classes) == len(bundle.nuclei.instance_ids)
+    result.check_invariants()
     _verdict(10, elapsed < 30.0, f"4096x4096 single-worker aggregation in {elapsed:.1f}s (< 30s)")
 
 

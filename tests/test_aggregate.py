@@ -16,7 +16,7 @@ from tmeseg.aggregate import (
     tissue_segmentation,
 )
 from tmeseg.config import RunConfig
-from tmeseg.raster import InstanceMap, LogitStack
+from tmeseg.raster import InstanceAttrs, InstanceMap, LogitStack
 from tmeseg.reference import reference_aggregate
 from tmeseg.synth import (
     GLASS,
@@ -471,6 +471,36 @@ def test_invariants_hold_on_random_scenes(seed):
     assert np.array_equal(res.semantic, ref["semantic"])
     assert res.classes == ref["classes"]
     assert np.array_equal(res.mitosis.ids > 0, ref["mitosis_mask"])
+
+
+def test_check_invariants_catches_mislabelled_nucleus_pixel():
+    res = aggregate(build_bundle(random_scene(0)))
+    gid = next(g for g, c in res.classes.items() if c is not None)
+    r, c = np.argwhere(res.instances.ids == gid)[-1]
+    res.semantic[r, c] = BG
+    with pytest.raises(AssertionError, match=f"nucleus {gid}: semantic/instance"):
+        res.check_invariants()
+
+
+def test_check_invariants_catches_mitosis_overlap_without_mitotic_class():
+    res = aggregate(build_bundle(random_scene(0)))
+    gid = next(g for g, c in res.classes.items() if c != MIT)
+    r, c = np.argwhere(res.instances.ids == gid)[0]
+    mit_ids = res.mitosis.ids.copy()
+    mit_ids[r, c] = mit_ids.max() + 1
+    res.mitosis = InstanceMap.from_ids(mit_ids)
+    with pytest.raises(AssertionError, match=f"nucleus {gid}: mitosis supersedence"):
+        res.check_invariants()
+
+
+@pytest.mark.parametrize("ghost", [2, 10**6])
+def test_aggregate_rejects_records_without_pixels(ghost):
+    ids = np.zeros((8, 8), np.int32)
+    ids[2:4, 2:4] = 1
+    bundle = make_bundle(ids=ids)
+    bundle.nuclei.attrs[ghost] = InstanceAttrs(pixel_count=0, centroid=(0.0, 0.0))
+    with pytest.raises(ValueError, match="without raster pixels"):
+        aggregate(bundle)
 
 
 def test_mitotic_label_confined_to_nuclei():

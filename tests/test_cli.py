@@ -246,6 +246,29 @@ def test_data_errors_exit_2(workspace, tmp_path, capsys):
     assert "astrocyte" in err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: [doc],
+        lambda doc: {**doc, "he": 5},
+        lambda doc: {**doc, "candidates": 5},
+        lambda doc: {**doc, "candidates": [[1.0, 2.0]]},
+        lambda doc: {**doc, "candidates": [[1.0, "2", 0.5]]},
+        lambda doc: {**doc, "halo": [1]},
+        lambda doc: {**doc, "mpp": "0.25"},
+    ],
+    ids=["not-object", "part", "candidates", "short-candidate", "string-coord",
+         "halo", "mpp"],
+)
+def test_malformed_manifest_exits_2(workspace, tmp_path, capsys, edit):
+    doc = json.loads(workspace["bundle"].read_text())
+    workspace["bundle"].write_text(json.dumps(edit(doc)))
+    out = tmp_path / "o.tmef"
+    assert cli(["aggregate", "--bundle", str(workspace["bundle"]), "--out", str(out)]) == 2
+    assert "bundle manifest" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unmapped_ground_truth_class_exits_2(tmp_path, capsys):
     nid = np.zeros((6, 6), np.int32)
     nid[2:4, 2:4] = 1

@@ -8,7 +8,8 @@ from oracles import (
     union_find_components,
 )
 from tmeseg.raster import (
-    _FINITE_BLOCK,
+    _BLOCK,
+    InstanceAttrs,
     InstanceMap,
     LogitStack,
     connected_components,
@@ -196,10 +197,10 @@ def test_logit_stack_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_require_finite_checks_every_block(bad):
-    stack = LogitStack((1,), np.zeros((1, 1, _FINITE_BLOCK + 1), dtype=np.float32))
+    stack = LogitStack((1,), np.zeros((1, 1, _BLOCK + 1), dtype=np.float32))
     stack.require_finite()
     flat = stack.planes.reshape(-1)
-    for pos in (0, _FINITE_BLOCK - 1, _FINITE_BLOCK, flat.size - 1):
+    for pos in (0, _BLOCK - 1, _BLOCK, flat.size - 1):
         flat[pos] = bad
         with pytest.raises(ValueError, match="NaN or Inf"):
             stack.require_finite()
@@ -238,3 +239,38 @@ def test_instance_counts_for_dense_and_sparse_ids(other):
         imap.validate()
     with pytest.raises(ValueError, match="non-negative"):
         InstanceMap.from_ids(-ids)
+
+
+@pytest.mark.parametrize("other", [9, 10**6])
+def test_pixel_groups_slot_present_ids(other):
+    ids = np.zeros((4, 5), dtype=np.int32)
+    ids[0, 1] = other
+    ids[1, 0:2] = 4
+    ids[3, 4] = other
+    rows, cols, slot, gids = InstanceMap(ids).pixel_groups()
+    assert gids.tolist() == [4, other]
+    assert rows.tolist() == [0, 1, 1, 3] and cols.tolist() == [1, 0, 1, 4]
+    assert gids[slot].tolist() == [other, 4, 4, other]
+    empty = InstanceMap(np.zeros((2, 2), np.int32)).pixel_groups()
+    assert [a.size for a in empty] == [0, 0, 0, 0]
+
+
+def test_pixel_groups_across_scan_blocks():
+    ids = np.zeros((3, _BLOCK // 2 + 7), dtype=np.int32)  # spans two blocks
+    ids[0, 5] = ids[1, -1] = ids[2, 3] = 8
+    ids[1, 0] = ids[2, -2] = 3
+    rows, cols, slot, gids = InstanceMap(ids).pixel_groups()
+    want_rows, want_cols = np.nonzero(ids)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    assert np.array_equal(gids[slot], ids[want_rows, want_cols])
+
+
+@pytest.mark.parametrize("ghost", [2, 10**6])
+def test_validate_rejects_attribute_records_without_pixels(ghost):
+    ids = np.zeros((4, 4), dtype=np.int32)
+    ids[0, :2] = 1
+    ids[2, 2] = 3
+    imap = InstanceMap.from_ids(ids)
+    imap.attrs[ghost] = InstanceAttrs(pixel_count=0, centroid=(0.0, 0.0))
+    with pytest.raises(ValueError, match="without raster pixels"):
+        imap.validate()
