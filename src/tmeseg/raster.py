@@ -215,24 +215,40 @@ def blur_radius(sigma: float) -> int:
 def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur per channel, reflect edges, rounded to uint8.
 
-    Kernel radius is ceil(3*sigma). Computation runs in float64 so the
-    result is independent of channel order and input strides.
+    Kernel radius is ceil(3*sigma). Each channel is copied once into a
+    contiguous uint8 plane and blurred into a float64 output, which is
+    rounded and clipped in place, so the result is independent of channel
+    order and input strides.
     """
     check_rgb_tile(img)
     radius = blur_radius(sigma)
     out = np.empty_like(img)
     for ch in range(3):
         sm = ndimage.gaussian_filter(
-            img[:, :, ch].astype(np.float64), sigma, mode="reflect", radius=radius
+            np.ascontiguousarray(img[:, :, ch]),
+            sigma,
+            output=np.float64,
+            mode="reflect",
+            radius=radius,
         )
-        out[:, :, ch] = np.clip(np.rint(sm), 0, 255).astype(np.uint8)
+        np.rint(sm, out=sm)
+        out[:, :, ch] = np.clip(sm, 0, 255, out=sm)
     return out
 
 
 def grayscale(img: np.ndarray) -> np.ndarray:
-    """Rounded mean of R, G, B as uint8."""
+    """Rounded mean of R, G, B as uint8.
+
+    Computed as ``(r + g + b + 1) // 3`` in uint16. A mean of three
+    integers is never a half, so this equals ``rint(sum / 3)`` exactly.
+    """
     check_rgb_tile(img)
-    return np.rint(img.astype(np.float64).sum(axis=2) / 3.0).astype(np.uint8)
+    total = img[:, :, 0].astype(np.uint16)
+    total += img[:, :, 1]
+    total += img[:, :, 2]
+    total += 1
+    total //= 3
+    return total.astype(np.uint8)
 
 
 def otsu_threshold(gray: np.ndarray) -> int:
@@ -297,12 +313,14 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> InstanceMap
     labeled, n = ndimage.label(mask, structure=_structure(connectivity))
     if n == 0:
         return InstanceMap(np.zeros(mask.shape, dtype=np.int32), {})
-    flat = labeled.ravel()
-    first = np.full(n + 1, flat.size, dtype=np.int64)
-    idx = np.nonzero(flat)[0]
-    # reversed so earlier occurrences overwrite later ones
-    first[flat[idx[::-1]]] = idx[::-1]
+    # labels are nonzero exactly where the mask is set; reversed so that
+    # earlier occurrences overwrite later ones
+    idx = np.flatnonzero(mask)[::-1]
+    first = np.full(n + 1, mask.size, dtype=np.int64)
+    first[labeled.ravel()[idx]] = idx
     order = np.argsort(first[1:], kind="stable")  # old label-1 -> rank
+    if np.array_equal(order, np.arange(n)):  # ndimage's usual scan order
+        return InstanceMap.from_ids(labeled)
     remap = np.zeros(n + 1, dtype=np.int32)
     remap[order + 1] = np.arange(1, n + 1, dtype=np.int32)
     return InstanceMap.from_ids(remap[labeled])

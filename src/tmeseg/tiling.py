@@ -1,12 +1,14 @@
 """Tile iteration and the parallel tiled pipeline.
 
 Windows of ``crop`` pixels advance by ``stride``; the final window clamps
-to the image edge so coverage is complete. Only the Gaussian blur reads
-neighbouring pixels, so only the blur runs window by window: each window
-blurs its pixels plus a ``blur_radius`` margin and writes the smoothed
-grayscale of its own pixels into one canvas. Every later stage runs once
-on the whole frame, so tiled output equals ``aggregate`` for any plan and
-any worker count.
+to the image edge so coverage is complete. Each window owns a cell: on
+each axis, from its origin to the next window's origin, or to the image
+edge for the last window, so the cells partition the frame. Only the
+Gaussian blur reads neighbouring pixels, so only the blur runs window by
+window: each window blurs its cell plus a ``blur_radius`` margin and
+writes the smoothed grayscale of its cell into one canvas, so every pixel
+is blurred once. Every later stage runs once on the whole frame, so tiled
+output equals ``aggregate`` for any plan and any worker count.
 """
 
 from __future__ import annotations
@@ -44,13 +46,6 @@ class Window:
     height: int
     width: int
 
-    @property
-    def slices(self) -> tuple[slice, slice]:
-        return (
-            slice(self.y0, self.y0 + self.height),
-            slice(self.x0, self.x0 + self.width),
-        )
-
 
 def axis_offsets(extent: int, crop: int, stride: int) -> list[int]:
     """Window start offsets along one axis, final window clamped."""
@@ -87,6 +82,26 @@ def iterate_tiles(shape: tuple[int, int], plan: Optional[TilePlan] = None) -> li
     return windows
 
 
+def owned_cells(windows: list[Window], shape: tuple[int, int]) -> list[tuple[slice, slice]]:
+    """The (rows, cols) cell each window of ``iterate_tiles(shape, ...)`` owns.
+
+    On each axis a cell runs from its window's origin to the next window's
+    origin, or to the image edge for the last window; the cells partition
+    the frame.
+    """
+
+    def ends(origins: set[int], extent: int) -> dict[int, int]:
+        starts = sorted(origins)
+        return dict(zip(starts, starts[1:] + [extent]))
+
+    row_end = ends({win.y0 for win in windows}, shape[0])
+    col_end = ends({win.x0 for win in windows}, shape[1])
+    return [
+        (slice(win.y0, row_end[win.y0]), slice(win.x0, col_end[win.x0]))
+        for win in windows
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Tiled aggregation
 # ---------------------------------------------------------------------------
@@ -96,17 +111,21 @@ _SHARED: Optional[tuple] = None
 
 
 def _run_window(idx: int) -> tuple[int, np.ndarray]:
-    """Smoothed grayscale of one window's own pixels."""
-    he, sigma, windows = _SHARED
-    win = windows[idx]
+    """Smoothed grayscale of one window's owned cell.
+
+    The cell is blurred with a ``blur_radius(sigma)`` margin, clamped to the
+    image, so each of its pixels reads the same neighbours as in a
+    full-frame blur.
+    """
+    he, sigma, cells = _SHARED
+    rows, cols = cells[idx]
     h, w = he.shape[:2]
     margin = blur_radius(sigma)
-    y0, x0 = max(win.y0 - margin, 0), max(win.x0 - margin, 0)
-    y1 = min(win.y0 + win.height + margin, h)
-    x1 = min(win.x0 + win.width + margin, w)
+    y0, x0 = max(rows.start - margin, 0), max(cols.start - margin, 0)
+    y1, x1 = min(rows.stop + margin, h), min(cols.stop + margin, w)
     smooth = gaussian_smooth(he[y0:y1, x0:x1], sigma)
-    cy, cx = win.y0 - y0, win.x0 - x0
-    return idx, grayscale(smooth[cy : cy + win.height, cx : cx + win.width])
+    cell = (slice(rows.start - y0, rows.stop - y0), slice(cols.start - x0, cols.stop - x0))
+    return idx, grayscale(smooth[cell])
 
 
 def tiled_aggregate(
@@ -118,9 +137,10 @@ def tiled_aggregate(
 ) -> AggregationResult:
     """``aggregate`` with the blur computed window by window.
 
-    Fan-out uses forked processes sharing the H&E tile read-only. The
-    windows' smoothed grayscale is assembled into one canvas, on which the
-    full-frame pipeline runs; the result equals ``aggregate(bundle, config)``.
+    Fan-out uses forked processes sharing the H&E tile read-only. Each
+    window's owned cell is written once into one smoothed grayscale canvas,
+    on which the full-frame pipeline runs; the result equals
+    ``aggregate(bundle, config)``.
     """
     global _SHARED
     cfg = config or RunConfig()
@@ -129,19 +149,20 @@ def tiled_aggregate(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     bundle.validate(tax)
-    windows = iterate_tiles((bundle.height, bundle.width), plan)
+    shape = (bundle.height, bundle.width)
+    cells = owned_cells(iterate_tiles(shape, plan), shape)
 
-    _SHARED = (bundle.he, cfg.blur_sigma, windows)
+    _SHARED = (bundle.he, cfg.blur_sigma, cells)
     try:
-        if workers == 1 or len(windows) == 1:
-            results = map(_run_window, range(len(windows)))
+        if workers == 1 or len(cells) == 1:
+            results = map(_run_window, range(len(cells)))
         else:
             ctx = get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                results = list(pool.map(_run_window, range(len(windows))))
-        gray = np.empty((bundle.height, bundle.width), dtype=np.uint8)
-        for idx, core in results:
-            gray[windows[idx].slices] = core
+                results = list(pool.map(_run_window, range(len(cells))))
+        gray = np.empty(shape, dtype=np.uint8)
+        for idx, cell_gray in results:
+            gray[cells[idx]] = cell_gray
     finally:
         _SHARED = None
     return _aggregate_smoothed(bundle, gray, cfg, tax)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tmeseg
 from tmeseg.cli import cli
 from tmeseg.container import (
     container_from_instances,
@@ -307,6 +312,16 @@ def test_version_and_help_exit_0(capsys):
     assert cli(["--help"]) == 0
     assert cli(["aggregate", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_python_m_tmeseg_runs_the_cli():
+    src = str(Path(tmeseg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tmeseg", "--version"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert tmeseg.__version__ in proc.stdout + proc.stderr
 
 
 def test_provenance_tracks_config_and_inputs(workspace, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from oracles import (
     brute_distance_band,
@@ -21,7 +22,7 @@ from tmeseg.raster import (
     otsu_threshold,
     rasterize_hull,
 )
-from tmeseg.reference import _blur
+from tmeseg.reference import _blur, _gray_rows
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +34,9 @@ def test_gaussian_smooth_matches_direct_convolution():
     rng = np.random.default_rng(11)
     for _ in range(5):
         he = rng.integers(0, 256, size=(40, 37, 3), dtype=np.uint8)
-        assert np.array_equal(gaussian_smooth(he, 2.0), _blur(he, 2.0))
+        # strided views too: each channel is copied into a contiguous plane
+        for img in (he, he[::2, 1:], he[:, :, ::-1], he[3:, ::3]):
+            assert np.array_equal(gaussian_smooth(img, 2.0), _blur(img, 2.0))
 
 
 def test_gaussian_smooth_constant_tile_unchanged():
@@ -50,13 +53,30 @@ def test_grayscale_rounds_channel_mean():
 
 
 def test_grayscale_half_even_rounding():
-    # 1.5 rounds to 2 and 2.5 rounds to 2 under round-half-even
+    # a mean of three integers is k, k + 1/3 or k + 2/3, never a half,
+    # so the half-even tie rule never applies
     he = np.zeros((1, 2, 3), dtype=np.uint8)
     he[0, 0] = (1, 1, 2)  # mean 4/3 -> 1
     he[0, 1] = (2, 2, 3)  # mean 7/3 -> 2
     assert grayscale(he).tolist() == [[1, 2]]
     he[0, 0] = (1, 2, 2)  # mean 5/3 -> 2
     assert grayscale(he).tolist() == [[2, 2]]
+
+
+def test_grayscale_equals_rounded_mean_for_every_channel_sum():
+    sums = np.arange(766)
+    he = np.stack([np.clip(sums - 255 * c, 0, 255) for c in range(3)], axis=-1)
+    he = he.astype(np.uint8)[None]
+    assert np.array_equal(he.sum(axis=2, dtype=np.int64)[0], sums)
+    assert np.array_equal(grayscale(he)[0], np.rint(sums / 3.0).astype(np.uint8))
+
+
+def test_grayscale_matches_reference_rows():
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        h, w = rng.integers(1, 40, size=2)
+        he = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        assert grayscale(he).tolist() == _gray_rows(he)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +127,25 @@ def test_components_id_order_is_raster_scan():
     comp = connected_components(mask, 8)
     assert comp.ids[0, 6] == 1
     assert comp.ids[4, 0] == 2
+
+
+def test_components_renumber_labels_out_of_scan_order(monkeypatch):
+    """Ids follow the raster scan even when ``ndimage.label`` numbers the
+    components in another order, so the remap branch stays covered."""
+    label = ndimage.label
+    rng = np.random.default_rng(6)
+
+    def permuted_label(mask, structure=None):
+        labeled, n = label(mask, structure=structure)
+        lut = np.concatenate([[0], rng.permutation(n) + 1]).astype(labeled.dtype)
+        return lut[labeled], n
+
+    monkeypatch.setattr(ndimage, "label", permuted_label)
+    for _ in range(10):
+        mask = rng.random((24, 31)) < 0.42
+        got = connected_components(mask, 8)
+        assert got.ids.tobytes() == union_find_components(mask, 8).tobytes()
+        got.validate()
 
 
 def test_diagonal_touch_depends_on_connectivity():

@@ -4,8 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from tmeseg.aggregate import aggregate
 from tmeseg.config import RunConfig
+from tmeseg.raster import blur_radius, gaussian_smooth
 from tmeseg.synth import build_bundle, random_scene
-from tmeseg.tiling import TilePlan, axis_offsets, iterate_tiles, tiled_aggregate
+from tmeseg.tiling import (
+    TilePlan,
+    axis_offsets,
+    iterate_tiles,
+    owned_cells,
+    tiled_aggregate,
+)
 
 STITCH_CFG = RunConfig(background_threshold=200)
 
@@ -132,3 +139,35 @@ def test_tiled_equals_full_frame_for_any_plan(case):
         g: d.rule for g, d in full.provenance.items()
     }
     tiled.check_invariants()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tiling_cases())
+def test_each_pixel_is_blurred_in_one_owned_cell(case):
+    seed, shape, plan, cfg, _ = case
+    bundle = build_bundle(random_scene(seed, *shape, max_nuclei=10, max_candidates=2))
+    windows = iterate_tiles(shape, plan)
+    cells = owned_cells(windows, shape)
+    cover = np.zeros(shape, dtype=np.int64)
+    for win, (rows, cols) in zip(windows, cells):
+        assert (rows.start, cols.start) == (win.y0, win.x0)
+        cover[rows, cols] += 1
+    assert (cover == 1).all()
+
+    margin = blur_radius(cfg.blur_sigma)
+
+    def extent(span, size):
+        return min(span.stop + margin, size) - max(span.start - margin, 0)
+
+    bound = sum(extent(rows, shape[0]) * extent(cols, shape[1]) for rows, cols in cells)
+    blurred = []
+
+    def counting_smooth(img, sigma):
+        blurred.append(img.shape[0] * img.shape[1])
+        return gaussian_smooth(img, sigma)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("tmeseg.tiling.gaussian_smooth", counting_smooth)
+        tiled_aggregate(bundle, cfg, plan, workers=1)
+    assert len(blurred) == len(windows)
+    assert sum(blurred) <= bound
