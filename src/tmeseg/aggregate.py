@@ -37,7 +37,19 @@ from .raster import (
     otsu_threshold,
     rasterize_hull,
 )
-from .taxonomy import Taxonomy, default_taxonomy
+from .taxonomy import (
+    BACKGROUND,
+    EPITHELIAL_CELL_NUCLEUS,
+    EPITHELIAL_TISSUE,
+    FIBROBLAST,
+    MITOTIC_CELL,
+    N_CLASSES,
+    RED_BLOOD_CELL,
+    SMOOTH_MUSCLE,
+    STROMA,
+    VOCABULARY,
+    ids_of,
+)
 
 # Channel rosters the two teacher stacks must carry, by class name.
 TISSUE_CHANNELS = ("smooth_muscle", "epithelial_tissue", "red_blood_cell")
@@ -53,6 +65,8 @@ CELL_CHANNELS = (
     "smooth_muscle",
     "epithelial_tissue",
 )
+TISSUE_IDS = ids_of(TISSUE_CHANNELS)
+CELL_IDS = ids_of(CELL_CHANNELS)
 
 # Internal sentinel for "no class"; the public API uses None.
 UNDEFINED = -1
@@ -92,21 +106,20 @@ class TeacherBundle:
     def width(self) -> int:
         return self.he.shape[1]
 
-    def validate(self, taxonomy: Optional[Taxonomy] = None) -> None:
-        tax = taxonomy or default_taxonomy()
+    def validate(self) -> None:
         check_rgb_tile(self.he)
         h, w = self.he.shape[:2]
         for name, stack, wanted in (
-            ("tissue_logits", self.tissue_logits, TISSUE_CHANNELS),
-            ("cell_logits", self.cell_logits, CELL_CHANNELS),
+            ("tissue_logits", self.tissue_logits, TISSUE_IDS),
+            ("cell_logits", self.cell_logits, CELL_IDS),
         ):
             if (stack.height, stack.width) != (h, w):
                 raise ValueError(f"{name} does not share the H&E dimensions")
-            want_ids = {tax.resolve(n) for n in wanted}
+            want_ids = set(wanted)
             have_ids = set(stack.class_ids)
             if have_ids != want_ids:
-                missing = sorted(tax.name_of(c) for c in want_ids - have_ids)
-                extra = sorted(tax.name_of(c) for c in have_ids - want_ids)
+                missing = sorted(VOCABULARY.name_of(c) for c in want_ids - have_ids)
+                extra = sorted(VOCABULARY.name_of(c) for c in have_ids - want_ids)
                 raise ValueError(
                     f"{name} channel mismatch: missing {missing}, unexpected {extra}"
                 )
@@ -142,12 +155,10 @@ class AggregationResult:
     mitosis: InstanceMap
     provenance: dict[int, NucleusDecision]
 
-    def check_invariants(self, taxonomy: Optional[Taxonomy] = None) -> None:
+    def check_invariants(self) -> None:
         """Every classed nucleus pixel carries its nucleus' class, and every
         nucleus touching the mitosis mask is mitotic. One pass over the
         nucleus pixels."""
-        tax = taxonomy or default_taxonomy()
-        mit = tax.resolve("mitotic_cell")
         rows, cols, slot, gids = self.instances.pixel_groups()
         codes = [self.classes[g] for g in gids.tolist()]
         want = np.array(
@@ -158,7 +169,7 @@ class AggregationResult:
             gid = gids[slot[np.argmax(wrong)]]
             raise AssertionError(f"nucleus {gid}: semantic/instance class mismatch")
         for gid in np.unique(gids[slot[self.mitosis.ids[rows, cols] > 0]]).tolist():
-            if self.classes[gid] != mit:
+            if self.classes[gid] != MITOTIC_CELL:
                 raise AssertionError(f"nucleus {gid}: mitosis supersedence violated")
 
 
@@ -184,9 +195,7 @@ def _background(gray: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, int]:
 
 
 def tissue_segmentation(
-    bundle: TeacherBundle,
-    config: Optional[RunConfig] = None,
-    taxonomy: Optional[Taxonomy] = None,
+    bundle: TeacherBundle, config: Optional[RunConfig] = None
 ) -> np.ndarray:
     """Label every pixel background / smooth_muscle / epithelial_tissue /
     red_blood_cell / stroma.
@@ -196,26 +205,20 @@ def tissue_segmentation(
     positive red-blood-cell logits overlay both; the rest is stroma.
     """
     bg, _ = background_mask(bundle.he, config)
-    return _tissue_labels(bundle.tissue_logits, bg, taxonomy or default_taxonomy())
+    return _tissue_labels(bundle.tissue_logits, bg)
 
 
-def _tissue_labels(logits: LogitStack, bg: np.ndarray, tax: Taxonomy) -> np.ndarray:
-    sm_id = tax.resolve("smooth_muscle")
-    epi_id = tax.resolve("epithelial_tissue")
-    rbc_id = tax.resolve("red_blood_cell")
-    str_id = tax.resolve("stroma")
-    bg_id = tax.resolve("background")
+def _tissue_labels(logits: LogitStack, bg: np.ndarray) -> np.ndarray:
+    sm = logits.plane(SMOOTH_MUSCLE)
+    epi = logits.plane(EPITHELIAL_TISSUE)
+    rbc = logits.plane(RED_BLOOD_CELL)
 
-    sm = logits.plane(sm_id)
-    epi = logits.plane(epi_id)
-    rbc = logits.plane(rbc_id)
-
-    labels = np.full(sm.shape, str_id, dtype=np.uint8)
+    labels = np.full(sm.shape, STROMA, dtype=np.uint8)
     contested = (sm > 0) | (epi > 0)
-    winner = np.where(epi > sm, np.uint8(epi_id), np.uint8(sm_id))
+    winner = np.where(epi > sm, np.uint8(EPITHELIAL_TISSUE), np.uint8(SMOOTH_MUSCLE))
     labels[contested] = winner[contested]
-    labels[rbc > 0] = rbc_id
-    labels[bg] = bg_id
+    labels[rbc > 0] = RED_BLOOD_CELL
+    labels[bg] = BACKGROUND
     return labels
 
 
@@ -224,25 +227,23 @@ def _tissue_labels(logits: LogitStack, bg: np.ndarray, tax: Taxonomy) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _hierarchy_plan(
-    logits: LogitStack, tax: Taxonomy
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _hierarchy_plan(logits: LogitStack) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per level: (stack-plane indices, class ids), both ascending by id."""
     plan = []
     index = {c: i for i, c in enumerate(logits.class_ids)}
-    for level_ids in tax.levels:
+    for level_ids in VOCABULARY.levels:
         ids = sorted(level_ids)
         try:
             rows = [index[c] for c in ids]
         except KeyError:
-            missing = [tax.name_of(c) for c in ids if c not in index]
+            missing = [VOCABULARY.name_of(c) for c in ids if c not in index]
             raise ValueError(f"logit stack missing hierarchy channels {missing}")
         plan.append((np.asarray(rows), np.asarray(ids, dtype=np.int16)))
     return plan
 
 
 def _classify_pixels(
-    logits: LogitStack, rows: np.ndarray, cols: np.ndarray, tax: Taxonomy
+    logits: LogitStack, rows: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Walk hierarchy levels 1..4 at the given pixels.
 
@@ -257,7 +258,7 @@ def _classify_pixels(
     if n == 0:
         return labels, fired
     vals = logits.planes[:, rows, cols]  # (C, N) float32
-    for lvl, (plane_rows, ids) in enumerate(_hierarchy_plan(logits, tax)):
+    for lvl, (plane_rows, ids) in enumerate(_hierarchy_plan(logits)):
         sub = vals[plane_rows]  # (k, N)
         win = np.argmax(sub, axis=0)  # first max -> lowest id
         winval = np.take_along_axis(sub, win[None, :], axis=0)[0]
@@ -273,7 +274,6 @@ def _vote_groups(
     cols: np.ndarray,
     slot: np.ndarray,
     m: int,
-    tax: Taxonomy,
 ) -> tuple[np.ndarray, list[NucleusDecision]]:
     """Classify the pixels, then take a majority vote per nucleus.
 
@@ -282,11 +282,12 @@ def _vote_groups(
     plurality; defined ties go to the lowest class id) and one decision
     record per nucleus with the vote counts and per-level override hits.
     """
-    labels, fired = _classify_pixels(logits, rows, cols, tax)
-    key = slot.astype(np.int64) * 16 + (labels.astype(np.int64) + 1)
-    counts = np.bincount(key, minlength=m * 16).reshape(m, 16)  # col 0 = undefined
-    defined = counts[:, 3:13]  # class ids 2..11 ascending
-    winner = (np.argmax(defined, axis=1) + 2).astype(np.int16)
+    labels, fired = _classify_pixels(logits, rows, cols)
+    width = N_CLASSES + 1  # column 0 = undefined, column c + 1 = class id c
+    key = slot.astype(np.int64) * width + (labels.astype(np.int64) + 1)
+    counts = np.bincount(key, minlength=m * width).reshape(m, width)
+    defined = counts[:, 1:]  # every class id, ascending; ties go to the lowest
+    winner = np.argmax(defined, axis=1).astype(np.int16)
     voted = np.where(counts[:, 0] > defined.max(axis=1), np.int16(UNDEFINED), winner)
     fired_per = np.stack([np.bincount(slot[f], minlength=m) for f in fired], axis=1)
     decisions = [
@@ -301,10 +302,7 @@ def _vote_groups(
 
 
 def classify_nucleus(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    logits: LogitStack,
-    taxonomy: Optional[Taxonomy] = None,
+    rows: np.ndarray, cols: np.ndarray, logits: LogitStack
 ) -> tuple[Optional[int], NucleusDecision]:
     """Classify one nucleus given its pixel coordinates.
 
@@ -316,9 +314,7 @@ def classify_nucleus(
     if rows.size == 0:
         raise ValueError("nucleus pixel set is empty")
     slot = np.zeros(rows.size, dtype=np.intp)
-    voted, (decision,) = _vote_groups(
-        logits, rows, cols, slot, 1, taxonomy or default_taxonomy()
-    )
+    voted, (decision,) = _vote_groups(logits, rows, cols, slot, 1)
     cls = int(voted[0])
     return (None if cls == UNDEFINED else cls), decision
 
@@ -332,7 +328,6 @@ def fallback_rules(
     nuclei: InstanceMap,
     classes: dict[int, Optional[int]],
     tissue: np.ndarray,
-    taxonomy: Optional[Taxonomy] = None,
 ) -> tuple[dict[int, Optional[int]], dict[int, str]]:
     """Resolve undefined nuclei from tissue context.
 
@@ -341,12 +336,6 @@ def fallback_rules(
     teacher type is fibroblast (teacher name `connective`) becomes
     fibroblast. Everything else stays undefined.
     """
-    tax = taxonomy or default_taxonomy()
-    epi = tax.resolve("epithelial_tissue")
-    stro = tax.resolve("stroma")
-    epi_n = tax.resolve("epithelial_cell_nucleus")
-    fib = tax.resolve("fibroblast")
-
     out = dict(classes)
     rules: dict[int, str] = {}
     undef = [g for g, c in classes.items() if c is None]
@@ -354,15 +343,15 @@ def fallback_rules(
         return out, rules
     rows, cols, slot, gids = nuclei.pixel_groups()
     tis = tissue[rows, cols]
-    cnt_epi = np.bincount(slot[tis == epi], minlength=gids.size)
-    cnt_str = np.bincount(slot[tis == stro], minlength=gids.size)
+    cnt_epi = np.bincount(slot[tis == EPITHELIAL_TISSUE], minlength=gids.size)
+    cnt_str = np.bincount(slot[tis == STROMA], minlength=gids.size)
     for gid, i in zip(undef, np.searchsorted(gids, undef).tolist()):
         total = nuclei.attrs[gid].pixel_count
         if 2 * int(cnt_epi[i]) > total:
-            out[gid] = epi_n
+            out[gid] = EPITHELIAL_CELL_NUCLEUS
             rules[gid] = "fallback_epithelial"
-        elif 2 * int(cnt_str[i]) > total and nuclei.attrs[gid].teacher_type == fib:
-            out[gid] = fib
+        elif 2 * int(cnt_str[i]) > total and nuclei.attrs[gid].teacher_type == FIBROBLAST:
+            out[gid] = FIBROBLAST
             rules[gid] = "fallback_fibroblast"
     return out, rules
 
@@ -377,7 +366,6 @@ def detect_mitosis(
     he: np.ndarray,
     tissue: np.ndarray,
     config: Optional[RunConfig] = None,
-    taxonomy: Optional[Taxonomy] = None,
     score_threshold: float = 0.0,
 ) -> InstanceMap:
     """Filter mitosis candidates into a mask of hull regions.
@@ -390,8 +378,6 @@ def detect_mitosis(
     assigned over the union in raster-scan order.
     """
     cfg = config or RunConfig()
-    tax = taxonomy or default_taxonomy()
-    epi = tax.resolve("epithelial_tissue")
     check_rgb_tile(he)
     h, w = he.shape[:2]
     union = np.zeros((h, w), dtype=bool)
@@ -417,7 +403,7 @@ def detect_mitosis(
         gray = grayscale(roi)
         t = otsu_threshold(gray[circle])
         dark = circle & (gray <= t)
-        epi_box = tissue[box] == epi
+        epi_box = tissue[box] == EPITHELIAL_TISSUE
         for blob in contours(dark):
             if blob.area < cfg.mitosis_min_area_px:
                 continue
@@ -433,15 +419,12 @@ def apply_mitosis(
     classes: dict[int, Optional[int]],
     nuclei: InstanceMap,
     mitosis: InstanceMap,
-    taxonomy: Optional[Taxonomy] = None,
 ) -> tuple[dict[int, Optional[int]], list[int]]:
     """Reassign every nucleus intersecting the mitosis mask to mitotic_cell."""
-    tax = taxonomy or default_taxonomy()
-    mit = tax.resolve("mitotic_cell")
     hit_ids = np.unique(nuclei.ids[(nuclei.ids > 0) & (mitosis.ids > 0)])
     out = dict(classes)
     for gid in hit_ids.tolist():
-        out[gid] = mit
+        out[gid] = MITOTIC_CELL
     return out, [int(g) for g in hit_ids.tolist()]
 
 
@@ -451,34 +434,29 @@ def apply_mitosis(
 
 
 def aggregate(
-    bundle: TeacherBundle,
-    config: Optional[RunConfig] = None,
-    taxonomy: Optional[Taxonomy] = None,
+    bundle: TeacherBundle, config: Optional[RunConfig] = None
 ) -> AggregationResult:
     """Validate one bundle and run the whole pipeline on it."""
     cfg = config or RunConfig()
-    tax = taxonomy or default_taxonomy()
-    bundle.validate(tax)
-    return _fuse(bundle, tissue_segmentation(bundle, cfg, tax), cfg, tax)
+    bundle.validate()
+    return _fuse(bundle, tissue_segmentation(bundle, cfg), cfg)
 
 
 def _aggregate_smoothed(
-    bundle: TeacherBundle, gray: np.ndarray, cfg: RunConfig, tax: Taxonomy
+    bundle: TeacherBundle, gray: np.ndarray, cfg: RunConfig
 ) -> AggregationResult:
     """``aggregate`` on a validated bundle whose smoothed grayscale
     (``grayscale(gaussian_smooth(he, cfg.blur_sigma))``) is already known."""
     bg, _ = _background(gray, cfg)
-    return _fuse(bundle, _tissue_labels(bundle.tissue_logits, bg, tax), cfg, tax)
+    return _fuse(bundle, _tissue_labels(bundle.tissue_logits, bg), cfg)
 
 
 def _fuse(
-    bundle: TeacherBundle, tissue: np.ndarray, cfg: RunConfig, tax: Taxonomy
+    bundle: TeacherBundle, tissue: np.ndarray, cfg: RunConfig
 ) -> AggregationResult:
     """Stages 3-6 on top of the tissue labels."""
     rows, cols, slot, gids = bundle.nuclei.pixel_groups()
-    voted, decisions = _vote_groups(
-        bundle.cell_logits, rows, cols, slot, gids.size, tax
-    )
+    voted, decisions = _vote_groups(bundle.cell_logits, rows, cols, slot, gids.size)
     gid_list = gids.tolist()
     provenance = dict(zip(gid_list, decisions))
     classes: dict[int, Optional[int]] = {
@@ -486,12 +464,12 @@ def _fuse(
         for gid, cls in zip(gid_list, voted.tolist())
     }
 
-    classes, fb_rules = fallback_rules(bundle.nuclei, classes, tissue, tax)
+    classes, fb_rules = fallback_rules(bundle.nuclei, classes, tissue)
     for gid, rule in fb_rules.items():
         provenance[gid].rule = rule
 
-    mitosis = detect_mitosis(bundle.mitosis_candidates, bundle.he, tissue, cfg, tax)
-    classes, mit_ids = apply_mitosis(classes, bundle.nuclei, mitosis, tax)
+    mitosis = detect_mitosis(bundle.mitosis_candidates, bundle.he, tissue, cfg)
+    classes, mit_ids = apply_mitosis(classes, bundle.nuclei, mitosis)
     for gid in mit_ids:
         provenance[gid].rule = "mitosis"
 

@@ -38,8 +38,8 @@ from .postprocess import NUCLEUS_CLASSES, force_mode, panoptic_assign
 from .raster import InstanceMap
 from .reference import reference_aggregate
 from .synth import build_bundle, random_scene
-from .taxonomy import default_taxonomy, load_class_map, load_taxonomy
-from .tiling import TilePlan, tiled_aggregate
+from .taxonomy import VOCABULARY, load_class_map
+from .tiling import tiled_aggregate
 from .tme import slide_metrics
 
 SCHEMA_VERSION = 1
@@ -101,12 +101,6 @@ def _load_config(args) -> RunConfig:
     return RunConfig()
 
 
-def _load_taxonomy(args):
-    if getattr(args, "taxonomy", None):
-        return load_taxonomy(args.taxonomy)
-    return default_taxonomy()
-
-
 def _write_json(doc: dict, path: Path) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
 
@@ -118,7 +112,6 @@ def _write_json(doc: dict, path: Path) -> None:
 
 def _cmd_synth(args) -> int:
     config = _load_config(args)
-    tax = _load_taxonomy(args)
     scene = random_scene(
         args.seed,
         height=args.height,
@@ -126,12 +119,12 @@ def _cmd_synth(args) -> int:
         max_nuclei=args.max_nuclei,
         max_candidates=args.max_candidates,
     )
-    bundle = build_bundle(scene, tax)
+    bundle = build_bundle(scene)
     out_dir = Path(args.out_dir)
-    manifest = save_bundle(bundle, out_dir, tax)
+    manifest = save_bundle(bundle, out_dir)
     outputs = [manifest] + sorted(out_dir.glob("*.tmef"))
     if args.truth:
-        truth = reference_aggregate(bundle, config, tax)
+        truth = reference_aggregate(bundle, config)
         truth_mask = out_dir / "truth_semantic.tmef"
         save_stack(container_from_labels(truth["semantic"], bundle.mpp), truth_mask)
         truth_json = out_dir / "truth.json"
@@ -153,10 +146,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     config = _load_config(args)
-    tax = _load_taxonomy(args)
-    bundle = load_bundle(args.bundle, tax)
-    plan = TilePlan(crop=config.crop_px, stride=config.stride_px)
-    result = tiled_aggregate(bundle, config, plan, workers=args.workers, taxonomy=tax)
+    bundle = load_bundle(args.bundle)
+    result = tiled_aggregate(bundle, config, workers=args.workers)
     out = Path(args.out)
     save_stack(container_from_labels(result.semantic, bundle.mpp), out)
     classes_path = out.with_suffix(".classes.json")
@@ -180,20 +171,19 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_postprocess(args) -> int:
     config = _load_config(args)
-    tax = _load_taxonomy(args)
-    stack = logits_from_container(load_stack(args.student), tax)
+    stack = logits_from_container(load_stack(args.student))
     out = Path(args.out)
     inputs = [Path(args.student)]
     mpp = None
     if args.mode == "force":
-        labels = force_mode(stack, tax)
+        labels = force_mode(stack)
         doc = None
     else:
         if not args.nuclei:
             raise _UsageError("--mode panoptic requires --nuclei")
         inputs.append(Path(args.nuclei))
         nuclei = instances_from_container(load_stack(args.nuclei))
-        labels, classes = panoptic_assign(stack, nuclei, tax)
+        labels, classes = panoptic_assign(stack, nuclei)
         doc = {
             "schema_version": SCHEMA_VERSION,
             "classes": {str(g): c for g, c in sorted(classes.items())},
@@ -213,12 +203,11 @@ def _cmd_postprocess(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _load_config(args)
-    tax = _load_taxonomy(args)
     gt = labels_from_container(load_stack(args.gt))
     pred = labels_from_container(load_stack(args.pred))
     inputs = [Path(args.gt), Path(args.pred)]
 
-    semantic = evaluate_semantic(gt, pred, tax.ids, tax)
+    semantic = evaluate_semantic(gt, pred, VOCABULARY.ids)
     report = {"schema_version": SCHEMA_VERSION, "semantic": semantic}
     rows = [
         [name, vals["dice"], vals["iou"]] for name, vals in semantic.items()
@@ -226,7 +215,7 @@ def _cmd_evaluate(args) -> int:
     print(format_table(["class", "dice", "iou"], rows))
 
     if args.map and args.nuclei and args.gt_classes:
-        cmap = load_class_map(args.map, tax)
+        cmap = load_class_map(args.map)
         nuclei = instances_from_container(load_stack(args.nuclei))
         with open(args.gt_classes, "r", encoding="utf-8") as fh:
             classes_doc = json.load(fh)
@@ -263,7 +252,6 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_count(args) -> int:
     config = _load_config(args)
-    tax = _load_taxonomy(args)
     mask = labels_from_container(load_stack(args.mask))
     names = (
         [n.strip() for n in args.classes.split(",") if n.strip()]
@@ -272,9 +260,9 @@ def _cmd_count(args) -> int:
     )
     records = {}
     for name in names:
-        cid = tax.resolve(name)
+        cid = VOCABULARY.resolve(name)
         rec = count_record(mask, cid, args.mean_area)
-        records[tax.name_of(cid)] = {
+        records[VOCABULARY.name_of(cid)] = {
             "class_id": cid,
             "component_count": rec.component_count,
             "pixel_area": rec.pixel_area,
@@ -293,13 +281,12 @@ def _cmd_count(args) -> int:
 
 def _cmd_tme(args) -> int:
     config = _load_config(args)
-    tax = _load_taxonomy(args)
     container = load_stack(args.mask)
     mask = labels_from_container(container)
     mpp = args.mpp if args.mpp is not None else container.mpp
     if mpp is None:
         mpp = config.mpp
-    metrics = slide_metrics(mask, mpp, margin_um=config.margin_um, taxonomy=tax)
+    metrics = slide_metrics(mask, mpp, margin_um=config.margin_um)
     out = Path(args.out)
     _write_json(
         {"schema_version": SCHEMA_VERSION, "tme": metrics.to_json()}, out
@@ -344,7 +331,6 @@ def build_parser() -> _Parser:
 
     def common(sub):
         sub.add_argument("--config", help="RunConfig JSON path")
-        sub.add_argument("--taxonomy", help="vocabulary JSON path (default built-in)")
 
     sub = subs.add_parser("synth", help="generate a bundle")
     sub.add_argument("--seed", type=int, required=True)

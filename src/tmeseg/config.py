@@ -6,6 +6,7 @@ a single RunConfig and pass it through unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
@@ -25,6 +26,10 @@ class RunConfig:
     mpp: float = 0.25
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if self.blur_sigma <= 0:
             raise ValueError("blur_sigma must be positive")
         if self.cc_connectivity not in (4, 8):

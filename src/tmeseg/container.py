@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .raster import InstanceMap, LogitStack, all_finite
-from .taxonomy import Taxonomy, default_taxonomy
+from .taxonomy import VOCABULARY
 
 MAGIC = "TMEF1"
 
@@ -186,22 +186,15 @@ def load_stack(path: str | Path) -> StackContainer:
 
 
 def container_from_logits(
-    stack: LogitStack,
-    taxonomy: Optional[Taxonomy] = None,
-    mpp: Optional[float] = None,
-    halo: Optional[int] = None,
+    stack: LogitStack, mpp: Optional[float] = None, halo: Optional[int] = None
 ) -> StackContainer:
-    tax = taxonomy or default_taxonomy()
-    names = tuple(tax.name_of(c) for c in stack.class_ids)
+    names = tuple(VOCABULARY.name_of(c) for c in stack.class_ids)
     return StackContainer(names, stack.planes, "f32", mpp=mpp, halo=halo)
 
 
-def logits_from_container(
-    container: StackContainer, taxonomy: Optional[Taxonomy] = None
-) -> LogitStack:
+def logits_from_container(container: StackContainer) -> LogitStack:
     """Resolve channel names against the vocabulary (raises on unknowns)."""
-    tax = taxonomy or default_taxonomy()
-    ids = tuple(tax.resolve(name) for name in container.channels)
+    ids = tuple(VOCABULARY.resolve(name) for name in container.channels)
     return LogitStack(ids, container.planes)
 
 
@@ -267,22 +260,21 @@ def instances_from_container(container: StackContainer) -> InstanceMap:
 BUNDLE_PARTS = ("he", "tissue_logits", "cell_logits", "nuclei")
 
 
-def save_bundle(bundle, out_dir: str | Path, taxonomy: Optional[Taxonomy] = None) -> Path:
+def save_bundle(bundle, out_dir: str | Path) -> Path:
     """Write a teacher bundle as four containers plus a JSON manifest.
 
     Returns the manifest path (``bundle.json``); part paths inside the
     manifest are relative to its directory.
     """
-    tax = taxonomy or default_taxonomy()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_stack(container_from_rgb(bundle.he, bundle.mpp), out_dir / "he.tmef")
     save_stack(
-        container_from_logits(bundle.tissue_logits, tax, bundle.mpp, bundle.halo),
+        container_from_logits(bundle.tissue_logits, bundle.mpp, bundle.halo),
         out_dir / "tissue_logits.tmef",
     )
     save_stack(
-        container_from_logits(bundle.cell_logits, tax, bundle.mpp, bundle.halo),
+        container_from_logits(bundle.cell_logits, bundle.mpp, bundle.halo),
         out_dir / "cell_logits.tmef",
     )
     save_stack(container_from_instances(bundle.nuclei, bundle.mpp), out_dir / "nuclei.tmef")
@@ -332,16 +324,15 @@ def bundle_part_paths(manifest_path: str | Path) -> dict[str, Path]:
     return _read_manifest(Path(manifest_path))[1]
 
 
-def load_bundle(manifest_path: str | Path, taxonomy: Optional[Taxonomy] = None):
+def load_bundle(manifest_path: str | Path):
     """Load a teacher bundle from its JSON manifest."""
     from .aggregate import TeacherBundle  # deferred: aggregate is a heavier import
 
-    tax = taxonomy or default_taxonomy()
     doc, parts = _read_manifest(Path(manifest_path))
     return TeacherBundle(
         he=rgb_from_container(load_stack(parts["he"])),
-        tissue_logits=logits_from_container(load_stack(parts["tissue_logits"]), tax),
-        cell_logits=logits_from_container(load_stack(parts["cell_logits"]), tax),
+        tissue_logits=logits_from_container(load_stack(parts["tissue_logits"])),
+        cell_logits=logits_from_container(load_stack(parts["cell_logits"])),
         nuclei=instances_from_container(load_stack(parts["nuclei"])),
         mitosis_candidates=tuple(tuple(c) for c in doc.get("candidates", [])),
         halo=int(doc.get("halo") or 0),

@@ -9,6 +9,7 @@ area per cell. The calibration is a least-squares fit of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,6 +30,9 @@ class CountRecord:
             raise ValueError("component_count must be >= 0")
         if self.pixel_area < self.component_count:
             raise ValueError("each component needs at least one pixel")
+        mean = self.mean_area_per_cell
+        if mean is not None and not (math.isfinite(mean) and mean > 0):
+            raise ValueError("mean_area_per_cell must be positive and finite")
 
     @property
     def area_estimate(self) -> Optional[float]:

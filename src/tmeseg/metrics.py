@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .raster import InstanceMap
-from .taxonomy import ClassMap, Taxonomy, default_taxonomy
+from .taxonomy import VOCABULARY, ClassMap
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +121,9 @@ def instance_eval_units(
     pred = np.asarray(pred)
     if pred.shape != gt_instances.ids.shape:
         raise ValueError("prediction and instance raster dimensions differ")
-    tax = cmap.taxonomy
     k = len(cmap.eval_classes)
-    lut = np.zeros(tax.n_classes, dtype=np.int64)
-    for cid in tax.ids:
+    lut = np.zeros(VOCABULARY.n_classes, dtype=np.int64)
+    for cid in VOCABULARY.ids:
         idx = cmap.map_id(cid)
         lut[cid] = 0 if idx is None else idx + 1  # slot 0 = unmapped
 
@@ -139,7 +138,7 @@ def instance_eval_units(
             raise ValueError(f"no ground-truth class for nucleus {gid}")
         gt_eval = cmap.map_id(gt_classes[gid])
         if gt_eval is None:
-            name = tax.name_of(gt_classes[gid])
+            name = VOCABULARY.name_of(gt_classes[gid])
             raise ValueError(
                 f"ground-truth class {name!r} is unmapped; fix the class map"
             )
@@ -189,13 +188,9 @@ def evaluate_instances(
 
 
 def evaluate_semantic(
-    gt: np.ndarray,
-    pred: np.ndarray,
-    classes: Sequence[int],
-    taxonomy: Optional[Taxonomy] = None,
+    gt: np.ndarray, pred: np.ndarray, classes: Sequence[int]
 ) -> dict[str, dict]:
     """Per-class Dice and IoU from one-vs-rest binarization."""
-    tax = taxonomy or default_taxonomy()
     gt = np.asarray(gt)
     pred = np.asarray(pred)
     if gt.shape != pred.shape:
@@ -204,7 +199,7 @@ def evaluate_semantic(
     for cid in classes:
         gm = gt == cid
         pm = pred == cid
-        out[tax.name_of(cid)] = {"dice": dice(gm, pm), "iou": iou(gm, pm)}
+        out[VOCABULARY.name_of(cid)] = {"dice": dice(gm, pm), "iou": iou(gm, pm)}
     return out
 
 

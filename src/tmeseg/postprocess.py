@@ -14,12 +14,10 @@ never appears in either output.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .raster import InstanceMap, LogitStack
-from .taxonomy import Taxonomy, default_taxonomy
+from .taxonomy import LEUKOCYTE, VOCABULARY, ids_of
 
 LEUKOCYTE_SUBTYPES = (
     "lymphocyte",
@@ -48,17 +46,20 @@ NON_NUCLEUS_CLASSES = (
     "epithelial_tissue",
     "red_blood_cell",
 )
+# The rosters' class ids, ascending; they index the planes of a stack that
+# went through as_student_logits, whose plane c holds class c.
+SUBTYPE_IDS, NUCLEUS_IDS, NON_NUCLEUS_IDS = (
+    np.asarray(sorted(ids_of(names)), dtype=np.uint8)
+    for names in (LEUKOCYTE_SUBTYPES, NUCLEUS_CLASSES, NON_NUCLEUS_CLASSES)
+)
 
 
-def as_student_logits(
-    stack: LogitStack, taxonomy: Optional[Taxonomy] = None
-) -> LogitStack:
+def as_student_logits(stack: LogitStack) -> LogitStack:
     """Validate a full-vocabulary stack and order channels by class id."""
-    tax = taxonomy or default_taxonomy()
-    want = set(tax.ids)
+    want = set(VOCABULARY.ids)
     have = set(stack.class_ids)
     if have != want:
-        missing = sorted(tax.name_of(c) for c in want - have)
+        missing = sorted(VOCABULARY.name_of(c) for c in want - have)
         extra = sorted(str(c) for c in have - want)
         raise ValueError(
             f"student logits must cover the full vocabulary; "
@@ -72,38 +73,23 @@ def as_student_logits(
     )
 
 
-def _rows_for(stack: LogitStack, names, tax: Taxonomy) -> tuple[np.ndarray, np.ndarray]:
-    """Plane indices and class ids for the named channels, ascending by id."""
-    ids = sorted(tax.resolve(n) for n in names)
-    index = {c: i for i, c in enumerate(stack.class_ids)}
-    return np.asarray([index[c] for c in ids]), np.asarray(ids, dtype=np.uint8)
-
-
-def force_mode(
-    stack: LogitStack, taxonomy: Optional[Taxonomy] = None
-) -> np.ndarray:
+def force_mode(stack: LogitStack) -> np.ndarray:
     """Per-pixel argmax with leukocyte winners pushed down to subtypes.
 
     Where the global winner is the generic leukocyte class, the pixel is
     reassigned to the highest-valued subtype channel regardless of sign.
     """
-    tax = taxonomy or default_taxonomy()
-    stack = as_student_logits(stack, tax)
-    leu = tax.resolve("leukocyte")
-    win = np.argmax(stack.planes, axis=0)  # channels are id-ordered
-    labels = np.asarray(stack.class_ids, dtype=np.uint8)[win]
-    at = labels == leu
+    stack = as_student_logits(stack)
+    labels = np.argmax(stack.planes, axis=0).astype(np.uint8)
+    at = labels == LEUKOCYTE
     if at.any():
-        rows, ids = _rows_for(stack, LEUKOCYTE_SUBTYPES, tax)
-        sub = stack.planes[rows][:, at]
-        labels[at] = ids[np.argmax(sub, axis=0)]
+        sub = stack.planes[SUBTYPE_IDS][:, at]
+        labels[at] = SUBTYPE_IDS[np.argmax(sub, axis=0)]
     return labels
 
 
 def panoptic_assign(
-    stack: LogitStack,
-    nuclei: InstanceMap,
-    taxonomy: Optional[Taxonomy] = None,
+    stack: LogitStack, nuclei: InstanceMap
 ) -> tuple[np.ndarray, dict[int, int]]:
     """Nucleus-coherent assignment.
 
@@ -112,22 +98,19 @@ def panoptic_assign(
     the argmax over region classes. Returns the label raster and the
     per-nucleus classes.
     """
-    tax = taxonomy or default_taxonomy()
-    stack = as_student_logits(stack, tax)
+    stack = as_student_logits(stack)
     if nuclei.ids.shape != (stack.height, stack.width):
         raise ValueError("nuclei and logits dimensions differ")
 
-    reg_rows, reg_ids = _rows_for(stack, NON_NUCLEUS_CLASSES, tax)
-    labels = reg_ids[np.argmax(stack.planes[reg_rows], axis=0)]
+    labels = NON_NUCLEUS_IDS[np.argmax(stack.planes[NON_NUCLEUS_IDS], axis=0)]
 
     rows, cols, slot, gids = nuclei.pixel_groups()
-    nuc_rows, nuc_ids = _rows_for(stack, NUCLEUS_CLASSES, tax)
     sums = np.stack(
         [
-            np.bincount(slot, weights=stack.planes[r][rows, cols], minlength=gids.size)
-            for r in nuc_rows
+            np.bincount(slot, weights=stack.planes[c][rows, cols], minlength=gids.size)
+            for c in NUCLEUS_IDS
         ]
     )
-    best = nuc_ids[np.argmax(sums, axis=0)]  # ties -> lowest id
+    best = NUCLEUS_IDS[np.argmax(sums, axis=0)]  # ties -> lowest id
     labels[rows, cols] = best[slot]
     return labels, dict(zip(gids.tolist(), best.tolist()))

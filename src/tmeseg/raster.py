@@ -442,10 +442,10 @@ def distance_band(region: np.ndarray, radius_um: float, mpp: float) -> np.ndarra
     converted to pixels as ``radius_um / mpp``.
     """
     region = as_bitmask(region)
-    if radius_um <= 0:
-        raise ValueError("radius_um must be positive")
-    if mpp <= 0:
-        raise ValueError("mpp must be positive")
+    if not (math.isfinite(radius_um) and radius_um > 0):
+        raise ValueError("radius_um must be positive and finite")
+    if not (math.isfinite(mpp) and mpp > 0):
+        raise ValueError("mpp must be positive and finite")
     if not region.any():
         return np.zeros_like(region)
     outside = ~region

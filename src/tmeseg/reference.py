@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregate import TeacherBundle
 from .config import RunConfig
-from .taxonomy import Taxonomy, default_taxonomy
+from .taxonomy import default_taxonomy
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +203,9 @@ def _point_in_hull(px: int, py: int, hull: list[tuple[int, int]]) -> bool:
 
 
 def _tissue_rows(
-    bundle: TeacherBundle, gray: list[list[int]], threshold: int, tax: Taxonomy
+    bundle: TeacherBundle, gray: list[list[int]], threshold: int
 ) -> list[list[int]]:
+    tax = default_taxonomy()
     bg = tax.resolve("background")
     stro = tax.resolve("stroma")
     sm_id = tax.resolve("smooth_muscle")
@@ -258,9 +259,8 @@ def _detect_mitosis(
     bundle: TeacherBundle,
     tissue: list[list[int]],
     cfg: RunConfig,
-    tax: Taxonomy,
 ) -> set[tuple[int, int]]:
-    epi = tax.resolve("epithelial_tissue")
+    epi = default_taxonomy().resolve("epithelial_tissue")
     h, w = bundle.he.shape[:2]
     he = bundle.he
     gray = _gray_rows(he)
@@ -312,21 +312,22 @@ def _detect_mitosis(
 
 
 def reference_aggregate(
-    bundle: TeacherBundle,
-    config: Optional[RunConfig] = None,
-    taxonomy: Optional[Taxonomy] = None,
+    bundle: TeacherBundle, config: Optional[RunConfig] = None
 ) -> dict:
     """Run the per-pixel reference; returns semantic raster, per-nucleus
-    classes, and the mitosis mask."""
+    classes, and the mitosis mask.
+
+    Class ids are resolved here from their names, not taken from the
+    pipeline's constants, so a wrong constant shows up as a mismatch."""
     cfg = config or RunConfig()
-    tax = taxonomy or default_taxonomy()
+    tax = default_taxonomy()
     h, w = bundle.he.shape[:2]
 
     gray = _gray_rows(_blur(bundle.he, cfg.blur_sigma))
     threshold = cfg.background_threshold
     if threshold is None:
         threshold = _otsu(v for row in gray for v in row)
-    tissue = _tissue_rows(bundle, gray, threshold, tax)
+    tissue = _tissue_rows(bundle, gray, threshold)
 
     # nucleus pixel lists in one raster pass
     pixels: dict[int, list[tuple[int, int]]] = {}
@@ -370,7 +371,7 @@ def reference_aggregate(
         elif 2 * n_str > len(pts) and bundle.nuclei.attrs[gid].teacher_type == fib:
             classes[gid] = fib
 
-    mitosis = _detect_mitosis(bundle, tissue, cfg, tax)
+    mitosis = _detect_mitosis(bundle, tissue, cfg)
 
     mit = tax.resolve("mitotic_cell")
     for gid, pts in pixels.items():

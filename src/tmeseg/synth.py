@@ -16,11 +16,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .aggregate import CELL_CHANNELS, TISSUE_CHANNELS, TeacherBundle
+from .aggregate import CELL_CHANNELS, CELL_IDS, TISSUE_CHANNELS, TISSUE_IDS, TeacherBundle
 from .config import RunConfig
 from .raster import InstanceMap, LogitStack
 from .reference import reference_aggregate
-from .taxonomy import Taxonomy, default_taxonomy
+from .taxonomy import FIBROBLAST, VOCABULARY
 
 GLASS = 235
 TISSUE_INK = 170
@@ -149,16 +149,13 @@ class SceneSpec:
 # ---------------------------------------------------------------------------
 
 
-def build_bundle(
-    scene: SceneSpec, taxonomy: Optional[Taxonomy] = None
-) -> TeacherBundle:
+def build_bundle(scene: SceneSpec) -> TeacherBundle:
     """Render a scene into a teacher bundle.
 
     Draw order: tissue ink, nucleus ink (overlaps between nuclei raise),
     noise (when seeded), then candidate blobs/dust so their pixel values
     are exact. Logit patches set values; later patches win overlaps.
     """
-    tax = taxonomy or default_taxonomy()
     h, w = scene.height, scene.width
     he = np.full((h, w, 3), scene.glass, dtype=np.uint8)
     tissue_planes = {
@@ -171,7 +168,7 @@ def build_bundle(
     }
 
     def paint(planes: dict, channel: str, shape: Shape, logit: float) -> None:
-        canon = tax.name_of(tax.resolve(channel))
+        canon = VOCABULARY.name_of(VOCABULARY.resolve(channel))
         if canon not in planes:
             raise ValueError(f"{channel!r} is not a channel of this stack")
         rows, cols = shape.pixels(h, w)
@@ -198,7 +195,7 @@ def build_bundle(
         for extra in spec.extras:
             paint(cell_planes, extra.channel, extra.shape, extra.logit)
         if spec.teacher_type is not None:
-            types[gid] = tax.resolve(spec.teacher_type)
+            types[gid] = VOCABULARY.resolve(spec.teacher_type)
 
     if scene.noise_seed is not None:
         rng = np.random.default_rng(scene.noise_seed)
@@ -219,14 +216,12 @@ def build_bundle(
             rows, cols = Disc(cand.y, cand.x, cand.radius).pixels(h, w)
             he[rows, cols] = cand.intensity
 
-    def as_stack(planes: dict, order: tuple[str, ...]) -> LogitStack:
-        cids = tuple(tax.resolve(n) for n in order)
-        return LogitStack(cids, np.stack([planes[n] for n in order]))
-
     return TeacherBundle(
         he=he,
-        tissue_logits=as_stack(tissue_planes, TISSUE_CHANNELS),
-        cell_logits=as_stack(cell_planes, CELL_CHANNELS),
+        tissue_logits=LogitStack(
+            TISSUE_IDS, np.stack([tissue_planes[n] for n in TISSUE_CHANNELS])
+        ),
+        cell_logits=LogitStack(CELL_IDS, np.stack([cell_planes[n] for n in CELL_CHANNELS])),
         nuclei=InstanceMap.from_ids(ids, types),
         mitosis_candidates=tuple((c.x, c.y, c.score) for c in scene.candidates),
         mpp=scene.mpp,
@@ -234,13 +229,11 @@ def build_bundle(
 
 
 def synth_fixture(
-    scene: SceneSpec,
-    config: Optional[RunConfig] = None,
-    taxonomy: Optional[Taxonomy] = None,
+    scene: SceneSpec, config: Optional[RunConfig] = None
 ) -> tuple[TeacherBundle, dict]:
     """Bundle plus its per-pixel reference result (the test oracle)."""
-    bundle = build_bundle(scene, taxonomy)
-    return bundle, reference_aggregate(bundle, config, taxonomy)
+    bundle = build_bundle(scene)
+    return bundle, reference_aggregate(bundle, config)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +393,7 @@ def random_scene(
     )
 
 
-def throughput_bundle(
-    size: int = 4096, seed: int = 0, taxonomy: Optional[Taxonomy] = None
-) -> TeacherBundle:
+def throughput_bundle(size: int = 4096, seed: int = 0) -> TeacherBundle:
     """Large dense bundle for timing runs, built vectorized.
 
     Horizontal bands alternate epithelium / stroma / smooth muscle /
@@ -410,7 +401,6 @@ def throughput_bundle(
     carrying fibroblast teacher types) and ~150 blob candidates fills
     the interior.
     """
-    tax = taxonomy or default_taxonomy()
     rng = np.random.default_rng(seed)
     h = w = int(size)
     border = 32
@@ -464,8 +454,7 @@ def throughput_bundle(
     owner = lut[ids]
     for k, name in enumerate(CELL_CHANNELS):
         cell_planes[name][owner == k] = 3.0
-    fib = tax.resolve("connective")
-    types = {int(g): fib for g, u in zip(gids, undefined) if u}
+    types = {int(g): FIBROBLAST for g, u in zip(gids, undefined) if u}
 
     # blob candidates on the epithelial bands
     step = 200
@@ -486,13 +475,9 @@ def throughput_bundle(
     return TeacherBundle(
         he=he,
         tissue_logits=LogitStack(
-            tuple(tax.resolve(n) for n in TISSUE_CHANNELS),
-            np.stack([tissue_planes[n] for n in TISSUE_CHANNELS]),
+            TISSUE_IDS, np.stack([tissue_planes[n] for n in TISSUE_CHANNELS])
         ),
-        cell_logits=LogitStack(
-            tuple(tax.resolve(n) for n in CELL_CHANNELS),
-            np.stack([cell_planes[n] for n in CELL_CHANNELS]),
-        ),
+        cell_logits=LogitStack(CELL_IDS, np.stack([cell_planes[n] for n in CELL_CHANNELS])),
         nuclei=InstanceMap.from_ids(ids, types),
         mitosis_candidates=tuple(cands),
         mpp=0.25,

@@ -1,10 +1,11 @@
 """Closed class vocabulary, hierarchy levels, and cross-model class maps.
 
-The vocabulary is loaded from a JSON document (``data/taxonomy.json`` by
-default) so extension experiments can swap it via the CLI without code
-changes. Class ids are dense, start at 0 for ``background``, and follow the
-roster order of the JSON file; that single ordering is the global
-tie-breaking rule used throughout the pipeline.
+The vocabulary is fixed: it is read once, at import, from the packaged
+``data/taxonomy.json``, and the class ids the pipeline stages use are
+resolved here, once, into module constants. Class ids are dense, start at 0
+for ``background``, and follow the roster order of the JSON file; that
+single ordering is the global tie-breaking rule used throughout the
+pipeline.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 
 class UnknownClassError(KeyError):
@@ -100,17 +101,11 @@ class Taxonomy:
             raise ValueError(f"invalid class id {cid}")
         return self._level_of.get(cid)  # type: ignore[attr-defined]
 
-    def to_json(self) -> dict:
-        return {
-            "classes": [
-                {"name": n, "abbrev": a} for n, a in zip(self.names, self.abbrevs)
-            ],
-            "hierarchy": [[self.names[c] for c in lv] for lv in self.levels],
-            "aliases": dict(self.aliases),
-        }
 
-
-def taxonomy_from_json(doc: dict) -> Taxonomy:
+def _packaged() -> Taxonomy:
+    doc = json.loads(
+        resources.files("tmeseg.data").joinpath("taxonomy.json").read_text()
+    )
     names = tuple(c["name"] for c in doc["classes"])
     abbrevs = tuple(c["abbrev"] for c in doc["classes"])
     index = {n: i for i, n in enumerate(names)}
@@ -118,21 +113,29 @@ def taxonomy_from_json(doc: dict) -> Taxonomy:
     return Taxonomy(names, abbrevs, levels, doc.get("aliases", {}))
 
 
-def load_taxonomy(path: str | Path) -> Taxonomy:
-    with open(path, "r", encoding="utf-8") as fh:
-        return taxonomy_from_json(json.load(fh))
-
-
-_DEFAULT: Optional[Taxonomy] = None
+VOCABULARY = _packaged()
 
 
 def default_taxonomy() -> Taxonomy:
-    """The packaged vocabulary (loaded once, shared read-only)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        text = resources.files("tmeseg.data").joinpath("taxonomy.json").read_text()
-        _DEFAULT = taxonomy_from_json(json.loads(text))
-    return _DEFAULT
+    """The packaged vocabulary (shared read-only)."""
+    return VOCABULARY
+
+
+def ids_of(names: Sequence[str]) -> tuple[int, ...]:
+    """Class ids of a roster of names, in roster order."""
+    return tuple(VOCABULARY.resolve(n) for n in names)
+
+
+# Class ids the pipeline stages use, resolved once.
+N_CLASSES = VOCABULARY.n_classes
+STROMA = VOCABULARY.resolve("stroma")
+SMOOTH_MUSCLE = VOCABULARY.resolve("smooth_muscle")
+EPITHELIAL_TISSUE = VOCABULARY.resolve("epithelial_tissue")
+LEUKOCYTE = VOCABULARY.resolve("leukocyte")
+RED_BLOOD_CELL = VOCABULARY.resolve("red_blood_cell")
+EPITHELIAL_CELL_NUCLEUS = VOCABULARY.resolve("epithelial_cell_nucleus")
+FIBROBLAST = VOCABULARY.resolve("fibroblast")
+MITOTIC_CELL = VOCABULARY.resolve("mitotic_cell")
 
 
 @dataclass(frozen=True)
@@ -146,12 +149,11 @@ class ClassMap:
 
     eval_classes: tuple[str, ...]
     mapping: Mapping[int, Optional[int]]
-    taxonomy: Taxonomy
 
     def __post_init__(self):
         if len(self.eval_classes) != len(set(self.eval_classes)):
             raise ValueError("evaluation class names must be unique")
-        missing = [c for c in self.taxonomy.ids if c not in self.mapping]
+        missing = [c for c in VOCABULARY.ids if c not in self.mapping]
         if missing:
             raise ValueError(f"class map not total; missing source ids {missing}")
 
@@ -160,32 +162,30 @@ class ClassMap:
         return self.mapping[cid]
 
 
-def class_map_from_json(doc: dict, taxonomy: Optional[Taxonomy] = None) -> ClassMap:
+def class_map_from_json(doc: dict) -> ClassMap:
     """Build a ClassMap from ``{"eval_classes": [...], "map": {src: eval}}``.
 
     Source classes absent from ``map`` (or mapped to null) are unmapped;
     totality over the vocabulary is therefore always satisfied.
     """
-    tax = taxonomy or default_taxonomy()
     eval_classes = tuple(doc["eval_classes"])
-    mapping: dict[int, Optional[int]] = {cid: None for cid in tax.ids}
+    mapping: dict[int, Optional[int]] = {cid: None for cid in VOCABULARY.ids}
     for src, dst in doc.get("map", {}).items():
-        cid = tax.resolve(src)
+        cid = VOCABULARY.resolve(src)
         if dst is None:
             mapping[cid] = None
         else:
             if dst not in eval_classes:
                 raise ValueError(f"map target {dst!r} not in eval_classes")
             mapping[cid] = eval_classes.index(dst)
-    return ClassMap(eval_classes, mapping, tax)
+    return ClassMap(eval_classes, mapping)
 
 
-def load_class_map(path: str | Path, taxonomy: Optional[Taxonomy] = None) -> ClassMap:
+def load_class_map(path: str | Path) -> ClassMap:
     with open(path, "r", encoding="utf-8") as fh:
-        return class_map_from_json(json.load(fh), taxonomy)
+        return class_map_from_json(json.load(fh))
 
 
-def identity_class_map(taxonomy: Optional[Taxonomy] = None) -> ClassMap:
+def identity_class_map() -> ClassMap:
     """Map every class to itself (evaluation vocabulary == source roster)."""
-    tax = taxonomy or default_taxonomy()
-    return ClassMap(tax.names, {cid: cid for cid in tax.ids}, tax)
+    return ClassMap(VOCABULARY.names, {cid: cid for cid in VOCABULARY.ids})

@@ -23,7 +23,6 @@ import numpy as np
 from .aggregate import AggregationResult, TeacherBundle, _aggregate_smoothed
 from .config import RunConfig
 from .raster import blur_radius, gaussian_smooth, grayscale
-from .taxonomy import Taxonomy, default_taxonomy
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,6 @@ def tiled_aggregate(
     config: Optional[RunConfig] = None,
     plan: Optional[TilePlan] = None,
     workers: int = 1,
-    taxonomy: Optional[Taxonomy] = None,
 ) -> AggregationResult:
     """``aggregate`` with the blur computed window by window.
 
@@ -144,11 +142,10 @@ def tiled_aggregate(
     """
     global _SHARED
     cfg = config or RunConfig()
-    tax = taxonomy or default_taxonomy()
     plan = plan or TilePlan(crop=cfg.crop_px, stride=cfg.stride_px)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    bundle.validate(tax)
+    bundle.validate()
     shape = (bundle.height, bundle.width)
     cells = owned_cells(iterate_tiles(shape, plan), shape)
 
@@ -165,4 +162,4 @@ def tiled_aggregate(
             gray[cells[idx]] = cell_gray
     finally:
         _SHARED = None
-    return _aggregate_smoothed(bundle, gray, cfg, tax)
+    return _aggregate_smoothed(bundle, gray, cfg)

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .raster import connected_components, distance_band
-from .taxonomy import Taxonomy, default_taxonomy
+from .taxonomy import EPITHELIAL_CELL_NUCLEUS, EPITHELIAL_TISSUE, ids_of
 
 # Cell classes reported in the spatial metrics; all_leukocytes pools the
 # generic class with its subtypes.
@@ -40,6 +40,10 @@ LEUKOCYTE_POOL = (
     "neutrophil",
 )
 ALL_LEUKOCYTES = "all_leukocytes"
+# Class ids counted under each reported name: each metric class alone, then
+# the leukocyte pool.
+POOLS = {name: (cid,) for name, cid in zip(METRIC_CLASSES, ids_of(METRIC_CLASSES))}
+POOLS[ALL_LEUKOCYTES] = ids_of(LEUKOCYTE_POOL)
 
 
 @dataclass
@@ -77,10 +81,7 @@ def _band_pixel(centroid: tuple[float, float], band: np.ndarray) -> bool:
 
 
 def slide_metrics(
-    mask: np.ndarray,
-    mpp: float,
-    margin_um: float = 50.0,
-    taxonomy: Optional[Taxonomy] = None,
+    mask: np.ndarray, mpp: float, margin_um: float = 50.0
 ) -> SlideMetrics:
     """Whole-slide ratios and margin-band densities.
 
@@ -90,15 +91,11 @@ def slide_metrics(
     is band density (centroid-in-band components per mm² of band) over
     tumor cell count. Ratios are None when the slide has no tumor cells.
     """
-    if mpp <= 0:
-        raise ValueError("mpp must be positive")
-    tax = taxonomy or default_taxonomy()
+    if not (math.isfinite(mpp) and mpp > 0):
+        raise ValueError("mpp must be positive and finite")
     mask = np.asarray(mask)
-    epi = tax.resolve("epithelial_tissue")
-    epi_n = tax.resolve("epithelial_cell_nucleus")
-
-    tumor_region = (mask == epi) | (mask == epi_n)
-    tumor_cells = len(connected_components(mask == epi_n, 8).attrs)
+    tumor_region = (mask == EPITHELIAL_TISSUE) | (mask == EPITHELIAL_CELL_NUCLEUS)
+    tumor_cells = len(connected_components(mask == EPITHELIAL_CELL_NUCLEUS, 8).attrs)
 
     if tumor_region.any():
         band = distance_band(tumor_region, margin_um, mpp)
@@ -115,17 +112,14 @@ def slide_metrics(
         margin_um=margin_um,
     )
 
-    pool_ids = {name: [tax.resolve(name)] for name in METRIC_CLASSES}
-    pool_ids[ALL_LEUKOCYTES] = [tax.resolve(n) for n in LEUKOCYTE_POOL]
-    for name, ids in pool_ids.items():
-        count = 0
-        in_band = 0
-        for cid in ids:
-            comps = connected_components(mask == cid, 8)
-            count += len(comps.attrs)
-            in_band += sum(
-                1 for a in comps.attrs.values() if _band_pixel(a.centroid, band)
-            )
+    # (components, components centred in the band) per class, each class labelled once
+    per_class = {}
+    for cid in sorted({c for ids in POOLS.values() for c in ids}):
+        attrs = connected_components(mask == cid, 8).attrs.values()
+        per_class[cid] = (len(attrs), sum(_band_pixel(a.centroid, band) for a in attrs))
+    for name, ids in POOLS.items():
+        count = sum(per_class[c][0] for c in ids)
+        in_band = sum(per_class[c][1] for c in ids)
         out.counts[name] = count
         out.band_counts[name] = in_band
         if tumor_cells == 0:

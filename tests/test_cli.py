@@ -240,6 +240,59 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "together" in capsys.readouterr().err
 
 
+def test_taxonomy_option_is_gone(tmp_path, capsys):
+    vocabulary = tmp_path / "x.json"
+    vocabulary.write_text("{}")
+    code = cli(
+        ["aggregate", "--bundle", str(tmp_path / "b.json"), "--out",
+         str(tmp_path / "o.tmef"), "--taxonomy", str(vocabulary)]
+    )
+    assert code == 1
+    assert "unrecognized arguments: --taxonomy" in capsys.readouterr().err
+
+
+def _small_mask(tmp_path):
+    from tmeseg.container import container_from_labels
+
+    labels = np.full((16, 16), TAX.resolve("stroma"), np.uint8)
+    labels[4:8, 4:8] = TAX.resolve("lymphocyte")
+    path = tmp_path / "mask.tmef"
+    save_stack(container_from_labels(labels, 0.25), path)
+    return path
+
+
+@pytest.mark.parametrize("mean_area", ["0", "-4", "nan"])
+def test_count_bad_mean_area_exits_2(tmp_path, capsys, mean_area):
+    out = tmp_path / "c.json"
+    code = cli(
+        ["count", "--mask", str(_small_mask(tmp_path)), "--mean-area", mean_area,
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert "mean_area_per_cell" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tme_non_finite_mpp_exits_2(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    code = cli(["tme", "--mask", str(_small_mask(tmp_path)), "--mpp", "nan", "--out", str(out)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"margin_um": NaN}')
+    out = tmp_path / "t.json"
+    code = cli(
+        ["tme", "--mask", str(_small_mask(tmp_path)), "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 2
+    assert "margin_um must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_data_errors_exit_2(workspace, tmp_path, capsys):
     assert cli(["aggregate", "--bundle", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.tmef")]) == 2
     # unknown class name in count

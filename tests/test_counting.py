@@ -64,6 +64,12 @@ def test_count_record_fields_and_validation():
         CountRecord(class_id=7, pixel_area=1, component_count=2)
 
 
+@pytest.mark.parametrize("mean_area", [0.0, -4.0, float("nan"), float("inf")])
+def test_count_record_rejects_bad_mean_area(mean_area):
+    with pytest.raises(ValueError, match="mean_area_per_cell"):
+        count_record(_disc_mask([(10, 10)]), 7, mean_area=mean_area)
+
+
 def test_calibrate_proportional_data_is_exact():
     pairs = [(25.0 * k, float(k)) for k in range(1, 11)]
     fit = calibrate(pairs)

@@ -16,8 +16,7 @@ from tmeseg.taxonomy import class_map_from_json, default_taxonomy
 
 TAX = default_taxonomy()
 CMAP = class_map_from_json(
-    {"eval_classes": list(NUCLEUS_CLASSES), "map": {n: n for n in NUCLEUS_CLASSES}},
-    TAX,
+    {"eval_classes": list(NUCLEUS_CLASSES), "map": {n: n for n in NUCLEUS_CLASSES}}
 )
 NUCLEUS_IDS = [TAX.resolve(n) for n in NUCLEUS_CLASSES]
 

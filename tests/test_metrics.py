@@ -121,7 +121,7 @@ def test_confusion_counts_add_and_validate():
 
 def _eval_map(names=("lymphocyte", "plasma_cell", "epithelial_cell_nucleus")):
     return class_map_from_json(
-        {"eval_classes": list(names), "map": {n: n for n in names}}, TAX
+        {"eval_classes": list(names), "map": {n: n for n in names}}
     )
 
 

@@ -211,6 +211,17 @@ def test_distance_band_matches_brute_force():
             assert np.array_equal(got, brute_distance_band(region, radius_px))
 
 
+@pytest.mark.parametrize(
+    "radius_um, mpp",
+    [(float("nan"), 0.25), (float("inf"), 0.25), (10.0, float("nan")), (10.0, float("inf"))],
+)
+def test_distance_band_rejects_non_finite(radius_um, mpp):
+    region = np.zeros((8, 8), bool)
+    region[3, 3] = True
+    with pytest.raises(ValueError, match="finite"):
+        distance_band(region, radius_um, mpp)
+
+
 def test_distance_band_empty_and_full():
     empty = np.zeros((8, 8), dtype=bool)
     assert not distance_band(empty, 10.0, 0.25).any()

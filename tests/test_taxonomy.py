@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from tmeseg.taxonomy import (
@@ -8,7 +6,6 @@ from tmeseg.taxonomy import (
     class_map_from_json,
     default_taxonomy,
     identity_class_map,
-    taxonomy_from_json,
 )
 
 EXPECTED_ORDER = [
@@ -73,17 +70,9 @@ def test_unknown_name_raises_with_vocabulary():
     assert "astrocyte" in str(exc.value)
 
 
-def test_json_round_trip():
-    tax = default_taxonomy()
-    clone = taxonomy_from_json(json.loads(json.dumps(tax.to_json())))
-    assert clone.names == tax.names
-    assert clone.levels == tax.levels
-    assert clone.aliases == tax.aliases
-
-
 def test_identity_class_map():
     tax = default_taxonomy()
-    cmap = identity_class_map(tax)
+    cmap = identity_class_map()
     assert cmap.eval_classes == tax.names
     for cid in tax.ids:
         assert cmap.map_id(cid) == cid
@@ -96,7 +85,7 @@ def test_class_map_from_json_unlisted_is_unmapped():
         "map": {"lymphocyte": "lymphocyte", "plasma_cell": "plasma_cell",
                 "myeloid_cell": None},
     }
-    cmap = class_map_from_json(doc, tax)
+    cmap = class_map_from_json(doc)
     assert cmap.map_id(tax.resolve("lymphocyte")) == 0
     assert cmap.map_id(tax.resolve("plasma_cell")) == 1
     assert cmap.map_id(tax.resolve("myeloid_cell")) is None
@@ -104,6 +93,5 @@ def test_class_map_from_json_unlisted_is_unmapped():
 
 
 def test_class_map_totality_enforced():
-    tax = default_taxonomy()
     with pytest.raises(ValueError):
-        ClassMap(("lymphocyte",), {0: None}, tax)  # misses most source ids
+        ClassMap(("lymphocyte",), {0: None})  # misses most source ids

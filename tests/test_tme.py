@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_mwu
+from tmeseg import tme
+from tmeseg.raster import connected_components
 from tmeseg.tme import (
     ALL_LEUKOCYTES,
     CaseRecord,
@@ -121,6 +123,29 @@ def test_leukocyte_pool_sums_subtypes():
 def test_slide_metrics_rejects_bad_mpp():
     with pytest.raises(ValueError):
         slide_metrics(np.zeros((4, 4), np.uint8), mpp=0.0)
+
+
+@pytest.mark.parametrize("mpp", [float("nan"), float("inf")])
+def test_slide_metrics_rejects_non_finite_mpp(mpp):
+    with pytest.raises(ValueError, match="finite"):
+        slide_metrics(tumor_slide(), mpp=mpp)
+
+
+def test_slide_metrics_labels_each_class_once(monkeypatch):
+    calls = []
+
+    def counting(binary, connectivity):
+        calls.append(binary)
+        return connected_components(binary, connectivity)
+
+    monkeypatch.setattr(tme, "connected_components", counting)
+    mask = tumor_slide(lym_positions=[(5, 5), (5, 25)])
+    mask[5, 45] = TAX.resolve("leukocyte")
+    sm = slide_metrics(mask, mpp=1.0)
+    # one call per distinct class: the tumor nuclei, the seven metric classes
+    # and the generic leukocyte; the pool's subtypes are not labelled again
+    assert len(calls) == 9
+    assert sm.counts["lymphocyte"] == 2 and sm.counts[ALL_LEUKOCYTES] == 3
 
 
 def test_slide_metrics_json_round_trip_keys():
