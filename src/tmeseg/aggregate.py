@@ -12,6 +12,11 @@ Stages, in fixed order:
 5. mitosis candidate filtering and nucleus supersedence
 6. final mask combination (nucleus classes paint over tissue labels)
 
+Stages 2-6 read the logit stacks only through two reductions, the tissue
+label before glass and the cell logits at the nucleus pixels
+(``FusionInputs``), which a bundle in memory (``TeacherBundle.reduce``) and
+a bundle streamed from disk (``container.stream_bundle``) both produce.
+
 Everything is deterministic: identical bundles give bit-identical results.
 A structurally separate per-pixel reference of the same rules lives in
 ``reference.py`` and is used as the test oracle.
@@ -20,7 +25,7 @@ A structurally separate per-pixel reference of the same rules lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +72,16 @@ CELL_CHANNELS = (
 )
 TISSUE_IDS = ids_of(TISSUE_CHANNELS)
 CELL_IDS = ids_of(CELL_CHANNELS)
+# Row of each cell channel in ``FusionInputs.cell_vals``.
+_CELL_ROW = {c: i for i, c in enumerate(CELL_IDS)}
+# Per hierarchy level: (cell_vals rows, class ids), both ascending by id.
+_LEVELS = [
+    (np.array([_CELL_ROW[c] for c in sorted(level)]), np.array(sorted(level), dtype=np.int16))
+    for level in VOCABULARY.levels
+]
+
+# Streams of logit blocks, ``(class id, flat start, f32 block)``; see ``fusion_inputs``.
+Blocks = Iterable[tuple[int, int, np.ndarray]]
 
 # Internal sentinel for "no class"; the public API uses None.
 UNDEFINED = -1
@@ -108,34 +123,159 @@ class TeacherBundle:
 
     def validate(self) -> None:
         check_rgb_tile(self.he)
-        h, w = self.he.shape[:2]
+        frame = self.he.shape[:2]
         for name, stack, wanted in (
             ("tissue_logits", self.tissue_logits, TISSUE_IDS),
             ("cell_logits", self.cell_logits, CELL_IDS),
         ):
-            if (stack.height, stack.width) != (h, w):
-                raise ValueError(f"{name} does not share the H&E dimensions")
-            want_ids = set(wanted)
-            have_ids = set(stack.class_ids)
-            if have_ids != want_ids:
-                missing = sorted(VOCABULARY.name_of(c) for c in want_ids - have_ids)
-                extra = sorted(VOCABULARY.name_of(c) for c in have_ids - want_ids)
-                raise ValueError(
-                    f"{name} channel mismatch: missing {missing}, unexpected {extra}"
-                )
+            check_part(name, (stack.height, stack.width), frame)
+            check_roster(name, stack.class_ids, wanted)
             stack.require_finite()
-        if self.nuclei.ids.shape != (h, w):
-            raise ValueError("nuclei do not share the H&E dimensions")
+        check_part("nuclei", self.nuclei.ids.shape, frame)
         self.nuclei.validate()
-        for x, y, score in self.mitosis_candidates:
-            if not (
-                -self.halo <= x < w + self.halo and -self.halo <= y < h + self.halo
-            ):
-                raise ValueError(
-                    f"candidate ({x}, {y}) outside tile plus halo {self.halo}"
-                )
-            if not 0.0 <= score <= 1.0:
-                raise ValueError("candidate score must lie in [0, 1]")
+        check_candidates(self.mitosis_candidates, frame, self.halo)
+
+    def reduce(self) -> "FusionInputs":
+        """Validate, then feed each whole logit plane through the block reducers."""
+        self.validate()
+        return fusion_inputs(
+            self.he,
+            self.nuclei,
+            _whole_planes(self.tissue_logits),
+            _whole_planes(self.cell_logits),
+            self.mitosis_candidates,
+            self.halo,
+            self.mpp,
+        )
+
+
+def check_part(name: str, shape: tuple, frame: tuple) -> None:
+    """A bundle part's (height, width) must equal the H&E frame's."""
+    if tuple(shape) != tuple(frame):
+        raise ValueError(f"{name} does not share the H&E dimensions")
+
+
+def check_roster(name: str, class_ids: Sequence[int], wanted: Sequence[int]) -> None:
+    """A logit stack must carry exactly the wanted channels, in any order."""
+    want_ids, have_ids = set(wanted), set(class_ids)
+    if len(have_ids) != len(class_ids):
+        raise ValueError(f"{name} channels must be distinct")
+    if have_ids != want_ids:
+        missing = sorted(VOCABULARY.name_of(c) for c in want_ids - have_ids)
+        extra = sorted(VOCABULARY.name_of(c) for c in have_ids - want_ids)
+        raise ValueError(f"{name} channel mismatch: missing {missing}, unexpected {extra}")
+
+
+def check_candidates(candidates: Sequence[tuple], frame: tuple, halo: int) -> None:
+    """Candidates lie inside the tile plus halo, with scores in [0, 1]."""
+    h, w = frame
+    for x, y, score in candidates:
+        if not (-halo <= x < w + halo and -halo <= y < h + halo):
+            raise ValueError(f"candidate ({x}, {y}) outside tile plus halo {halo}")
+        if not 0.0 <= score <= 1.0:
+            raise ValueError("candidate score must lie in [0, 1]")
+
+
+# ---------------------------------------------------------------------------
+# Reductions: all that stages 2-6 read of the logit stacks
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class FusionInputs:
+    """A validated bundle with its logit stacks reduced to what fusion reads.
+
+    ``tissue_pre`` is the tissue label before glass is applied;
+    ``cell_vals`` holds the cell logits at the nucleus pixels, one row per
+    ``CELL_IDS`` channel, columns in ``groups`` (``nuclei.pixel_groups()``)
+    order. ``TeacherBundle.reduce`` and ``container.stream_bundle`` both
+    build it through ``fusion_inputs``.
+    """
+
+    he: np.ndarray
+    nuclei: InstanceMap
+    groups: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    tissue_pre: np.ndarray  # (H, W) uint8
+    cell_vals: np.ndarray  # (len(CELL_IDS), N) float32
+    mitosis_candidates: tuple
+    halo: int
+    mpp: float
+
+
+def _reduce_tissue(blocks: Blocks, shape: tuple) -> np.ndarray:
+    """Tissue labels before glass, from tissue-logit blocks in any channel order.
+
+    Holds at most one plane of the smooth-muscle / epithelium pair; the
+    contest is decided block by block as the other plane arrives. Positive
+    red-blood-cell pixels are kept as a mask and overlaid last.
+    """
+    size = shape[0] * shape[1]
+    labels = np.full(size, STROMA, dtype=np.uint8)
+    rbc = np.zeros(size, dtype=bool)
+    held_id, held = None, None  # the first of the pair to arrive
+    for class_id, start, block in blocks:
+        span = slice(start, start + block.size)
+        if class_id == RED_BLOOD_CELL:
+            np.greater(block, 0, out=rbc[span])
+        elif held_id in (None, class_id):
+            if held is None:
+                held_id, held = class_id, np.empty(size, dtype=np.float32)
+            held[span] = block
+        else:
+            sm, epi = (block, held[span]) if class_id == SMOOTH_MUSCLE else (held[span], block)
+            winner = np.where(epi > sm, np.uint8(EPITHELIAL_TISSUE), np.uint8(SMOOTH_MUSCLE))
+            labels[span] = np.where((sm > 0) | (epi > 0), winner, np.uint8(STROMA))
+    labels[rbc] = RED_BLOOD_CELL
+    return labels.reshape(shape)
+
+
+def _reduce_cells(blocks: Blocks, index: np.ndarray) -> np.ndarray:
+    """Cell logits at the pixels of the ascending flat ``index``, one row per
+    ``CELL_IDS`` channel. A block covering flat indices ``[start, start +
+    size)`` fills the columns whose pixels fall in it."""
+    vals = np.empty((len(CELL_IDS), index.size), dtype=np.float32)
+    for class_id, start, block in blocks:
+        lo, hi = np.searchsorted(index, (start, start + block.size))
+        vals[_CELL_ROW[class_id], lo:hi] = block[index[lo:hi] - start]
+    return vals
+
+
+def _whole_planes(stack: LogitStack) -> Blocks:
+    """Each plane of ``stack`` as one flat block: (class id, 0, block)."""
+    for class_id, plane in zip(stack.class_ids, stack.planes):
+        yield class_id, 0, plane.ravel()
+
+
+def fusion_inputs(
+    he: np.ndarray,
+    nuclei: InstanceMap,
+    tissue_blocks: Blocks,
+    cell_blocks: Blocks,
+    mitosis_candidates: Sequence[tuple],
+    halo: int,
+    mpp: float,
+) -> FusionInputs:
+    """Reduce two streams of logit blocks, in that order, into ``FusionInputs``.
+
+    Each stream yields ``(class id, flat start, block)``: the f32 values of
+    one channel's plane at flat indices ``[start, start + block.size)``.
+    Blocks of one plane arrive in order and planes one after another, as
+    they lie in a file. The parts must already be checked against each other.
+    """
+    groups = nuclei.pixel_groups()
+    h, w = nuclei.ids.shape
+    tissue_pre = _reduce_tissue(tissue_blocks, (h, w))
+    rows, cols = groups[0], groups[1]
+    return FusionInputs(
+        he=he,
+        nuclei=nuclei,
+        groups=groups,
+        tissue_pre=tissue_pre,
+        cell_vals=_reduce_cells(cell_blocks, rows * w + cols),
+        mitosis_candidates=tuple(mitosis_candidates),
+        halo=halo,
+        mpp=mpp,
+    )
 
 
 @dataclass
@@ -205,21 +345,12 @@ def tissue_segmentation(
     positive red-blood-cell logits overlay both; the rest is stroma.
     """
     bg, _ = background_mask(bundle.he, config)
-    return _tissue_labels(bundle.tissue_logits, bg)
+    return _glass(bg, _reduce_tissue(_whole_planes(bundle.tissue_logits), bg.shape))
 
 
-def _tissue_labels(logits: LogitStack, bg: np.ndarray) -> np.ndarray:
-    sm = logits.plane(SMOOTH_MUSCLE)
-    epi = logits.plane(EPITHELIAL_TISSUE)
-    rbc = logits.plane(RED_BLOOD_CELL)
-
-    labels = np.full(sm.shape, STROMA, dtype=np.uint8)
-    contested = (sm > 0) | (epi > 0)
-    winner = np.where(epi > sm, np.uint8(EPITHELIAL_TISSUE), np.uint8(SMOOTH_MUSCLE))
-    labels[contested] = winner[contested]
-    labels[rbc > 0] = RED_BLOOD_CELL
-    labels[bg] = BACKGROUND
-    return labels
+def _glass(bg: np.ndarray, tissue_pre: np.ndarray) -> np.ndarray:
+    """The tissue labels: ``tissue_pre`` with background where ``bg`` is set."""
+    return np.where(bg, np.uint8(BACKGROUND), tissue_pre)
 
 
 # ---------------------------------------------------------------------------
@@ -227,38 +358,21 @@ def _tissue_labels(logits: LogitStack, bg: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _hierarchy_plan(logits: LogitStack) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per level: (stack-plane indices, class ids), both ascending by id."""
-    plan = []
-    index = {c: i for i, c in enumerate(logits.class_ids)}
-    for level_ids in VOCABULARY.levels:
-        ids = sorted(level_ids)
-        try:
-            rows = [index[c] for c in ids]
-        except KeyError:
-            missing = [VOCABULARY.name_of(c) for c in ids if c not in index]
-            raise ValueError(f"logit stack missing hierarchy channels {missing}")
-        plan.append((np.asarray(rows), np.asarray(ids, dtype=np.int16)))
-    return plan
-
-
-def _classify_pixels(
-    logits: LogitStack, rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Walk hierarchy levels 1..4 at the given pixels.
+def _classify_pixels(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk hierarchy levels 1..4 at pixels whose cell logits are the
+    columns of ``vals`` (rows in ``CELL_IDS`` order).
 
     Returns (labels, fired): labels is int16 with UNDEFINED where no level
     produced a positive winner; fired is (4, N) bool marking override hits.
     At each level the winning channel is the argmax (ties to the lowest
     class id); it overrides the running label only when positive.
     """
-    n = rows.size
+    n = vals.shape[1]
     labels = np.full(n, UNDEFINED, dtype=np.int16)
-    fired = np.zeros((4, n), dtype=bool)
+    fired = np.zeros((len(_LEVELS), n), dtype=bool)
     if n == 0:
         return labels, fired
-    vals = logits.planes[:, rows, cols]  # (C, N) float32
-    for lvl, (plane_rows, ids) in enumerate(_hierarchy_plan(logits)):
+    for lvl, (plane_rows, ids) in enumerate(_LEVELS):
         sub = vals[plane_rows]  # (k, N)
         win = np.argmax(sub, axis=0)  # first max -> lowest id
         winval = np.take_along_axis(sub, win[None, :], axis=0)[0]
@@ -269,20 +383,17 @@ def _classify_pixels(
 
 
 def _vote_groups(
-    logits: LogitStack,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    slot: np.ndarray,
-    m: int,
+    vals: np.ndarray, slot: np.ndarray, m: int
 ) -> tuple[np.ndarray, list[NucleusDecision]]:
-    """Classify the pixels, then take a majority vote per nucleus.
+    """Classify the pixels (the columns of ``vals``), then take a majority
+    vote per nucleus.
 
     Pixel ``i`` belongs to nucleus ``slot[i]`` of ``m``. Returns the voted
     int16 class id per nucleus (UNDEFINED where undefined wins a strict
     plurality; defined ties go to the lowest class id) and one decision
     record per nucleus with the vote counts and per-level override hits.
     """
-    labels, fired = _classify_pixels(logits, rows, cols)
+    labels, fired = _classify_pixels(vals)
     width = N_CLASSES + 1  # column 0 = undefined, column c + 1 = class id c
     key = slot.astype(np.int64) * width + (labels.astype(np.int64) + 1)
     counts = np.bincount(key, minlength=m * width).reshape(m, width)
@@ -313,8 +424,11 @@ def classify_nucleus(
     cols = np.asarray(cols, dtype=np.intp)
     if rows.size == 0:
         raise ValueError("nucleus pixel set is empty")
-    slot = np.zeros(rows.size, dtype=np.intp)
-    voted, (decision,) = _vote_groups(logits, rows, cols, slot, 1)
+    missing = [VOCABULARY.name_of(c) for c in CELL_IDS if not logits.has(c)]
+    if missing:
+        raise ValueError(f"logit stack missing hierarchy channels {missing}")
+    vals = np.stack([logits.plane(c)[rows, cols] for c in CELL_IDS])
+    voted, (decision,) = _vote_groups(vals, np.zeros(rows.size, dtype=np.intp), 1)
     cls = int(voted[0])
     return (None if cls == UNDEFINED else cls), decision
 
@@ -433,30 +547,38 @@ def apply_mitosis(
 # ---------------------------------------------------------------------------
 
 
+def _reduced(bundle: TeacherBundle | FusionInputs) -> FusionInputs:
+    """The fusion inputs of a bundle: reduced here, or already."""
+    return bundle if isinstance(bundle, FusionInputs) else bundle.reduce()
+
+
 def aggregate(
-    bundle: TeacherBundle, config: Optional[RunConfig] = None
+    bundle: TeacherBundle | FusionInputs, config: Optional[RunConfig] = None
 ) -> AggregationResult:
-    """Validate one bundle and run the whole pipeline on it."""
+    """Validate one bundle and run the whole pipeline on it.
+
+    ``bundle`` may also be the ``FusionInputs`` of a validated bundle.
+    """
     cfg = config or RunConfig()
-    bundle.validate()
-    return _fuse(bundle, tissue_segmentation(bundle, cfg), cfg)
+    inputs = _reduced(bundle)
+    bg, _ = background_mask(inputs.he, cfg)
+    return _fuse(inputs, bg, cfg)
 
 
 def _aggregate_smoothed(
-    bundle: TeacherBundle, gray: np.ndarray, cfg: RunConfig
+    inputs: FusionInputs, gray: np.ndarray, cfg: RunConfig
 ) -> AggregationResult:
-    """``aggregate`` on a validated bundle whose smoothed grayscale
+    """``aggregate`` on fusion inputs whose smoothed grayscale
     (``grayscale(gaussian_smooth(he, cfg.blur_sigma))``) is already known."""
     bg, _ = _background(gray, cfg)
-    return _fuse(bundle, _tissue_labels(bundle.tissue_logits, bg), cfg)
+    return _fuse(inputs, bg, cfg)
 
 
-def _fuse(
-    bundle: TeacherBundle, tissue: np.ndarray, cfg: RunConfig
-) -> AggregationResult:
-    """Stages 3-6 on top of the tissue labels."""
-    rows, cols, slot, gids = bundle.nuclei.pixel_groups()
-    voted, decisions = _vote_groups(bundle.cell_logits, rows, cols, slot, gids.size)
+def _fuse(inputs: FusionInputs, bg: np.ndarray, cfg: RunConfig) -> AggregationResult:
+    """Stages 3-6 on top of the glass mask."""
+    tissue = _glass(bg, inputs.tissue_pre)
+    rows, cols, slot, gids = inputs.groups
+    voted, decisions = _vote_groups(inputs.cell_vals, slot, gids.size)
     gid_list = gids.tolist()
     provenance = dict(zip(gid_list, decisions))
     classes: dict[int, Optional[int]] = {
@@ -464,12 +586,12 @@ def _fuse(
         for gid, cls in zip(gid_list, voted.tolist())
     }
 
-    classes, fb_rules = fallback_rules(bundle.nuclei, classes, tissue)
+    classes, fb_rules = fallback_rules(inputs.nuclei, classes, tissue)
     for gid, rule in fb_rules.items():
         provenance[gid].rule = rule
 
-    mitosis = detect_mitosis(bundle.mitosis_candidates, bundle.he, tissue, cfg)
-    classes, mit_ids = apply_mitosis(classes, bundle.nuclei, mitosis)
+    mitosis = detect_mitosis(inputs.mitosis_candidates, inputs.he, tissue, cfg)
+    classes, mit_ids = apply_mitosis(classes, inputs.nuclei, mitosis)
     for gid in mit_ids:
         provenance[gid].rule = "mitosis"
 
@@ -478,12 +600,12 @@ def _fuse(
         dtype=np.int16,
     )[slot]
     keep = final != UNDEFINED
-    semantic = tissue.copy()
+    semantic = tissue  # nucleus classes paint over the tissue labels
     semantic[rows[keep], cols[keep]] = final[keep]
 
     return AggregationResult(
         semantic=semantic,
-        instances=bundle.nuclei,
+        instances=inputs.nuclei,
         classes=classes,
         mitosis=mitosis,
         provenance=provenance,

@@ -14,23 +14,21 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .aggregate import aggregate
 from .config import RunConfig, config_from_json
 from .container import (
-    bundle_part_paths,
     container_from_labels,
     labels_from_container,
-    load_bundle,
     load_stack,
     logits_from_container,
     instances_from_container,
     save_bundle,
     save_stack,
+    stream_bundle,
 )
 from .counting import count_record
 from .metrics import evaluate_instances, evaluate_semantic, format_table
@@ -71,12 +69,18 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _hashed(paths: Sequence[Path]) -> dict[str, str]:
+    """The SHA-256 of each file, keyed by path as ``str``."""
+    return {str(p): _sha256_file(Path(p)) for p in paths}
+
+
 def _provenance(
     command: str,
     config: RunConfig,
-    inputs: Sequence[Path],
+    inputs: Mapping[str, str],
     outputs: Sequence[Path],
 ) -> dict:
+    """The provenance record; ``inputs`` maps each input path to its SHA-256."""
     cfg_doc = config.to_json()
     cfg_bytes = json.dumps(cfg_doc, sort_keys=True).encode("utf-8")
     return {
@@ -85,7 +89,7 @@ def _provenance(
         "command": command,
         "config": cfg_doc,
         "config_sha256": hashlib.sha256(cfg_bytes).hexdigest(),
-        "inputs": {str(p): _sha256_file(Path(p)) for p in inputs},
+        "inputs": dict(inputs),
         "outputs": [str(o) for o in outputs],
     }
 
@@ -136,7 +140,7 @@ def _cmd_synth(args) -> int:
             truth_json,
         )
         outputs += [truth_mask, truth_json]
-    record = _provenance("synth", config, [], outputs)
+    record = _provenance("synth", config, {}, outputs)
     record["seed"] = args.seed
     record["kind"] = "random"  # provenance schema v1 names the scene generator
     _write_json(record, out_dir / "provenance.json")
@@ -146,10 +150,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     config = _load_config(args)
-    bundle = load_bundle(args.bundle)
-    result = tiled_aggregate(bundle, config, workers=args.workers)
+    # one pass over the input files: validated, hashed and reduced as read
+    inputs, digests = stream_bundle(args.bundle)
+    result = tiled_aggregate(inputs, config, workers=args.workers)
     out = Path(args.out)
-    save_stack(container_from_labels(result.semantic, bundle.mpp), out)
+    save_stack(container_from_labels(result.semantic, inputs.mpp), out)
     classes_path = out.with_suffix(".classes.json")
     _write_json(
         {
@@ -162,8 +167,7 @@ def _cmd_aggregate(args) -> int:
         },
         classes_path,
     )
-    inputs = [Path(args.bundle)] + list(bundle_part_paths(args.bundle).values())
-    record = _provenance("aggregate", config, inputs, [out, classes_path])
+    record = _provenance("aggregate", config, digests, [out, classes_path])
     _write_json(record, _provenance_path(out))
     print(f"wrote {out} and {classes_path}")
     return 0
@@ -194,7 +198,7 @@ def _cmd_postprocess(args) -> int:
         classes_path = out.with_suffix(".classes.json")
         _write_json(doc, classes_path)
         outputs.append(classes_path)
-    record = _provenance("postprocess", config, inputs, outputs)
+    record = _provenance("postprocess", config, _hashed(inputs), outputs)
     record["mode"] = args.mode
     _write_json(record, _provenance_path(out))
     print(f"wrote {out}")
@@ -245,7 +249,7 @@ def _cmd_evaluate(args) -> int:
 
     out = Path(args.out)
     _write_json(report, out)
-    record = _provenance("evaluate", config, inputs, [out])
+    record = _provenance("evaluate", config, _hashed(inputs), [out])
     _write_json(record, _provenance_path(out))
     return 0
 
@@ -274,7 +278,7 @@ def _cmd_count(args) -> int:
         [n, r["component_count"], r["pixel_area"]] for n, r in records.items()
     ]
     print(format_table(["class", "components", "pixels"], rows))
-    record = _provenance("count", config, [Path(args.mask)], [out])
+    record = _provenance("count", config, _hashed([Path(args.mask)]), [out])
     _write_json(record, _provenance_path(out))
     return 0
 
@@ -295,7 +299,7 @@ def _cmd_tme(args) -> int:
         f"tumor cells: {metrics.tumor_cell_count}; "
         f"margin band: {metrics.band_area_mm2:.6f} mm^2"
     )
-    record = _provenance("tme", config, [Path(args.mask)], [out])
+    record = _provenance("tme", config, _hashed([Path(args.mask)]), [out])
     _write_json(record, _provenance_path(out))
     return 0
 
@@ -307,7 +311,7 @@ def _cmd_info(args) -> int:
         "provenance": {
             "schema_version": SCHEMA_VERSION,
             "version": __version__,
-            "inputs": {str(args.path): _sha256_file(Path(args.path))},
+            "inputs": _hashed([Path(args.path)]),
         },
     }
     print(json.dumps(doc, indent=2, sort_keys=True))

@@ -10,6 +10,17 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
+# Fields that must hold a Python int (not a bool); background_threshold may be None.
+_INT_FIELDS = (
+    "cc_connectivity",
+    "mitosis_roi_radius_px",
+    "carbon_rgb_sum_max",
+    "mitosis_min_area_px",
+    "crop_px",
+    "stride_px",
+    "background_threshold",
+)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -30,6 +41,12 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if name == "background_threshold" and value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         if self.blur_sigma <= 0:
             raise ValueError("blur_sigma must be positive")
         if self.cc_connectivity not in (4, 8):

@@ -5,24 +5,34 @@ channel planes concatenated row-major in little-endian byte order. The
 header carries ``{"magic": "TMEF1", "width", "height", "dtype", "channels",
 "mpp"?, "halo"?, "meta"?}`` with dtype one of f32 / u8 / u32. Round-trips
 are lossless; f32 payloads must be finite.
+
+``load_stack`` reads one file into memory. ``stream_bundle`` reads a whole
+teacher bundle once, in chunks: it checks every header against the others
+before allocating any payload, then hashes, checks and reduces each logit
+file chunk by chunk, so the logit stacks never sit in memory.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import struct
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .raster import InstanceMap, LogitStack, all_finite
-from .taxonomy import VOCABULARY
+from .taxonomy import VOCABULARY, UnknownClassError
 
 MAGIC = "TMEF1"
+_CHUNK_BYTES = 1 << 22  # the streamed reader's buffer: 4 MB at most
+_RGB = ("r", "g", "b")
+_IDS = ("instance_ids",)
 
 _DTYPES = {"f32": "<f4", "u8": "|u1", "u32": "<u4"}
 _NATIVE = {"f32": np.float32, "u8": np.uint8, "u32": np.uint32}
@@ -123,6 +133,74 @@ def _read_header(fh, path, file_size: int) -> tuple[int, dict]:
     return hlen, header
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+@dataclass(frozen=True)
+class _Header:
+    """A checked TMEF1 header whose payload size matches the file."""
+
+    dtype: str
+    height: int
+    width: int
+    channels: tuple[str, ...]
+    mpp: Optional[float]
+    halo: Optional[int]
+    meta: dict
+
+    @property
+    def wire(self) -> np.dtype:
+        return np.dtype(_DTYPES[self.dtype])
+
+
+def _read_checked_header(fh, path) -> _Header:
+    """Read and check the header; leave ``fh`` at the first payload byte.
+
+    Everything is checked against the header and ``fstat`` before any
+    payload-sized allocation.
+    """
+    file_size = os.fstat(fh.fileno()).st_size
+    hlen, header = _read_header(fh, path, file_size)
+    if header.get("magic") != MAGIC:
+        raise MagicError(f"{path}: bad magic {header.get('magic')!r}; expected {MAGIC!r}")
+    dtype = header.get("dtype")
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
+        raise DtypeError(f"{path}: unknown dtype {dtype!r}; expected f32/u8/u32")
+    width, height = header.get("width"), header.get("height")
+    channels = header.get("channels")
+    if not all(_is_int(v) and v >= 1 for v in (width, height)):
+        raise ContainerError(f"{path}: width and height must be positive integers")
+    if (
+        not isinstance(channels, list)
+        or not channels
+        or not all(isinstance(c, str) for c in channels)
+    ):
+        raise ContainerError(f"{path}: channels must be a non-empty list of names")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ContainerError(f"{path}: meta must be a JSON object")
+    mpp, halo = header.get("mpp"), header.get("halo")
+    if mpp is not None and not (_is_number(mpp) and mpp > 0):
+        raise ContainerError(f"{path}: mpp must be a finite number > 0")
+    if halo is not None and not (_is_int(halo) and halo >= 0):
+        raise ContainerError(f"{path}: halo must be an integer >= 0")
+    head = _Header(dtype, height, width, tuple(channels), mpp, halo, meta)
+    expected = width * height * len(channels) * head.wire.itemsize
+    actual = file_size - 4 - hlen
+    if actual != expected:
+        raise TruncatedPayloadError(f"{path}: expected {expected} payload bytes, found {actual}")
+    return head
+
+
+def _changed(path) -> TruncatedPayloadError:
+    return TruncatedPayloadError(f"{path}: payload size changed while reading")
+
+
 def load_stack(path: str | Path) -> StackContainer:
     """Read a TMEF1 file, checking the header and payload size before allocating.
 
@@ -130,53 +208,20 @@ def load_stack(path: str | Path) -> StackContainer:
     memory of a load is about the payload size.
     """
     with open(path, "rb") as fh:
-        file_size = os.fstat(fh.fileno()).st_size
-        hlen, header = _read_header(fh, path, file_size)
-        if header.get("magic") != MAGIC:
-            raise MagicError(
-                f"{path}: bad magic {header.get('magic')!r}; expected {MAGIC!r}"
-            )
-        dtype = header.get("dtype")
-        if not isinstance(dtype, str) or dtype not in _DTYPES:
-            raise DtypeError(f"{path}: unknown dtype {dtype!r}; expected f32/u8/u32")
-        width, height = header.get("width"), header.get("height")
-        channels = header.get("channels")
-        if not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1
-            for v in (width, height)
-        ):
-            raise ContainerError(f"{path}: width and height must be positive integers")
-        if (
-            not isinstance(channels, list)
-            or not channels
-            or not all(isinstance(c, str) for c in channels)
-        ):
-            raise ContainerError(f"{path}: channels must be a non-empty list of names")
-        meta = header.get("meta", {})
-        if not isinstance(meta, dict):
-            raise ContainerError(f"{path}: meta must be a JSON object")
-        wire = np.dtype(_DTYPES[dtype])
-        expected = width * height * len(channels) * wire.itemsize
-        actual = file_size - 4 - hlen
-        if actual != expected:
-            raise TruncatedPayloadError(
-                f"{path}: expected {expected} payload bytes, found {actual}"
-            )
-        planes = np.empty((len(channels), height, width), dtype=wire)
+        head = _read_checked_header(fh, path)
+        planes = np.empty((len(head.channels), head.height, head.width), dtype=head.wire)
         got = fh.readinto(memoryview(planes).cast("B"))
-        if got != expected or fh.read(1):  # the file changed after fstat
-            raise TruncatedPayloadError(
-                f"{path}: payload size changed while reading (expected {expected} bytes)"
-            )
-    if dtype == "f32" and not all_finite(planes):
+        if got != planes.nbytes or fh.read(1):  # the file changed after fstat
+            raise _changed(path)
+    if head.dtype == "f32" and not all_finite(planes):
         raise PayloadValueError(f"{path}: f32 payload contains NaN or Inf")
     return StackContainer(
-        channels=tuple(channels),
+        channels=head.channels,
         planes=planes,
-        dtype=dtype,
-        mpp=header.get("mpp"),
-        halo=header.get("halo"),
-        meta=meta,
+        dtype=head.dtype,
+        mpp=head.mpp,
+        halo=head.halo,
+        meta=head.meta,
     )
 
 
@@ -205,20 +250,18 @@ def container_from_labels(
 
 
 def labels_from_container(container: StackContainer) -> np.ndarray:
-    if container.dtype != "u8" or container.channels != ("labels",):
-        raise ContainerError("not a label raster container")
+    _check_kind(container.dtype, container.channels, "u8", ("labels",), "a label raster")
     return container.planes[0]
 
 
 def container_from_rgb(he: np.ndarray, mpp: Optional[float] = None) -> StackContainer:
     if he.ndim != 3 or he.shape[2] != 3 or he.dtype != np.uint8:
         raise ContainerError("RGB tile must be (H, W, 3) uint8")
-    return StackContainer(("r", "g", "b"), np.moveaxis(he, 2, 0), "u8", mpp=mpp)
+    return StackContainer(_RGB, np.moveaxis(he, 2, 0), "u8", mpp=mpp)
 
 
 def rgb_from_container(container: StackContainer) -> np.ndarray:
-    if container.dtype != "u8" or container.channels != ("r", "g", "b"):
-        raise ContainerError("not an RGB tile container")
+    _check_kind(container.dtype, container.channels, "u8", _RGB, "an RGB tile")
     return np.ascontiguousarray(np.moveaxis(container.planes, 0, 2))
 
 
@@ -231,7 +274,7 @@ def container_from_instances(
         if a.teacher_type is not None
     }
     return StackContainer(
-        ("instance_ids",),
+        _IDS,
         imap.ids.astype(np.uint32)[None, :, :],
         "u32",
         mpp=mpp,
@@ -240,14 +283,26 @@ def container_from_instances(
 
 
 def instances_from_container(container: StackContainer) -> InstanceMap:
-    if container.dtype != "u32" or container.channels != ("instance_ids",):
-        raise ContainerError("not an instance map container")
-    types_doc = container.meta.get("teacher_types", {})
+    _check_kind(container.dtype, container.channels, "u32", _IDS, "an instance map")
+    return _instance_map(container.planes[0], _teacher_types(container.meta))
+
+
+def _check_kind(dtype, channels, want_dtype: str, want_channels: tuple, kind: str) -> None:
+    if dtype != want_dtype or tuple(channels) != want_channels:
+        raise ContainerError(f"not {kind} container")
+
+
+def _teacher_types(meta: dict) -> dict[int, int]:
+    types_doc = meta.get("teacher_types", {})
     try:
-        types = {int(k): int(v) for k, v in types_doc.items()}
+        return {int(k): int(v) for k, v in types_doc.items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise PayloadValueError(f"bad teacher_types in instance map meta: {exc}") from exc
-    ids = container.planes[0].view(np.int32)
+
+
+def _instance_map(ids: np.ndarray, types: dict[int, int]) -> InstanceMap:
+    """The instance map of a u32 id raster."""
+    ids = ids.view(np.int32)
     if ids.size and ids.min() < 0:  # u32 ids >= 2**31 wrap negative
         raise PayloadValueError("instance ids must be below 2**31")
     return InstanceMap.from_ids(ids, types)
@@ -292,14 +347,10 @@ def save_bundle(bundle, out_dir: str | Path) -> Path:
     return path
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _read_manifest(manifest_path: Path) -> tuple[dict, dict[str, Path]]:
+def _parse_manifest(raw: bytes, manifest_path: Path) -> tuple[dict, dict[str, Path]]:
     """The checked manifest and its part paths, resolved against its directory."""
     try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+        doc = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ContainerError(f"{manifest_path}: unreadable bundle manifest: {exc}") from exc
     if not isinstance(doc, dict):
@@ -319,22 +370,152 @@ def _read_manifest(manifest_path: Path) -> tuple[dict, dict[str, Path]]:
     return doc, {k: manifest_path.parent / doc[k] for k in BUNDLE_PARTS}
 
 
-def bundle_part_paths(manifest_path: str | Path) -> dict[str, Path]:
-    """Resolve the manifest's part files relative to its directory."""
-    return _read_manifest(Path(manifest_path))[1]
+def _bundle_scalars(doc: dict) -> tuple[tuple, int, float]:
+    """The manifest's candidates as float triples, its halo and its mpp."""
+    return (
+        tuple((float(x), float(y), float(s)) for x, y, s in doc.get("candidates", [])),
+        int(doc.get("halo") or 0),
+        float(doc.get("mpp") or 0.25),
+    )
 
 
 def load_bundle(manifest_path: str | Path):
     """Load a teacher bundle from its JSON manifest."""
     from .aggregate import TeacherBundle  # deferred: aggregate is a heavier import
 
-    doc, parts = _read_manifest(Path(manifest_path))
+    manifest_path = Path(manifest_path)
+    doc, parts = _parse_manifest(manifest_path.read_bytes(), manifest_path)
+    candidates, halo, mpp = _bundle_scalars(doc)
     return TeacherBundle(
         he=rgb_from_container(load_stack(parts["he"])),
         tissue_logits=logits_from_container(load_stack(parts["tissue_logits"])),
         cell_logits=logits_from_container(load_stack(parts["cell_logits"])),
         nuclei=instances_from_container(load_stack(parts["nuclei"])),
-        mitosis_candidates=tuple(tuple(c) for c in doc.get("candidates", [])),
-        halo=int(doc.get("halo") or 0),
-        mpp=float(doc.get("mpp") or 0.25),
+        mitosis_candidates=candidates,
+        halo=halo,
+        mpp=mpp,
     )
+
+
+# ---------------------------------------------------------------------------
+# Streamed bundle reader: every byte read once, hashed, checked and reduced
+# ---------------------------------------------------------------------------
+
+
+class _Hashed:
+    """A binary file that feeds every byte read from it to a SHA-256."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sha = hashlib.sha256()
+
+    def fileno(self) -> int:
+        return self.fh.fileno()
+
+    def read(self, n: int = -1) -> bytes:
+        data = self.fh.read(n)
+        self.sha.update(data)
+        return data
+
+    def readinto(self, buf: memoryview) -> int:
+        got = self.fh.readinto(buf)
+        self.sha.update(buf[:got])
+        return got
+
+
+def _chunks(
+    fh: _Hashed, head: _Header, path: Path, buf: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The payload as ``(channel index, flat start, chunk)`` in file order.
+
+    Each chunk is a view of the uint8 ``buf``, overwritten by the next
+    one. f32 chunks are checked finite; the file must end with the payload.
+    """
+    itemsize = head.wire.itemsize
+    step = buf.nbytes // itemsize
+    size = head.height * head.width
+    for channel in range(len(head.channels)):
+        for start in range(0, size, step):
+            n = min(step, size - start) * itemsize
+            if fh.readinto(memoryview(buf)[:n]) != n:
+                raise _changed(path)
+            chunk = buf[:n].view(head.wire)
+            if head.dtype == "f32" and not all_finite(chunk):
+                raise PayloadValueError(f"{path}: f32 payload contains NaN or Inf")
+            yield channel, start, chunk
+    if fh.read(1):
+        raise _changed(path)
+
+
+def stream_bundle(manifest_path: str | Path):
+    """Read a teacher bundle once: its ``FusionInputs`` and the SHA-256 of
+    the manifest and of each part file, keyed by path as ``str``.
+
+    The manifest and all four headers are read first and checked against
+    each other, with the checks ``TeacherBundle.validate`` uses, before any
+    payload is allocated. H&E and nuclei are then read into their final
+    arrays; each logit file passes through one reusable buffer of at most
+    ``_CHUNK_BYTES``, where every chunk is hashed, checked finite and
+    reduced, so no logit stack is ever held.
+    """
+    from .aggregate import (  # deferred: aggregate is a heavier import
+        CELL_IDS,
+        TISSUE_IDS,
+        check_candidates,
+        check_part,
+        check_roster,
+        fusion_inputs,
+    )
+
+    manifest_path = Path(manifest_path)
+    raw = manifest_path.read_bytes()
+    doc, parts = _parse_manifest(raw, manifest_path)
+    candidates, halo, mpp = _bundle_scalars(doc)
+    digests = {str(manifest_path): hashlib.sha256(raw).hexdigest()}
+    with ExitStack() as stack:
+        files = {k: _Hashed(stack.enter_context(open(p, "rb"))) for k, p in parts.items()}
+        heads = {k: _read_checked_header(fh, parts[k]) for k, fh in files.items()}
+        he_head, ids_head = heads["he"], heads["nuclei"]
+        frame = (he_head.height, he_head.width)
+        class_ids = {}
+        try:
+            _check_kind(he_head.dtype, he_head.channels, "u8", _RGB, "an RGB tile")
+            _check_kind(ids_head.dtype, ids_head.channels, "u32", _IDS, "an instance map")
+            check_part("nuclei", (ids_head.height, ids_head.width), frame)
+            types = _teacher_types(ids_head.meta)
+            for name, wanted in (("tissue_logits", TISSUE_IDS), ("cell_logits", CELL_IDS)):
+                head = heads[name]
+                if head.dtype != "f32":
+                    raise DtypeError(f"{name} must be f32, not {head.dtype}")
+                check_part(name, (head.height, head.width), frame)
+                class_ids[name] = tuple(VOCABULARY.resolve(c) for c in head.channels)
+                check_roster(name, class_ids[name], wanted)
+            check_candidates(candidates, frame, halo)
+        except (ValueError, UnknownClassError) as exc:
+            raise ContainerError(f"{manifest_path}: {exc}") from exc
+
+        # one buffer for every chunk: a plane of the widest dtype, 4 MB at most
+        buf = np.empty(min(_CHUNK_BYTES, 4 * frame[0] * frame[1]), dtype=np.uint8)
+
+        def logits(name: str) -> Iterator[tuple[int, int, np.ndarray]]:
+            for channel, start, chunk in _chunks(files[name], heads[name], parts[name], buf):
+                yield class_ids[name][channel], start, chunk
+
+        he = np.empty(frame + (3,), dtype=np.uint8)
+        he_px = he.reshape(-1, 3)
+        for channel, start, chunk in _chunks(files["he"], he_head, parts["he"], buf):
+            he_px[start : start + chunk.size, channel] = chunk
+        ids = np.empty(frame, dtype=np.uint32)
+        for _ in _chunks(files["nuclei"], ids_head, parts["nuclei"], ids.reshape(-1).view(np.uint8)):
+            pass  # the buffer is the id raster itself: one chunk, read in place
+        inputs = fusion_inputs(
+            he,
+            _instance_map(ids, types),
+            logits("tissue_logits"),
+            logits("cell_logits"),
+            candidates,
+            halo,
+            mpp,
+        )
+        digests.update((str(parts[k]), fh.sha.hexdigest()) for k, fh in files.items())
+    return inputs, digests

@@ -20,7 +20,13 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregate import AggregationResult, TeacherBundle, _aggregate_smoothed
+from .aggregate import (
+    AggregationResult,
+    FusionInputs,
+    TeacherBundle,
+    _aggregate_smoothed,
+    _reduced,
+)
 from .config import RunConfig
 from .raster import blur_radius, gaussian_smooth, grayscale
 
@@ -128,7 +134,7 @@ def _run_window(idx: int) -> tuple[int, np.ndarray]:
 
 
 def tiled_aggregate(
-    bundle: TeacherBundle,
+    bundle: TeacherBundle | FusionInputs,
     config: Optional[RunConfig] = None,
     plan: Optional[TilePlan] = None,
     workers: int = 1,
@@ -138,18 +144,20 @@ def tiled_aggregate(
     Fan-out uses forked processes sharing the H&E tile read-only. Each
     window's owned cell is written once into one smoothed grayscale canvas,
     on which the full-frame pipeline runs; the result equals
-    ``aggregate(bundle, config)``.
+    ``aggregate(bundle, config)``. ``bundle`` may also be the
+    ``FusionInputs`` of a validated bundle, as ``container.stream_bundle``
+    returns them.
     """
     global _SHARED
     cfg = config or RunConfig()
     plan = plan or TilePlan(crop=cfg.crop_px, stride=cfg.stride_px)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    bundle.validate()
-    shape = (bundle.height, bundle.width)
+    inputs = _reduced(bundle)
+    shape = inputs.he.shape[:2]
     cells = owned_cells(iterate_tiles(shape, plan), shape)
 
-    _SHARED = (bundle.he, cfg.blur_sigma, cells)
+    _SHARED = (inputs.he, cfg.blur_sigma, cells)
     try:
         if workers == 1 or len(cells) == 1:
             results = map(_run_window, range(len(cells)))
@@ -162,4 +170,4 @@ def tiled_aggregate(
             gray[cells[idx]] = cell_gray
     finally:
         _SHARED = None
-    return _aggregate_smoothed(bundle, gray, cfg)
+    return _aggregate_smoothed(inputs, gray, cfg)

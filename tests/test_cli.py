@@ -10,6 +10,7 @@ import pytest
 import tmeseg
 from tmeseg.cli import cli
 from tmeseg.container import (
+    StackContainer,
     container_from_instances,
     container_from_logits,
     load_stack,
@@ -290,6 +291,40 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "margin_um must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"cc_connectivity": 8.0},
+        {"mitosis_roi_radius_px": 30.5},
+        {"carbon_rgb_sum_max": 40.5},
+        {"mitosis_min_area_px": True},
+        {"crop_px": 50.5, "stride_px": 40},
+        {"stride_px": 40.5},
+        {"background_threshold": 200.5},
+    ],
+    ids=lambda doc: next(iter(doc)),
+)
+def test_non_integer_config_field_exits_2(workspace, tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o.tmef"
+    code = cli(
+        ["aggregate", "--bundle", str(workspace["bundle"]), "--out", str(out), "--config", str(cfg)]
+    )
+    assert code == 2
+    assert f"{next(iter(doc))} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_label_container_with_bad_mpp_exits_2(tmp_path, capsys):
+    mask = tmp_path / "mask.tmef"
+    save_stack(StackContainer(("labels",), np.zeros((1, 4, 4), np.uint8), "u8", mpp="x"), mask)
+    out = tmp_path / "t.json"
+    assert cli(["tme", "--mask", str(mask), "--out", str(out)]) == 2
+    assert "mpp must be a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -29,7 +29,9 @@ from tmeseg.container import (
     rgb_from_container,
     save_bundle,
     save_stack,
+    stream_bundle,
 )
+from tmeseg.aggregate import CELL_IDS, TeacherBundle
 from tmeseg.raster import InstanceMap, LogitStack
 from tmeseg.synth import build_bundle, random_scene, throughput_bundle
 from tmeseg.taxonomy import UnknownClassError, default_taxonomy
@@ -171,6 +173,16 @@ def _header(**changes):
         pytest.param(_header(dtype=["u8"]), DtypeError, id="dtype-list"),
         pytest.param(_header(magic=None), MagicError, id="magic-null"),
         pytest.param(_header(meta=[1]), ContainerError, id="meta-list"),
+        pytest.param(_header(mpp="x"), ContainerError, id="mpp-str"),
+        pytest.param(_header(mpp=0), ContainerError, id="mpp-zero"),
+        pytest.param(_header(mpp=-0.25), ContainerError, id="mpp-negative"),
+        pytest.param(_header(mpp=float("nan")), ContainerError, id="mpp-nan"),
+        pytest.param(_header(mpp=True), ContainerError, id="mpp-bool"),
+        pytest.param(_header(mpp=[0.25]), ContainerError, id="mpp-list"),
+        pytest.param(_header(halo=-1), ContainerError, id="halo-negative"),
+        pytest.param(_header(halo=1.5), ContainerError, id="halo-float"),
+        pytest.param(_header(halo="2"), ContainerError, id="halo-str"),
+        pytest.param(_header(halo=True), ContainerError, id="halo-bool"),
     ],
 )
 def test_malformed_header_raises_typed_error(tmp_path, header, error):
@@ -178,6 +190,14 @@ def test_malformed_header_raises_typed_error(tmp_path, header, error):
     with pytest.raises(error):
         load_stack(path)
     assert cli(["info", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra", [{}, {"mpp": None}, {"mpp": 1}, {"mpp": 0.5, "halo": 0}, {"halo": 7}]
+)
+def test_absent_or_valid_mpp_and_halo_accepted(tmp_path, extra):
+    back = load_stack(_write_raw(tmp_path / "ok.tmef", _header(**extra)))
+    assert back.mpp == extra.get("mpp") and back.halo == extra.get("halo")
 
 
 def test_trailing_bytes_rejected_and_planes_native(tmp_path):
@@ -342,9 +362,10 @@ def test_instance_validate_allocates_less_than_half_the_raster():
 # Fuzz: corrupt files fail typed, and before any header-sized allocation
 # ---------------------------------------------------------------------------
 
+# a valid tissue-logit part, so a streamed bundle read gets past its headers
 _VALID = StackContainer(
-    ("a", "b"),
-    np.arange(2 * 3 * 5, dtype=np.float32).reshape(2, 3, 5),
+    ("smooth_muscle", "epithelial_tissue", "red_blood_cell"),
+    np.arange(3 * 3 * 5, dtype=np.float32).reshape(3, 3, 5) - 20,
     "f32",
     mpp=0.5,
     halo=2,
@@ -356,6 +377,22 @@ _JSON = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )
+
+
+def _bundle_around(tmp: Path, tissue_blob: bytes) -> Path:
+    """A 3x5 bundle manifest whose tissue-logit part holds ``tissue_blob``."""
+    nid = np.zeros((3, 5), np.int32)
+    nid[1, 1:3] = 4
+    bundle = TeacherBundle(
+        he=np.full((3, 5, 3), 170, np.uint8),
+        tissue_logits=logits_from_container(_VALID),
+        cell_logits=LogitStack(CELL_IDS, np.zeros((len(CELL_IDS), 3, 5), np.float32)),
+        nuclei=InstanceMap.from_ids(nid),
+        mitosis_candidates=((1.0, 1.0, 0.5),),
+    )
+    manifest = save_bundle(bundle, tmp)
+    (tmp / "tissue_logits.tmef").write_bytes(tissue_blob)
+    return manifest
 
 
 def _valid_blob() -> bytes:
@@ -392,13 +429,15 @@ def test_corrupt_file_raises_container_error_without_large_allocation(blob):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.tmef"
         path.write_bytes(blob)
-        tracemalloc.start()
-        try:
-            load_stack(path)
-        except ContainerError:
-            pass
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-    # nothing sized by a corrupt header: at most the file plus parser overhead
-    assert peak <= 2 * len(blob) + 65536
+        manifest = _bundle_around(Path(tmp) / "bundle", blob)
+        for read in (lambda: load_stack(path), lambda: stream_bundle(manifest)):
+            tracemalloc.start()
+            try:
+                read()
+            except ContainerError:
+                pass
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            # nothing sized by a corrupt header: at most the file plus parser overhead
+            assert peak <= 2 * len(blob) + 65536

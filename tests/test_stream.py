@@ -1,0 +1,238 @@
+"""The streamed bundle reader: equal to the in-memory path, hashes every
+byte, fails from the headers, and never holds a logit stack."""
+
+import hashlib
+import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tmeseg
+import tmeseg.container
+from tmeseg.aggregate import aggregate
+from tmeseg.cli import cli
+from tmeseg.config import RunConfig
+from tmeseg.container import (
+    ContainerError,
+    PayloadValueError,
+    TruncatedPayloadError,
+    container_from_logits,
+    load_bundle,
+    save_bundle,
+    save_stack,
+    stream_bundle,
+)
+from tmeseg.raster import LogitStack
+from tmeseg.reference import reference_aggregate
+from tmeseg.synth import build_bundle, random_scene, throughput_bundle
+from tmeseg.tiling import TilePlan, tiled_aggregate
+
+PARTS = ("he", "tissue_logits", "cell_logits", "nuclei")
+# Every order of the three tissue planes: smooth muscle before and after
+# epithelium, red blood cells first, between and last.
+TISSUE_ORDERS = list(itertools.permutations(range(3)))
+
+
+def _rewrite(bundle, out_dir: Path, name: str, stack: LogitStack) -> None:
+    save_stack(container_from_logits(stack, bundle.mpp, bundle.halo), out_dir / f"{name}.tmef")
+
+
+def _permuted(stack: LogitStack, order) -> LogitStack:
+    return LogitStack(tuple(stack.class_ids[i] for i in order), stack.planes[list(order)])
+
+
+def _assert_same_inputs(a, b):
+    assert np.array_equal(a.he, b.he)
+    assert np.array_equal(a.nuclei.ids, b.nuclei.ids)
+    assert a.nuclei.attrs == b.nuclei.attrs
+    for x, y in zip(a.groups, b.groups):
+        assert np.array_equal(x, y)
+    assert a.tissue_pre.dtype == b.tissue_pre.dtype == np.uint8
+    assert np.array_equal(a.tissue_pre, b.tissue_pre)
+    assert a.cell_vals.dtype == b.cell_vals.dtype == np.float32
+    assert np.array_equal(a.cell_vals, b.cell_vals)
+    assert (a.mitosis_candidates, a.halo, a.mpp) == (b.mitosis_candidates, b.halo, b.mpp)
+
+
+def _assert_same_result(a, b):
+    a.check_invariants()
+    b.check_invariants()
+    assert np.array_equal(a.semantic, b.semantic)
+    assert np.array_equal(a.instances.ids, b.instances.ids)
+    assert np.array_equal(a.mitosis.ids, b.mitosis.ids)
+    assert a.classes == b.classes
+    assert a.provenance == b.provenance
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_streamed_equals_in_memory_on_random_scenes(tmp_path, monkeypatch, seed):
+    # small buffers, so chunks end mid-row and planes split unevenly
+    monkeypatch.setattr(tmeseg.container, "_CHUNK_BYTES", 4 * (61 + 37 * seed))
+    bundle = build_bundle(random_scene(seed, max_nuclei=30, max_candidates=6))
+    manifest = save_bundle(bundle, tmp_path)
+    tissue_order = TISSUE_ORDERS[seed % len(TISSUE_ORDERS)]
+    _rewrite(bundle, tmp_path, "tissue_logits", _permuted(bundle.tissue_logits, tissue_order))
+    if seed % 2:
+        cell_order = np.random.default_rng(seed).permutation(len(bundle.cell_logits.class_ids))
+        _rewrite(bundle, tmp_path, "cell_logits", _permuted(bundle.cell_logits, cell_order))
+
+    streamed, digests = stream_bundle(manifest)
+    _assert_same_inputs(streamed, bundle.reduce())
+    _assert_same_inputs(streamed, load_bundle(manifest).reduce())  # permuted in memory
+    cfg = RunConfig(background_threshold=200) if seed % 3 == 0 else RunConfig()
+    result = aggregate(streamed, cfg)
+    _assert_same_result(result, aggregate(bundle, cfg))
+    truth = reference_aggregate(bundle, cfg)  # the per-pixel oracle, canonical order
+    assert np.array_equal(result.semantic, truth["semantic"])
+    assert result.classes == truth["classes"]
+    _assert_same_result(
+        tiled_aggregate(streamed, cfg, TilePlan(40, 30)), aggregate(bundle, cfg)
+    )
+    paths = [manifest] + [tmp_path / f"{p}.tmef" for p in PARTS]
+    assert digests == {str(p): _sha256(p) for p in paths}
+
+
+@pytest.fixture(scope="module")
+def slide(tmp_path_factory):
+    """``throughput_bundle(2048)`` on disk, with its payload byte count."""
+    bundle = throughput_bundle(2048)
+    manifest = save_bundle(bundle, tmp_path_factory.mktemp("slide"))
+    payload = sum(
+        a.nbytes
+        for a in (bundle.he, bundle.tissue_logits.planes, bundle.cell_logits.planes,
+                  bundle.nuclei.ids)
+    )
+    return manifest, payload
+
+
+def test_streamed_equals_in_memory_on_throughput_bundle(slide):
+    manifest, _ = slide
+    cfg = RunConfig(background_threshold=200)
+    streamed, _ = stream_bundle(manifest)
+    in_memory = load_bundle(manifest).reduce()
+    _assert_same_inputs(streamed, in_memory)
+    _assert_same_result(aggregate(streamed, cfg), aggregate(in_memory, cfg))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_read_holds_no_logit_stack(slide):
+    manifest, payload = slide
+    # H&E, nuclei, one tissue plane and small reductions: ~0.26x here;
+    # load_bundle holds the whole payload, ~1.0x
+    assert _traced_peak(lambda: stream_bundle(manifest)) <= 0.4 * payload
+
+
+# Runs argv[1:] and prints its peak RSS (KiB). Linux carries the peak RSS of
+# the process that execs a program into the program's ru_maxrss, so the
+# measured command is started from this small launcher, not from pytest.
+_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_cli_aggregate_peak_rss_below_the_logit_files(slide, tmp_path):
+    manifest, _ = slide
+    logit_bytes = sum(
+        os.path.getsize(manifest.parent / f"{p}.tmef") for p in ("tissue_logits", "cell_logits")
+    )
+    src = str(Path(tmeseg.__file__).resolve().parent.parent)
+    out = tmp_path / "out.tmef"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "tmeseg", "aggregate",
+         "--bundle", str(manifest), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
+    # the stacks alone are 208 MiB; a streamed run peaks near 130 MB
+    assert int(proc.stdout) * 1024 < logit_bytes  # ru_maxrss is in KiB on Linux
+
+
+def _narrow_cells(bundle, out_dir):
+    stack = bundle.cell_logits
+    _rewrite(bundle, out_dir, "cell_logits", LogitStack(stack.class_ids, stack.planes[:, :, :-1]))
+
+
+def _no_red_blood_cells(bundle, out_dir):
+    stack = bundle.tissue_logits
+    _rewrite(bundle, out_dir, "tissue_logits", _permuted(stack, range(2)))
+
+
+@pytest.mark.parametrize(
+    "break_part,message",
+    [(_narrow_cells, "cell_logits does not share"), (_no_red_blood_cells, "red_blood_cell")],
+    ids=["cell-logits-one-column-narrower", "tissue-logits-without-rbc"],
+)
+def test_parts_that_disagree_fail_from_the_headers(tmp_path, capsys, break_part, message):
+    bundle = throughput_bundle(512)  # 10 MB of cell logits
+    manifest = save_bundle(bundle, tmp_path)
+    break_part(bundle, tmp_path)
+    out = tmp_path / "out.tmef"
+    assert cli(["aggregate", "--bundle", str(manifest), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+    def read():
+        with pytest.raises(ContainerError, match=message):
+            stream_bundle(manifest)
+
+    assert _traced_peak(read) < 1 << 20
+
+
+
+@pytest.mark.parametrize("part", ["tissue_logits", "cell_logits"])
+@pytest.mark.parametrize("where,value", [(0, np.nan), (-1, np.inf)], ids=["first-nan", "last-inf"])
+def test_every_logit_value_is_checked_finite(tmp_path, monkeypatch, capsys, part, where, value):
+    monkeypatch.setattr(tmeseg.container, "_CHUNK_BYTES", 4 * 500)
+    bundle = build_bundle(random_scene(3, max_nuclei=5))
+    manifest = save_bundle(bundle, tmp_path)
+    stack = getattr(bundle, part)
+    planes = stack.planes.copy()
+    planes.reshape(-1)[where] = value
+    _rewrite(bundle, tmp_path, part, LogitStack(stack.class_ids, planes))
+    with pytest.raises(PayloadValueError, match="NaN or Inf"):
+        stream_bundle(manifest)
+    assert cli(["aggregate", "--bundle", str(manifest), "--out", str(tmp_path / "o.tmef")]) == 2
+    assert part in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("read", ["load_stack", "stream_bundle"])
+def test_file_growing_after_fstat_is_rejected(tmp_path, monkeypatch, read):
+    bundle = build_bundle(random_scene(4, max_nuclei=5))
+    manifest = save_bundle(bundle, tmp_path)
+    part = tmp_path / "cell_logits.tmef"
+    grown = os.stat(part)
+    with open(part, "ab") as fh:
+        fh.write(bytes(4))
+    real_fstat = os.fstat
+
+    def fstat(fd):  # the part's size as it was before it grew
+        st = real_fstat(fd)
+        return grown if st.st_ino == grown.st_ino else st
+
+    monkeypatch.setattr(tmeseg.container.os, "fstat", fstat)
+    with pytest.raises(TruncatedPayloadError, match="changed while reading"):
+        tmeseg.container.load_stack(part) if read == "load_stack" else stream_bundle(manifest)
