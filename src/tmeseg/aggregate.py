@@ -15,7 +15,8 @@ Stages, in fixed order:
 Stages 2-6 read the logit stacks only through two reductions, the tissue
 label before glass and the cell logits at the nucleus pixels
 (``FusionInputs``), which a bundle in memory (``TeacherBundle.reduce``) and
-a bundle streamed from disk (``container.stream_bundle``) both produce.
+a bundle streamed from disk (``container.BundleReader``) both produce.
+``tiling.tiled_aggregate`` runs stage 1's blur while the bundle is reduced.
 
 Everything is deterministic: identical bundles give bit-identical results.
 A structurally separate per-pixel reference of the same rules lives in
@@ -188,8 +189,8 @@ class FusionInputs:
     ``tissue_pre`` is the tissue label before glass is applied;
     ``cell_vals`` holds the cell logits at the nucleus pixels, one row per
     ``CELL_IDS`` channel, columns in ``groups`` (``nuclei.pixel_groups()``)
-    order. ``TeacherBundle.reduce`` and ``container.stream_bundle`` both
-    build it through ``fusion_inputs``.
+    order. ``TeacherBundle.reduce`` and ``container.BundleReader.reduce``
+    both build it through ``fusion_inputs``.
     """
 
     he: np.ndarray
@@ -547,8 +548,8 @@ def apply_mitosis(
 # ---------------------------------------------------------------------------
 
 
-def _reduced(bundle: TeacherBundle | FusionInputs) -> FusionInputs:
-    """The fusion inputs of a bundle: reduced here, or already."""
+def _reduced(bundle) -> FusionInputs:
+    """The fusion inputs of a bundle: already reduced, or from its ``reduce()``."""
     return bundle if isinstance(bundle, FusionInputs) else bundle.reduce()
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, config_from_json
 from .container import (
+    BundleReader,
     container_from_labels,
     labels_from_container,
     load_stack,
@@ -28,7 +29,6 @@ from .container import (
     instances_from_container,
     save_bundle,
     save_stack,
-    stream_bundle,
 )
 from .counting import count_record
 from .metrics import evaluate_instances, evaluate_semantic, format_table
@@ -150,11 +150,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     config = _load_config(args)
-    # one pass over the input files: validated, hashed and reduced as read
-    inputs, digests = stream_bundle(args.bundle)
-    result = tiled_aggregate(inputs, config, workers=args.workers)
+    # one pass over the input files; the blur runs while nuclei and logits are read
+    with BundleReader(args.bundle) as reader:
+        result = tiled_aggregate(reader, config, workers=args.workers)
     out = Path(args.out)
-    save_stack(container_from_labels(result.semantic, inputs.mpp), out)
+    save_stack(container_from_labels(result.semantic, reader.mpp), out)
     classes_path = out.with_suffix(".classes.json")
     _write_json(
         {
@@ -167,7 +167,7 @@ def _cmd_aggregate(args) -> int:
         },
         classes_path,
     )
-    record = _provenance("aggregate", config, digests, [out, classes_path])
+    record = _provenance("aggregate", config, reader.digests, [out, classes_path])
     _write_json(record, _provenance_path(out))
     print(f"wrote {out} and {classes_path}")
     return 0
@@ -175,10 +175,10 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_postprocess(args) -> int:
     config = _load_config(args)
-    stack = logits_from_container(load_stack(args.student))
+    student = load_stack(args.student)
+    stack = logits_from_container(student)
     out = Path(args.out)
     inputs = [Path(args.student)]
-    mpp = None
     if args.mode == "force":
         labels = force_mode(stack)
         doc = None
@@ -192,7 +192,7 @@ def _cmd_postprocess(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "classes": {str(g): c for g, c in sorted(classes.items())},
         }
-    save_stack(container_from_labels(labels, mpp), out)
+    save_stack(container_from_labels(labels, student.mpp), out)
     outputs = [out]
     if doc is not None:
         classes_path = out.with_suffix(".classes.json")
@@ -356,7 +356,7 @@ def build_parser() -> _Parser:
     )
     sub.add_argument("--bundle", required=True, help="bundle manifest JSON")
     sub.add_argument("--out", required=True, help="output label container")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1, help="blur threads beside the reader")
     common(sub)
     sub.set_defaults(func=_cmd_aggregate)
 

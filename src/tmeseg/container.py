@@ -6,10 +6,11 @@ header carries ``{"magic": "TMEF1", "width", "height", "dtype", "channels",
 "mpp"?, "halo"?, "meta"?}`` with dtype one of f32 / u8 / u32. Round-trips
 are lossless; f32 payloads must be finite.
 
-``load_stack`` reads one file into memory. ``stream_bundle`` reads a whole
-teacher bundle once, in chunks: it checks every header against the others
-before allocating any payload, then hashes, checks and reduces each logit
-file chunk by chunk, so the logit stacks never sit in memory.
+``load_stack`` reads one file into memory. ``BundleReader`` reads a whole
+teacher bundle once, in chunks: opening it checks every header against the
+others before allocating any payload and reads H&E; its ``reduce`` then
+reads nuclei and hashes, checks and reduces each logit file chunk by chunk,
+so the logit stacks never sit in memory.
 """
 
 from __future__ import annotations
@@ -447,75 +448,91 @@ def _chunks(
         raise _changed(path)
 
 
-def stream_bundle(manifest_path: str | Path):
-    """Read a teacher bundle once: its ``FusionInputs`` and the SHA-256 of
-    the manifest and of each part file, keyed by path as ``str``.
+class BundleReader(ExitStack):
+    """A teacher bundle read once from disk, H&E first.
 
-    The manifest and all four headers are read first and checked against
-    each other, with the checks ``TeacherBundle.validate`` uses, before any
-    payload is allocated. H&E and nuclei are then read into their final
-    arrays; each logit file passes through one reusable buffer of at most
+    Opening reads the manifest and all four headers, checks them against
+    each other with the checks ``TeacherBundle.validate`` uses before any
+    payload is allocated, and reads H&E into ``he``. ``reduce`` reads
+    nuclei, then each logit file through one buffer of at most
     ``_CHUNK_BYTES``, where every chunk is hashed, checked finite and
-    reduced, so no logit stack is ever held.
+    reduced; it returns the ``FusionInputs`` and fills ``digests`` (the
+    SHA-256 of the manifest and of each part, keyed by path as ``str``).
+    It is an ``ExitStack`` holding the part files open: leaving its ``with``
+    block, or ``close()``, closes them.
     """
-    from .aggregate import (  # deferred: aggregate is a heavier import
-        CELL_IDS,
-        TISSUE_IDS,
-        check_candidates,
-        check_part,
-        check_roster,
-        fusion_inputs,
-    )
 
-    manifest_path = Path(manifest_path)
-    raw = manifest_path.read_bytes()
-    doc, parts = _parse_manifest(raw, manifest_path)
-    candidates, halo, mpp = _bundle_scalars(doc)
-    digests = {str(manifest_path): hashlib.sha256(raw).hexdigest()}
-    with ExitStack() as stack:
-        files = {k: _Hashed(stack.enter_context(open(p, "rb"))) for k, p in parts.items()}
-        heads = {k: _read_checked_header(fh, parts[k]) for k, fh in files.items()}
-        he_head, ids_head = heads["he"], heads["nuclei"]
-        frame = (he_head.height, he_head.width)
-        class_ids = {}
-        try:
-            _check_kind(he_head.dtype, he_head.channels, "u8", _RGB, "an RGB tile")
-            _check_kind(ids_head.dtype, ids_head.channels, "u32", _IDS, "an instance map")
-            check_part("nuclei", (ids_head.height, ids_head.width), frame)
-            types = _teacher_types(ids_head.meta)
-            for name, wanted in (("tissue_logits", TISSUE_IDS), ("cell_logits", CELL_IDS)):
-                head = heads[name]
-                if head.dtype != "f32":
-                    raise DtypeError(f"{name} must be f32, not {head.dtype}")
-                check_part(name, (head.height, head.width), frame)
-                class_ids[name] = tuple(VOCABULARY.resolve(c) for c in head.channels)
-                check_roster(name, class_ids[name], wanted)
-            check_candidates(candidates, frame, halo)
-        except (ValueError, UnknownClassError) as exc:
-            raise ContainerError(f"{manifest_path}: {exc}") from exc
+    def __init__(self, manifest_path: str | Path):
+        from .aggregate import (  # deferred: aggregate is a heavier import
+            CELL_IDS,
+            TISSUE_IDS,
+            check_candidates,
+            check_part,
+            check_roster,
+        )
 
-        # one buffer for every chunk: a plane of the widest dtype, 4 MB at most
-        buf = np.empty(min(_CHUNK_BYTES, 4 * frame[0] * frame[1]), dtype=np.uint8)
+        super().__init__()
+        manifest_path = Path(manifest_path)
+        raw = manifest_path.read_bytes()
+        doc, parts = _parse_manifest(raw, manifest_path)
+        self.candidates, self.halo, self.mpp = _bundle_scalars(doc)
+        self.digests = {str(manifest_path): hashlib.sha256(raw).hexdigest()}
+        with ExitStack() as stack:  # closes the files if opening fails
+            files = {k: _Hashed(stack.enter_context(open(p, "rb"))) for k, p in parts.items()}
+            heads = {k: _read_checked_header(fh, parts[k]) for k, fh in files.items()}
+            he_head, ids_head = heads["he"], heads["nuclei"]
+            frame = (he_head.height, he_head.width)
+            self._class_ids = {}
+            try:
+                _check_kind(he_head.dtype, he_head.channels, "u8", _RGB, "an RGB tile")
+                _check_kind(ids_head.dtype, ids_head.channels, "u32", _IDS, "an instance map")
+                check_part("nuclei", (ids_head.height, ids_head.width), frame)
+                self._types = _teacher_types(ids_head.meta)
+                for name, wanted in (("tissue_logits", TISSUE_IDS), ("cell_logits", CELL_IDS)):
+                    head = heads[name]
+                    if head.dtype != "f32":
+                        raise DtypeError(f"{name} must be f32, not {head.dtype}")
+                    check_part(name, (head.height, head.width), frame)
+                    self._class_ids[name] = tuple(VOCABULARY.resolve(c) for c in head.channels)
+                    check_roster(name, self._class_ids[name], wanted)
+                check_candidates(self.candidates, frame, self.halo)
+            except (ValueError, UnknownClassError) as exc:
+                raise ContainerError(f"{manifest_path}: {exc}") from exc
+
+            # one buffer for every chunk: a plane of the widest dtype, 4 MB at most
+            self._buf = np.empty(min(_CHUNK_BYTES, 4 * frame[0] * frame[1]), dtype=np.uint8)
+            self.he = np.empty(frame + (3,), dtype=np.uint8)
+            he_px = self.he.reshape(-1, 3)
+            for channel, start, chunk in _chunks(files["he"], he_head, parts["he"], self._buf):
+                he_px[start : start + chunk.size, channel] = chunk
+            self.push(stack.pop_all())  # the files stay open for reduce
+        self._parts = {k: (files[k], heads[k], parts[k]) for k in parts}
+
+    def reduce(self):
+        """Read nuclei and the logit files: the bundle's ``FusionInputs``."""
+        from .aggregate import fusion_inputs
 
         def logits(name: str) -> Iterator[tuple[int, int, np.ndarray]]:
-            for channel, start, chunk in _chunks(files[name], heads[name], parts[name], buf):
-                yield class_ids[name][channel], start, chunk
+            for channel, start, chunk in _chunks(*self._parts[name], self._buf):
+                yield self._class_ids[name][channel], start, chunk
 
-        he = np.empty(frame + (3,), dtype=np.uint8)
-        he_px = he.reshape(-1, 3)
-        for channel, start, chunk in _chunks(files["he"], he_head, parts["he"], buf):
-            he_px[start : start + chunk.size, channel] = chunk
-        ids = np.empty(frame, dtype=np.uint32)
-        for _ in _chunks(files["nuclei"], ids_head, parts["nuclei"], ids.reshape(-1).view(np.uint8)):
+        ids = np.empty(self.he.shape[:2], dtype=np.uint32)  # checked equal to the frame
+        for _ in _chunks(*self._parts["nuclei"], ids.reshape(-1).view(np.uint8)):
             pass  # the buffer is the id raster itself: one chunk, read in place
         inputs = fusion_inputs(
-            he,
-            _instance_map(ids, types),
+            self.he,
+            _instance_map(ids, self._types),
             logits("tissue_logits"),
             logits("cell_logits"),
-            candidates,
-            halo,
-            mpp,
+            self.candidates,
+            self.halo,
+            self.mpp,
         )
-        digests.update((str(parts[k]), fh.sha.hexdigest()) for k, fh in files.items())
-    return inputs, digests
+        self.digests.update((str(p), fh.sha.hexdigest()) for fh, _, p in self._parts.values())
+        return inputs
+
+
+def stream_bundle(manifest_path: str | Path):
+    """A bundle's ``FusionInputs`` and digests, read by one ``BundleReader``."""
+    with BundleReader(manifest_path) as reader:
+        return reader.reduce(), reader.digests

@@ -1,4 +1,4 @@
-"""Tile iteration and the parallel tiled pipeline.
+"""Tile iteration and the threaded tiled pipeline.
 
 Windows of ``crop`` pixels advance by ``stride``; the final window clamps
 to the image edge so coverage is complete. Each window owns a cell: on
@@ -7,28 +7,22 @@ edge for the last window, so the cells partition the frame. Only the
 Gaussian blur reads neighbouring pixels, so only the blur runs window by
 window: each window blurs its cell plus a ``blur_radius`` margin and
 writes the smoothed grayscale of its cell into one canvas, so every pixel
-is blurred once. Every later stage runs once on the whole frame, so tiled
-output equals ``aggregate`` for any plan and any worker count.
+is blurred once, on a thread pool beside the thread that reduces the
+bundle. Every later stage runs once on the whole frame, so tiled output
+equals ``aggregate`` for any plan and any worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Optional
 
 import numpy as np
 
-from .aggregate import (
-    AggregationResult,
-    FusionInputs,
-    TeacherBundle,
-    _aggregate_smoothed,
-    _reduced,
-)
+from .aggregate import AggregationResult, _aggregate_smoothed, _reduced
 from .config import RunConfig
-from .raster import blur_radius, gaussian_smooth, grayscale
+from .raster import blur_radius, check_rgb_tile, gaussian_smooth, grayscale
 
 
 @dataclass(frozen=True)
@@ -111,63 +105,51 @@ def owned_cells(windows: list[Window], shape: tuple[int, int]) -> list[tuple[sli
 # Tiled aggregation
 # ---------------------------------------------------------------------------
 
-# Shared state for forked workers (copy-on-write; nothing is pickled).
-_SHARED: Optional[tuple] = None
 
-
-def _run_window(idx: int) -> tuple[int, np.ndarray]:
-    """Smoothed grayscale of one window's owned cell.
+def _blur_cell(he: np.ndarray, sigma: float, cell: tuple[slice, slice], gray: np.ndarray) -> None:
+    """Write the smoothed grayscale of one owned cell into ``gray``.
 
     The cell is blurred with a ``blur_radius(sigma)`` margin, clamped to the
-    image, so each of its pixels reads the same neighbours as in a
-    full-frame blur.
+    image, so its pixels read the same neighbours as in a full-frame blur.
     """
-    he, sigma, cells = _SHARED
-    rows, cols = cells[idx]
+    rows, cols = cell
     h, w = he.shape[:2]
     margin = blur_radius(sigma)
     y0, x0 = max(rows.start - margin, 0), max(cols.start - margin, 0)
     y1, x1 = min(rows.stop + margin, h), min(cols.stop + margin, w)
     smooth = gaussian_smooth(he[y0:y1, x0:x1], sigma)
-    cell = (slice(rows.start - y0, rows.stop - y0), slice(cols.start - x0, cols.stop - x0))
-    return idx, grayscale(smooth[cell])
+    local = (slice(rows.start - y0, rows.stop - y0), slice(cols.start - x0, cols.stop - x0))
+    gray[cell] = grayscale(smooth[local])
 
 
 def tiled_aggregate(
-    bundle: TeacherBundle | FusionInputs,
+    bundle,
     config: Optional[RunConfig] = None,
     plan: Optional[TilePlan] = None,
     workers: int = 1,
 ) -> AggregationResult:
     """``aggregate`` with the blur computed window by window.
 
-    Fan-out uses forked processes sharing the H&E tile read-only. Each
-    window's owned cell is written once into one smoothed grayscale canvas,
-    on which the full-frame pipeline runs; the result equals
-    ``aggregate(bundle, config)``. ``bundle`` may also be the
-    ``FusionInputs`` of a validated bundle, as ``container.stream_bundle``
-    returns them.
+    ``bundle`` is a ``TeacherBundle``, ``FusionInputs`` or an open
+    ``container.BundleReader``. The owned cells are blurred on ``workers``
+    threads as soon as ``bundle.he`` is known, while this thread reduces
+    the bundle; each cell is written once into one grayscale canvas, on
+    which the full-frame pipeline runs. The result equals ``aggregate``'s.
     """
-    global _SHARED
     cfg = config or RunConfig()
     plan = plan or TilePlan(crop=cfg.crop_px, stride=cfg.stride_px)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    inputs = _reduced(bundle)
-    shape = inputs.he.shape[:2]
+    he = check_rgb_tile(bundle.he)
+    shape = he.shape[:2]
     cells = owned_cells(iterate_tiles(shape, plan), shape)
-
-    _SHARED = (inputs.he, cfg.blur_sigma, cells)
+    gray = np.empty(shape, dtype=np.uint8)
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(cells)))
     try:
-        if workers == 1 or len(cells) == 1:
-            results = map(_run_window, range(len(cells)))
-        else:
-            ctx = get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                results = list(pool.map(_run_window, range(len(cells))))
-        gray = np.empty(shape, dtype=np.uint8)
-        for idx, cell_gray in results:
-            gray[cells[idx]] = cell_gray
+        blurs = [pool.submit(_blur_cell, he, cfg.blur_sigma, cell, gray) for cell in cells]
+        inputs = _reduced(bundle)
+        for blur in blurs:
+            blur.result()
     finally:
-        _SHARED = None
+        pool.shutdown(cancel_futures=True)  # on error, pending cells never start
     return _aggregate_smoothed(inputs, gray, cfg)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -166,7 +167,7 @@ def test_info_command(workspace, capsys):
 # ---------------------------------------------------------------------------
 
 
-def _student_container(tmp_path):
+def _student_container(tmp_path, mpp=0.25):
     ids = tuple(TAX.ids)
     planes = np.full((len(ids), 8, 8), -1.0, dtype=np.float32)
     planes[TAX.resolve("stroma")] = 3.0
@@ -174,7 +175,7 @@ def _student_container(tmp_path):
     planes[TAX.resolve("lymphocyte"), 1:3, 1:3] = 6.0
     stack = LogitStack(ids, planes)
     path = tmp_path / "student.tmef"
-    save_stack(container_from_logits(stack, mpp=0.25), path)
+    save_stack(container_from_logits(stack, mpp=mpp), path)
     return path
 
 
@@ -209,6 +210,16 @@ def test_postprocess_panoptic(tmp_path):
     assert classes == {"1": TAX.resolve("lymphocyte")}
     labels = load_stack(out).planes[0]
     assert (labels[nid == 1] == TAX.resolve("lymphocyte")).all()
+
+
+def test_postprocess_carries_the_student_scale(tmp_path, capsys):
+    student = _student_container(tmp_path, mpp=0.5)
+    out = tmp_path / "force.tmef"
+    assert cli(["postprocess", "--student", str(student), "--mode", "force", "--out", str(out)]) == 0
+    assert load_stack(out).mpp == 0.5
+    report = tmp_path / "tme.json"
+    assert cli(["tme", "--mask", str(out), "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["tme"]["mpp"] == 0.5  # not the config fallback
 
 
 def test_postprocess_panoptic_requires_nuclei(tmp_path, capsys):
@@ -337,6 +348,21 @@ def test_data_errors_exit_2(workspace, tmp_path, capsys):
     ) == 2
     err = capsys.readouterr().err
     assert "astrocyte" in err
+
+
+def test_aggregate_data_error_leaves_no_thread(workspace, tmp_path, capsys):
+    cell_path = workspace["bundle"].parent / "cell_logits.tmef"
+    cell = load_stack(cell_path)
+    cell.planes[-1, -1, -1] = np.nan  # the last value the reader reaches
+    save_stack(cell, cell_path)
+    before = threading.active_count()
+    out = tmp_path / "o.tmef"
+    code = cli(["aggregate", "--bundle", str(workspace["bundle"]), "--out", str(out),
+                "--workers", "2"])
+    assert code == 2
+    assert "NaN or Inf" in capsys.readouterr().err
+    assert threading.active_count() == before
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,12 @@
+import sys
+import threading
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tmeseg.tiling
 from tmeseg.aggregate import aggregate
 from tmeseg.config import RunConfig
 from tmeseg.raster import blur_radius, gaussian_smooth
@@ -106,6 +111,79 @@ def test_single_window_path_short_circuits():
     res = tiled_aggregate(bundle, STITCH_CFG, TilePlan(), workers=4)
     full = aggregate(bundle, STITCH_CFG)
     _assert_same_result(full, res)
+
+
+class _InlinePool:
+    """A stand-in for ``ThreadPoolExecutor`` that records its size and runs
+    each task when it is submitted."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_pool_size_is_bounded_by_the_cells(monkeypatch):
+    monkeypatch.setattr(tmeseg.tiling, "ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    bundle = _scene_bundle(11, 100)
+    plan = TilePlan(crop=60, stride=50)  # 2 x 2 windows
+    res = tiled_aggregate(bundle, STITCH_CFG, plan, workers=10**6)
+    assert _InlinePool.sizes == [len(iterate_tiles((100, 100), plan))] == [4]
+    _assert_same_result(aggregate(bundle, STITCH_CFG), res)
+
+
+class _ReduceAfterFirstBlur:
+    """A bundle whose ``reduce`` first waits, a few seconds at most, for the
+    first cell to be blurred, and records whether it was."""
+
+    def __init__(self, bundle, blurred: threading.Event):
+        self.he = bundle.he
+        self.bundle = bundle
+        self.blurred = blurred
+        self.waited = []
+
+    def reduce(self):
+        self.waited.append(self.blurred.wait(timeout=5))
+        return self.bundle.reduce()
+
+
+def test_blur_runs_while_the_bundle_is_reduced(monkeypatch):
+    blurred = threading.Event()
+
+    def signalling_smooth(img, sigma):
+        out = gaussian_smooth(img, sigma)
+        blurred.set()
+        return out
+
+    monkeypatch.setattr(tmeseg.tiling, "gaussian_smooth", signalling_smooth)
+    bundle = _scene_bundle(13, 400)
+    waiting = _ReduceAfterFirstBlur(bundle, blurred)
+    res = tiled_aggregate(waiting, STITCH_CFG, TilePlan(), workers=1)
+    assert waiting.waited == [True]
+    _assert_same_result(aggregate(bundle, STITCH_CFG), res)
+
+
+def test_threaded_blur_under_frequent_thread_switches():
+    bundle = _scene_bundle(17, 200)
+    plan = TilePlan(crop=24, stride=20)  # 100 cells, each written by one of 8 threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = tiled_aggregate(bundle, STITCH_CFG, plan, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    full = aggregate(bundle, STITCH_CFG)
+    assert res.semantic.tobytes() == full.semantic.tobytes()
+    assert res.classes == full.classes
 
 
 @st.composite
