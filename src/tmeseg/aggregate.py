@@ -26,7 +26,7 @@ A structurally separate per-pixel reference of the same rules lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -230,14 +230,15 @@ def _reduce_tissue(blocks: Blocks, shape: tuple) -> np.ndarray:
     return labels.reshape(shape)
 
 
-def _reduce_cells(blocks: Blocks, index: np.ndarray) -> np.ndarray:
-    """Cell logits at the pixels of the ascending flat ``index``, one row per
-    ``CELL_IDS`` channel. A block covering flat indices ``[start, start +
-    size)`` fills the columns whose pixels fall in it."""
-    vals = np.empty((len(CELL_IDS), index.size), dtype=np.float32)
+def _reduce_cells(blocks: Blocks, index: np.ndarray, rows: Mapping[int, int]) -> np.ndarray:
+    """Logits at the pixels of the ascending flat ``index``, in row
+    ``rows[class id]`` for each class the blocks carry. A block covering
+    flat indices ``[start, start + size)`` fills the columns whose pixels
+    fall in it."""
+    vals = np.empty((len(rows), index.size), dtype=np.float32)
     for class_id, start, block in blocks:
         lo, hi = np.searchsorted(index, (start, start + block.size))
-        vals[_CELL_ROW[class_id], lo:hi] = block[index[lo:hi] - start]
+        vals[rows[class_id], lo:hi] = block[index[lo:hi] - start]
     return vals
 
 
@@ -272,7 +273,7 @@ def fusion_inputs(
         nuclei=nuclei,
         groups=groups,
         tissue_pre=tissue_pre,
-        cell_vals=_reduce_cells(cell_blocks, rows * w + cols),
+        cell_vals=_reduce_cells(cell_blocks, rows * w + cols, _CELL_ROW),
         mitosis_candidates=tuple(mitosis_candidates),
         halo=halo,
         mpp=mpp,

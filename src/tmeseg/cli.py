@@ -22,23 +22,20 @@ from . import __version__
 from .config import RunConfig, config_from_json
 from .container import (
     BundleReader,
+    StudentReader,
     container_from_labels,
     labels_from_container,
     load_stack,
-    logits_from_container,
     instances_from_container,
     save_bundle,
     save_stack,
+    scan_stack,
 )
 from .counting import count_record
 from .metrics import evaluate_instances, evaluate_semantic, format_table
-from .postprocess import NUCLEUS_CLASSES, force_mode, panoptic_assign
+from .postprocess import NUCLEUS_CLASSES, reduce_force, reduce_panoptic
 from .raster import InstanceMap
-from .reference import reference_aggregate
-from .synth import build_bundle, random_scene
 from .taxonomy import VOCABULARY, load_class_map
-from .tiling import tiled_aggregate
-from .tme import slide_metrics
 
 SCHEMA_VERSION = 1
 
@@ -114,7 +111,14 @@ def _write_json(doc: dict, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+# reference, synth, tiling and tme are imported by the commands that use them,
+# so the others start without them
+
+
 def _cmd_synth(args) -> int:
+    from .reference import reference_aggregate
+    from .synth import build_bundle, random_scene
+
     config = _load_config(args)
     scene = random_scene(
         args.seed,
@@ -149,6 +153,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
+    from .tiling import tiled_aggregate
+
     config = _load_config(args)
     # one pass over the input files; the blur runs while nuclei and logits are read
     with BundleReader(args.bundle) as reader:
@@ -175,30 +181,28 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_postprocess(args) -> int:
     config = _load_config(args)
-    student = load_stack(args.student)
-    stack = logits_from_container(student)
+    if args.mode == "panoptic" and not args.nuclei:
+        raise _UsageError("--mode panoptic requires --nuclei")
+    if args.mode == "force" and args.nuclei:
+        raise _UsageError("--mode force takes no --nuclei")
+    # one pass over each input file: hashed, checked and reduced chunk by chunk
+    with StudentReader(args.student, args.nuclei) as reader:
+        if args.mode == "force":
+            labels, doc = reduce_force(reader.blocks(), reader.shape), None
+        else:
+            labels, classes = reduce_panoptic(reader.blocks(), reader.nuclei())
+            doc = {
+                "schema_version": SCHEMA_VERSION,
+                "classes": {str(g): c for g, c in sorted(classes.items())},
+            }
     out = Path(args.out)
-    inputs = [Path(args.student)]
-    if args.mode == "force":
-        labels = force_mode(stack)
-        doc = None
-    else:
-        if not args.nuclei:
-            raise _UsageError("--mode panoptic requires --nuclei")
-        inputs.append(Path(args.nuclei))
-        nuclei = instances_from_container(load_stack(args.nuclei))
-        labels, classes = panoptic_assign(stack, nuclei)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "classes": {str(g): c for g, c in sorted(classes.items())},
-        }
-    save_stack(container_from_labels(labels, student.mpp), out)
+    save_stack(container_from_labels(labels, reader.mpp), out)
     outputs = [out]
     if doc is not None:
         classes_path = out.with_suffix(".classes.json")
         _write_json(doc, classes_path)
         outputs.append(classes_path)
-    record = _provenance("postprocess", config, _hashed(inputs), outputs)
+    record = _provenance("postprocess", config, reader.digests, outputs)
     record["mode"] = args.mode
     _write_json(record, _provenance_path(out))
     print(f"wrote {out}")
@@ -284,6 +288,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_tme(args) -> int:
+    from .tme import slide_metrics
+
     config = _load_config(args)
     container = load_stack(args.mask)
     mask = labels_from_container(container)
@@ -305,13 +311,13 @@ def _cmd_tme(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    container = load_stack(args.path)
+    header, digest = scan_stack(args.path)
     doc = {
-        "header": container.header(),
+        "header": header,
         "provenance": {
             "schema_version": SCHEMA_VERSION,
             "version": __version__,
-            "inputs": _hashed([Path(args.path)]),
+            "inputs": {str(Path(args.path)): digest},
         },
     }
     print(json.dumps(doc, indent=2, sort_keys=True))

@@ -6,11 +6,17 @@ header carries ``{"magic": "TMEF1", "width", "height", "dtype", "channels",
 "mpp"?, "halo"?, "meta"?}`` with dtype one of f32 / u8 / u32. Round-trips
 are lossless; f32 payloads must be finite.
 
-``load_stack`` reads one file into memory. ``BundleReader`` reads a whole
-teacher bundle once, in chunks: opening it checks every header against the
-others before allocating any payload and reads H&E; its ``reduce`` then
-reads nuclei and hashes, checks and reduces each logit file chunk by chunk,
-so the logit stacks never sit in memory.
+``load_stack`` reads one file into memory. The streamed readers read each
+file once, through one buffer of at most 4 MB, hashing every byte and
+checking every f32 chunk finite as it arrives:
+
+* ``BundleReader`` reads a whole teacher bundle: opening it checks every
+  header against the others before allocating any payload and reads H&E;
+  its ``reduce`` then reads nuclei and reduces each logit file chunk by
+  chunk, so the logit stacks never sit in memory.
+* ``StudentReader`` reads a student logit file, and its nuclei, for the
+  ``postprocess`` reductions in the same way.
+* ``scan_stack`` checks and hashes one file without keeping its payload.
 """
 
 from __future__ import annotations
@@ -89,20 +95,9 @@ class StackContainer:
         return self.planes.shape[2]
 
     def header(self) -> dict:
-        doc = {
-            "magic": MAGIC,
-            "width": self.width,
-            "height": self.height,
-            "dtype": self.dtype,
-            "channels": list(self.channels),
-        }
-        if self.mpp is not None:
-            doc["mpp"] = self.mpp
-        if self.halo is not None:
-            doc["halo"] = self.halo
-        if self.meta:
-            doc["meta"] = self.meta
-        return doc
+        return _Header(
+            self.dtype, self.height, self.width, self.channels, self.mpp, self.halo, self.meta
+        ).doc()
 
 
 def save_stack(container: StackContainer, path: str | Path) -> None:
@@ -158,6 +153,23 @@ class _Header:
     def wire(self) -> np.dtype:
         return np.dtype(_DTYPES[self.dtype])
 
+    def doc(self) -> dict:
+        """The header as ``save_stack`` writes it."""
+        doc = {
+            "magic": MAGIC,
+            "width": self.width,
+            "height": self.height,
+            "dtype": self.dtype,
+            "channels": list(self.channels),
+        }
+        if self.mpp is not None:
+            doc["mpp"] = self.mpp
+        if self.halo is not None:
+            doc["halo"] = self.halo
+        if self.meta:
+            doc["meta"] = self.meta
+        return doc
+
 
 def _read_checked_header(fh, path) -> _Header:
     """Read and check the header; leave ``fh`` at the first payload byte.
@@ -182,6 +194,8 @@ def _read_checked_header(fh, path) -> _Header:
         or not all(isinstance(c, str) for c in channels)
     ):
         raise ContainerError(f"{path}: channels must be a non-empty list of names")
+    if len(set(channels)) != len(channels):
+        raise ContainerError(f"{path}: channel names must be distinct")
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
         raise ContainerError(f"{path}: meta must be a JSON object")
@@ -399,7 +413,7 @@ def load_bundle(manifest_path: str | Path):
 
 
 # ---------------------------------------------------------------------------
-# Streamed bundle reader: every byte read once, hashed, checked and reduced
+# Streamed readers: every byte read once, hashed, checked and reduced
 # ---------------------------------------------------------------------------
 
 
@@ -448,6 +462,46 @@ def _chunks(
         raise _changed(path)
 
 
+_Part = tuple[_Hashed, _Header, Path]  # an open file, its checked header, its path
+
+
+def _open(files: ExitStack, path: Path) -> _Part:
+    """Open ``path`` in ``files`` for one hashed pass; read and check its header."""
+    fh = _Hashed(files.enter_context(open(path, "rb")))
+    return fh, _read_checked_header(fh, path), path
+
+
+def _chunk_buffer(head: _Header) -> np.ndarray:
+    """One buffer for every chunk: a plane of the widest dtype, 4 MB at most."""
+    return np.empty(min(_CHUNK_BYTES, 4 * head.height * head.width), dtype=np.uint8)
+
+
+def _read_instances(part: _Part, types: dict[int, int]) -> InstanceMap:
+    """The instance map of a checked u32 ``part``, read in place."""
+    _, head, _ = part
+    ids = np.empty((head.height, head.width), dtype=np.uint32)
+    for _ in _chunks(*part, ids.reshape(-1).view(np.uint8)):
+        pass  # the buffer is the id raster itself: one chunk, read in place
+    return _instance_map(ids, types)
+
+
+def _digests(parts) -> dict[str, str]:
+    return {str(path): fh.sha.hexdigest() for fh, _, path in parts}
+
+
+def scan_stack(path: str | Path) -> tuple[dict, str]:
+    """Check a TMEF1 file end to end in one pass, one chunk at a time.
+
+    Returns its header as ``save_stack`` wrote it and its SHA-256; raises as
+    ``load_stack`` would, without allocating the payload.
+    """
+    with ExitStack() as files:
+        fh, head, path = _open(files, Path(path))
+        for _ in _chunks(fh, head, path, _chunk_buffer(head)):
+            pass
+    return head.doc(), fh.sha.hexdigest()
+
+
 class BundleReader(ExitStack):
     """A teacher bundle read once from disk, H&E first.
 
@@ -477,9 +531,9 @@ class BundleReader(ExitStack):
         doc, parts = _parse_manifest(raw, manifest_path)
         self.candidates, self.halo, self.mpp = _bundle_scalars(doc)
         self.digests = {str(manifest_path): hashlib.sha256(raw).hexdigest()}
-        with ExitStack() as stack:  # closes the files if opening fails
-            files = {k: _Hashed(stack.enter_context(open(p, "rb"))) for k, p in parts.items()}
-            heads = {k: _read_checked_header(fh, parts[k]) for k, fh in files.items()}
+        with ExitStack() as files:  # closes the files if opening fails
+            self._parts = {k: _open(files, p) for k, p in parts.items()}
+            heads = {k: head for k, (_, head, _) in self._parts.items()}
             he_head, ids_head = heads["he"], heads["nuclei"]
             frame = (he_head.height, he_head.width)
             self._class_ids = {}
@@ -499,14 +553,12 @@ class BundleReader(ExitStack):
             except (ValueError, UnknownClassError) as exc:
                 raise ContainerError(f"{manifest_path}: {exc}") from exc
 
-            # one buffer for every chunk: a plane of the widest dtype, 4 MB at most
-            self._buf = np.empty(min(_CHUNK_BYTES, 4 * frame[0] * frame[1]), dtype=np.uint8)
+            self._buf = _chunk_buffer(he_head)
             self.he = np.empty(frame + (3,), dtype=np.uint8)
             he_px = self.he.reshape(-1, 3)
-            for channel, start, chunk in _chunks(files["he"], he_head, parts["he"], self._buf):
+            for channel, start, chunk in _chunks(*self._parts["he"], self._buf):
                 he_px[start : start + chunk.size, channel] = chunk
-            self.push(stack.pop_all())  # the files stay open for reduce
-        self._parts = {k: (files[k], heads[k], parts[k]) for k in parts}
+            self.push(files.pop_all())  # the files stay open for reduce
 
     def reduce(self):
         """Read nuclei and the logit files: the bundle's ``FusionInputs``."""
@@ -516,19 +568,16 @@ class BundleReader(ExitStack):
             for channel, start, chunk in _chunks(*self._parts[name], self._buf):
                 yield self._class_ids[name][channel], start, chunk
 
-        ids = np.empty(self.he.shape[:2], dtype=np.uint32)  # checked equal to the frame
-        for _ in _chunks(*self._parts["nuclei"], ids.reshape(-1).view(np.uint8)):
-            pass  # the buffer is the id raster itself: one chunk, read in place
         inputs = fusion_inputs(
             self.he,
-            _instance_map(ids, self._types),
+            _read_instances(self._parts["nuclei"], self._types),
             logits("tissue_logits"),
             logits("cell_logits"),
             self.candidates,
             self.halo,
             self.mpp,
         )
-        self.digests.update((str(p), fh.sha.hexdigest()) for fh, _, p in self._parts.values())
+        self.digests.update(_digests(self._parts.values()))
         return inputs
 
 
@@ -536,3 +585,55 @@ def stream_bundle(manifest_path: str | Path):
     """A bundle's ``FusionInputs`` and digests, read by one ``BundleReader``."""
     with BundleReader(manifest_path) as reader:
         return reader.reduce(), reader.digests
+
+
+class StudentReader(ExitStack):
+    """A student logit file, and for panoptic mode its nuclei, read once.
+
+    Opening reads both headers and checks them before any payload is
+    allocated: the student must be f32 and carry every vocabulary class
+    once, the nuclei an instance map of the student's dimensions.
+    ``nuclei()`` reads the instance map; ``blocks()`` reads the student
+    through one buffer of at most ``_CHUNK_BYTES`` as ``(class id, flat
+    start, chunk)`` blocks, each hashed and checked finite, for
+    ``postprocess.reduce_force`` / ``reduce_panoptic``. Once both are read,
+    ``digests`` holds the SHA-256 of each file, keyed by path as ``str``.
+    """
+
+    def __init__(self, student_path: str | Path, nuclei_path: str | Path | None = None):
+        from .postprocess import check_student_roster  # deferred: postprocess imports aggregate
+
+        super().__init__()
+        with ExitStack() as files:  # closes the files if opening fails
+            self._parts = [_open(files, Path(student_path))]
+            if nuclei_path is not None:
+                self._parts.append(_open(files, Path(nuclei_path)))
+            head = self._parts[0][1]
+            try:
+                if head.dtype != "f32":
+                    raise DtypeError(f"student logits must be f32, not {head.dtype}")
+                self.class_ids = tuple(VOCABULARY.resolve(c) for c in head.channels)
+                check_student_roster(self.class_ids)
+                if nuclei_path is not None:
+                    ids_head = self._parts[1][1]
+                    _check_kind(ids_head.dtype, ids_head.channels, "u32", _IDS, "an instance map")
+                    if (ids_head.height, ids_head.width) != (head.height, head.width):
+                        raise ValueError("nuclei and logits dimensions differ")
+                    self._types = _teacher_types(ids_head.meta)
+            except (ValueError, UnknownClassError) as exc:
+                raise ContainerError(f"{student_path}: {exc}") from exc
+            self.push(files.pop_all())
+        self.shape = (head.height, head.width)
+        self.mpp = head.mpp
+
+    def nuclei(self) -> InstanceMap:
+        return _read_instances(self._parts[1], self._types)
+
+    def blocks(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        part = self._parts[0]
+        for channel, start, chunk in _chunks(*part, _chunk_buffer(part[1])):
+            yield self.class_ids[channel], start, chunk
+
+    @property
+    def digests(self) -> dict[str, str]:
+        return _digests(self._parts)

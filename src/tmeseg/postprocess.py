@@ -10,12 +10,21 @@ Two modes:
 
 Ties always resolve to the lowest class id. The generic leukocyte class
 never appears in either output.
+
+Both modes are reductions over a stream of logit blocks, ``(class id, flat
+start, block)`` in any channel order (``aggregate.Blocks``):
+``reduce_force`` and ``reduce_panoptic``. The in-memory calls feed them
+whole planes; ``tmeseg postprocess`` feeds them the chunks of a
+``container.StudentReader``, so the student stack never sits in memory.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from .aggregate import Blocks, _reduce_cells, _whole_planes
 from .raster import InstanceMap, LogitStack
 from .taxonomy import LEUKOCYTE, VOCABULARY, ids_of
 
@@ -46,18 +55,21 @@ NON_NUCLEUS_CLASSES = (
     "epithelial_tissue",
     "red_blood_cell",
 )
-# The rosters' class ids, ascending; they index the planes of a stack that
-# went through as_student_logits, whose plane c holds class c.
+# The rosters' class ids, ascending.
 SUBTYPE_IDS, NUCLEUS_IDS, NON_NUCLEUS_IDS = (
     np.asarray(sorted(ids_of(names)), dtype=np.uint8)
     for names in (LEUKOCYTE_SUBTYPES, NUCLEUS_CLASSES, NON_NUCLEUS_CLASSES)
 )
+_SUBTYPE_SET, _NON_NUCLEUS_SET = set(SUBTYPE_IDS.tolist()), set(NON_NUCLEUS_IDS.tolist())
+# Row of each nucleus class in the gathered values, ascending by id.
+_NUCLEUS_ROW = {c: i for i, c in enumerate(NUCLEUS_IDS.tolist())}
 
 
-def as_student_logits(stack: LogitStack) -> LogitStack:
-    """Validate a full-vocabulary stack and order channels by class id."""
-    want = set(VOCABULARY.ids)
-    have = set(stack.class_ids)
+def check_student_roster(class_ids: Sequence[int]) -> None:
+    """A student stack must carry every vocabulary class exactly once."""
+    want, have = set(VOCABULARY.ids), set(class_ids)
+    if len(have) != len(class_ids):
+        raise ValueError("student logit channels must be distinct")
     if have != want:
         missing = sorted(VOCABULARY.name_of(c) for c in want - have)
         extra = sorted(str(c) for c in have - want)
@@ -65,6 +77,11 @@ def as_student_logits(stack: LogitStack) -> LogitStack:
             f"student logits must cover the full vocabulary; "
             f"missing {missing}, unexpected {extra}"
         )
+
+
+def as_student_logits(stack: LogitStack) -> LogitStack:
+    """Validate a full-vocabulary stack and order channels by class id."""
+    check_student_roster(stack.class_ids)
     order = np.argsort(np.asarray(stack.class_ids))
     if (order == np.arange(order.size)).all():
         return stack
@@ -73,19 +90,55 @@ def as_student_logits(stack: LogitStack) -> LogitStack:
     )
 
 
+def _student_planes(stack: LogitStack) -> Blocks:
+    """A checked in-memory student stack as whole-plane blocks, in its order."""
+    check_student_roster(stack.class_ids)
+    stack.require_finite()
+    return _whole_planes(stack)
+
+
+class _Argmax:
+    """Running argmax over planes that arrive block by block, in any order.
+
+    A pixel takes an incoming value where it is greater than the best so
+    far, or equal to it from a lower class id, so ties go to the lowest id
+    whatever the channel order, as ``np.argmax`` over id-sorted planes does.
+    Values are finite, so the first plane's land everywhere.
+    """
+
+    def __init__(self, size: int):
+        self.best = np.full(size, -np.inf, dtype=np.float32)
+        self.arg = np.zeros(size, dtype=np.uint8)
+
+    def __call__(self, class_id: int, start: int, block: np.ndarray) -> None:
+        best = self.best[start : start + block.size]
+        arg = self.arg[start : start + block.size]
+        take = block > best
+        take |= (block == best) & (arg > class_id)
+        np.copyto(best, block, where=take)
+        np.copyto(arg, class_id, where=take)
+
+
 def force_mode(stack: LogitStack) -> np.ndarray:
     """Per-pixel argmax with leukocyte winners pushed down to subtypes.
 
     Where the global winner is the generic leukocyte class, the pixel is
     reassigned to the highest-valued subtype channel regardless of sign.
     """
-    stack = as_student_logits(stack)
-    labels = np.argmax(stack.planes, axis=0).astype(np.uint8)
-    at = labels == LEUKOCYTE
-    if at.any():
-        sub = stack.planes[SUBTYPE_IDS][:, at]
-        labels[at] = SUBTYPE_IDS[np.argmax(sub, axis=0)]
-    return labels
+    return reduce_force(_student_planes(stack), (stack.height, stack.width))
+
+
+def reduce_force(blocks: Blocks, shape: tuple[int, int]) -> np.ndarray:
+    """``force_mode`` over the blocks of a checked student stack of ``shape``."""
+    size = shape[0] * shape[1]
+    every, subtype = _Argmax(size), _Argmax(size)
+    for class_id, start, block in blocks:
+        every(class_id, start, block)
+        if class_id in _SUBTYPE_SET:
+            subtype(class_id, start, block)
+    labels = every.arg
+    np.copyto(labels, subtype.arg, where=labels == LEUKOCYTE)
+    return labels.reshape(shape)
 
 
 def panoptic_assign(
@@ -98,19 +151,36 @@ def panoptic_assign(
     the argmax over region classes. Returns the label raster and the
     per-nucleus classes.
     """
-    stack = as_student_logits(stack)
+    blocks = _student_planes(stack)
     if nuclei.ids.shape != (stack.height, stack.width):
         raise ValueError("nuclei and logits dimensions differ")
+    return reduce_panoptic(blocks, nuclei)
 
-    labels = NON_NUCLEUS_IDS[np.argmax(stack.planes[NON_NUCLEUS_IDS], axis=0)]
 
+def reduce_panoptic(
+    blocks: Blocks, nuclei: InstanceMap
+) -> tuple[np.ndarray, dict[int, int]]:
+    """``panoptic_assign`` over the blocks of a checked student stack of the
+    nuclei's dimensions.
+
+    Region planes go through a running argmax. Nucleus planes are gathered
+    at the nucleus pixels and summed per nucleus once all have arrived, in
+    pixel order, so the float64 sums match a sum over whole planes bit for bit.
+    """
+    h, w = nuclei.ids.shape
     rows, cols, slot, gids = nuclei.pixel_groups()
-    sums = np.stack(
-        [
-            np.bincount(slot, weights=stack.planes[c][rows, cols], minlength=gids.size)
-            for c in NUCLEUS_IDS
-        ]
-    )
+    region = _Argmax(h * w)
+
+    def nucleus_blocks() -> Blocks:
+        for class_id, start, block in blocks:
+            if class_id in _NUCLEUS_ROW:
+                yield class_id, start, block
+            elif class_id in _NON_NUCLEUS_SET:
+                region(class_id, start, block)
+
+    vals = _reduce_cells(nucleus_blocks(), rows * w + cols, _NUCLEUS_ROW)
+    sums = np.stack([np.bincount(slot, weights=v, minlength=gids.size) for v in vals])
     best = NUCLEUS_IDS[np.argmax(sums, axis=0)]  # ties -> lowest id
+    labels = region.arg.reshape(h, w)
     labels[rows, cols] = best[slot]
     return labels, dict(zip(gids.tolist(), best.tolist()))

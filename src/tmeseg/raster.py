@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 
 _BLOCK = 1 << 20  # elements per blockwise scan: a 1 MB mask at most
@@ -220,6 +219,8 @@ def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
     rounded and clipped in place, so the result is independent of channel
     order and input strides.
     """
+    from scipy import ndimage  # here, not at the top: commands that never call it skip the import
+
     check_rgb_tile(img)
     radius = blur_radius(sigma)
     out = np.empty_like(img)
@@ -291,8 +292,9 @@ def otsu_threshold(gray: np.ndarray) -> int:
 # Connected components and contours
 # ---------------------------------------------------------------------------
 
-_STRUCT4 = ndimage.generate_binary_structure(2, 1)
-_STRUCT8 = ndimage.generate_binary_structure(2, 2)
+# ndimage.generate_binary_structure(2, 1) and (2, 2)
+_STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+_STRUCT8 = np.ones((3, 3), dtype=bool)
 
 
 def _structure(connectivity: int) -> np.ndarray:
@@ -309,6 +311,8 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> InstanceMap
     Ids start at 1 and follow the order in which each component's first
     pixel is met scanning rows left to right.
     """
+    from scipy import ndimage
+
     mask = as_bitmask(mask)
     labeled, n = ndimage.label(mask, structure=_structure(connectivity))
     if n == 0:
@@ -336,6 +340,8 @@ class Contour:
 
 def contours(mask: np.ndarray) -> list[Contour]:
     """One contour per 8-connected component; holes count toward the area."""
+    from scipy import ndimage
+
     mask = as_bitmask(mask)
     labeled, n = ndimage.label(mask, structure=_STRUCT8)
     out: list[Contour] = []
@@ -441,6 +447,8 @@ def distance_band(region: np.ndarray, radius_um: float, mpp: float) -> np.ndarra
     Distances are exact Euclidean (two-pass squared EDT); the radius is
     converted to pixels as ``radius_um / mpp``.
     """
+    from scipy import ndimage
+
     region = as_bitmask(region)
     if not (math.isfinite(radius_um) and radius_um > 0):
         raise ValueError("radius_um must be positive and finite")

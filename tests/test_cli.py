@@ -230,6 +230,16 @@ def test_postprocess_panoptic_requires_nuclei(tmp_path, capsys):
     assert "requires --nuclei" in capsys.readouterr().err
 
 
+def test_postprocess_force_rejects_nuclei(tmp_path, capsys):
+    student = _student_container(tmp_path)
+    out = tmp_path / "force.tmef"
+    code = cli(["postprocess", "--student", str(student), "--mode", "force",
+                "--nuclei", str(tmp_path / "nuclei.tmef"), "--out", str(out)])
+    assert code == 1  # not silently ignored: force mode reads no nuclei
+    assert "takes no --nuclei" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and provenance
 # ---------------------------------------------------------------------------
