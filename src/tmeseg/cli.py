@@ -25,7 +25,7 @@ from .container import (
     StudentReader,
     container_from_labels,
     labels_from_container,
-    load_stack,
+    load_hashed,
     instances_from_container,
     save_bundle,
     save_stack,
@@ -69,6 +69,12 @@ def _sha256_file(path: Path) -> str:
 def _hashed(paths: Sequence[Path]) -> dict[str, str]:
     """The SHA-256 of each file, keyed by path as ``str``."""
     return {str(p): _sha256_file(Path(p)) for p in paths}
+
+
+def _load(path: str, digests: dict[str, str]):
+    """Load a TMEF1 file; its SHA-256, from the same read, goes into ``digests``."""
+    container, digests[str(Path(path))] = load_hashed(path)
+    return container
 
 
 def _provenance(
@@ -211,9 +217,9 @@ def _cmd_postprocess(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _load_config(args)
-    gt = labels_from_container(load_stack(args.gt))
-    pred = labels_from_container(load_stack(args.pred))
-    inputs = [Path(args.gt), Path(args.pred)]
+    digests: dict[str, str] = {}
+    gt = labels_from_container(_load(args.gt, digests))
+    pred = labels_from_container(_load(args.pred, digests))
 
     semantic = evaluate_semantic(gt, pred, VOCABULARY.ids)
     report = {"schema_version": SCHEMA_VERSION, "semantic": semantic}
@@ -224,7 +230,7 @@ def _cmd_evaluate(args) -> int:
 
     if args.map and args.nuclei and args.gt_classes:
         cmap = load_class_map(args.map)
-        nuclei = instances_from_container(load_stack(args.nuclei))
+        nuclei = instances_from_container(_load(args.nuclei, digests))
         with open(args.gt_classes, "r", encoding="utf-8") as fh:
             classes_doc = json.load(fh)
         gt_classes = {
@@ -240,7 +246,7 @@ def _cmd_evaluate(args) -> int:
             nuclei = InstanceMap.from_ids(ids)
         instance = evaluate_instances(nuclei, gt_classes, pred, cmap)
         report["instance"] = instance
-        inputs += [Path(args.map), Path(args.nuclei), Path(args.gt_classes)]
+        digests.update(_hashed([Path(args.map), Path(args.gt_classes)]))
         rows = [
             [name, vals["mcc"], vals["n_gt"]] for name, vals in instance.items()
         ]
@@ -253,14 +259,15 @@ def _cmd_evaluate(args) -> int:
 
     out = Path(args.out)
     _write_json(report, out)
-    record = _provenance("evaluate", config, _hashed(inputs), [out])
+    record = _provenance("evaluate", config, digests, [out])
     _write_json(record, _provenance_path(out))
     return 0
 
 
 def _cmd_count(args) -> int:
     config = _load_config(args)
-    mask = labels_from_container(load_stack(args.mask))
+    digests: dict[str, str] = {}
+    mask = labels_from_container(_load(args.mask, digests))
     names = (
         [n.strip() for n in args.classes.split(",") if n.strip()]
         if args.classes
@@ -282,7 +289,7 @@ def _cmd_count(args) -> int:
         [n, r["component_count"], r["pixel_area"]] for n, r in records.items()
     ]
     print(format_table(["class", "components", "pixels"], rows))
-    record = _provenance("count", config, _hashed([Path(args.mask)]), [out])
+    record = _provenance("count", config, digests, [out])
     _write_json(record, _provenance_path(out))
     return 0
 
@@ -291,7 +298,8 @@ def _cmd_tme(args) -> int:
     from .tme import slide_metrics
 
     config = _load_config(args)
-    container = load_stack(args.mask)
+    digests: dict[str, str] = {}
+    container = _load(args.mask, digests)
     mask = labels_from_container(container)
     mpp = args.mpp if args.mpp is not None else container.mpp
     if mpp is None:
@@ -305,7 +313,7 @@ def _cmd_tme(args) -> int:
         f"tumor cells: {metrics.tumor_cell_count}; "
         f"margin band: {metrics.band_area_mm2:.6f} mm^2"
     )
-    record = _provenance("tme", config, _hashed([Path(args.mask)]), [out])
+    record = _provenance("tme", config, digests, [out])
     _write_json(record, _provenance_path(out))
     return 0
 

@@ -6,9 +6,10 @@ header carries ``{"magic": "TMEF1", "width", "height", "dtype", "channels",
 "mpp"?, "halo"?, "meta"?}`` with dtype one of f32 / u8 / u32. Round-trips
 are lossless; f32 payloads must be finite.
 
-``load_stack`` reads one file into memory. The streamed readers read each
-file once, through one buffer of at most 4 MB, hashing every byte and
-checking every f32 chunk finite as it arrives:
+``load_stack`` reads one file into memory; ``load_hashed`` also returns
+its SHA-256, taken in the same read. The streamed readers read each file
+once, through one buffer of at most 4 MB, hashing every byte and checking
+every f32 chunk finite as it arrives:
 
 * ``BundleReader`` reads a whole teacher bundle: opening it checks every
   header against the others before allocating any payload and reads H&E;
@@ -223,11 +224,22 @@ def load_stack(path: str | Path) -> StackContainer:
     memory of a load is about the payload size.
     """
     with open(path, "rb") as fh:
-        head = _read_checked_header(fh, path)
-        planes = np.empty((len(head.channels), head.height, head.width), dtype=head.wire)
-        got = fh.readinto(memoryview(planes).cast("B"))
-        if got != planes.nbytes or fh.read(1):  # the file changed after fstat
-            raise _changed(path)
+        return _load(fh, path)
+
+
+def load_hashed(path: str | Path) -> tuple[StackContainer, str]:
+    """``load_stack`` and the file's SHA-256, both from the one read."""
+    with open(path, "rb") as raw:
+        fh = _Hashed(raw)
+        return _load(fh, path), fh.sha.hexdigest()
+
+
+def _load(fh, path) -> StackContainer:
+    head = _read_checked_header(fh, path)
+    planes = np.empty((len(head.channels), head.height, head.width), dtype=head.wire)
+    got = fh.readinto(memoryview(planes).cast("B"))
+    if got != planes.nbytes or fh.read(1):  # the file changed after fstat
+        raise _changed(path)
     if head.dtype == "f32" and not all_finite(planes):
         raise PayloadValueError(f"{path}: f32 payload contains NaN or Inf")
     return StackContainer(

@@ -55,8 +55,8 @@ def estimate_count_by_area(
     mask: np.ndarray, class_id: int, mean_area: float
 ) -> float:
     """Pixel area of the class divided by the calibrated mean cell area."""
-    if mean_area <= 0:
-        raise ValueError("mean_area must be positive")
+    if not (math.isfinite(mean_area) and mean_area > 0):
+        raise ValueError("mean_area must be positive and finite")
     return class_pixel_area(mask, class_id) / mean_area
 
 
@@ -84,6 +84,8 @@ def calibrate(pairs: Sequence[tuple[float, float]]) -> dict[str, float]:
         raise ValueError("calibration needs at least two (area, count) pairs")
     a = np.asarray([p[0] for p in pairs], dtype=np.float64)
     c = np.asarray([p[1] for p in pairs], dtype=np.float64)
+    if not (np.isfinite(a).all() and np.isfinite(c).all()):
+        raise ValueError("areas and counts must be finite")
     if (a < 0).any() or (c < 0).any():
         raise ValueError("areas and counts must be non-negative")
     saa = float(a @ a)

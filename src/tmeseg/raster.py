@@ -441,23 +441,78 @@ def rasterize_hull(hull: np.ndarray, extent: tuple[int, int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _max_squared(r: float, limit: int) -> int:
+    """The largest integer ``d2 <= limit`` with ``sqrt(float(d2)) <= r``.
+
+    ``sqrt`` is monotone and integers below 2**53 are exact in float64, so
+    for every integer ``d2 <= limit`` the test ``d2 <= _max_squared(r,
+    limit)`` is the test ``sqrt(float64(d2)) <= r``, bit for bit.
+    """
+    t = limit if r * r >= limit else math.floor(r * r)
+    while t < limit and math.sqrt(t + 1) <= r:
+        t += 1
+    while math.sqrt(t) > r:
+        t -= 1
+    return t
+
+
 def distance_band(region: np.ndarray, radius_um: float, mpp: float) -> np.ndarray:
     """Pixels outside ``region`` within ``radius_um`` of its nearest pixel.
 
-    Distances are exact Euclidean (two-pass squared EDT); the radius is
-    converted to pixels as ``radius_um / mpp``.
-    """
-    from scipy import ndimage
+    Distances are exact Euclidean; the radius is converted to pixels as
+    ``r = radius_um / mpp``. The frame is done in strips of rows. Each
+    strip is read through a window grown by ``floor(r)`` rows on either
+    side (clamped to the frame), where scipy's feature transform finds each
+    pixel's nearest region pixel. That is exact: a region pixel within ``r``
+    of a strip pixel is at most ``floor(r)`` rows away, so it lies in the
+    window, and a pixel farther than ``r`` from the region is no nearer to
+    the window's part of it. A pixel joins the band when its integer
+    squared distance is at most ``_max_squared``'s ceiling, which is the
+    test ``sqrt(d2) <= r`` on scipy's float64 distance map, bit for bit. A
+    window without region pixels leaves its strip empty.
 
+    A strip is at least ``2 * floor(r)`` rows and about ``_BLOCK`` pixels,
+    so at most twice the frame's rows are transformed, and the peak memory
+    depends on the width and the radius, not on the height.
+    """
     region = as_bitmask(region)
     if not (math.isfinite(radius_um) and radius_um > 0):
         raise ValueError("radius_um must be positive and finite")
     if not (math.isfinite(mpp) and mpp > 0):
         raise ValueError("mpp must be positive and finite")
-    if not region.any():
-        return np.zeros_like(region)
-    outside = ~region
-    if not outside.any():
-        return np.zeros_like(region)
-    dist = ndimage.distance_transform_edt(outside)
-    return outside & (dist <= radius_um / mpp)
+    h, w = region.shape
+    r = radius_um / mpp
+    halo = h if r >= h else math.floor(r)
+    ceiling = _max_squared(r, (h - 1) ** 2 + (w - 1) ** 2)
+    strip = max(_BLOCK // w, 1, 2 * halo)
+    band = np.zeros_like(region)
+    for y0 in range(0, h, strip):
+        y1 = min(y0 + strip, h)
+        top = max(y0 - halo, 0)
+        window = region[top : min(y1 + halo, h)]
+        if window.any():
+            _strip_band(window, y0 - top, band[y0:y1], ceiling)
+    return band
+
+
+def _strip_band(window: np.ndarray, first: int, out: np.ndarray, ceiling: int) -> None:
+    """Write into ``out`` the band of ``window``'s rows ``first:first + len(out)``.
+
+    Squared distances are taken in blocks of about ``_BLOCK`` pixels; the
+    feature transform and the blocks are freed on return.
+    """
+    from scipy import ndimage
+
+    ft = ndimage.distance_transform_edt(~window, return_distances=False, return_indices=True)
+    width = window.shape[1]
+    rows = max(_BLOCK // width, 1)
+    cols = np.arange(width)
+    for a in range(0, out.shape[0], rows):
+        b = min(a + rows, out.shape[0])
+        dy = ft[0, first + a : first + b] - np.arange(first + a, first + b)[:, None]
+        dx = ft[1, first + a : first + b] - cols
+        dy *= dy
+        dx *= dx
+        dy += dx
+        np.less_equal(dy, ceiling, out=out[a:b])
+        out[a:b] &= ~window[first + a : first + b]

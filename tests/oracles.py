@@ -15,6 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from tmeseg.raster import as_bitmask
+
 
 def exhaustive_otsu(values: Sequence[int]) -> int:
     """Exact between-class-variance maximizer over all 256 thresholds.
@@ -130,6 +132,30 @@ def brute_distance_band(
             if math.sqrt(float(d2)) <= radius_px:
                 band[y, x] = True
     return band
+
+
+# scipy's distance transform over the whole frame at once: the reference
+# for the strip-by-strip ``raster.distance_band``
+def edt_distance_band(region: np.ndarray, radius_um: float, mpp: float) -> np.ndarray:
+    """Pixels outside ``region`` within ``radius_um`` of its nearest pixel.
+
+    Distances are exact Euclidean (two-pass squared EDT); the radius is
+    converted to pixels as ``radius_um / mpp``.
+    """
+    from scipy import ndimage
+
+    region = as_bitmask(region)
+    if not (math.isfinite(radius_um) and radius_um > 0):
+        raise ValueError("radius_um must be positive and finite")
+    if not (math.isfinite(mpp) and mpp > 0):
+        raise ValueError("mpp must be positive and finite")
+    if not region.any():
+        return np.zeros_like(region)
+    outside = ~region
+    if not outside.any():
+        return np.zeros_like(region)
+    dist = ndimage.distance_transform_edt(outside)
+    return outside & (dist <= radius_um / mpp)
 
 
 def enumerate_mwu(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:

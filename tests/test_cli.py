@@ -1,3 +1,7 @@
+import builtins
+import collections
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -153,6 +157,43 @@ def test_tme_command(workspace, capsys):
         ["tme", "--mask", str(workspace["pred"]), "--mpp", "1.0", "--out", str(out)]
     ) == 0
     assert json.loads(out.read_text())["tme"]["mpp"] == 1.0
+
+
+def _count_opens(monkeypatch) -> collections.Counter:
+    """Counts, while the test runs, the opens of each ``.tmef`` path."""
+    opened = collections.Counter()
+    real = builtins.open
+
+    def counting(file, *args, **kwargs):
+        if str(file).endswith(".tmef"):
+            opened[str(file)] += 1
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    monkeypatch.setattr(io, "open", counting)
+    return opened
+
+
+@pytest.mark.parametrize("command", ["evaluate", "count", "tme"])
+def test_each_input_file_is_read_once(workspace, monkeypatch, capsys, command):
+    d = workspace["dir"]
+    out = d / f"{command}.json"
+    if command == "evaluate":
+        tmef = [workspace["gt"], workspace["pred"], workspace["nuclei"]]
+        sidecars = [_full_map(d), workspace["gt_classes"]]
+        argv = ["evaluate", "--gt", str(tmef[0]), "--pred", str(tmef[1]),
+                "--nuclei", str(tmef[2]), "--map", str(sidecars[0]),
+                "--gt-classes", str(sidecars[1])]
+    else:
+        tmef, sidecars = [workspace["pred"]], []
+        argv = [command, "--mask", str(tmef[0])]
+    opened = _count_opens(monkeypatch)
+    assert cli(argv + ["--out", str(out)]) == 0
+    assert opened == {str(p): 1 for p in tmef}  # the digest comes from the load
+    record = json.loads(out.with_suffix(".provenance.json").read_text())
+    assert record["inputs"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in tmef + sidecars
+    }
 
 
 def test_info_command(workspace, capsys):

@@ -111,3 +111,24 @@ def test_calibrate_degenerate_inputs():
         calibrate([(10.0, 0.0), (20.0, 0.0)])
     with pytest.raises(ValueError, match="non-negative"):
         calibrate([(10.0, 1.0), (-3.0, 2.0)])
+
+
+@pytest.mark.parametrize("mean_area", [float("nan"), float("inf")])
+def test_estimate_rejects_non_finite_mean_area(mean_area):
+    with pytest.raises(ValueError, match="finite"):
+        estimate_count_by_area(_disc_mask([(10, 10)]), 7, mean_area)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(10.0, 1.0), (float("nan"), 2.0)],
+        [(10.0, 1.0), (20.0, float("nan"))],
+        [(10.0, 1.0), (float("inf"), 2.0)],
+        [(10.0, float("inf")), (20.0, 2.0)],
+    ],
+    ids=["nan-area", "nan-count", "inf-area", "inf-count"],
+)
+def test_calibrate_rejects_non_finite_pairs(pairs):
+    with pytest.raises(ValueError, match="finite"):
+        calibrate(pairs)

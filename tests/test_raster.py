@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import tmeseg.raster
 from oracles import (
     brute_distance_band,
+    edt_distance_band,
     exhaustive_otsu,
     point_in_hull,
     union_find_components,
 )
+from test_stream import _traced_peak
 from tmeseg.raster import (
     _BLOCK,
     InstanceAttrs,
@@ -227,6 +230,131 @@ def test_distance_band_empty_and_full():
     assert not distance_band(empty, 10.0, 0.25).any()
     full = np.ones((8, 8), dtype=bool)
     assert not distance_band(full, 10.0, 0.25).any()  # nothing outside
+
+
+# (radius_um, mpp): r below 1 px, non-integer r, r an integer, r beyond
+# every frame below, r = radius_um / mpp overflowing to inf
+STRIP_RADII = [
+    (0.1, 0.25),
+    (0.2, 0.25),
+    (1.0, 0.3),
+    (2.5, 0.7),
+    (3.0, 1.0),
+    (5.0, 0.3),
+    (50.0, 0.3),
+    (1e6, 1.0),
+    (1e300, 1e-10),
+]
+
+
+def _strip_region(rng, h, w, where):
+    """A random region; ``where`` keeps it in the top or bottom quarter, or
+    adds whole rows of region."""
+    region = rng.random((h, w)) < rng.choice([0.002, 0.02, 0.2, 0.7])
+    if where == "top":
+        region[max(h // 4, 1) :] = False
+    elif where == "bottom":
+        region[: 3 * h // 4] = False
+    elif where == "whole-rows":
+        region[h // 3 : h // 2 + 1] = True
+    return region
+
+
+def _record_windows(monkeypatch):
+    """The shapes scipy's transforms are called on, while the test runs."""
+    shapes = []
+    real = ndimage.distance_transform_edt
+
+    def spy(input, *args, **kwargs):
+        shapes.append(np.shape(input))
+        return real(input, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "distance_transform_edt", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("block", [16, 64, 256])
+@pytest.mark.parametrize("where", ["anywhere", "top", "bottom", "whole-rows"])
+def test_strip_band_equals_whole_frame_transform(monkeypatch, block, where):
+    # a small _BLOCK gives strips of 2 * floor(r) rows, or of one row
+    monkeypatch.setattr(tmeseg.raster, "_BLOCK", block)
+    rng = np.random.default_rng(block + len(where))
+    windows = _record_windows(monkeypatch)
+    most = 0  # the most windows one call transformed
+    for _ in range(20):
+        h, w = (int(v) for v in rng.integers(1, 60, size=2))
+        region = _strip_region(rng, h, w, where)
+        for radius_um, mpp in STRIP_RADII:
+            before = len(windows)
+            got = distance_band(region, radius_um, mpp)
+            most = max(most, len(windows) - before)
+            assert np.array_equal(got, edt_distance_band(region, radius_um, mpp)), (
+                h, w, radius_um, mpp
+            )
+    assert most >= 2  # the frames split into strips
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 57), (57, 1), (2, 40), (40, 2)])
+def test_strip_band_on_one_row_and_one_column_frames(monkeypatch, shape):
+    monkeypatch.setattr(tmeseg.raster, "_BLOCK", 16)
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for _ in range(10):
+        region = rng.random(shape) < 0.1
+        for radius_um, mpp in STRIP_RADII:
+            got = distance_band(region, radius_um, mpp)
+            assert np.array_equal(got, edt_distance_band(region, radius_um, mpp))
+
+
+def test_forced_strips_match_brute_force(monkeypatch):
+    monkeypatch.setattr(tmeseg.raster, "_BLOCK", 8)
+    rng = np.random.default_rng(33)
+    for _ in range(12):
+        h, w = (int(v) for v in rng.integers(1, 16, size=2))
+        region = rng.random((h, w)) < 0.08
+        for radius_px in (0.5, 1.0, 1.5, 2.0, 50 / 0.3 / 40, 6.0, 30.0):
+            got = distance_band(region, radius_px * 0.25, 0.25)
+            assert np.array_equal(got, brute_distance_band(region, radius_px))
+
+
+def test_strips_skip_windows_without_region(monkeypatch):
+    monkeypatch.setattr(tmeseg.raster, "_BLOCK", 64)  # 2-row strips on 32 columns
+    region = np.zeros((40, 32), dtype=bool)
+    region[0, 5] = True
+    want = edt_distance_band(region, 3.5, 1.0)
+    windows = _record_windows(monkeypatch)
+    got = distance_band(region, 3.5, 1.0)  # r = 3.5: 6-row strips, 12-row windows
+    assert np.array_equal(got, want)
+    assert windows == [(9, 32)]  # rows 0-5 and their halo; the rest hold no region
+
+
+def _margin_region(h, w):
+    """A disc of radius 300 at the frame's centre, plus sparse specks."""
+    yy, xx = np.ogrid[:h, :w]
+    region = (yy - h // 2) ** 2 + (xx - w // 2) ** 2 < 300**2
+    region |= np.random.default_rng(h + w).random((h, w)) < 0.001
+    return region
+
+
+def test_strip_band_peak_is_a_fraction_of_the_whole_frame_transform():
+    region = _margin_region(2048, 2048)
+    distance_band(region[:8, :8], 1.0, 1.0)  # scipy's import is not the band's
+    # r = 200 px; measured 37 MB against 143 MB for the whole-frame transform
+    strips = _traced_peak(lambda: distance_band(region, 50.0, 0.25))
+    whole = _traced_peak(lambda: edt_distance_band(region, 50.0, 0.25))
+    assert strips <= 0.4 * whole
+
+
+def test_strip_band_working_memory_does_not_grow_with_height():
+    square, tall = _margin_region(1024, 1024), _margin_region(4096, 1024)
+    distance_band(square[:8, :8], 1.0, 1.0)  # scipy's import is not the band's
+    # r = 50 px. The returned band, 1 byte per frame pixel, is the result
+    # and grows with the frame; the memory above it does not (measured
+    # 26.2 MB square, 27.0 MB tall).
+    peaks = [
+        _traced_peak(lambda: distance_band(region, 12.5, 0.25)) - region.size
+        for region in (square, tall)
+    ]
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 # ---------------------------------------------------------------------------

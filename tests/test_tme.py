@@ -1,7 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tmeseg
 from oracles import enumerate_mwu
+from test_stream import _LAUNCHER
+from tmeseg.container import container_from_labels, save_stack
 from tmeseg import tme
 from tmeseg.raster import connected_components
 from tmeseg.tme import (
@@ -291,3 +300,34 @@ def test_association_csv_format():
     assert lines[0] == "metric,gene,p_value,direction,n_mut,n_wt,marker"
     assert len(lines) == 3  # header + 2 genes x 1 metric
     assert any("TP53" in line and "enriched" in line for line in lines[1:])
+
+
+# ---------------------------------------------------------------------------
+# Memory of the CLI
+# ---------------------------------------------------------------------------
+
+
+def test_cli_tme_peak_rss_on_a_2048_slide(tmp_path):
+    """The margin band is built in row strips, not as whole-frame distance maps."""
+    size = 2048
+    rng = np.random.default_rng(5)
+    mask = np.full((size, size), STR, dtype=np.uint8)
+    yy, xx = np.ogrid[:size, :size]
+    mask[(yy - size // 2) ** 2 + (xx - size // 3) ** 2 < 500**2] = EPI
+    mask[(rng.random((size, size)) < 0.002) & (mask == EPI)] = EPI_N
+    mask[(rng.random((size, size)) < 0.002) & (mask == STR)] = LYM
+    path = tmp_path / "mask.tmef"
+    save_stack(container_from_labels(mask, 0.25), path)  # margin 50 um: r = 200 px
+    out = tmp_path / "tme.json"
+    src = str(Path(tmeseg.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "tmeseg", "tme",
+         "--mask", str(path), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["tme"]["band_area_px"] > 0
+    # measured 105 MB; whole-frame distance maps peaked at 211 MB
+    assert int(proc.stdout) * 1024 < 150e6  # ru_maxrss is in KiB on Linux
