@@ -26,7 +26,7 @@ A structurally separate per-pixel reference of the same rules lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,12 +34,13 @@ from .config import RunConfig
 from .raster import (
     InstanceMap,
     LogitStack,
+    RegionList,
     check_rgb_tile,
-    connected_components,
     contours,
     convex_hull,
     gaussian_smooth,
     grayscale,
+    label_pieces,
     otsu_threshold,
     rasterize_hull,
 )
@@ -294,13 +295,13 @@ class AggregationResult:
     semantic: np.ndarray  # (H, W) uint8 class ids
     instances: InstanceMap
     classes: dict[int, Optional[int]]  # nucleus id -> final class (None undefined)
-    mitosis: InstanceMap
+    mitosis: RegionList | InstanceMap  # the hull regions; an id raster works too
     provenance: dict[int, NucleusDecision]
 
     def check_invariants(self) -> None:
         """Every classed nucleus pixel carries its nucleus' class, and every
         nucleus touching the mitosis mask is mitotic. One pass over the
-        nucleus pixels."""
+        nucleus pixels and one over the mitosis pixels."""
         rows, cols, slot, gids = self.instances.pixel_groups()
         codes = [self.classes[g] for g in gids.tolist()]
         want = np.array(
@@ -310,7 +311,7 @@ class AggregationResult:
         if wrong.any():
             gid = gids[slot[np.argmax(wrong)]]
             raise AssertionError(f"nucleus {gid}: semantic/instance class mismatch")
-        for gid in np.unique(gids[slot[self.mitosis.ids[rows, cols] > 0]]).tolist():
+        for gid in _nuclei_under(self.instances, self.mitosis).tolist():
             if self.classes[gid] != MITOTIC_CELL:
                 raise AssertionError(f"nucleus {gid}: mitosis supersedence violated")
 
@@ -477,26 +478,25 @@ def fallback_rules(
 # ---------------------------------------------------------------------------
 
 
-def detect_mitosis(
+def mitosis_hulls(
     candidates: Sequence[tuple],
     he: np.ndarray,
-    tissue: np.ndarray,
     config: Optional[RunConfig] = None,
     score_threshold: float = 0.0,
-) -> InstanceMap:
-    """Filter mitosis candidates into a mask of hull regions.
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The H&E-only part of mitosis detection: every candidate's hull rasters.
 
     Per candidate: clip a circular ROI at the tile border; reject when the
     ROI's median RGB sum is <= the carbon-dust bound; Otsu the ROI grays
     and keep the dark side; keep 8-connected blobs (holes filled) of at
-    least the minimum area; rasterize each blob's convex hull; keep hulls
-    overlapping epithelial tissue by at least one pixel. Region ids are
-    assigned over the union in raster-scan order.
+    least the minimum area; rasterize each blob's convex hull. Yields
+    ``(y0, x0, region)``: a bool mask over the hull's bounding box whose
+    top-left frame pixel is ``(y0, x0)``. Reads neither the blur nor the
+    tissue.
     """
     cfg = config or RunConfig()
     check_rgb_tile(he)
     h, w = he.shape[:2]
-    union = np.zeros((h, w), dtype=bool)
     r = cfg.mitosis_roi_radius_px
     for x, y, score in candidates:
         if score < score_threshold:
@@ -512,36 +512,66 @@ def detect_mitosis(
         circle = (gy - y) ** 2 + (gx - x) ** 2 <= float(r) * float(r)
         if not circle.any():
             continue
-        box = (slice(y0, y1 + 1), slice(x0, x1 + 1))
-        roi = he[box]
+        roi = he[y0 : y1 + 1, x0 : x1 + 1]
         if np.median(roi.astype(np.int32).sum(axis=2)[circle]) <= cfg.carbon_rgb_sum_max:
             continue  # carbon dust
         gray = grayscale(roi)
         t = otsu_threshold(gray[circle])
         dark = circle & (gray <= t)
-        epi_box = tissue[box] == EPITHELIAL_TISSUE
         for blob in contours(dark):
             if blob.area < cfg.mitosis_min_area_px:
                 continue
-            # hull in (x, y) order over the blob's filled pixels
+            # hull in (x, y) order over the blob's filled pixels, rasterized
+            # over its own bounding box, which lies inside the ROI box
             hull = convex_hull(blob.pixels[:, ::-1])
-            region = rasterize_hull(hull, (x1 - x0 + 1, y1 - y0 + 1))
-            if (region & epi_box).any():
-                union[box] |= region
-    return connected_components(union, 8)
+            left, top = hull.min(axis=0).tolist()
+            right, bottom = hull.max(axis=0).tolist()
+            region = rasterize_hull(hull - (left, top), (right - left + 1, bottom - top + 1))
+            yield y0 + top, x0 + left, region
+
+
+def detect_mitosis(
+    candidates: Sequence[tuple],
+    he: np.ndarray,
+    tissue: np.ndarray,
+    config: Optional[RunConfig] = None,
+    score_threshold: float = 0.0,
+) -> RegionList:
+    """Filter mitosis candidates into hull regions.
+
+    Keeps the ``mitosis_hulls`` that overlap epithelial tissue by at least
+    one pixel. Their union is labelled 8-connected without a full-frame
+    raster (``label_pieces``); region ids follow raster-scan order.
+    """
+    kept = [
+        (y0, x0, region)
+        for y0, x0, region in mitosis_hulls(candidates, he, config, score_threshold)
+        if (
+            tissue[y0 : y0 + region.shape[0], x0 : x0 + region.shape[1]][region]
+            == EPITHELIAL_TISSUE
+        ).any()
+    ]
+    return label_pieces(kept, he.shape[:2])
+
+
+def _nuclei_under(nuclei: InstanceMap, mitosis: RegionList | InstanceMap) -> np.ndarray:
+    """The ids of the nuclei with a pixel under a mitosis region, ascending."""
+    rows, cols, _, _ = mitosis.pixel_groups()
+    under = nuclei.ids[rows, cols]
+    return np.unique(under[under > 0])
 
 
 def apply_mitosis(
     classes: dict[int, Optional[int]],
     nuclei: InstanceMap,
-    mitosis: InstanceMap,
+    mitosis: RegionList | InstanceMap,
 ) -> tuple[dict[int, Optional[int]], list[int]]:
-    """Reassign every nucleus intersecting the mitosis mask to mitotic_cell."""
-    hit_ids = np.unique(nuclei.ids[(nuclei.ids > 0) & (mitosis.ids > 0)])
+    """Reassign every nucleus intersecting the mitosis regions to mitotic_cell."""
+    hit_ids = _nuclei_under(nuclei, mitosis).tolist()
     out = dict(classes)
-    for gid in hit_ids.tolist():
+    for gid in hit_ids:
         out[gid] = MITOTIC_CELL
-    return out, [int(g) for g in hit_ids.tolist()]
+    return out, hit_ids
 
 
 # ---------------------------------------------------------------------------

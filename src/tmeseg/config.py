@@ -12,7 +12,6 @@ from typing import Any, Optional
 
 # Fields that must hold a Python int (not a bool); background_threshold may be None.
 _INT_FIELDS = (
-    "cc_connectivity",
     "mitosis_roi_radius_px",
     "carbon_rgb_sum_max",
     "mitosis_min_area_px",
@@ -25,7 +24,6 @@ _INT_FIELDS = (
 @dataclass(frozen=True)
 class RunConfig:
     blur_sigma: float = 2.0
-    cc_connectivity: int = 8
     mitosis_roi_radius_px: int = 30
     carbon_rgb_sum_max: int = 40
     mitosis_min_area_px: int = 3
@@ -49,8 +47,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer")
         if self.blur_sigma <= 0:
             raise ValueError("blur_sigma must be positive")
-        if self.cc_connectivity not in (4, 8):
-            raise ValueError("cc_connectivity must be 4 or 8")
         if self.mitosis_roi_radius_px < 1:
             raise ValueError("mitosis_roi_radius_px must be >= 1")
         if self.carbon_rgb_sum_max < 0:

@@ -14,8 +14,10 @@ independent workers.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -119,15 +121,7 @@ class InstanceMap:
     ) -> "InstanceMap":
         """Build the attribute table (counts, centroids) from an id raster."""
         imap = cls(ids)
-        rows, cols, slot, gids = imap.pixel_groups()
-        counts = np.bincount(slot)
-        centroids = zip(
-            np.bincount(slot, weights=rows) / counts,
-            np.bincount(slot, weights=cols) / counts,
-        )
-        types = teacher_types or {}
-        for gid, n, centroid in zip(gids.tolist(), counts.tolist(), centroids):
-            imap.attrs[gid] = InstanceAttrs(n, centroid, types.get(gid))
+        imap.attrs = _instance_attrs(*imap.pixel_groups(), teacher_types)
         return imap
 
     def pixel_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -166,6 +160,72 @@ class InstanceMap:
                     f"instance {gid}: pixel_count {a.pixel_count} "
                     f"!= raster count {counts[gid]}"
                 )
+
+
+@dataclass(eq=False)
+class RegionList:
+    """Instances kept as per-region pixel lists: a few small regions in a
+    large frame, with the attribute table and ``pixel_groups`` of an
+    ``InstanceMap`` but no full-frame raster.
+
+    ``pixels[i]`` holds the ``(rows, cols)`` of region ``i + 1``, in raster
+    order; the regions are numbered by their first pixel in raster order.
+    """
+
+    shape: tuple[int, int]
+    pixels: list[tuple[np.ndarray, np.ndarray]]
+    attrs: dict[int, InstanceAttrs] = field(default_factory=dict)
+
+    @property
+    def instance_ids(self) -> list[int]:
+        return sorted(self.attrs)
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """The regions painted into a full-frame int32 id raster.
+
+        For comparisons against whole-frame labellings; the pipeline itself
+        reads only ``pixel_groups``.
+        """
+        ids = np.zeros(self.shape, dtype=np.int32)
+        for gid, (rows, cols) in enumerate(self.pixels, start=1):
+            ids[rows, cols] = gid
+        return ids
+
+    def pixel_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``InstanceMap.pixel_groups`` of the painted raster, from the lists."""
+        empty = [np.zeros(0, dtype=np.intp)]
+        rows = np.concatenate(empty + [r for r, _ in self.pixels])
+        cols = np.concatenate(empty + [c for _, c in self.pixels])
+        sizes = [r.size for r, _ in self.pixels]
+        slot = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+        order = np.argsort(rows * self.shape[1] + cols, kind="stable")
+        gids = np.arange(1, len(sizes) + 1, dtype=np.intp)
+        return rows[order], cols[order], slot[order], gids
+
+
+def _instance_attrs(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    slot: np.ndarray,
+    gids: np.ndarray,
+    types: Optional[dict[int, Optional[int]]] = None,
+) -> dict[int, InstanceAttrs]:
+    """Pixel count and centroid per id, from ``pixel_groups``.
+
+    Centroids are float64 sums of integer coordinates over the count, so
+    they are exact below 2**53 pixels and independent of the pixel order.
+    """
+    counts = np.bincount(slot)
+    centroids = zip(
+        np.bincount(slot, weights=rows) / counts,
+        np.bincount(slot, weights=cols) / counts,
+    )
+    types = types or {}
+    return {
+        gid: InstanceAttrs(n, centroid, types.get(gid))
+        for gid, n, centroid in zip(gids.tolist(), counts.tolist(), centroids)
+    }
 
 
 def _group_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,6 +388,80 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> InstanceMap
     remap = np.zeros(n + 1, dtype=np.int32)
     remap[order + 1] = np.arange(1, n + 1, dtype=np.int32)
     return InstanceMap.from_ids(remap[labeled])
+
+
+def label_pieces(
+    pieces: Iterable[tuple[int, int, np.ndarray]], shape: tuple[int, int]
+) -> RegionList:
+    """``connected_components(union, 8)`` of bool pieces pasted into a
+    frame of ``shape``, without building the frame.
+
+    A piece ``(y0, x0, mask)`` sets the frame pixels ``(y0 + r, x0 + c)``
+    where ``mask[r, c]``; they must lie inside the frame. Pixels of two
+    pieces can be 8-adjacent only where the pieces' bounding boxes, grown by
+    one pixel, meet. So a union-find over those boxes (the equivalence
+    merging of two-pass labelling: Wu, Otoo and Suzuki, 2009) splits the
+    pieces into groups that no component crosses, and each group is
+    labelled on a canvas the size of its box. Ids, pixels and attributes
+    equal those of the whole-frame labelling: components are numbered by
+    their first pixel in raster order, and the attributes come from the
+    same ``pixel_groups`` contract as ``InstanceMap.from_ids``.
+    """
+    from scipy import ndimage
+
+    coords = []  # per nonempty piece: frame rows and cols
+    for y0, x0, mask in pieces:
+        rr, cc = np.nonzero(mask)
+        if rr.size:
+            coords.append((rr + y0, cc + x0))
+    boxes = np.array(
+        [(r.min(), c.min(), r.max(), c.max()) for r, c in coords], dtype=np.int64
+    ).reshape(-1, 4)
+    parent = list(range(len(coords)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(1, len(coords)):
+        top, left, bottom, right = boxes[i] + (-1, -1, 1, 1)
+        earlier = boxes[:i]
+        meets = (
+            (earlier[:, 0] <= bottom)
+            & (earlier[:, 2] >= top)
+            & (earlier[:, 1] <= right)
+            & (earlier[:, 3] >= left)
+        )
+        for j in np.flatnonzero(meets).tolist():
+            parent[find(j)] = find(i)
+    groups: dict[int, list[int]] = defaultdict(list)
+    for i in range(len(coords)):
+        groups[find(i)].append(i)
+
+    found = []  # (first flat index, rows, cols) per component
+    width = shape[1]
+    for members in groups.values():
+        rows = np.concatenate([coords[i][0] for i in members])
+        cols = np.concatenate([coords[i][1] for i in members])
+        top, left = rows.min(), cols.min()
+        canvas = np.zeros((rows.max() - top + 1, cols.max() - left + 1), dtype=bool)
+        canvas[rows - top, cols - left] = True
+        labeled, _ = ndimage.label(canvas, structure=_STRUCT8)
+        # canvas raster order is frame raster order: each run starts at its first pixel
+        rr, cc = np.nonzero(labeled)
+        lab = labeled[rr, cc]
+        order = np.argsort(lab, kind="stable")
+        splits = np.flatnonzero(np.diff(lab[order])) + 1
+        for part in np.split(order, splits):
+            r, c = rr[part] + top, cc[part] + left
+            found.append((int(r[0]) * width + int(c[0]), r, c))
+    found.sort(key=lambda item: item[0])
+
+    regions = RegionList(tuple(shape), [(r, c) for _, r, c in found])
+    regions.attrs = _instance_attrs(*regions.pixel_groups())
+    return regions
 
 
 @dataclass

@@ -15,7 +15,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from tmeseg.raster import as_bitmask
+from tmeseg.config import RunConfig
+from tmeseg.raster import (
+    InstanceMap,
+    as_bitmask,
+    check_rgb_tile,
+    connected_components,
+    contours,
+    convex_hull,
+    grayscale,
+    otsu_threshold,
+    rasterize_hull,
+)
+from tmeseg.taxonomy import EPITHELIAL_TISSUE
 
 
 def exhaustive_otsu(values: Sequence[int]) -> int:
@@ -156,6 +168,67 @@ def edt_distance_band(region: np.ndarray, radius_um: float, mpp: float) -> np.nd
         return np.zeros_like(region)
     dist = ndimage.distance_transform_edt(outside)
     return outside & (dist <= radius_um / mpp)
+
+
+# The whole-frame mitosis detector: kept hulls ORed into a frame-sized mask,
+# then ``connected_components`` over the frame. The reference for
+# ``aggregate.detect_mitosis``, which labels the hulls without the frame.
+def frame_detect_mitosis(
+    candidates: Sequence[tuple],
+    he: np.ndarray,
+    tissue: np.ndarray,
+    config: Optional[RunConfig] = None,
+    score_threshold: float = 0.0,
+) -> InstanceMap:
+    """Filter mitosis candidates into an instance map of hull regions.
+
+    Per candidate: clip a circular ROI at the tile border; reject when the
+    ROI's median RGB sum is <= the carbon-dust bound; Otsu the ROI grays
+    and keep the dark side; keep 8-connected blobs (holes filled) of at
+    least the minimum area; rasterize each blob's convex hull; keep hulls
+    overlapping epithelial tissue by at least one pixel. Region ids are
+    assigned over the union in raster-scan order.
+    """
+    cfg = config or RunConfig()
+    check_rgb_tile(he)
+    h, w = he.shape[:2]
+    union = np.zeros((h, w), dtype=bool)
+    r = cfg.mitosis_roi_radius_px
+    for x, y, score in candidates:
+        if score < score_threshold:
+            continue
+        y0 = max(int(np.ceil(y - r)), 0)
+        y1 = min(int(np.floor(y + r)), h - 1)
+        x0 = max(int(np.ceil(x - r)), 0)
+        x1 = min(int(np.floor(x + r)), w - 1)
+        if y0 > y1 or x0 > x1:
+            continue
+        gy = np.arange(y0, y1 + 1)[:, None]
+        gx = np.arange(x0, x1 + 1)[None, :]
+        circle = (gy - y) ** 2 + (gx - x) ** 2 <= float(r) * float(r)
+        if not circle.any():
+            continue
+        box = (slice(y0, y1 + 1), slice(x0, x1 + 1))
+        roi = he[box]
+        if np.median(roi.astype(np.int32).sum(axis=2)[circle]) <= cfg.carbon_rgb_sum_max:
+            continue  # carbon dust
+        gray = grayscale(roi)
+        t = otsu_threshold(gray[circle])
+        dark = circle & (gray <= t)
+        epi_box = tissue[box] == EPITHELIAL_TISSUE
+        for blob in contours(dark):
+            if blob.area < cfg.mitosis_min_area_px:
+                continue
+            hull = convex_hull(blob.pixels[:, ::-1])
+            region = rasterize_hull(hull, (x1 - x0 + 1, y1 - y0 + 1))
+            if (region & epi_box).any():
+                union[box] |= region
+    return connected_components(union, 8)
+
+
+def frame_mitosis_hits(nuclei: InstanceMap, mitosis: InstanceMap) -> list[int]:
+    """Ids of the nuclei under the mitosis raster, from two full-frame masks."""
+    return np.unique(nuclei.ids[(nuclei.ids > 0) & (mitosis.ids > 0)]).tolist()
 
 
 def enumerate_mwu(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:

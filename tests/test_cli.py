@@ -359,7 +359,6 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "doc",
     [
-        {"cc_connectivity": 8.0},
         {"mitosis_roi_radius_px": 30.5},
         {"carbon_rgb_sum_max": 40.5},
         {"mitosis_min_area_px": True},
@@ -378,6 +377,19 @@ def test_non_integer_config_field_exits_2(workspace, tmp_path, capsys, doc):
     )
     assert code == 2
     assert f"{next(iter(doc))} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["cc_connectivity", "workers"])
+def test_removed_config_key_exits_2(workspace, tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 8}))
+    out = tmp_path / "o.tmef"
+    code = cli(
+        ["aggregate", "--bundle", str(workspace["bundle"]), "--out", str(out), "--config", str(cfg)]
+    )
+    assert code == 2
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
     assert not out.exists()
 
 

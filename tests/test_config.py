@@ -13,7 +13,6 @@ def test_non_finite_floats_rejected(key, value):
 @pytest.mark.parametrize(
     "key",
     [
-        "cc_connectivity",
         "mitosis_roi_radius_px",
         "carbon_rgb_sum_max",
         "mitosis_min_area_px",
