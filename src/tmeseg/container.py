@@ -6,15 +6,19 @@ header carries ``{"magic": "TMEF1", "width", "height", "dtype", "channels",
 "mpp"?, "halo"?, "meta"?}`` with dtype one of f32 / u8 / u32. Round-trips
 are lossless; f32 payloads must be finite.
 
-``load_stack`` reads one file into memory; ``load_hashed`` also returns
-its SHA-256, taken in the same read. The streamed readers read each file
-once, through one buffer of at most 4 MB, hashing every byte and checking
-every f32 chunk finite as it arrives:
+Every reader checks a file's header against ``fstat`` before it allocates
+anything, then reads the payload through one loop, ``_chunks``, which
+checks the size and f32 finiteness and, for a hashed read, feeds every
+byte to a SHA-256. A whole read fills the final array plane by plane; a
+streamed read goes through one buffer of at most 4 MB:
 
-* ``BundleReader`` reads a whole teacher bundle: opening it checks every
-  header against the others before allocating any payload and reads H&E;
-  its ``reduce`` then reads nuclei and reduces each logit file chunk by
-  chunk, so the logit stacks never sit in memory.
+* ``load_stack`` reads one file whole; ``load_hashed`` also returns its
+  SHA-256, taken in the same read.
+* ``BundleReader`` reads a teacher bundle: opening it checks every header
+  against the others before allocating any payload and reads H&E; its
+  ``reduce`` then reads nuclei and reduces each logit file chunk by chunk,
+  so the logit stacks never sit in memory. ``load_bundle`` opens a bundle
+  the same way, then reads nuclei and both logit stacks whole.
 * ``StudentReader`` reads a student logit file, and its nuclei, for the
   ``postprocess`` reductions in the same way.
 * ``scan_stack`` checks and hashes one file without keeping its payload.
@@ -30,7 +34,7 @@ import struct
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import BinaryIO, Iterator, Optional
 
 import numpy as np
 
@@ -217,38 +221,95 @@ def _changed(path) -> TruncatedPayloadError:
     return TruncatedPayloadError(f"{path}: payload size changed while reading")
 
 
+class _Hashed:
+    """A binary file that feeds every byte read from it to a SHA-256."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sha = hashlib.sha256()
+
+    def fileno(self) -> int:
+        return self.fh.fileno()
+
+    def read(self, n: int = -1) -> bytes:
+        data = self.fh.read(n)
+        self.sha.update(data)
+        return data
+
+    def readinto(self, buf: memoryview) -> int:
+        got = self.fh.readinto(buf)
+        self.sha.update(buf[:got])
+        return got
+
+
+_Part = tuple[_Hashed | BinaryIO, _Header, str | Path]  # open file, checked header, path
+
+
+def _open(files: ExitStack, path: str | Path, hashed: bool = True) -> _Part:
+    """Open ``path`` in ``files``, hashed or not; read and check its header."""
+    fh = files.enter_context(open(path, "rb"))
+    if hashed:
+        fh = _Hashed(fh)
+    return fh, _read_checked_header(fh, path), path
+
+
+def _chunks(part: _Part, out: Optional[np.ndarray] = None) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The payload as ``(channel index, flat start, chunk)`` in file order.
+
+    A whole read passes ``out``, the payload's final ``(C, H*W)`` array,
+    and each plane is read in place as one chunk. Otherwise each chunk is a
+    view of one buffer of at most ``_CHUNK_BYTES``, overwritten by the next.
+    f32 chunks are checked finite; the file must end with the payload.
+    """
+    fh, head, path = part
+    size = head.height * head.width
+    if out is None:
+        step = min(_CHUNK_BYTES // head.wire.itemsize, size)
+        out = [np.empty(step, dtype=head.wire)] * len(head.channels)
+    else:
+        step = size
+    for channel, plane in enumerate(out):
+        for start in range(0, size, step):
+            chunk = plane[: min(step, size - start)]
+            if fh.readinto(memoryview(chunk).cast("B")) != chunk.nbytes:
+                raise _changed(path)
+            if head.dtype == "f32" and not all_finite(chunk):
+                raise PayloadValueError(f"{path}: f32 payload contains NaN or Inf")
+            yield channel, start, chunk
+    if fh.read(1):
+        raise _changed(path)
+
+
+def _read_whole(part: _Part) -> np.ndarray:
+    """The payload of ``part`` as its final ``(C, H, W)`` array."""
+    _, head, _ = part
+    planes = np.empty((len(head.channels), head.height, head.width), dtype=head.wire)
+    for _ in _chunks(part, planes.reshape(len(planes), -1)):
+        pass
+    return planes
+
+
 def load_stack(path: str | Path) -> StackContainer:
     """Read a TMEF1 file, checking the header and payload size before allocating.
 
     The payload is read once, straight into its final array, so the peak
     memory of a load is about the payload size.
     """
-    with open(path, "rb") as fh:
-        return _load(fh, path)
+    with ExitStack() as files:
+        return _container(_open(files, path, hashed=False))
 
 
 def load_hashed(path: str | Path) -> tuple[StackContainer, str]:
     """``load_stack`` and the file's SHA-256, both from the one read."""
-    with open(path, "rb") as raw:
-        fh = _Hashed(raw)
-        return _load(fh, path), fh.sha.hexdigest()
+    with ExitStack() as files:
+        part = _open(files, path)
+        return _container(part), part[0].sha.hexdigest()
 
 
-def _load(fh, path) -> StackContainer:
-    head = _read_checked_header(fh, path)
-    planes = np.empty((len(head.channels), head.height, head.width), dtype=head.wire)
-    got = fh.readinto(memoryview(planes).cast("B"))
-    if got != planes.nbytes or fh.read(1):  # the file changed after fstat
-        raise _changed(path)
-    if head.dtype == "f32" and not all_finite(planes):
-        raise PayloadValueError(f"{path}: f32 payload contains NaN or Inf")
+def _container(part: _Part) -> StackContainer:
+    _, head, _ = part
     return StackContainer(
-        channels=head.channels,
-        planes=planes,
-        dtype=head.dtype,
-        mpp=head.mpp,
-        halo=head.halo,
-        meta=head.meta,
+        head.channels, _read_whole(part), head.dtype, mpp=head.mpp, halo=head.halo, meta=head.meta
     )
 
 
@@ -262,12 +323,6 @@ def container_from_logits(
 ) -> StackContainer:
     names = tuple(VOCABULARY.name_of(c) for c in stack.class_ids)
     return StackContainer(names, stack.planes, "f32", mpp=mpp, halo=halo)
-
-
-def logits_from_container(container: StackContainer) -> LogitStack:
-    """Resolve channel names against the vocabulary (raises on unknowns)."""
-    ids = tuple(VOCABULARY.resolve(name) for name in container.channels)
-    return LogitStack(ids, container.planes)
 
 
 def container_from_labels(
@@ -285,11 +340,6 @@ def container_from_rgb(he: np.ndarray, mpp: Optional[float] = None) -> StackCont
     if he.ndim != 3 or he.shape[2] != 3 or he.dtype != np.uint8:
         raise ContainerError("RGB tile must be (H, W, 3) uint8")
     return StackContainer(_RGB, np.moveaxis(he, 2, 0), "u8", mpp=mpp)
-
-
-def rgb_from_container(container: StackContainer) -> np.ndarray:
-    _check_kind(container.dtype, container.channels, "u8", _RGB, "an RGB tile")
-    return np.ascontiguousarray(np.moveaxis(container.planes, 0, 2))
 
 
 def container_from_instances(
@@ -397,104 +447,14 @@ def _parse_manifest(raw: bytes, manifest_path: Path) -> tuple[dict, dict[str, Pa
     return doc, {k: manifest_path.parent / doc[k] for k in BUNDLE_PARTS}
 
 
-def _bundle_scalars(doc: dict) -> tuple[tuple, int, float]:
-    """The manifest's candidates as float triples, its halo and its mpp."""
-    return (
-        tuple((float(x), float(y), float(s)) for x, y, s in doc.get("candidates", [])),
-        int(doc.get("halo") or 0),
-        float(doc.get("mpp") or 0.25),
-    )
-
-
-def load_bundle(manifest_path: str | Path):
-    """Load a teacher bundle from its JSON manifest."""
-    from .aggregate import TeacherBundle  # deferred: aggregate is a heavier import
-
-    manifest_path = Path(manifest_path)
-    doc, parts = _parse_manifest(manifest_path.read_bytes(), manifest_path)
-    candidates, halo, mpp = _bundle_scalars(doc)
-    return TeacherBundle(
-        he=rgb_from_container(load_stack(parts["he"])),
-        tissue_logits=logits_from_container(load_stack(parts["tissue_logits"])),
-        cell_logits=logits_from_container(load_stack(parts["cell_logits"])),
-        nuclei=instances_from_container(load_stack(parts["nuclei"])),
-        mitosis_candidates=candidates,
-        halo=halo,
-        mpp=mpp,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Streamed readers: every byte read once, hashed, checked and reduced
+# Readers: every byte read once and checked; streamed reads hash and reduce
 # ---------------------------------------------------------------------------
-
-
-class _Hashed:
-    """A binary file that feeds every byte read from it to a SHA-256."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.sha = hashlib.sha256()
-
-    def fileno(self) -> int:
-        return self.fh.fileno()
-
-    def read(self, n: int = -1) -> bytes:
-        data = self.fh.read(n)
-        self.sha.update(data)
-        return data
-
-    def readinto(self, buf: memoryview) -> int:
-        got = self.fh.readinto(buf)
-        self.sha.update(buf[:got])
-        return got
-
-
-def _chunks(
-    fh: _Hashed, head: _Header, path: Path, buf: np.ndarray
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The payload as ``(channel index, flat start, chunk)`` in file order.
-
-    Each chunk is a view of the uint8 ``buf``, overwritten by the next
-    one. f32 chunks are checked finite; the file must end with the payload.
-    """
-    itemsize = head.wire.itemsize
-    step = buf.nbytes // itemsize
-    size = head.height * head.width
-    for channel in range(len(head.channels)):
-        for start in range(0, size, step):
-            n = min(step, size - start) * itemsize
-            if fh.readinto(memoryview(buf)[:n]) != n:
-                raise _changed(path)
-            chunk = buf[:n].view(head.wire)
-            if head.dtype == "f32" and not all_finite(chunk):
-                raise PayloadValueError(f"{path}: f32 payload contains NaN or Inf")
-            yield channel, start, chunk
-    if fh.read(1):
-        raise _changed(path)
-
-
-_Part = tuple[_Hashed, _Header, Path]  # an open file, its checked header, its path
-
-
-def _open(files: ExitStack, path: Path) -> _Part:
-    """Open ``path`` in ``files`` for one hashed pass; read and check its header."""
-    fh = _Hashed(files.enter_context(open(path, "rb")))
-    return fh, _read_checked_header(fh, path), path
-
-
-def _chunk_buffer(head: _Header) -> np.ndarray:
-    """One buffer for every chunk: a plane of the widest dtype, 4 MB at most."""
-    return np.empty(min(_CHUNK_BYTES, 4 * head.height * head.width), dtype=np.uint8)
 
 
 def _read_instances(part: _Part, types: dict[int, int]) -> InstanceMap:
-    """The instance map of a checked u32 ``part``, read in place."""
-    _, head, _ = part
-    ids = np.empty((head.height, head.width), dtype=np.uint32)
-    for _ in _chunks(*part, ids.reshape(-1).view(np.uint8)):
-        pass  # the buffer is the id raster itself: one chunk, read in place
-    return _instance_map(ids, types)
+    """The instance map of a checked u32 ``part``."""
+    return _instance_map(_read_whole(part)[0], types)
 
 
 def _digests(parts) -> dict[str, str]:
@@ -508,8 +468,8 @@ def scan_stack(path: str | Path) -> tuple[dict, str]:
     ``load_stack`` would, without allocating the payload.
     """
     with ExitStack() as files:
-        fh, head, path = _open(files, Path(path))
-        for _ in _chunks(fh, head, path, _chunk_buffer(head)):
+        fh, head, path = part = _open(files, Path(path))
+        for _ in _chunks(part):
             pass
     return head.doc(), fh.sha.hexdigest()
 
@@ -528,6 +488,8 @@ class BundleReader(ExitStack):
     block, or ``close()``, closes them.
     """
 
+    _hashed = True  # whether every byte read feeds ``digests``
+
     def __init__(self, manifest_path: str | Path):
         from .aggregate import (  # deferred: aggregate is a heavier import
             CELL_IDS,
@@ -541,10 +503,11 @@ class BundleReader(ExitStack):
         manifest_path = Path(manifest_path)
         raw = manifest_path.read_bytes()
         doc, parts = _parse_manifest(raw, manifest_path)
-        self.candidates, self.halo, self.mpp = _bundle_scalars(doc)
-        self.digests = {str(manifest_path): hashlib.sha256(raw).hexdigest()}
+        self.candidates = tuple(tuple(map(float, c)) for c in doc.get("candidates", []))
+        self.halo, self.mpp = int(doc.get("halo") or 0), float(doc.get("mpp") or 0.25)
+        self.digests = {str(manifest_path): hashlib.sha256(raw).hexdigest()} if self._hashed else {}
         with ExitStack() as files:  # closes the files if opening fails
-            self._parts = {k: _open(files, p) for k, p in parts.items()}
+            self._parts = {k: _open(files, p, self._hashed) for k, p in parts.items()}
             heads = {k: head for k, (_, head, _) in self._parts.items()}
             he_head, ids_head = heads["he"], heads["nuclei"]
             frame = (he_head.height, he_head.width)
@@ -565,10 +528,9 @@ class BundleReader(ExitStack):
             except (ValueError, UnknownClassError) as exc:
                 raise ContainerError(f"{manifest_path}: {exc}") from exc
 
-            self._buf = _chunk_buffer(he_head)
             self.he = np.empty(frame + (3,), dtype=np.uint8)
             he_px = self.he.reshape(-1, 3)
-            for channel, start, chunk in _chunks(*self._parts["he"], self._buf):
+            for channel, start, chunk in _chunks(self._parts["he"]):
                 he_px[start : start + chunk.size, channel] = chunk
             self.push(files.pop_all())  # the files stay open for reduce
 
@@ -577,7 +539,7 @@ class BundleReader(ExitStack):
         from .aggregate import fusion_inputs
 
         def logits(name: str) -> Iterator[tuple[int, int, np.ndarray]]:
-            for channel, start, chunk in _chunks(*self._parts[name], self._buf):
+            for channel, start, chunk in _chunks(self._parts[name]):
                 yield self._class_ids[name][channel], start, chunk
 
         inputs = fusion_inputs(
@@ -593,10 +555,35 @@ class BundleReader(ExitStack):
         return inputs
 
 
-def stream_bundle(manifest_path: str | Path):
-    """A bundle's ``FusionInputs`` and digests, read by one ``BundleReader``."""
-    with BundleReader(manifest_path) as reader:
-        return reader.reduce(), reader.digests
+class _Unhashed(BundleReader):
+    """A ``BundleReader`` that hashes nothing, for ``load_bundle``."""
+
+    _hashed = False
+
+
+def load_bundle(manifest_path: str | Path):
+    """Load a teacher bundle whole from its JSON manifest.
+
+    It opens the bundle as ``BundleReader`` does, so every header is checked
+    against the others before any payload is allocated, then reads nuclei
+    and both logit stacks whole. Nothing is hashed.
+    """
+    from .aggregate import TeacherBundle  # deferred: aggregate is a heavier import
+
+    with _Unhashed(manifest_path) as reader:
+
+        def stack(name: str) -> LogitStack:
+            return LogitStack(reader._class_ids[name], _read_whole(reader._parts[name]))
+
+        return TeacherBundle(
+            he=reader.he,
+            tissue_logits=stack("tissue_logits"),
+            cell_logits=stack("cell_logits"),
+            nuclei=_read_instances(reader._parts["nuclei"], reader._types),
+            mitosis_candidates=reader.candidates,
+            halo=reader.halo,
+            mpp=reader.mpp,
+        )
 
 
 class StudentReader(ExitStack):
@@ -642,8 +629,7 @@ class StudentReader(ExitStack):
         return _read_instances(self._parts[1], self._types)
 
     def blocks(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        part = self._parts[0]
-        for channel, start, chunk in _chunks(*part, _chunk_buffer(part[1])):
+        for channel, start, chunk in _chunks(self._parts[0]):
             yield self.class_ids[channel], start, chunk
 
     @property

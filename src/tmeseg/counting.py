@@ -44,7 +44,7 @@ class CountRecord:
 def count_by_components(mask: np.ndarray, class_id: int) -> int:
     """Number of 8-connected regions of the class in a label raster."""
     binary = np.asarray(mask) == class_id
-    return len(connected_components(binary, 8).attrs)
+    return len(connected_components(binary).attrs)
 
 
 def class_pixel_area(mask: np.ndarray, class_id: int) -> int:

@@ -79,17 +79,6 @@ def check_student_roster(class_ids: Sequence[int]) -> None:
         )
 
 
-def as_student_logits(stack: LogitStack) -> LogitStack:
-    """Validate a full-vocabulary stack and order channels by class id."""
-    check_student_roster(stack.class_ids)
-    order = np.argsort(np.asarray(stack.class_ids))
-    if (order == np.arange(order.size)).all():
-        return stack
-    return LogitStack(
-        tuple(stack.class_ids[i] for i in order), stack.planes[order]
-    )
-
-
 def _student_planes(stack: LogitStack) -> Blocks:
     """A checked in-memory student stack as whole-plane blocks, in its order."""
     check_student_roster(stack.class_ids)

@@ -352,21 +352,11 @@ def otsu_threshold(gray: np.ndarray) -> int:
 # Connected components and contours
 # ---------------------------------------------------------------------------
 
-# ndimage.generate_binary_structure(2, 1) and (2, 2)
-_STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_STRUCT8 = np.ones((3, 3), dtype=bool)
+_STRUCT8 = np.ones((3, 3), dtype=bool)  # ndimage.generate_binary_structure(2, 2)
 
 
-def _structure(connectivity: int) -> np.ndarray:
-    if connectivity == 4:
-        return _STRUCT4
-    if connectivity == 8:
-        return _STRUCT8
-    raise ValueError("connectivity must be 4 or 8")
-
-
-def connected_components(mask: np.ndarray, connectivity: int = 8) -> InstanceMap:
-    """Label maximal connected true-regions, ids in raster-scan order.
+def connected_components(mask: np.ndarray) -> InstanceMap:
+    """Label maximal 8-connected true-regions, ids in raster-scan order.
 
     Ids start at 1 and follow the order in which each component's first
     pixel is met scanning rows left to right.
@@ -374,7 +364,7 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> InstanceMap
     from scipy import ndimage
 
     mask = as_bitmask(mask)
-    labeled, n = ndimage.label(mask, structure=_structure(connectivity))
+    labeled, n = ndimage.label(mask, structure=_STRUCT8)
     if n == 0:
         return InstanceMap(np.zeros(mask.shape, dtype=np.int32), {})
     # labels are nonzero exactly where the mask is set; reversed so that
@@ -393,7 +383,7 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> InstanceMap
 def label_pieces(
     pieces: Iterable[tuple[int, int, np.ndarray]], shape: tuple[int, int]
 ) -> RegionList:
-    """``connected_components(union, 8)`` of bool pieces pasted into a
+    """``connected_components(union)`` of bool pieces pasted into a
     frame of ``shape``, without building the frame.
 
     A piece ``(y0, x0, mask)`` sets the frame pixels ``(y0 + r, x0 + c)``

@@ -1,15 +1,15 @@
-"""Tile iteration and the threaded tiled pipeline.
+"""Tile cells and the threaded tiled pipeline.
 
-Windows of ``crop`` pixels advance by ``stride``; the final window clamps
-to the image edge so coverage is complete. Each window owns a cell: on
-each axis, from its origin to the next window's origin, or to the image
-edge for the last window, so the cells partition the frame. Only the
-Gaussian blur reads neighbouring pixels, so only the blur runs window by
-window: each window blurs its cell plus a ``blur_radius`` margin and
-writes the smoothed grayscale of its cell into one canvas, so every pixel
-is blurred once, on a thread pool beside the thread that reduces the
-bundle. Every later stage runs once on the whole frame, so tiled output
-equals ``aggregate`` for any plan and any worker count.
+On each axis, window origins advance by ``stride`` and the last one is
+clamped so that a ``crop``-pixel window ends at the image edge. A cell
+runs from one origin to the next, or to the image edge for the last, so
+the cells partition the frame. Only the Gaussian blur reads neighbouring
+pixels, so only the blur runs cell by cell: each cell is blurred with a
+``blur_radius`` margin and its smoothed grayscale is written into one
+canvas, so every pixel is blurred once, on a thread pool beside the
+thread that reduces the bundle. Every later stage runs once on the whole
+frame, so tiled output equals ``aggregate`` for any plan and any worker
+count.
 """
 
 from __future__ import annotations
@@ -37,15 +37,6 @@ class TilePlan:
             raise ValueError("stride must be in [1, crop]")
 
 
-@dataclass(frozen=True)
-class Window:
-    index: int
-    y0: int
-    x0: int
-    height: int
-    width: int
-
-
 def axis_offsets(extent: int, crop: int, stride: int) -> list[int]:
     """Window start offsets along one axis, final window clamped."""
     if extent <= crop:
@@ -56,49 +47,19 @@ def axis_offsets(extent: int, crop: int, stride: int) -> list[int]:
     return offsets
 
 
-def iterate_tiles(shape: tuple[int, int], plan: Optional[TilePlan] = None) -> list[Window]:
-    """Row-major windows covering an (height, width) extent.
+def tile_cells(shape: tuple[int, int], plan: TilePlan) -> list[tuple[slice, slice]]:
+    """The row-major (rows, cols) cells of ``plan`` over an (height, width) frame.
 
-    Extents smaller than the crop yield a single window of the full
-    extent (processed as one tile).
-    """
-    plan = plan or TilePlan()
-    h, w = shape
-    if h < 1 or w < 1:
-        raise ValueError("extent must be at least 1x1")
-    windows = []
-    for y0 in axis_offsets(h, plan.crop, plan.stride):
-        for x0 in axis_offsets(w, plan.crop, plan.stride):
-            windows.append(
-                Window(
-                    index=len(windows),
-                    y0=y0,
-                    x0=x0,
-                    height=min(plan.crop, h),
-                    width=min(plan.crop, w),
-                )
-            )
-    return windows
-
-
-def owned_cells(windows: list[Window], shape: tuple[int, int]) -> list[tuple[slice, slice]]:
-    """The (rows, cols) cell each window of ``iterate_tiles(shape, ...)`` owns.
-
-    On each axis a cell runs from its window's origin to the next window's
-    origin, or to the image edge for the last window; the cells partition
-    the frame.
+    On each axis a cell runs from one window origin of ``axis_offsets`` to
+    the next, or to the image edge for the last, so the cells partition the
+    frame.
     """
 
-    def ends(origins: set[int], extent: int) -> dict[int, int]:
-        starts = sorted(origins)
-        return dict(zip(starts, starts[1:] + [extent]))
+    def spans(extent: int) -> list[slice]:
+        starts = axis_offsets(extent, plan.crop, plan.stride)
+        return [slice(a, b) for a, b in zip(starts, starts[1:] + [extent])]
 
-    row_end = ends({win.y0 for win in windows}, shape[0])
-    col_end = ends({win.x0 for win in windows}, shape[1])
-    return [
-        (slice(win.y0, row_end[win.y0]), slice(win.x0, col_end[win.x0]))
-        for win in windows
-    ]
+    return [(rows, cols) for rows in spans(shape[0]) for cols in spans(shape[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +68,7 @@ def owned_cells(windows: list[Window], shape: tuple[int, int]) -> list[tuple[sli
 
 
 def _blur_cell(he: np.ndarray, sigma: float, cell: tuple[slice, slice], gray: np.ndarray) -> None:
-    """Write the smoothed grayscale of one owned cell into ``gray``.
+    """Write the smoothed grayscale of one cell into ``gray``.
 
     The cell is blurred with a ``blur_radius(sigma)`` margin, clamped to the
     image, so its pixels read the same neighbours as in a full-frame blur.
@@ -128,10 +89,10 @@ def tiled_aggregate(
     plan: Optional[TilePlan] = None,
     workers: int = 1,
 ) -> AggregationResult:
-    """``aggregate`` with the blur computed window by window.
+    """``aggregate`` with the blur computed cell by cell.
 
     ``bundle`` is a ``TeacherBundle``, ``FusionInputs`` or an open
-    ``container.BundleReader``. The owned cells are blurred on ``workers``
+    ``container.BundleReader``. The cells are blurred on ``workers``
     threads as soon as ``bundle.he`` is known, while this thread reduces
     the bundle; each cell is written once into one grayscale canvas, on
     which the full-frame pipeline runs. The result equals ``aggregate``'s.
@@ -142,7 +103,7 @@ def tiled_aggregate(
         raise ValueError("workers must be >= 1")
     he = check_rgb_tile(bundle.he)
     shape = he.shape[:2]
-    cells = owned_cells(iterate_tiles(shape, plan), shape)
+    cells = tile_cells(shape, plan)
     gray = np.empty(shape, dtype=np.uint8)
     pool = ThreadPoolExecutor(max_workers=min(workers, len(cells)))
     try:

@@ -95,7 +95,7 @@ def slide_metrics(
         raise ValueError("mpp must be positive and finite")
     mask = np.asarray(mask)
     tumor_region = (mask == EPITHELIAL_TISSUE) | (mask == EPITHELIAL_CELL_NUCLEUS)
-    tumor_cells = len(connected_components(mask == EPITHELIAL_CELL_NUCLEUS, 8).attrs)
+    tumor_cells = len(connected_components(mask == EPITHELIAL_CELL_NUCLEUS).attrs)
 
     if tumor_region.any():
         band = distance_band(tumor_region, margin_um, mpp)
@@ -115,7 +115,7 @@ def slide_metrics(
     # (components, components centred in the band) per class, each class labelled once
     per_class = {}
     for cid in sorted({c for ids in POOLS.values() for c in ids}):
-        attrs = connected_components(mask == cid, 8).attrs.values()
+        attrs = connected_components(mask == cid).attrs.values()
         per_class[cid] = (len(attrs), sum(_band_pixel(a.centroid, band) for a in attrs))
     for name, ids in POOLS.items():
         count = sum(per_class[c][0] for c in ids)

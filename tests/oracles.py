@@ -223,7 +223,7 @@ def frame_detect_mitosis(
             region = rasterize_hull(hull, (x1 - x0 + 1, y1 - y0 + 1))
             if (region & epi_box).any():
                 union[box] |= region
-    return connected_components(union, 8)
+    return connected_components(union)
 
 
 def frame_mitosis_hits(nuclei: InstanceMap, mitosis: InstanceMap) -> list[int]:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tmeseg.cli import cli
 
 from tmeseg.container import (
+    BundleReader,
     ContainerError,
     DtypeError,
     MagicError,
@@ -25,16 +26,14 @@ from tmeseg.container import (
     labels_from_container,
     load_bundle,
     load_stack,
-    logits_from_container,
-    rgb_from_container,
     save_bundle,
     save_stack,
-    stream_bundle,
 )
 from tmeseg.aggregate import CELL_IDS, TeacherBundle
 from tmeseg.raster import InstanceMap, LogitStack
 from tmeseg.synth import build_bundle, random_scene, throughput_bundle
 from tmeseg.taxonomy import UnknownClassError, default_taxonomy
+from test_stream import _stream
 
 TAX = default_taxonomy()
 
@@ -235,15 +234,20 @@ def test_logit_adapter_round_trip(tmp_path):
     ids = (TAX.resolve("stroma"), TAX.resolve("lymphocyte"))
     stack = LogitStack(ids, np.random.default_rng(0).normal(size=(2, 4, 4)).astype(np.float32))
     path = _write(tmp_path, container_from_logits(stack, mpp=0.5))
-    back = logits_from_container(load_stack(path))
-    assert back.class_ids == ids
+    back = load_stack(path)
+    assert back.channels == ("stroma", "lymphocyte")
+    assert (back.dtype, back.mpp) == ("f32", 0.5)
     assert np.array_equal(back.planes, stack.planes)
 
 
 def test_logit_adapter_rejects_unknown_channel(tmp_path):
-    c = StackContainer(("not_a_class",), np.zeros((1, 2, 2), np.float32), "f32")
-    with pytest.raises(UnknownClassError):
-        logits_from_container(c)
+    # a logit part's channel names resolve against the vocabulary on opening
+    blob = StackContainer(("not_a_class",) + _VALID.channels[1:], _VALID.planes, "f32")
+    manifest = _bundle_around(tmp_path, _write(tmp_path, blob).read_bytes())
+    for read in (load_bundle, BundleReader):
+        with pytest.raises(ContainerError, match="not_a_class") as caught:
+            read(manifest)
+        assert isinstance(caught.value.__cause__, UnknownClassError)
 
 
 def test_label_and_rgb_adapters(tmp_path):
@@ -251,8 +255,9 @@ def test_label_and_rgb_adapters(tmp_path):
     back = labels_from_container(load_stack(_write(tmp_path, container_from_labels(labels))))
     assert np.array_equal(back, labels)
     he = np.random.default_rng(2).integers(0, 256, size=(5, 6, 3)).astype(np.uint8)
-    rt = rgb_from_container(load_stack(_write(tmp_path, container_from_rgb(he), "he.tmef")))
-    assert np.array_equal(rt, he)
+    planar = load_stack(_write(tmp_path, container_from_rgb(he), "he.tmef"))
+    assert planar.channels == ("r", "g", "b")
+    assert np.array_equal(planar.planes, np.moveaxis(he, 2, 0))
     with pytest.raises(ContainerError):
         container_from_rgb(np.zeros((5, 6, 4), np.uint8))
     with pytest.raises(ContainerError):
@@ -297,21 +302,29 @@ def test_malformed_teacher_types_rejected(types):
 
 
 def test_bundle_round_trip(tmp_path):
-    bundle = build_bundle(random_scene(33))
-    manifest = save_bundle(bundle, tmp_path / "bundle")
-    assert manifest.name == "bundle.json"
-    back = load_bundle(manifest)
-    assert np.array_equal(back.he, bundle.he)
-    assert np.array_equal(back.tissue_logits.planes, bundle.tissue_logits.planes)
-    assert back.tissue_logits.class_ids == bundle.tissue_logits.class_ids
-    assert np.array_equal(back.cell_logits.planes, bundle.cell_logits.planes)
-    assert np.array_equal(back.nuclei.ids, bundle.nuclei.ids)
-    assert {g: a.teacher_type for g, a in back.nuclei.attrs.items()} == {
-        g: a.teacher_type for g, a in bundle.nuclei.attrs.items()
-    }
-    assert back.mitosis_candidates == bundle.mitosis_candidates
-    assert back.mpp == bundle.mpp
-    back.validate()
+    # a square tile, and a non-square one whose logit channels are not in id order
+    square = build_bundle(random_scene(33))
+    oblong = build_bundle(random_scene(35, 37, 52))
+    stack = oblong.cell_logits
+    oblong.cell_logits = LogitStack(stack.class_ids[::-1], stack.planes[::-1])
+    for i, bundle in enumerate((square, oblong)):
+        manifest = save_bundle(bundle, tmp_path / f"bundle{i}")
+        assert manifest.name == "bundle.json"
+        back = load_bundle(manifest)
+        assert back.he.flags.c_contiguous
+        assert np.array_equal(back.he, bundle.he)
+        for name in ("tissue_logits", "cell_logits"):
+            got, want = getattr(back, name), getattr(bundle, name)
+            assert got.planes.dtype == np.float32
+            assert np.array_equal(got.planes, want.planes)
+            assert got.class_ids == want.class_ids
+        assert np.array_equal(back.nuclei.ids, bundle.nuclei.ids)
+        assert {g: a.teacher_type for g, a in back.nuclei.attrs.items()} == {
+            g: a.teacher_type for g, a in bundle.nuclei.attrs.items()
+        }
+        assert back.mitosis_candidates == bundle.mitosis_candidates
+        assert (back.halo, back.mpp) == (bundle.halo, bundle.mpp)
+        back.validate()
 
 
 def test_bundle_manifest_missing_key(tmp_path):
@@ -385,7 +398,7 @@ def _bundle_around(tmp: Path, tissue_blob: bytes) -> Path:
     nid[1, 1:3] = 4
     bundle = TeacherBundle(
         he=np.full((3, 5, 3), 170, np.uint8),
-        tissue_logits=logits_from_container(_VALID),
+        tissue_logits=LogitStack(tuple(map(TAX.resolve, _VALID.channels)), _VALID.planes),
         cell_logits=LogitStack(CELL_IDS, np.zeros((len(CELL_IDS), 3, 5), np.float32)),
         nuclei=InstanceMap.from_ids(nid),
         mitosis_candidates=((1.0, 1.0, 0.5),),
@@ -430,10 +443,10 @@ def test_corrupt_file_raises_container_error_without_large_allocation(blob):
         path = Path(tmp) / "fuzz.tmef"
         path.write_bytes(blob)
         manifest = _bundle_around(Path(tmp) / "bundle", blob)
-        for read in (lambda: load_stack(path), lambda: stream_bundle(manifest)):
+        for read, source in ((load_stack, path), (_stream, manifest), (load_bundle, manifest)):
             tracemalloc.start()
             try:
-                read()
+                read(source)
             except ContainerError:
                 pass
             finally:

@@ -194,7 +194,7 @@ def test_label_pieces_equals_whole_frame_components():
         shape = tuple(int(v) for v in rng.integers(6, 30, size=2))
         pieces = _random_pieces(rng, *shape, int(rng.integers(0, 25)))
         got = label_pieces(pieces, shape)
-        want = connected_components(_union(pieces, shape), 8)
+        want = connected_components(_union(pieces, shape))
         assert got.ids.tobytes() == want.ids.tobytes()
         _same_attrs(got.attrs, want.attrs)
 
@@ -212,7 +212,7 @@ def test_label_pieces_ignores_the_label_order_of_ndimage(monkeypatch):
     for _ in range(10):
         pieces = _random_pieces(rng, 20, 24, 20)
         got = label_pieces(pieces, (20, 24))
-        want = connected_components(_union(pieces, (20, 24)), 8)
+        want = connected_components(_union(pieces, (20, 24)))
         assert got.ids.tobytes() == want.ids.tobytes()
 
 

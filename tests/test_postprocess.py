@@ -4,7 +4,6 @@ import pytest
 from tmeseg.postprocess import (
     NON_NUCLEUS_CLASSES,
     NUCLEUS_CLASSES,
-    as_student_logits,
     force_mode,
     panoptic_assign,
 )
@@ -27,18 +26,10 @@ def test_vocabulary_must_be_complete():
     ids = tuple(TAX.ids)[:-1]
     short = LogitStack(ids, np.zeros((len(ids), 2, 2), dtype=np.float32))
     with pytest.raises(ValueError, match="mitotic_cell"):
-        as_student_logits(short)
-
-
-def test_channels_reordered_by_class_id():
-    ids = tuple(reversed(tuple(TAX.ids)))
-    planes = np.zeros((len(ids), 2, 2), dtype=np.float32)
-    for i, cid in enumerate(ids):
-        planes[i] = cid
-    ordered = as_student_logits(LogitStack(ids, planes))
-    assert ordered.class_ids == tuple(TAX.ids)
-    for cid in TAX.ids:
-        assert (ordered.plane(cid) == cid).all()
+        force_mode(short)
+    nuclei = InstanceMap.from_ids(np.zeros((2, 2), dtype=np.int32))
+    with pytest.raises(ValueError, match="mitotic_cell"):
+        panoptic_assign(short, nuclei)
 
 
 def test_rosters_partition_the_vocabulary():

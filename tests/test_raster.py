@@ -113,13 +113,12 @@ def test_otsu_two_values_ties_to_smallest_maximizer():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("connectivity", [4, 8])
-def test_components_match_union_find(connectivity):
+def test_components_match_union_find():
     rng = np.random.default_rng(5)
     for _ in range(20):
         mask = rng.random((24, 31)) < 0.42
-        got = connected_components(mask, connectivity).ids
-        want = union_find_components(mask, connectivity)
+        got = connected_components(mask).ids
+        want = union_find_components(mask, 8)
         assert np.array_equal(got, want)
 
 
@@ -127,7 +126,7 @@ def test_components_id_order_is_raster_scan():
     mask = np.zeros((5, 7), dtype=bool)
     mask[4, 0] = True  # later in raster order
     mask[0, 6] = True  # first row, so first id
-    comp = connected_components(mask, 8)
+    comp = connected_components(mask)
     assert comp.ids[0, 6] == 1
     assert comp.ids[4, 0] == 2
 
@@ -146,15 +145,14 @@ def test_components_renumber_labels_out_of_scan_order(monkeypatch):
     monkeypatch.setattr(ndimage, "label", permuted_label)
     for _ in range(10):
         mask = rng.random((24, 31)) < 0.42
-        got = connected_components(mask, 8)
+        got = connected_components(mask)
         assert got.ids.tobytes() == union_find_components(mask, 8).tobytes()
         got.validate()
 
 
 def test_diagonal_touch_depends_on_connectivity():
     mask = np.array([[1, 0], [0, 1]], dtype=bool)
-    assert len(connected_components(mask, 8).instance_ids) == 1
-    assert len(connected_components(mask, 4).instance_ids) == 2
+    assert len(connected_components(mask).instance_ids) == 1
 
 
 # ---------------------------------------------------------------------------

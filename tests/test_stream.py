@@ -18,6 +18,7 @@ from tmeseg.aggregate import aggregate
 from tmeseg.cli import cli
 from tmeseg.config import RunConfig
 from tmeseg.container import (
+    BundleReader,
     ContainerError,
     PayloadValueError,
     TruncatedPayloadError,
@@ -25,7 +26,6 @@ from tmeseg.container import (
     load_bundle,
     save_bundle,
     save_stack,
-    stream_bundle,
 )
 from tmeseg.raster import LogitStack
 from tmeseg.reference import reference_aggregate
@@ -73,6 +73,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _stream(manifest: Path):
+    """A bundle's ``FusionInputs`` and digests, read by one ``BundleReader``."""
+    with BundleReader(manifest) as reader:
+        return reader.reduce(), reader.digests
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_streamed_equals_in_memory_on_random_scenes(tmp_path, monkeypatch, seed):
     # small buffers, so chunks end mid-row and planes split unevenly
@@ -85,7 +91,7 @@ def test_streamed_equals_in_memory_on_random_scenes(tmp_path, monkeypatch, seed)
         cell_order = np.random.default_rng(seed).permutation(len(bundle.cell_logits.class_ids))
         _rewrite(bundle, tmp_path, "cell_logits", _permuted(bundle.cell_logits, cell_order))
 
-    streamed, digests = stream_bundle(manifest)
+    streamed, digests = _stream(manifest)
     _assert_same_inputs(streamed, bundle.reduce())
     _assert_same_inputs(streamed, load_bundle(manifest).reduce())  # permuted in memory
     cfg = RunConfig(background_threshold=200) if seed % 3 == 0 else RunConfig()
@@ -117,7 +123,7 @@ def slide(tmp_path_factory):
 def test_streamed_equals_in_memory_on_throughput_bundle(slide):
     manifest, _ = slide
     cfg = RunConfig(background_threshold=200)
-    streamed, _ = stream_bundle(manifest)
+    streamed, _ = _stream(manifest)
     in_memory = load_bundle(manifest).reduce()
     _assert_same_inputs(streamed, in_memory)
     _assert_same_result(aggregate(streamed, cfg), aggregate(in_memory, cfg))
@@ -136,7 +142,7 @@ def test_streamed_read_holds_no_logit_stack(slide):
     manifest, payload = slide
     # H&E, nuclei, one tissue plane and small reductions: ~0.26x here;
     # load_bundle holds the whole payload, ~1.0x
-    assert _traced_peak(lambda: stream_bundle(manifest)) <= 0.4 * payload
+    assert _traced_peak(lambda: _stream(manifest)) <= 0.4 * payload
 
 
 # Runs argv[1:] and prints its peak RSS (KiB). Linux carries the peak RSS of
@@ -195,11 +201,13 @@ def test_parts_that_disagree_fail_from_the_headers(tmp_path, capsys, break_part,
     assert message in capsys.readouterr().err
     assert not out.exists()
 
-    def read():
-        with pytest.raises(ContainerError, match=message):
-            stream_bundle(manifest)
+    for reader in (BundleReader, load_bundle):
 
-    assert _traced_peak(read) < 1 << 20
+        def read():
+            with pytest.raises(ContainerError, match=message):
+                reader(manifest)
+
+        assert _traced_peak(read) < 1 << 20
 
 
 
@@ -213,13 +221,14 @@ def test_every_logit_value_is_checked_finite(tmp_path, monkeypatch, capsys, part
     planes = stack.planes.copy()
     planes.reshape(-1)[where] = value
     _rewrite(bundle, tmp_path, part, LogitStack(stack.class_ids, planes))
-    with pytest.raises(PayloadValueError, match="NaN or Inf"):
-        stream_bundle(manifest)
+    for read in (_stream, load_bundle):
+        with pytest.raises(PayloadValueError, match="NaN or Inf"):
+            read(manifest)
     assert cli(["aggregate", "--bundle", str(manifest), "--out", str(tmp_path / "o.tmef")]) == 2
     assert part in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("read", ["load_stack", "stream_bundle"])
+@pytest.mark.parametrize("read", ["load_stack", "BundleReader", "load_bundle"])
 def test_file_growing_after_fstat_is_rejected(tmp_path, monkeypatch, read):
     bundle = build_bundle(random_scene(4, max_nuclei=5))
     manifest = save_bundle(bundle, tmp_path)
@@ -234,5 +243,10 @@ def test_file_growing_after_fstat_is_rejected(tmp_path, monkeypatch, read):
         return grown if st.st_ino == grown.st_ino else st
 
     monkeypatch.setattr(tmeseg.container.os, "fstat", fstat)
+    readers = {
+        "load_stack": lambda: tmeseg.container.load_stack(part),
+        "BundleReader": lambda: _stream(manifest),
+        "load_bundle": lambda: load_bundle(manifest),
+    }
     with pytest.raises(TruncatedPayloadError, match="changed while reading"):
-        tmeseg.container.load_stack(part) if read == "load_stack" else stream_bundle(manifest)
+        readers[read]()

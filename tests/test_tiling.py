@@ -14,8 +14,7 @@ from tmeseg.synth import build_bundle, random_scene
 from tmeseg.tiling import (
     TilePlan,
     axis_offsets,
-    iterate_tiles,
-    owned_cells,
+    tile_cells,
     tiled_aggregate,
 )
 
@@ -23,7 +22,7 @@ STITCH_CFG = RunConfig(background_threshold=200)
 
 
 # ---------------------------------------------------------------------------
-# Window geometry
+# Cell geometry
 # ---------------------------------------------------------------------------
 
 
@@ -53,19 +52,16 @@ def test_tile_plan_validation():
 
 
 def test_iterate_tiles_row_major_and_sized():
-    wins = iterate_tiles((768, 704), TilePlan())
-    assert len(wins) == 6  # 3 rows x 2 cols
-    assert [w.index for w in wins] == list(range(6))
-    assert (wins[0].y0, wins[0].x0) == (0, 0)
-    assert (wins[1].y0, wins[1].x0) == (0, 320)
-    assert (wins[2].y0, wins[2].x0) == (320, 0)
-    assert all(w.height == 384 and w.width == 384 for w in wins)
+    """The cells of ``tile_cells`` partition the frame in row-major order."""
+    cells = tile_cells((768, 704), TilePlan())
+    rows = [slice(0, 320), slice(320, 384), slice(384, 768)]  # origins 0, 320, 384
+    cols = [slice(0, 320), slice(320, 704)]  # origins 0, 320
+    assert cells == [(r, c) for r in rows for c in cols]
 
 
 def test_iterate_tiles_small_extent_single_window():
-    wins = iterate_tiles((100, 90), TilePlan())
-    assert len(wins) == 1
-    assert (wins[0].height, wins[0].width) == (100, 90)
+    """An extent smaller than the crop is one cell of the full extent."""
+    assert tile_cells((100, 90), TilePlan()) == [(slice(0, 100), slice(0, 90))]
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +131,9 @@ def test_pool_size_is_bounded_by_the_cells(monkeypatch):
     monkeypatch.setattr(tmeseg.tiling, "ThreadPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     bundle = _scene_bundle(11, 100)
-    plan = TilePlan(crop=60, stride=50)  # 2 x 2 windows
+    plan = TilePlan(crop=60, stride=50)  # 2 x 2 cells
     res = tiled_aggregate(bundle, STITCH_CFG, plan, workers=10**6)
-    assert _InlinePool.sizes == [len(iterate_tiles((100, 100), plan))] == [4]
+    assert _InlinePool.sizes == [len(tile_cells((100, 100), plan))] == [4]
     _assert_same_result(aggregate(bundle, STITCH_CFG), res)
 
 
@@ -224,13 +220,13 @@ def test_tiled_equals_full_frame_for_any_plan(case):
 def test_each_pixel_is_blurred_in_one_owned_cell(case):
     seed, shape, plan, cfg, _ = case
     bundle = build_bundle(random_scene(seed, *shape, max_nuclei=10, max_candidates=2))
-    windows = iterate_tiles(shape, plan)
-    cells = owned_cells(windows, shape)
+    cells = tile_cells(shape, plan)
     cover = np.zeros(shape, dtype=np.int64)
-    for win, (rows, cols) in zip(windows, cells):
-        assert (rows.start, cols.start) == (win.y0, win.x0)
+    for rows, cols in cells:
         cover[rows, cols] += 1
     assert (cover == 1).all()
+    starts = [(rows.start, cols.start) for rows, cols in cells]
+    assert starts == sorted(starts)  # row-major
 
     margin = blur_radius(cfg.blur_sigma)
 
@@ -247,5 +243,5 @@ def test_each_pixel_is_blurred_in_one_owned_cell(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("tmeseg.tiling.gaussian_smooth", counting_smooth)
         tiled_aggregate(bundle, cfg, plan, workers=1)
-    assert len(blurred) == len(windows)
+    assert len(blurred) == len(cells)
     assert sum(blurred) <= bound

@@ -143,9 +143,9 @@ def test_slide_metrics_rejects_non_finite_mpp(mpp):
 def test_slide_metrics_labels_each_class_once(monkeypatch):
     calls = []
 
-    def counting(binary, connectivity):
+    def counting(binary):
         calls.append(binary)
-        return connected_components(binary, connectivity)
+        return connected_components(binary)
 
     monkeypatch.setattr(tme, "connected_components", counting)
     mask = tumor_slide(lym_positions=[(5, 5), (5, 25)])
