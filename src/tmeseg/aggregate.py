@@ -3,20 +3,22 @@ and mitosis candidates into one panoptic label mask.
 
 Stages, in fixed order:
 
-1. background from Otsu on the Gaussian-smoothed H&E tile
+1. glass: the pinned threshold, or Otsu, on the Gaussian-smoothed
+   grayscale of the H&E tile
 2. tissue labels (smooth muscle / epithelial tissue contest, red blood
-   cell overlay, stroma remainder)
+   cell overlay, stroma remainder), with glass applied last
 3. per-pixel hierarchical cell classification inside nuclei, then a
    per-nucleus majority vote
 4. fallback rules for still-undefined nuclei
 5. mitosis candidate filtering and nucleus supersedence
 6. final mask combination (nucleus classes paint over tissue labels)
 
+``_fuse`` runs all six on the smoothed grayscale; ``aggregate`` blurs the
+whole frame for it and ``tiling.tiled_aggregate`` blurs it cell by cell.
 Stages 2-6 read the logit stacks only through two reductions, the tissue
 label before glass and the cell logits at the nucleus pixels
 (``FusionInputs``), which a bundle in memory (``TeacherBundle.reduce``) and
 a bundle streamed from disk (``container.BundleReader``) both produce.
-``tiling.tiled_aggregate`` runs stage 1's blur while the bundle is reduced.
 
 Everything is deterministic: identical bundles give bit-identical results.
 A structurally separate per-pixel reference of the same rules lives in
@@ -146,8 +148,6 @@ class TeacherBundle:
             _whole_planes(self.tissue_logits),
             _whole_planes(self.cell_logits),
             self.mitosis_candidates,
-            self.halo,
-            self.mpp,
         )
 
 
@@ -200,8 +200,6 @@ class FusionInputs:
     tissue_pre: np.ndarray  # (H, W) uint8
     cell_vals: np.ndarray  # (len(CELL_IDS), N) float32
     mitosis_candidates: tuple
-    halo: int
-    mpp: float
 
 
 def _reduce_tissue(blocks: Blocks, shape: tuple) -> np.ndarray:
@@ -255,8 +253,6 @@ def fusion_inputs(
     tissue_blocks: Blocks,
     cell_blocks: Blocks,
     mitosis_candidates: Sequence[tuple],
-    halo: int,
-    mpp: float,
 ) -> FusionInputs:
     """Reduce two streams of logit blocks, in that order, into ``FusionInputs``.
 
@@ -276,8 +272,6 @@ def fusion_inputs(
         tissue_pre=tissue_pre,
         cell_vals=_reduce_cells(cell_blocks, rows * w + cols, _CELL_ROW),
         mitosis_candidates=tuple(mitosis_candidates),
-        halo=halo,
-        mpp=mpp,
     )
 
 
@@ -295,7 +289,7 @@ class AggregationResult:
     semantic: np.ndarray  # (H, W) uint8 class ids
     instances: InstanceMap
     classes: dict[int, Optional[int]]  # nucleus id -> final class (None undefined)
-    mitosis: RegionList | InstanceMap  # the hull regions; an id raster works too
+    mitosis: RegionList | InstanceMap  # RegionList from the pipeline; check_invariants takes either
     provenance: dict[int, NucleusDecision]
 
     def check_invariants(self) -> None:
@@ -314,46 +308,6 @@ class AggregationResult:
         for gid in _nuclei_under(self.instances, self.mitosis).tolist():
             if self.classes[gid] != MITOTIC_CELL:
                 raise AssertionError(f"nucleus {gid}: mitosis supersedence violated")
-
-
-# ---------------------------------------------------------------------------
-# Stage 1+2: tissue segmentation
-# ---------------------------------------------------------------------------
-
-
-def background_mask(
-    he: np.ndarray, config: Optional[RunConfig] = None
-) -> tuple[np.ndarray, int]:
-    """Glass mask (True = background) and the threshold used."""
-    cfg = config or RunConfig()
-    return _background(grayscale(gaussian_smooth(he, cfg.blur_sigma)), cfg)
-
-
-def _background(gray: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, int]:
-    """Glass mask from the smoothed grayscale: the pinned threshold, or Otsu."""
-    t = cfg.background_threshold
-    if t is None:
-        t = otsu_threshold(gray)
-    return gray > t, t
-
-
-def tissue_segmentation(
-    bundle: TeacherBundle, config: Optional[RunConfig] = None
-) -> np.ndarray:
-    """Label every pixel background / smooth_muscle / epithelial_tissue /
-    red_blood_cell / stroma.
-
-    Non-background pixels contest between smooth muscle and epithelium
-    where either logit is positive (larger wins, tie to the lower id);
-    positive red-blood-cell logits overlay both; the rest is stroma.
-    """
-    bg, _ = background_mask(bundle.he, config)
-    return _glass(bg, _reduce_tissue(_whole_planes(bundle.tissue_logits), bg.shape))
-
-
-def _glass(bg: np.ndarray, tissue_pre: np.ndarray) -> np.ndarray:
-    """The tissue labels: ``tissue_pre`` with background where ``bg`` is set."""
-    return np.where(bg, np.uint8(BACKGROUND), tissue_pre)
 
 
 # ---------------------------------------------------------------------------
@@ -415,27 +369,6 @@ def _vote_groups(
     return voted, decisions
 
 
-def classify_nucleus(
-    rows: np.ndarray, cols: np.ndarray, logits: LogitStack
-) -> tuple[Optional[int], NucleusDecision]:
-    """Classify one nucleus given its pixel coordinates.
-
-    Returns (class id or None, decision record with vote counts and the
-    per-level override hit counts).
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if rows.size == 0:
-        raise ValueError("nucleus pixel set is empty")
-    missing = [VOCABULARY.name_of(c) for c in CELL_IDS if not logits.has(c)]
-    if missing:
-        raise ValueError(f"logit stack missing hierarchy channels {missing}")
-    vals = np.stack([logits.plane(c)[rows, cols] for c in CELL_IDS])
-    voted, (decision,) = _vote_groups(vals, np.zeros(rows.size, dtype=np.intp), 1)
-    cls = int(voted[0])
-    return (None if cls == UNDEFINED else cls), decision
-
-
 # ---------------------------------------------------------------------------
 # Stage 4: fallback rules
 # ---------------------------------------------------------------------------
@@ -482,7 +415,6 @@ def mitosis_hulls(
     candidates: Sequence[tuple],
     he: np.ndarray,
     config: Optional[RunConfig] = None,
-    score_threshold: float = 0.0,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """The H&E-only part of mitosis detection: every candidate's hull rasters.
 
@@ -498,9 +430,7 @@ def mitosis_hulls(
     check_rgb_tile(he)
     h, w = he.shape[:2]
     r = cfg.mitosis_roi_radius_px
-    for x, y, score in candidates:
-        if score < score_threshold:
-            continue
+    for x, y, _ in candidates:
         y0 = max(int(np.ceil(y - r)), 0)
         y1 = min(int(np.floor(y + r)), h - 1)
         x0 = max(int(np.ceil(x - r)), 0)
@@ -535,7 +465,6 @@ def detect_mitosis(
     he: np.ndarray,
     tissue: np.ndarray,
     config: Optional[RunConfig] = None,
-    score_threshold: float = 0.0,
 ) -> RegionList:
     """Filter mitosis candidates into hull regions.
 
@@ -545,7 +474,7 @@ def detect_mitosis(
     """
     kept = [
         (y0, x0, region)
-        for y0, x0, region in mitosis_hulls(candidates, he, config, score_threshold)
+        for y0, x0, region in mitosis_hulls(candidates, he, config)
         if (
             tissue[y0 : y0 + region.shape[0], x0 : x0 + region.shape[1]][region]
             == EPITHELIAL_TISSUE
@@ -593,22 +522,15 @@ def aggregate(
     """
     cfg = config or RunConfig()
     inputs = _reduced(bundle)
-    bg, _ = background_mask(inputs.he, cfg)
-    return _fuse(inputs, bg, cfg)
+    return _fuse(inputs, grayscale(gaussian_smooth(inputs.he, cfg.blur_sigma)), cfg)
 
 
-def _aggregate_smoothed(
-    inputs: FusionInputs, gray: np.ndarray, cfg: RunConfig
-) -> AggregationResult:
-    """``aggregate`` on fusion inputs whose smoothed grayscale
-    (``grayscale(gaussian_smooth(he, cfg.blur_sigma))``) is already known."""
-    bg, _ = _background(gray, cfg)
-    return _fuse(inputs, bg, cfg)
-
-
-def _fuse(inputs: FusionInputs, bg: np.ndarray, cfg: RunConfig) -> AggregationResult:
-    """Stages 3-6 on top of the glass mask."""
-    tissue = _glass(bg, inputs.tissue_pre)
+def _fuse(inputs: FusionInputs, gray: np.ndarray, cfg: RunConfig) -> AggregationResult:
+    """All six stages, from the smoothed grayscale
+    (``grayscale(gaussian_smooth(he, cfg.blur_sigma))``) of ``inputs.he``."""
+    t = cfg.background_threshold
+    glass = gray > (otsu_threshold(gray) if t is None else t)
+    tissue = np.where(glass, np.uint8(BACKGROUND), inputs.tissue_pre)
     rows, cols, slot, gids = inputs.groups
     voted, decisions = _vote_groups(inputs.cell_vals, slot, gids.size)
     gid_list = gids.tolist()

@@ -122,7 +122,6 @@ def _write_json(doc: dict, path: Path) -> None:
 
 
 def _cmd_synth(args) -> int:
-    from .reference import reference_aggregate
     from .synth import build_bundle, random_scene
 
     config = _load_config(args)
@@ -138,6 +137,8 @@ def _cmd_synth(args) -> int:
     manifest = save_bundle(bundle, out_dir)
     outputs = [manifest] + sorted(out_dir.glob("*.tmef"))
     if args.truth:
+        from .reference import reference_aggregate
+
         truth = reference_aggregate(bundle, config)
         truth_mask = out_dir / "truth_semantic.tmef"
         save_stack(container_from_labels(truth["semantic"], bundle.mpp), truth_mask)

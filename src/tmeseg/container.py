@@ -81,6 +81,7 @@ class StackContainer:
 
     def __post_init__(self):
         self.channels = tuple(str(c) for c in self.channels)
+        _check_scale(self.mpp, self.halo, "container")  # so save_stack writes loadable headers
         if self.dtype not in _DTYPES:
             raise DtypeError(f"unknown dtype {self.dtype!r}; expected f32/u8/u32")
         self.planes = np.ascontiguousarray(self.planes, dtype=_NATIVE[self.dtype])
@@ -140,6 +141,14 @@ def _is_number(v) -> bool:
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_scale(mpp, halo, where) -> None:
+    """The header rule for ``mpp`` and ``halo``, where None means absent."""
+    if mpp is not None and not (_is_number(mpp) and mpp > 0):
+        raise ContainerError(f"{where}: mpp must be a finite number > 0")
+    if halo is not None and not (_is_int(halo) and halo >= 0):
+        raise ContainerError(f"{where}: halo must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -205,10 +214,7 @@ def _read_checked_header(fh, path) -> _Header:
     if not isinstance(meta, dict):
         raise ContainerError(f"{path}: meta must be a JSON object")
     mpp, halo = header.get("mpp"), header.get("halo")
-    if mpp is not None and not (_is_number(mpp) and mpp > 0):
-        raise ContainerError(f"{path}: mpp must be a finite number > 0")
-    if halo is not None and not (_is_int(halo) and halo >= 0):
-        raise ContainerError(f"{path}: halo must be an integer >= 0")
+    _check_scale(mpp, halo, path)
     head = _Header(dtype, height, width, tuple(channels), mpp, halo, meta)
     expected = width * height * len(channels) * head.wire.itemsize
     actual = file_size - 4 - hlen
@@ -441,9 +447,7 @@ def _parse_manifest(raw: bytes, manifest_path: Path) -> tuple[dict, dict[str, Pa
         for c in candidates
     ):
         raise ContainerError("bundle manifest candidates must be [x, y, score] numbers")
-    for key in ("mpp", "halo"):
-        if doc.get(key) is not None and not _is_number(doc[key]):
-            raise ContainerError(f"bundle manifest {key} must be a number")
+    _check_scale(doc.get("mpp"), doc.get("halo"), "bundle manifest")
     return doc, {k: manifest_path.parent / doc[k] for k in BUNDLE_PARTS}
 
 
@@ -504,7 +508,8 @@ class BundleReader(ExitStack):
         raw = manifest_path.read_bytes()
         doc, parts = _parse_manifest(raw, manifest_path)
         self.candidates = tuple(tuple(map(float, c)) for c in doc.get("candidates", []))
-        self.halo, self.mpp = int(doc.get("halo") or 0), float(doc.get("mpp") or 0.25)
+        self.halo = doc.get("halo") or 0
+        self.mpp = 0.25 if doc.get("mpp") is None else float(doc["mpp"])
         self.digests = {str(manifest_path): hashlib.sha256(raw).hexdigest()} if self._hashed else {}
         with ExitStack() as files:  # closes the files if opening fails
             self._parts = {k: _open(files, p, self._hashed) for k, p in parts.items()}
@@ -548,8 +553,6 @@ class BundleReader(ExitStack):
             logits("tissue_logits"),
             logits("cell_logits"),
             self.candidates,
-            self.halo,
-            self.mpp,
         )
         self.digests.update(_digests(self._parts.values()))
         return inputs

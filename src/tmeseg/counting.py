@@ -51,15 +51,6 @@ def class_pixel_area(mask: np.ndarray, class_id: int) -> int:
     return int((np.asarray(mask) == class_id).sum())
 
 
-def estimate_count_by_area(
-    mask: np.ndarray, class_id: int, mean_area: float
-) -> float:
-    """Pixel area of the class divided by the calibrated mean cell area."""
-    if not (math.isfinite(mean_area) and mean_area > 0):
-        raise ValueError("mean_area must be positive and finite")
-    return class_pixel_area(mask, class_id) / mean_area
-
-
 def count_record(
     mask: np.ndarray, class_id: int, mean_area: Optional[float] = None
 ) -> CountRecord:

@@ -70,9 +70,6 @@ class LogitStack:
     def width(self) -> int:
         return self.planes.shape[2]
 
-    def has(self, class_id: int) -> bool:
-        return class_id in self._index
-
     def plane(self, class_id: int) -> np.ndarray:
         try:
             return self.planes[self._index[class_id]]

@@ -3,9 +3,9 @@ benchmarks, and the command-line ``synth`` command.
 
 A scene is declarative: geometric primitives place tissue ink, teacher
 logits, nucleus instances, and mitosis candidates on a glass slide.
-``build_bundle`` renders it once; both pipeline routes then consume the
-identical bundle. ``synth_fixture`` additionally runs the slow per-pixel
-reference so callers get ground truth alongside the bundle.
+``build_bundle`` renders it once; the pipeline and the per-pixel
+reference (``reference.reference_aggregate``) then consume the identical
+bundle, so the reference's result is its ground truth.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .aggregate import CELL_CHANNELS, CELL_IDS, TISSUE_CHANNELS, TISSUE_IDS, TeacherBundle
-from .config import RunConfig
 from .raster import InstanceMap, LogitStack
-from .reference import reference_aggregate
 from .taxonomy import FIBROBLAST, VOCABULARY
 
 GLASS = 235
@@ -226,14 +224,6 @@ def build_bundle(scene: SceneSpec) -> TeacherBundle:
         mitosis_candidates=tuple((c.x, c.y, c.score) for c in scene.candidates),
         mpp=scene.mpp,
     )
-
-
-def synth_fixture(
-    scene: SceneSpec, config: Optional[RunConfig] = None
-) -> tuple[TeacherBundle, dict]:
-    """Bundle plus its per-pixel reference result (the test oracle)."""
-    bundle = build_bundle(scene)
-    return bundle, reference_aggregate(bundle, config)
 
 
 # ---------------------------------------------------------------------------

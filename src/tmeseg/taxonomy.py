@@ -67,11 +67,6 @@ class Taxonomy:
         for alias, target in self.aliases.items():
             lookup.setdefault(alias.lower(), lookup[target.lower()])
         object.__setattr__(self, "_lookup", lookup)
-        object.__setattr__(
-            self,
-            "_level_of",
-            {cid: i + 1 for i, lv in enumerate(self.levels) for cid in lv},
-        )
 
     @property
     def n_classes(self) -> int:
@@ -94,12 +89,6 @@ class Taxonomy:
 
     def name_of(self, cid: int) -> str:
         return self.names[cid]
-
-    def level_of(self, cid: int) -> Optional[int]:
-        """Hierarchy level (1..4) containing the class, or None."""
-        if not 0 <= cid < len(self.names):
-            raise ValueError(f"invalid class id {cid}")
-        return self._level_of.get(cid)  # type: ignore[attr-defined]
 
 
 def _packaged() -> Taxonomy:
@@ -184,8 +173,3 @@ def class_map_from_json(doc: dict) -> ClassMap:
 def load_class_map(path: str | Path) -> ClassMap:
     with open(path, "r", encoding="utf-8") as fh:
         return class_map_from_json(json.load(fh))
-
-
-def identity_class_map() -> ClassMap:
-    """Map every class to itself (evaluation vocabulary == source roster)."""
-    return ClassMap(VOCABULARY.names, {cid: cid for cid in VOCABULARY.ids})

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregate import AggregationResult, _aggregate_smoothed, _reduced
+from .aggregate import AggregationResult, _fuse, _reduced
 from .config import RunConfig
 from .raster import blur_radius, check_rgb_tile, gaussian_smooth, grayscale
 
@@ -113,4 +113,4 @@ def tiled_aggregate(
             blur.result()
     finally:
         pool.shutdown(cancel_futures=True)  # on error, pending cells never start
-    return _aggregate_smoothed(inputs, gray, cfg)
+    return _fuse(inputs, gray, cfg)

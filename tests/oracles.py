@@ -178,7 +178,6 @@ def frame_detect_mitosis(
     he: np.ndarray,
     tissue: np.ndarray,
     config: Optional[RunConfig] = None,
-    score_threshold: float = 0.0,
 ) -> InstanceMap:
     """Filter mitosis candidates into an instance map of hull regions.
 
@@ -194,9 +193,7 @@ def frame_detect_mitosis(
     h, w = he.shape[:2]
     union = np.zeros((h, w), dtype=bool)
     r = cfg.mitosis_roi_radius_px
-    for x, y, score in candidates:
-        if score < score_threshold:
-            continue
+    for x, y, _ in candidates:
         y0 = max(int(np.ceil(y - r)), 0)
         y1 = min(int(np.floor(y + r)), h - 1)
         x0 = max(int(np.ceil(x - r)), 0)

@@ -14,13 +14,19 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_mwu, exhaustive_otsu, hand_dice, hand_mcc
-from tmeseg.aggregate import CELL_CHANNELS, aggregate, classify_nucleus, detect_mitosis
+from tmeseg.aggregate import (
+    CELL_CHANNELS,
+    TISSUE_IDS,
+    TeacherBundle,
+    aggregate,
+    detect_mitosis,
+)
 from tmeseg.config import RunConfig
-from tmeseg.counting import calibrate, count_by_components, estimate_count_by_area
+from tmeseg.counting import calibrate, count_by_components, count_record
 from tmeseg.metrics import ConfusionCounts, dice, iou, mcc
-from tmeseg.raster import LogitStack, distance_band, otsu_threshold
+from tmeseg.raster import InstanceMap, LogitStack, distance_band, otsu_threshold
 from tmeseg.reference import reference_aggregate
-from tmeseg.synth import build_bundle, random_scene, throughput_bundle
+from tmeseg.synth import TISSUE_INK, build_bundle, random_scene, throughput_bundle
 from tmeseg.taxonomy import default_taxonomy
 from tmeseg.tiling import TilePlan, tiled_aggregate
 from tmeseg.tme import mann_whitney_u
@@ -213,12 +219,20 @@ def test_criterion_04_mitosis_constants():
 
 
 def test_criterion_05_hierarchy_properties():
+    # Each nucleus lies alone on its own 8 x 8 block of one bundle, so each
+    # votes as if it were the bundle's only nucleus; three ``aggregate`` runs
+    # read the base, the scaled and the raised logits of all of them.
     rng = np.random.default_rng(55)
     ids = tuple(TAX.resolve(n) for n in CELL_CHANNELS)
     level4 = (TAX.resolve("eosinophil"), TAX.resolve("neutrophil"))
-    violations = {"scalar": 0, "override": 0, "undefined": 0}
+    n_nuclei, per_row = 10_000, 100
+    frame = (8 * n_nuclei // per_row, 8 * per_row)
+    nuclei = np.zeros(frame, np.int32)
+    base_planes, scaled_planes, raised_planes = (
+        np.empty((len(ids),) + frame, np.float32) for _ in range(3)
+    )
 
-    for i in range(10_000):
+    for i in range(n_nuclei):
         # odd pixel counts: the even case can tie two level-4 channels,
         # where the documented lowest-id tiebreak (not the raised channel)
         # wins; the monotonicity claim is about non-tied votes
@@ -235,22 +249,40 @@ def test_criterion_05_hierarchy_properties():
             sub = planes[:, rows, cols]
             planes[:, rows, cols] = -np.abs(sub) - np.float32(0.01)
 
-        stack = LogitStack(ids, planes)
-        base, _ = classify_nucleus(rows, cols, stack)
+        scale = np.float32(2.0 ** int(rng.integers(-3, 11)))
+        raised = planes.copy()
+        raised[raise_row, rows, cols] = rng.uniform(0.05, 3.0, n_pix).astype(np.float32)
 
+        y, x = 8 * (i // per_row), 8 * (i % per_row)
+        block = (slice(y, y + 8), slice(x, x + 8))
+        nuclei[block][rows, cols] = i + 1
+        base_planes[(slice(None),) + block] = planes
+        scaled_planes[(slice(None),) + block] = planes * scale
+        raised_planes[(slice(None),) + block] = raised
+
+    instances = InstanceMap.from_ids(nuclei)
+
+    def votes(planes):
+        bundle = TeacherBundle(
+            he=np.full(frame + (3,), TISSUE_INK, np.uint8),
+            tissue_logits=LogitStack(TISSUE_IDS, np.full((3,) + frame, -2.0, np.float32)),
+            cell_logits=LogitStack(ids, planes),
+            nuclei=instances,
+        )
+        res = aggregate(bundle)
+        # no teacher types and no epithelium, so no fallback: classes are votes
+        assert {d.rule for d in res.provenance.values()} <= {"vote", "undefined"}
+        return [res.classes[g] for g in range(1, n_nuclei + 1)]
+
+    violations = {"scalar": 0, "override": 0, "undefined": 0}
+    for i, (base, scaled, raised) in enumerate(
+        zip(votes(base_planes), votes(scaled_planes), votes(raised_planes))
+    ):
+        raise_id = level4[i % 2]
         if i % 5 == 0 and base is not None:
             violations["undefined"] += 1
-
-        scale = np.float32(2.0 ** int(rng.integers(-3, 11)))
-        scaled, _ = classify_nucleus(rows, cols, LogitStack(ids, planes * scale))
         if scaled != base:
             violations["scalar"] += 1
-
-        raised_planes = planes.copy()
-        raised_planes[raise_row, rows, cols] = rng.uniform(0.05, 3.0, n_pix).astype(
-            np.float32
-        )
-        raised, _ = classify_nucleus(rows, cols, LogitStack(ids, raised_planes))
         if raised != base and raised != raise_id:
             violations["override"] += 1
 
@@ -286,7 +318,7 @@ def test_criterion_06_counting_exact():
     for k in range(1, 51):
         mask = _stamp_discs(k)
         assert count_by_components(mask, cls) == k
-        assert estimate_count_by_area(mask, cls, 25.0) == float(k)
+        assert count_record(mask, cls, 25.0).area_estimate == float(k)
     fit = calibrate([(25.0 * k, float(k)) for k in range(1, 51)])
     r2_ok = abs(fit["r_squared"] - 1.0) <= 1e-9
     _verdict(

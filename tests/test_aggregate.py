@@ -9,11 +9,8 @@ from tmeseg.aggregate import (
     TeacherBundle,
     aggregate,
     apply_mitosis,
-    background_mask,
-    classify_nucleus,
     detect_mitosis,
     fallback_rules,
-    tissue_segmentation,
 )
 from tmeseg.config import RunConfig
 from tmeseg.raster import InstanceAttrs, InstanceMap, LogitStack
@@ -29,7 +26,6 @@ from tmeseg.synth import (
     TissuePatch,
     build_bundle,
     random_scene,
-    synth_fixture,
 )
 from tmeseg.taxonomy import default_taxonomy
 
@@ -73,46 +69,48 @@ def make_bundle(h=8, w=8, ink=TISSUE_INK, ids=None, types=None, candidates=()):
 
 
 # ---------------------------------------------------------------------------
-# Background and tissue contest
+# Background and tissue contest: ``aggregate`` on nucleus-free bundles, whose
+# semantic raster is the tissue raster
 # ---------------------------------------------------------------------------
 
 
+def _tissue(bundle, config=None):
+    return aggregate(bundle, config).semantic
+
+
 def test_background_threshold_override():
-    he = np.full((6, 6, 3), GLASS, dtype=np.uint8)
-    bg, t = background_mask(he, RunConfig(background_threshold=200))
-    assert t == 200 and bg.all()
-    bg, t = background_mask(he, RunConfig(background_threshold=250))
-    assert t == 250 and not bg.any()
+    b = make_bundle(6, 6, ink=GLASS)
+    assert (_tissue(b, RunConfig(background_threshold=200)) == BG).all()
+    assert not (_tissue(b, RunConfig(background_threshold=250)) == BG).any()
 
 
 def test_background_otsu_separates_glass_from_ink():
-    he = np.full((10, 10, 3), GLASS, dtype=np.uint8)
-    he[:, :5] = TISSUE_INK
-    bg, t = background_mask(he)
-    assert TISSUE_INK <= t < GLASS
+    b = make_bundle(10, 10, ink=GLASS)
+    b.he[:, :5] = TISSUE_INK
+    bg = _tissue(b) == BG
     # smoothing blends the boundary; the outer columns are unambiguous
     assert bg[:, 9].all() and not bg[:, 0].any()
 
 
 def test_tissue_all_negative_is_stroma():
     b = make_bundle()
-    assert (tissue_segmentation(b) == STR).all()
+    assert (_tissue(b) == STR).all()
 
 
 def test_tissue_contest_larger_logit_wins():
     b = make_bundle()
     _set(b.tissue_logits, "smooth_muscle", 2.0)
     _set(b.tissue_logits, "epithelial_tissue", 1.0)
-    assert (tissue_segmentation(b) == SM).all()
+    assert (_tissue(b) == SM).all()
     _set(b.tissue_logits, "epithelial_tissue", 3.0)
-    assert (tissue_segmentation(b) == EPI).all()
+    assert (_tissue(b) == EPI).all()
 
 
 def test_tissue_contest_tie_goes_to_smooth_muscle():
     b = make_bundle()
     _set(b.tissue_logits, "smooth_muscle", 1.5)
     _set(b.tissue_logits, "epithelial_tissue", 1.5)
-    assert (tissue_segmentation(b) == SM).all()
+    assert (_tissue(b) == SM).all()
 
 
 def test_tissue_one_sided_contest():
@@ -120,26 +118,37 @@ def test_tissue_one_sided_contest():
     # contest even though the *larger* channel comparison is one-sided
     b = make_bundle()
     _set(b.tissue_logits, "epithelial_tissue", 0.5)
-    assert (tissue_segmentation(b) == EPI).all()
+    assert (_tissue(b) == EPI).all()
 
 
 def test_rbc_overlays_tissue_winner():
     b = make_bundle()
     _set(b.tissue_logits, "smooth_muscle", 2.0)
     _set(b.tissue_logits, "red_blood_cell", 0.1)
-    assert (tissue_segmentation(b) == RBC).all()
+    assert (_tissue(b) == RBC).all()
 
 
 def test_background_trumps_positive_logits():
     b = make_bundle(ink=GLASS)
     _set(b.tissue_logits, "epithelial_tissue", 5.0)
-    labels = tissue_segmentation(b, RunConfig(background_threshold=200))
+    labels = _tissue(b, RunConfig(background_threshold=200))
     assert (labels == BG).all()
 
 
 # ---------------------------------------------------------------------------
-# Per-nucleus voting
+# Per-nucleus voting: ``aggregate`` on a one-nucleus bundle
 # ---------------------------------------------------------------------------
+
+
+def _vote(stack: LogitStack, n_pixels: int):
+    """Class and decision record of one nucleus on the first ``n_pixels``
+    pixels of row 0 of a bundle carrying the cell logits ``stack``."""
+    ids = np.zeros((stack.height, stack.width), np.int32)
+    ids[0, :n_pixels] = 1
+    b = make_bundle(stack.height, stack.width, ids=ids)
+    b.cell_logits = stack
+    res = aggregate(b)
+    return res.classes[1], res.provenance[1]
 
 
 def _one_pixel_logits(**name_to_logit):
@@ -151,7 +160,7 @@ def _one_pixel_logits(**name_to_logit):
 
 def test_deeper_level_overrides_shallower():
     stack = _one_pixel_logits(leukocyte=1.0, lymphocyte=2.0)
-    cls, dec = classify_nucleus([0], [0], stack)
+    cls, dec = _vote(stack, 1)
     assert cls == LYM
     assert dec.rule == "vote"
     assert dec.level_fired == (0, 1, 1, 0)
@@ -161,13 +170,13 @@ def test_weaker_deep_positive_still_overrides():
     # the walk replaces the running label whenever the deeper winner is
     # positive, even at a smaller magnitude
     stack = _one_pixel_logits(leukocyte=5.0, lymphocyte=0.1)
-    cls, _ = classify_nucleus([0], [0], stack)
+    cls, _ = _vote(stack, 1)
     assert cls == LYM
 
 
 def test_all_nonpositive_is_undefined():
     stack = _stack(CELL_CHANNELS, 1, 1)
-    cls, dec = classify_nucleus([0], [0], stack)
+    cls, dec = _vote(stack, 1)
     assert cls is None
     assert dec.rule == "undefined"
     assert dec.votes == {-1: 1}
@@ -181,19 +190,19 @@ def test_majority_vote_three_to_two():
     plane2 = np.full((1, 5), -2.0, dtype=np.float32)
     plane2[0, 3:] = 1.0
     _set(stack, "plasma_cell", plane2)
-    cls, dec = classify_nucleus([0] * 5, list(range(5)), stack)
+    cls, dec = _vote(stack, 5)
     assert cls == LYM
     assert dec.votes == {LYM: 3, PLS: 2}
 
 
 def test_undefined_needs_strict_plurality():
-    stack = _stack(CELL_CHANNELS, 1, 4)
-    plane = np.full((1, 4), -2.0, dtype=np.float32)
-    plane[0, :2] = 1.0  # two endothelial pixels, two undefined
+    stack = _stack(CELL_CHANNELS, 1, 5)
+    plane = np.full((1, 5), -2.0, dtype=np.float32)
+    plane[0, :2] = 1.0  # two endothelial pixels, the rest undefined
     _set(stack, "endothelial_cell", plane)
-    cls, _ = classify_nucleus([0] * 4, list(range(4)), stack)
-    assert cls == ENDO  # tie: defined class wins
-    cls, _ = classify_nucleus([0] * 4 + [0], list(range(4)) + [3], stack)
+    cls, _ = _vote(stack, 4)
+    assert cls == ENDO  # 2 endothelial vs 2 undefined: the defined class wins
+    cls, _ = _vote(stack, 5)
     # 2 endothelial vs 3 undefined -> strict plurality for undefined
     assert cls is None
 
@@ -206,14 +215,16 @@ def test_defined_tie_takes_lowest_class_id():
     b = np.full((1, 2), -2.0, dtype=np.float32)
     b[0, 1] = 1.0
     _set(stack, "endothelial_cell", b)
-    cls, _ = classify_nucleus([0, 0], [0, 1], stack)
+    cls, _ = _vote(stack, 2)
     assert cls == ENDO  # 5 < 7
 
 
 def test_empty_pixel_set_rejected():
-    stack = _stack(CELL_CHANNELS, 2, 2)
-    with pytest.raises(ValueError):
-        classify_nucleus([], [], stack)
+    # a nucleus record whose pixels are gone is rejected, not voted undefined
+    b = make_bundle(2, 2)
+    b.nuclei.attrs[1] = InstanceAttrs(pixel_count=0, centroid=(0.0, 0.0))
+    with pytest.raises(ValueError, match="without raster pixels"):
+        aggregate(b)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +344,6 @@ def test_mitosis_hull_fills_concavity():
     mit = detect_mitosis([(41.0, 41.0, 0.9)], he, tissue)
     region = mit.ids > 0
     assert region[41, 41] and region[41, 42]
-
-
-def test_mitosis_score_threshold_filters():
-    he, tissue = _mitosis_tile()
-    ys, xs = Disc(40, 40, 2.5).pixels(80, 80)
-    he[ys, xs] = 20
-    mit = detect_mitosis([(40.0, 40.0, 0.3)], he, tissue, score_threshold=0.5)
-    assert len(mit.instance_ids) == 0
 
 
 def test_apply_mitosis_overrides_everything_it_touches():
@@ -465,7 +468,8 @@ def test_aggregate_is_deterministic():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_invariants_hold_on_random_scenes(seed):
-    bundle, ref = synth_fixture(random_scene(seed))
+    bundle = build_bundle(random_scene(seed))
+    ref = reference_aggregate(bundle)
     res = aggregate(bundle)
     res.check_invariants()
     assert np.array_equal(res.semantic, ref["semantic"])
@@ -526,7 +530,8 @@ def test_aggregate_reference_parity_on_handmade_scene():
         candidates=(CandidateSpec(40.0, 48.0, draw="blob", radius=2.5),),
         noise_seed=9,
     )
-    bundle, ref = synth_fixture(scene)
+    bundle = build_bundle(scene)
+    ref = reference_aggregate(bundle)
     res = aggregate(bundle)
     assert np.array_equal(res.semantic, ref["semantic"])
     assert res.classes == ref["classes"]

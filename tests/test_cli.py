@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -15,7 +16,6 @@ import pytest
 import tmeseg
 from tmeseg.cli import cli
 from tmeseg.container import (
-    StackContainer,
     container_from_instances,
     container_from_logits,
     load_stack,
@@ -394,8 +394,13 @@ def test_removed_config_key_exits_2(workspace, tmp_path, capsys, key):
 
 
 def test_label_container_with_bad_mpp_exits_2(tmp_path, capsys):
+    # raw bytes: StackContainer refuses to hold such an mpp
+    header = json.dumps(
+        {"magic": "TMEF1", "width": 4, "height": 4, "dtype": "u8", "channels": ["labels"],
+         "mpp": "x"}
+    ).encode()
     mask = tmp_path / "mask.tmef"
-    save_stack(StackContainer(("labels",), np.zeros((1, 4, 4), np.uint8), "u8", mpp="x"), mask)
+    mask.write_bytes(struct.pack("<I", len(header)) + header + bytes(16))
     out = tmp_path / "t.json"
     assert cli(["tme", "--mask", str(mask), "--out", str(out)]) == 2
     assert "mpp must be a finite number" in capsys.readouterr().err
@@ -438,9 +443,13 @@ def test_aggregate_data_error_leaves_no_thread(workspace, tmp_path, capsys):
         lambda doc: {**doc, "candidates": [[1.0, "2", 0.5]]},
         lambda doc: {**doc, "halo": [1]},
         lambda doc: {**doc, "mpp": "0.25"},
+        lambda doc: {**doc, "mpp": -1},
+        lambda doc: {**doc, "mpp": 0},
+        lambda doc: {**doc, "halo": -3},
+        lambda doc: {**doc, "halo": 2.7},
     ],
     ids=["not-object", "part", "candidates", "short-candidate", "string-coord",
-         "halo", "mpp"],
+         "halo", "mpp", "mpp-negative", "mpp-zero", "halo-negative", "halo-float"],
 )
 def test_malformed_manifest_exits_2(workspace, tmp_path, capsys, edit):
     doc = json.loads(workspace["bundle"].read_text())

@@ -225,6 +225,11 @@ def test_container_shape_and_name_validation():
         StackContainer((), np.zeros((0, 2, 2), np.uint8), "u8")
 
 
+def test_container_refuses_a_scale_load_stack_would_refuse():
+    with pytest.raises(ContainerError, match="mpp must be a finite number > 0"):
+        StackContainer(("a",), np.zeros((1, 2, 2), np.uint8), "u8", mpp=-1)
+
+
 # ---------------------------------------------------------------------------
 # Typed adapters
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from tmeseg.counting import (
     class_pixel_area,
     count_by_components,
     count_record,
-    estimate_count_by_area,
 )
 
 
@@ -36,21 +35,21 @@ def test_area_estimate_is_exact_for_uniform_cells():
     mask = np.zeros((50, 50), np.uint8)
     mask[:10, :50] = 7  # 500 pixels
     assert class_pixel_area(mask, 7) == 500
-    assert estimate_count_by_area(mask, 7, 25.0) == 20.0
+    assert count_record(mask, 7, 25.0).area_estimate == 20.0
 
 
 def test_area_estimate_linearity():
     base = np.zeros((40, 40), np.uint8)
     base[:5, :20] = 7
     double = np.concatenate([base, base], axis=1)
-    one = estimate_count_by_area(base, 7, 12.5)
-    two = estimate_count_by_area(double, 7, 12.5)
+    one = count_record(base, 7, 12.5).area_estimate
+    two = count_record(double, 7, 12.5).area_estimate
     assert two == 2 * one
 
 
 def test_estimate_rejects_nonpositive_mean_area():
     with pytest.raises(ValueError):
-        estimate_count_by_area(np.zeros((4, 4), np.uint8), 7, 0.0)
+        count_record(np.zeros((4, 4), np.uint8), 7, 0.0)
 
 
 def test_count_record_fields_and_validation():
@@ -116,7 +115,7 @@ def test_calibrate_degenerate_inputs():
 @pytest.mark.parametrize("mean_area", [float("nan"), float("inf")])
 def test_estimate_rejects_non_finite_mean_area(mean_area):
     with pytest.raises(ValueError, match="finite"):
-        estimate_count_by_area(_disc_mask([(10, 10)]), 7, mean_area)
+        count_record(_disc_mask([(10, 10)]), 7, mean_area)
 
 
 @pytest.mark.parametrize(

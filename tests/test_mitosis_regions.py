@@ -1,6 +1,8 @@
 """Mitosis hull regions labelled without a frame, against the whole-frame
 labelling of ``oracles.frame_detect_mitosis``."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from oracles import frame_detect_mitosis, frame_mitosis_hits
@@ -12,7 +14,6 @@ from tmeseg.aggregate import (
     apply_mitosis,
     detect_mitosis,
     mitosis_hulls,
-    tissue_segmentation,
 )
 from tmeseg.config import RunConfig
 from tmeseg.raster import InstanceMap, RegionList, connected_components, label_pieces
@@ -54,6 +55,13 @@ def _scene(h, w, blobs, tissue_class=EPITHELIAL_TISSUE):
         ids[rows[0], cols[0]] = i
     tissue = np.full((h, w), tissue_class, dtype=np.uint8)
     return he, tissue, InstanceMap.from_ids(ids)
+
+
+def _tissue(bundle, config=None):
+    """The bundle's tissue raster: ``aggregate``'s semantic once its nuclei
+    are emptied, so that no nucleus class paints over it."""
+    empty = InstanceMap.from_ids(np.zeros_like(bundle.nuclei.ids))
+    return aggregate(dataclasses.replace(bundle, nuclei=empty), config).semantic
 
 
 def _square(top, left, size):
@@ -151,7 +159,7 @@ def test_no_kept_hull():
 @pytest.mark.parametrize("seed", range(8))
 def test_random_scenes_match_frame_labelling(seed):
     bundle = build_bundle(random_scene(seed, max_candidates=40))
-    tissue = tissue_segmentation(bundle)
+    tissue = _tissue(bundle)
     got = detect_mitosis(bundle.mitosis_candidates, bundle.he, tissue)
     want = frame_detect_mitosis(bundle.mitosis_candidates, bundle.he, tissue)
     _assert_equivalent(got, want, bundle.nuclei)
@@ -159,7 +167,7 @@ def test_random_scenes_match_frame_labelling(seed):
 
 def test_throughput_bundle_matches_frame_labelling():
     bundle = throughput_bundle(1024, seed=3)
-    tissue = tissue_segmentation(bundle, RunConfig(background_threshold=200))
+    tissue = _tissue(bundle, RunConfig(background_threshold=200))
     got = detect_mitosis(bundle.mitosis_candidates, bundle.he, tissue)
     want = frame_detect_mitosis(bundle.mitosis_candidates, bundle.he, tissue)
     assert len(want.instance_ids) > 10

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tmeseg.reference import reference_aggregate
 from tmeseg.synth import (
     GLASS,
     NUCLEUS_INK,
@@ -13,7 +14,6 @@ from tmeseg.synth import (
     TissuePatch,
     build_bundle,
     random_scene,
-    synth_fixture,
     throughput_bundle,
 )
 from tmeseg.taxonomy import default_taxonomy
@@ -144,7 +144,7 @@ def test_fixture_returns_reference_truth():
         tissue=(TissuePatch(Ellipse(24, 24, 18, 20)),),
         nuclei=(NucleusSpec(Disc(24, 24, 3), class_name="lymphocyte"),),
     )
-    bundle, ref = synth_fixture(scene)
+    ref = reference_aggregate(build_bundle(scene))
     assert ref["classes"] == {1: TAX.resolve("lymphocyte")}
     assert ref["semantic"].shape == (48, 48)
     assert not ref["mitosis_mask"].any()

@@ -5,7 +5,6 @@ from tmeseg.taxonomy import (
     UnknownClassError,
     class_map_from_json,
     default_taxonomy,
-    identity_class_map,
 )
 
 EXPECTED_ORDER = [
@@ -43,9 +42,9 @@ def test_hierarchy_levels():
     assert by_name[1] == ["endothelial_cell", "leukocyte", "red_blood_cell"]
     assert by_name[2] == ["lymphocyte", "myeloid_cell", "plasma_cell"]
     assert by_name[3] == ["eosinophil", "neutrophil"]
-    assert tax.level_of(tax.resolve("lymphocyte")) == 3
-    assert tax.level_of(tax.resolve("smooth_muscle")) == 1
-    assert tax.level_of(tax.resolve("background")) is None
+    assert tax.resolve("lymphocyte") in tax.levels[2]
+    assert tax.resolve("smooth_muscle") in tax.levels[0]
+    assert all(tax.resolve("background") not in lv for lv in tax.levels)
 
 
 def test_aliases_resolve():
@@ -70,9 +69,9 @@ def test_unknown_name_raises_with_vocabulary():
     assert "astrocyte" in str(exc.value)
 
 
-def test_identity_class_map():
+def test_class_map_from_json_identity():
     tax = default_taxonomy()
-    cmap = identity_class_map()
+    cmap = class_map_from_json({"eval_classes": tax.names, "map": {n: n for n in tax.names}})
     assert cmap.eval_classes == tax.names
     for cid in tax.ids:
         assert cmap.map_id(cid) == cid
