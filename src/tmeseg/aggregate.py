@@ -32,7 +32,14 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import (
+    CARBON_RGB_SUM_MAX,
+    DEFAULT_MPP,
+    MITOSIS_MIN_AREA_PX,
+    MITOSIS_ROI_RADIUS_PX,
+    RunConfig,
+    check_scale,
+)
 from .raster import (
     InstanceMap,
     LogitStack,
@@ -110,7 +117,7 @@ class TeacherBundle:
     nuclei: InstanceMap
     mitosis_candidates: tuple = ()
     halo: int = 0
-    mpp: float = 0.25
+    mpp: float = DEFAULT_MPP
 
     def __post_init__(self):
         self.mitosis_candidates = tuple(
@@ -126,6 +133,7 @@ class TeacherBundle:
         return self.he.shape[1]
 
     def validate(self) -> None:
+        check_scale(self.mpp, self.halo, "bundle")
         check_rgb_tile(self.he)
         frame = self.he.shape[:2]
         for name, stack, wanted in (
@@ -137,7 +145,7 @@ class TeacherBundle:
             stack.require_finite()
         check_part("nuclei", self.nuclei.ids.shape, frame)
         self.nuclei.validate()
-        check_candidates(self.mitosis_candidates, frame, self.halo)
+        check_candidates(self.mitosis_candidates, frame, self.halo or 0)
 
     def reduce(self) -> "FusionInputs":
         """Validate, then feed each whole logit plane through the block reducers."""
@@ -412,24 +420,22 @@ def fallback_rules(
 
 
 def mitosis_hulls(
-    candidates: Sequence[tuple],
-    he: np.ndarray,
-    config: Optional[RunConfig] = None,
+    candidates: Sequence[tuple], he: np.ndarray
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """The H&E-only part of mitosis detection: every candidate's hull rasters.
 
-    Per candidate: clip a circular ROI at the tile border; reject when the
-    ROI's median RGB sum is <= the carbon-dust bound; Otsu the ROI grays
-    and keep the dark side; keep 8-connected blobs (holes filled) of at
-    least the minimum area; rasterize each blob's convex hull. Yields
+    Per candidate: clip a circular ROI of radius ``MITOSIS_ROI_RADIUS_PX``
+    at the tile border; reject when the ROI's median RGB sum is <=
+    ``CARBON_RGB_SUM_MAX`` (carbon dust); Otsu the ROI grays and keep the
+    dark side; keep 8-connected blobs (holes filled) of at least
+    ``MITOSIS_MIN_AREA_PX``; rasterize each blob's convex hull. Yields
     ``(y0, x0, region)``: a bool mask over the hull's bounding box whose
     top-left frame pixel is ``(y0, x0)``. Reads neither the blur nor the
     tissue.
     """
-    cfg = config or RunConfig()
     check_rgb_tile(he)
     h, w = he.shape[:2]
-    r = cfg.mitosis_roi_radius_px
+    r = MITOSIS_ROI_RADIUS_PX
     for x, y, _ in candidates:
         y0 = max(int(np.ceil(y - r)), 0)
         y1 = min(int(np.floor(y + r)), h - 1)
@@ -443,13 +449,13 @@ def mitosis_hulls(
         if not circle.any():
             continue
         roi = he[y0 : y1 + 1, x0 : x1 + 1]
-        if np.median(roi.astype(np.int32).sum(axis=2)[circle]) <= cfg.carbon_rgb_sum_max:
+        if np.median(roi.astype(np.int32).sum(axis=2)[circle]) <= CARBON_RGB_SUM_MAX:
             continue  # carbon dust
         gray = grayscale(roi)
         t = otsu_threshold(gray[circle])
         dark = circle & (gray <= t)
         for blob in contours(dark):
-            if blob.area < cfg.mitosis_min_area_px:
+            if blob.area < MITOSIS_MIN_AREA_PX:
                 continue
             # hull in (x, y) order over the blob's filled pixels, rasterized
             # over its own bounding box, which lies inside the ROI box
@@ -461,10 +467,7 @@ def mitosis_hulls(
 
 
 def detect_mitosis(
-    candidates: Sequence[tuple],
-    he: np.ndarray,
-    tissue: np.ndarray,
-    config: Optional[RunConfig] = None,
+    candidates: Sequence[tuple], he: np.ndarray, tissue: np.ndarray
 ) -> RegionList:
     """Filter mitosis candidates into hull regions.
 
@@ -474,7 +477,7 @@ def detect_mitosis(
     """
     kept = [
         (y0, x0, region)
-        for y0, x0, region in mitosis_hulls(candidates, he, config)
+        for y0, x0, region in mitosis_hulls(candidates, he)
         if (
             tissue[y0 : y0 + region.shape[0], x0 : x0 + region.shape[1]][region]
             == EPITHELIAL_TISSUE
@@ -508,26 +511,18 @@ def apply_mitosis(
 # ---------------------------------------------------------------------------
 
 
-def _reduced(bundle) -> FusionInputs:
-    """The fusion inputs of a bundle: already reduced, or from its ``reduce()``."""
-    return bundle if isinstance(bundle, FusionInputs) else bundle.reduce()
-
-
-def aggregate(
-    bundle: TeacherBundle | FusionInputs, config: Optional[RunConfig] = None
-) -> AggregationResult:
+def aggregate(bundle, config: Optional[RunConfig] = None) -> AggregationResult:
     """Validate one bundle and run the whole pipeline on it.
 
-    ``bundle`` may also be the ``FusionInputs`` of a validated bundle.
+    ``bundle`` is a ``TeacherBundle`` or an open ``container.BundleReader``.
     """
-    cfg = config or RunConfig()
-    inputs = _reduced(bundle)
-    return _fuse(inputs, grayscale(gaussian_smooth(inputs.he, cfg.blur_sigma)), cfg)
+    inputs = bundle.reduce()
+    return _fuse(inputs, grayscale(gaussian_smooth(inputs.he)), config or RunConfig())
 
 
 def _fuse(inputs: FusionInputs, gray: np.ndarray, cfg: RunConfig) -> AggregationResult:
     """All six stages, from the smoothed grayscale
-    (``grayscale(gaussian_smooth(he, cfg.blur_sigma))``) of ``inputs.he``."""
+    (``grayscale(gaussian_smooth(he))``) of ``inputs.he``."""
     t = cfg.background_threshold
     glass = gray > (otsu_threshold(gray) if t is None else t)
     tissue = np.where(glass, np.uint8(BACKGROUND), inputs.tissue_pre)
@@ -544,7 +539,7 @@ def _fuse(inputs: FusionInputs, gray: np.ndarray, cfg: RunConfig) -> Aggregation
     for gid, rule in fb_rules.items():
         provenance[gid].rule = rule
 
-    mitosis = detect_mitosis(inputs.mitosis_candidates, inputs.he, tissue, cfg)
+    mitosis = detect_mitosis(inputs.mitosis_candidates, inputs.he, tissue)
     classes, mit_ids = apply_mitosis(classes, inputs.nuclei, mitosis)
     for gid in mit_ids:
         provenance[gid].rule = "mitosis"

@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_from_json
+from .config import DEFAULT_MPP, RunConfig, config_from_json
 from .container import (
     BundleReader,
     StudentReader,
@@ -303,9 +303,7 @@ def _cmd_tme(args) -> int:
     container = _load(args.mask, digests)
     mask = labels_from_container(container)
     mpp = args.mpp if args.mpp is not None else container.mpp
-    if mpp is None:
-        mpp = config.mpp
-    metrics = slide_metrics(mask, mpp, margin_um=config.margin_um)
+    metrics = slide_metrics(mask, DEFAULT_MPP if mpp is None else mpp)
     out = Path(args.out)
     _write_json(
         {"schema_version": SCHEMA_VERSION, "tme": metrics.to_json()}, out

@@ -1,60 +1,54 @@
-"""Run configuration for the aggregation pipeline.
+"""The method's fixed values, and the run configuration.
 
-Every tunable carries its production default; tests and the CLI construct
-a single RunConfig and pass it through unchanged.
+The aggregation rules fix their parameters (arXiv 2501.02909), so they are
+module constants, not settings: the stages read them directly. RunConfig
+holds only what a run may set: the tile plan and a pinned glass threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Optional
 
-# Fields that must hold a Python int (not a bool); background_threshold may be None.
-_INT_FIELDS = (
-    "mitosis_roi_radius_px",
-    "carbon_rgb_sum_max",
-    "mitosis_min_area_px",
-    "crop_px",
-    "stride_px",
-    "background_threshold",
-)
+BLUR_SIGMA = 2.0  # Gaussian sigma for the glass grayscale
+BLUR_RADIUS = math.ceil(3 * BLUR_SIGMA)  # the context one blurred pixel reads: 6 px
+MITOSIS_ROI_RADIUS_PX = 30  # circular ROI around a mitosis candidate
+CARBON_RGB_SUM_MAX = 40  # an ROI with median RGB sum at or below this is carbon dust
+MITOSIS_MIN_AREA_PX = 3  # smallest dark blob kept in an ROI
+MARGIN_UM = 50.0  # width of the invasive-margin band
+DEFAULT_MPP = 0.25  # microns per pixel where an input does not state it
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def check_scale(mpp, halo, where: str, error: type[ValueError] = ValueError) -> None:
+    """The rule for a bundle's or a TMEF1 header's ``mpp`` and ``halo``,
+    where None means absent: mpp a finite number > 0, halo an integer >= 0."""
+    if mpp is not None and not (_is_number(mpp) and mpp > 0):
+        raise error(f"{where}: mpp must be a finite number > 0")
+    if halo is not None and not (_is_int(halo) and halo >= 0):
+        raise error(f"{where}: halo must be an integer >= 0")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    blur_sigma: float = 2.0
-    mitosis_roi_radius_px: int = 30
-    carbon_rgb_sum_max: int = 40
-    mitosis_min_area_px: int = 3
-    margin_um: float = 50.0
     crop_px: int = 384
     stride_px: int = 320
     # Fixed background threshold; None means Otsu over the whole frame.
     background_threshold: Optional[int] = None
-    mpp: float = 0.25
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if name == "background_threshold" and value is None:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-        if self.blur_sigma <= 0:
-            raise ValueError("blur_sigma must be positive")
-        if self.mitosis_roi_radius_px < 1:
-            raise ValueError("mitosis_roi_radius_px must be >= 1")
-        if self.carbon_rgb_sum_max < 0:
-            raise ValueError("carbon_rgb_sum_max must be >= 0")
-        if self.mitosis_min_area_px < 1:
-            raise ValueError("mitosis_min_area_px must be >= 1")
-        if self.margin_um <= 0:
-            raise ValueError("margin_um must be positive")
+            if not _is_int(value) and not (f.name == "background_threshold" and value is None):
+                raise ValueError(f"{f.name} must be an integer")
         if self.crop_px < 1:
             raise ValueError("crop_px must be >= 1")
         if not 1 <= self.stride_px <= self.crop_px:
@@ -63,8 +57,6 @@ class RunConfig:
             0 <= self.background_threshold <= 255
         ):
             raise ValueError("background_threshold must be in [0, 255]")
-        if self.mpp <= 0:
-            raise ValueError("mpp must be positive")
 
     def to_json(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

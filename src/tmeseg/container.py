@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import struct
 from contextlib import ExitStack
@@ -38,6 +37,7 @@ from typing import BinaryIO, Iterator, Optional
 
 import numpy as np
 
+from .config import DEFAULT_MPP, _is_int, _is_number, check_scale
 from .raster import InstanceMap, LogitStack, all_finite
 from .taxonomy import VOCABULARY, UnknownClassError
 
@@ -81,7 +81,8 @@ class StackContainer:
 
     def __post_init__(self):
         self.channels = tuple(str(c) for c in self.channels)
-        _check_scale(self.mpp, self.halo, "container")  # so save_stack writes loadable headers
+        # so save_stack writes loadable headers
+        check_scale(self.mpp, self.halo, "container", ContainerError)
         if self.dtype not in _DTYPES:
             raise DtypeError(f"unknown dtype {self.dtype!r}; expected f32/u8/u32")
         self.planes = np.ascontiguousarray(self.planes, dtype=_NATIVE[self.dtype])
@@ -133,22 +134,6 @@ def _read_header(fh, path, file_size: int) -> tuple[int, dict]:
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: header must be a JSON object")
     return hlen, header
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _check_scale(mpp, halo, where) -> None:
-    """The header rule for ``mpp`` and ``halo``, where None means absent."""
-    if mpp is not None and not (_is_number(mpp) and mpp > 0):
-        raise ContainerError(f"{where}: mpp must be a finite number > 0")
-    if halo is not None and not (_is_int(halo) and halo >= 0):
-        raise ContainerError(f"{where}: halo must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -214,7 +199,7 @@ def _read_checked_header(fh, path) -> _Header:
     if not isinstance(meta, dict):
         raise ContainerError(f"{path}: meta must be a JSON object")
     mpp, halo = header.get("mpp"), header.get("halo")
-    _check_scale(mpp, halo, path)
+    check_scale(mpp, halo, path, ContainerError)
     head = _Header(dtype, height, width, tuple(channels), mpp, halo, meta)
     expected = width * height * len(channels) * head.wire.itemsize
     actual = file_size - 4 - hlen
@@ -447,7 +432,7 @@ def _parse_manifest(raw: bytes, manifest_path: Path) -> tuple[dict, dict[str, Pa
         for c in candidates
     ):
         raise ContainerError("bundle manifest candidates must be [x, y, score] numbers")
-    _check_scale(doc.get("mpp"), doc.get("halo"), "bundle manifest")
+    check_scale(doc.get("mpp"), doc.get("halo"), "bundle manifest", ContainerError)
     return doc, {k: manifest_path.parent / doc[k] for k in BUNDLE_PARTS}
 
 
@@ -509,7 +494,7 @@ class BundleReader(ExitStack):
         doc, parts = _parse_manifest(raw, manifest_path)
         self.candidates = tuple(tuple(map(float, c)) for c in doc.get("candidates", []))
         self.halo = doc.get("halo") or 0
-        self.mpp = 0.25 if doc.get("mpp") is None else float(doc["mpp"])
+        self.mpp = DEFAULT_MPP if doc.get("mpp") is None else float(doc["mpp"])
         self.digests = {str(manifest_path): hashlib.sha256(raw).hexdigest()} if self._hashed else {}
         with ExitStack() as files:  # closes the files if opening fails
             self._parts = {k: _open(files, p, self._hashed) for k, p in parts.items()}
@@ -603,7 +588,7 @@ class StudentReader(ExitStack):
     """
 
     def __init__(self, student_path: str | Path, nuclei_path: str | Path | None = None):
-        from .postprocess import check_student_roster  # deferred: postprocess imports aggregate
+        from .aggregate import check_roster  # deferred: aggregate is a heavier import
 
         super().__init__()
         with ExitStack() as files:  # closes the files if opening fails
@@ -615,7 +600,7 @@ class StudentReader(ExitStack):
                 if head.dtype != "f32":
                     raise DtypeError(f"student logits must be f32, not {head.dtype}")
                 self.class_ids = tuple(VOCABULARY.resolve(c) for c in head.channels)
-                check_student_roster(self.class_ids)
+                check_roster("student logits", self.class_ids, VOCABULARY.ids)
                 if nuclei_path is not None:
                     ids_head = self._parts[1][1]
                     _check_kind(ids_head.dtype, ids_head.channels, "u32", _IDS, "an instance map")

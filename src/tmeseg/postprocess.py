@@ -20,11 +20,9 @@ whole planes; ``tmeseg postprocess`` feeds them the chunks of a
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .aggregate import Blocks, _reduce_cells, _whole_planes
+from .aggregate import Blocks, _reduce_cells, _whole_planes, check_roster
 from .raster import InstanceMap, LogitStack
 from .taxonomy import LEUKOCYTE, VOCABULARY, ids_of
 
@@ -65,23 +63,9 @@ _SUBTYPE_SET, _NON_NUCLEUS_SET = set(SUBTYPE_IDS.tolist()), set(NON_NUCLEUS_IDS.
 _NUCLEUS_ROW = {c: i for i, c in enumerate(NUCLEUS_IDS.tolist())}
 
 
-def check_student_roster(class_ids: Sequence[int]) -> None:
-    """A student stack must carry every vocabulary class exactly once."""
-    want, have = set(VOCABULARY.ids), set(class_ids)
-    if len(have) != len(class_ids):
-        raise ValueError("student logit channels must be distinct")
-    if have != want:
-        missing = sorted(VOCABULARY.name_of(c) for c in want - have)
-        extra = sorted(str(c) for c in have - want)
-        raise ValueError(
-            f"student logits must cover the full vocabulary; "
-            f"missing {missing}, unexpected {extra}"
-        )
-
-
 def _student_planes(stack: LogitStack) -> Blocks:
     """A checked in-memory student stack as whole-plane blocks, in its order."""
-    check_student_roster(stack.class_ids)
+    check_roster("student logits", stack.class_ids, VOCABULARY.ids)
     stack.require_finite()
     return _whole_planes(stack)
 

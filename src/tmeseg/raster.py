@@ -17,9 +17,11 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
+
+from .config import BLUR_RADIUS, BLUR_SIGMA
 
 
 _BLOCK = 1 << 20  # elements per blockwise scan: a 1 MB mask at most
@@ -261,33 +263,25 @@ def check_rgb_tile(img: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def blur_radius(sigma: float) -> int:
-    """Gaussian kernel radius, ceil(3*sigma): the context one blurred pixel reads."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return math.ceil(3.0 * sigma)
-
-
-def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
+def gaussian_smooth(img: np.ndarray) -> np.ndarray:
     """Separable Gaussian blur per channel, reflect edges, rounded to uint8.
 
-    Kernel radius is ceil(3*sigma). Each channel is copied once into a
-    contiguous uint8 plane and blurred into a float64 output, which is
-    rounded and clipped in place, so the result is independent of channel
-    order and input strides.
+    Sigma is ``BLUR_SIGMA`` and the kernel radius ``BLUR_RADIUS``, ceil(3
+    sigma). Each channel is copied once into a contiguous uint8 plane and
+    blurred into a float64 output, which is rounded and clipped in place,
+    so the result is independent of channel order and input strides.
     """
     from scipy import ndimage  # here, not at the top: commands that never call it skip the import
 
     check_rgb_tile(img)
-    radius = blur_radius(sigma)
     out = np.empty_like(img)
     for ch in range(3):
         sm = ndimage.gaussian_filter(
             np.ascontiguousarray(img[:, :, ch]),
-            sigma,
+            BLUR_SIGMA,
             output=np.float64,
             mode="reflect",
-            radius=radius,
+            radius=BLUR_RADIUS,
         )
         np.rint(sm, out=sm)
         out[:, :, ch] = np.clip(sm, 0, 255, out=sm)

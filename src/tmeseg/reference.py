@@ -255,11 +255,9 @@ def _vote(tally: dict) -> Optional[int]:
     return min(c for c, n in defined.items() if n == best)
 
 
-def _detect_mitosis(
-    bundle: TeacherBundle,
-    tissue: list[list[int]],
-    cfg: RunConfig,
-) -> set[tuple[int, int]]:
+def _detect_mitosis(bundle: TeacherBundle, tissue: list[list[int]]) -> set[tuple[int, int]]:
+    """The published rule: ROI radius 30 px, carbon dust at median RGB sum
+    <= 40, dark blobs of >= 3 px."""
     epi = default_taxonomy().resolve("epithelial_tissue")
     h, w = bundle.he.shape[:2]
     he = bundle.he
@@ -268,7 +266,7 @@ def _detect_mitosis(
         [int(he[y, x, 0]) + int(he[y, x, 1]) + int(he[y, x, 2]) for x in range(w)]
         for y in range(h)
     ]
-    r = cfg.mitosis_roi_radius_px
+    r = 30
     union: set[tuple[int, int]] = set()
     for x, y, _score in bundle.mitosis_candidates:
         y0 = max(math.ceil(y - r), 0)
@@ -282,13 +280,13 @@ def _detect_mitosis(
                     circle.append((py, px))
         if not circle:
             continue
-        if statistics.median(sums[py][px] for py, px in circle) <= cfg.carbon_rgb_sum_max:
+        if statistics.median(sums[py][px] for py, px in circle) <= 40:
             continue
         t = _otsu(gray[py][px] for py, px in circle)
         dark = {(py, px) for py, px in circle if gray[py][px] <= t}
         for comp in _flood_components(dark):
             filled = _fill_holes(comp)
-            if len(filled) < cfg.mitosis_min_area_px:
+            if len(filled) < 3:
                 continue
             hull = _jarvis_hull([(px, py) for py, px in filled])
             hx0 = min(p[0] for p in hull)
@@ -317,13 +315,14 @@ def reference_aggregate(
     """Run the per-pixel reference; returns semantic raster, per-nucleus
     classes, and the mitosis mask.
 
-    Class ids are resolved here from their names, not taken from the
+    Class ids are resolved here from their names, and the published blur
+    sigma and mitosis bounds are written out here, not taken from the
     pipeline's constants, so a wrong constant shows up as a mismatch."""
     cfg = config or RunConfig()
     tax = default_taxonomy()
     h, w = bundle.he.shape[:2]
 
-    gray = _gray_rows(_blur(bundle.he, cfg.blur_sigma))
+    gray = _gray_rows(_blur(bundle.he, 2.0))
     threshold = cfg.background_threshold
     if threshold is None:
         threshold = _otsu(v for row in gray for v in row)
@@ -371,7 +370,7 @@ def reference_aggregate(
         elif 2 * n_str > len(pts) and bundle.nuclei.attrs[gid].teacher_type == fib:
             classes[gid] = fib
 
-    mitosis = _detect_mitosis(bundle, tissue, cfg)
+    mitosis = _detect_mitosis(bundle, tissue)
 
     mit = tax.resolve("mitotic_cell")
     for gid, pts in pixels.items():

@@ -17,6 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .aggregate import CELL_CHANNELS, CELL_IDS, TISSUE_CHANNELS, TISSUE_IDS, TeacherBundle
+from .config import DEFAULT_MPP
 from .raster import InstanceMap, LogitStack
 from .taxonomy import FIBROBLAST, VOCABULARY
 
@@ -133,7 +134,7 @@ class SceneSpec:
     width: int
     glass: int = GLASS
     base_logit: float = -2.0
-    mpp: float = 0.25
+    mpp: float = DEFAULT_MPP
     tissue: tuple[TissuePatch, ...] = ()
     nuclei: tuple[NucleusSpec, ...] = ()
     candidates: tuple[CandidateSpec, ...] = ()
@@ -470,5 +471,4 @@ def throughput_bundle(size: int = 4096, seed: int = 0) -> TeacherBundle:
         cell_logits=LogitStack(CELL_IDS, np.stack([cell_planes[n] for n in CELL_CHANNELS])),
         nuclei=InstanceMap.from_ids(ids, types),
         mitosis_candidates=tuple(cands),
-        mpp=0.25,
     )

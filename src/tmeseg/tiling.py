@@ -5,7 +5,7 @@ clamped so that a ``crop``-pixel window ends at the image edge. A cell
 runs from one origin to the next, or to the image edge for the last, so
 the cells partition the frame. Only the Gaussian blur reads neighbouring
 pixels, so only the blur runs cell by cell: each cell is blurred with a
-``blur_radius`` margin and its smoothed grayscale is written into one
+``BLUR_RADIUS`` margin and its smoothed grayscale is written into one
 canvas, so every pixel is blurred once, on a thread pool beside the
 thread that reduces the bundle. Every later stage runs once on the whole
 frame, so tiled output equals ``aggregate`` for any plan and any worker
@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregate import AggregationResult, _fuse, _reduced
-from .config import RunConfig
-from .raster import blur_radius, check_rgb_tile, gaussian_smooth, grayscale
+from .aggregate import AggregationResult, _fuse
+from .config import BLUR_RADIUS, RunConfig
+from .raster import check_rgb_tile, gaussian_smooth, grayscale
 
 
 @dataclass(frozen=True)
@@ -67,18 +67,17 @@ def tile_cells(shape: tuple[int, int], plan: TilePlan) -> list[tuple[slice, slic
 # ---------------------------------------------------------------------------
 
 
-def _blur_cell(he: np.ndarray, sigma: float, cell: tuple[slice, slice], gray: np.ndarray) -> None:
+def _blur_cell(he: np.ndarray, cell: tuple[slice, slice], gray: np.ndarray) -> None:
     """Write the smoothed grayscale of one cell into ``gray``.
 
-    The cell is blurred with a ``blur_radius(sigma)`` margin, clamped to the
+    The cell is blurred with a ``BLUR_RADIUS`` margin, clamped to the
     image, so its pixels read the same neighbours as in a full-frame blur.
     """
     rows, cols = cell
     h, w = he.shape[:2]
-    margin = blur_radius(sigma)
-    y0, x0 = max(rows.start - margin, 0), max(cols.start - margin, 0)
-    y1, x1 = min(rows.stop + margin, h), min(cols.stop + margin, w)
-    smooth = gaussian_smooth(he[y0:y1, x0:x1], sigma)
+    y0, x0 = max(rows.start - BLUR_RADIUS, 0), max(cols.start - BLUR_RADIUS, 0)
+    y1, x1 = min(rows.stop + BLUR_RADIUS, h), min(cols.stop + BLUR_RADIUS, w)
+    smooth = gaussian_smooth(he[y0:y1, x0:x1])
     local = (slice(rows.start - y0, rows.stop - y0), slice(cols.start - x0, cols.stop - x0))
     gray[cell] = grayscale(smooth[local])
 
@@ -91,11 +90,11 @@ def tiled_aggregate(
 ) -> AggregationResult:
     """``aggregate`` with the blur computed cell by cell.
 
-    ``bundle`` is a ``TeacherBundle``, ``FusionInputs`` or an open
-    ``container.BundleReader``. The cells are blurred on ``workers``
-    threads as soon as ``bundle.he`` is known, while this thread reduces
-    the bundle; each cell is written once into one grayscale canvas, on
-    which the full-frame pipeline runs. The result equals ``aggregate``'s.
+    ``bundle`` is a ``TeacherBundle`` or an open ``container.BundleReader``.
+    The cells are blurred on ``workers`` threads as soon as ``bundle.he`` is
+    known, while this thread reduces the bundle; each cell is written once
+    into one grayscale canvas, on which the full-frame pipeline runs. The
+    result equals ``aggregate``'s.
     """
     cfg = config or RunConfig()
     plan = plan or TilePlan(crop=cfg.crop_px, stride=cfg.stride_px)
@@ -107,8 +106,8 @@ def tiled_aggregate(
     gray = np.empty(shape, dtype=np.uint8)
     pool = ThreadPoolExecutor(max_workers=min(workers, len(cells)))
     try:
-        blurs = [pool.submit(_blur_cell, he, cfg.blur_sigma, cell, gray) for cell in cells]
-        inputs = _reduced(bundle)
+        blurs = [pool.submit(_blur_cell, he, cell, gray) for cell in cells]
+        inputs = bundle.reduce()
         for blur in blurs:
             blur.result()
     finally:

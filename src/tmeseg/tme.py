@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .config import MARGIN_UM
 from .raster import connected_components, distance_band
 from .taxonomy import EPITHELIAL_CELL_NUCLEUS, EPITHELIAL_TISSUE, ids_of
 
@@ -81,7 +82,7 @@ def _band_pixel(centroid: tuple[float, float], band: np.ndarray) -> bool:
 
 
 def slide_metrics(
-    mask: np.ndarray, mpp: float, margin_um: float = 50.0
+    mask: np.ndarray, mpp: float, margin_um: float = MARGIN_UM
 ) -> SlideMetrics:
     """Whole-slide ratios and margin-band densities.
 

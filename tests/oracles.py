@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from tmeseg.config import RunConfig
+import tmeseg.aggregate
+from tmeseg.config import CARBON_RGB_SUM_MAX, MITOSIS_MIN_AREA_PX
 from tmeseg.raster import (
     InstanceMap,
     as_bitmask,
@@ -174,10 +175,7 @@ def edt_distance_band(region: np.ndarray, radius_um: float, mpp: float) -> np.nd
 # then ``connected_components`` over the frame. The reference for
 # ``aggregate.detect_mitosis``, which labels the hulls without the frame.
 def frame_detect_mitosis(
-    candidates: Sequence[tuple],
-    he: np.ndarray,
-    tissue: np.ndarray,
-    config: Optional[RunConfig] = None,
+    candidates: Sequence[tuple], he: np.ndarray, tissue: np.ndarray
 ) -> InstanceMap:
     """Filter mitosis candidates into an instance map of hull regions.
 
@@ -186,13 +184,14 @@ def frame_detect_mitosis(
     and keep the dark side; keep 8-connected blobs (holes filled) of at
     least the minimum area; rasterize each blob's convex hull; keep hulls
     overlapping epithelial tissue by at least one pixel. Region ids are
-    assigned over the union in raster-scan order.
+    assigned over the union in raster-scan order. The ROI radius is read
+    from ``tmeseg.aggregate`` at each call, so a test that patches it there
+    patches both sides.
     """
-    cfg = config or RunConfig()
     check_rgb_tile(he)
     h, w = he.shape[:2]
     union = np.zeros((h, w), dtype=bool)
-    r = cfg.mitosis_roi_radius_px
+    r = tmeseg.aggregate.MITOSIS_ROI_RADIUS_PX
     for x, y, _ in candidates:
         y0 = max(int(np.ceil(y - r)), 0)
         y1 = min(int(np.floor(y + r)), h - 1)
@@ -207,14 +206,14 @@ def frame_detect_mitosis(
             continue
         box = (slice(y0, y1 + 1), slice(x0, x1 + 1))
         roi = he[box]
-        if np.median(roi.astype(np.int32).sum(axis=2)[circle]) <= cfg.carbon_rgb_sum_max:
+        if np.median(roi.astype(np.int32).sum(axis=2)[circle]) <= CARBON_RGB_SUM_MAX:
             continue  # carbon dust
         gray = grayscale(roi)
         t = otsu_threshold(gray[circle])
         dark = circle & (gray <= t)
         epi_box = tissue[box] == EPITHELIAL_TISSUE
         for blob in contours(dark):
-            if blob.area < cfg.mitosis_min_area_px:
+            if blob.area < MITOSIS_MIN_AREA_PX:
                 continue
             hull = convex_hull(blob.pixels[:, ::-1])
             region = rasterize_hull(hull, (x1 - x0 + 1, y1 - y0 + 1))

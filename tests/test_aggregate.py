@@ -406,6 +406,36 @@ def test_bundle_rejects_bad_score():
         b.validate()
 
 
+@pytest.mark.parametrize(
+    "scale, message",
+    [
+        ({"halo": -3}, "halo must be an integer >= 0"),
+        ({"halo": 2.7}, "halo must be an integer >= 0"),
+        ({"mpp": -1}, "mpp must be a finite number > 0"),
+        ({"mpp": 0}, "mpp must be a finite number > 0"),
+        ({"mpp": float("nan")}, "mpp must be a finite number > 0"),
+    ],
+    ids=["halo-negative", "halo-float", "mpp-negative", "mpp-zero", "mpp-nan"],
+)
+def test_bundle_rejects_a_scale_a_container_header_refuses(scale, message):
+    # the same rule as for TMEF1 headers and manifests, so save_bundle never
+    # meets a bundle that validate and aggregate accepted
+    b = dataclasses.replace(make_bundle(candidates=((4.0, 4.0, 0.9),)), **scale)
+    with pytest.raises(ValueError, match=message):
+        b.validate()
+    with pytest.raises(ValueError, match=message):
+        aggregate(b)
+
+
+def test_bundle_without_a_halo_has_halo_0():
+    # as in a bundle manifest, where a missing or null halo means 0
+    inside = dataclasses.replace(make_bundle(candidates=((4.0, 4.0, 0.9),)), halo=None)
+    inside.validate()
+    outside = dataclasses.replace(make_bundle(candidates=((-1.0, 4.0, 0.9),)), halo=None)
+    with pytest.raises(ValueError, match="outside tile plus halo 0"):
+        outside.validate()
+
+
 # ---------------------------------------------------------------------------
 # Whole-pipeline behaviour
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ import tmeseg
 from tmeseg.cli import cli
 from tmeseg.container import (
     container_from_instances,
+    container_from_labels,
     container_from_logits,
     load_stack,
     save_stack,
 )
-from tmeseg.postprocess import NUCLEUS_CLASSES
 from tmeseg.raster import InstanceMap, LogitStack
 from tmeseg.taxonomy import default_taxonomy
 
@@ -260,7 +260,17 @@ def test_postprocess_carries_the_student_scale(tmp_path, capsys):
     assert load_stack(out).mpp == 0.5
     report = tmp_path / "tme.json"
     assert cli(["tme", "--mask", str(out), "--out", str(report)]) == 0
-    assert json.loads(report.read_text())["tme"]["mpp"] == 0.5  # not the config fallback
+    assert json.loads(report.read_text())["tme"]["mpp"] == 0.5  # not the default
+
+
+def test_tme_without_a_stated_mpp_uses_the_default(tmp_path, capsys):
+    labels = np.full((16, 16), TAX.resolve("stroma"), np.uint8)
+    mask = tmp_path / "mask.tmef"
+    save_stack(container_from_labels(labels), mask)  # no mpp in the header
+    assert load_stack(mask).mpp is None
+    report = tmp_path / "tme.json"
+    assert cli(["tme", "--mask", str(mask), "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["tme"]["mpp"] == 0.25
 
 
 def test_postprocess_panoptic_requires_nuclei(tmp_path, capsys):
@@ -289,8 +299,6 @@ def test_postprocess_force_rejects_nuclei(tmp_path, capsys):
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli(["not-a-command"]) == 1
     assert cli(["aggregate", "--bundle", "x.json"]) == 1  # missing --out
-    from tmeseg.container import container_from_labels
-
     gt = tmp_path / "gt.tmef"
     pred = tmp_path / "pred.tmef"
     save_stack(container_from_labels(np.zeros((4, 4), np.uint8)), gt)
@@ -315,8 +323,6 @@ def test_taxonomy_option_is_gone(tmp_path, capsys):
 
 
 def _small_mask(tmp_path):
-    from tmeseg.container import container_from_labels
-
     labels = np.full((16, 16), TAX.resolve("stroma"), np.uint8)
     labels[4:8, 4:8] = TAX.resolve("lymphocyte")
     path = tmp_path / "mask.tmef"
@@ -346,22 +352,19 @@ def test_tme_non_finite_mpp_exits_2(tmp_path, capsys):
 
 def test_non_finite_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"margin_um": NaN}')
+    cfg.write_text('{"background_threshold": NaN}')
     out = tmp_path / "t.json"
     code = cli(
         ["tme", "--mask", str(_small_mask(tmp_path)), "--config", str(cfg), "--out", str(out)]
     )
     assert code == 2
-    assert "margin_um must be finite" in capsys.readouterr().err
+    assert "background_threshold must be an integer" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "doc",
     [
-        {"mitosis_roi_radius_px": 30.5},
-        {"carbon_rgb_sum_max": 40.5},
-        {"mitosis_min_area_px": True},
         {"crop_px": 50.5, "stride_px": 40},
         {"stride_px": 40.5},
         {"background_threshold": 200.5},
@@ -380,7 +383,20 @@ def test_non_integer_config_field_exits_2(workspace, tmp_path, capsys, doc):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["cc_connectivity", "workers"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        "cc_connectivity",
+        "workers",
+        # the method's fixed values, now constants in tmeseg.config
+        "blur_sigma",
+        "mitosis_roi_radius_px",
+        "carbon_rgb_sum_max",
+        "mitosis_min_area_px",
+        "margin_um",
+        "mpp",
+    ],
+)
 def test_removed_config_key_exits_2(workspace, tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: 8}))
@@ -465,8 +481,6 @@ def test_unmapped_ground_truth_class_exits_2(tmp_path, capsys):
     nid[2:4, 2:4] = 1
     nuclei = tmp_path / "nuclei.tmef"
     save_stack(container_from_instances(InstanceMap.from_ids(nid)), nuclei)
-    from tmeseg.container import container_from_labels
-
     labels = np.zeros((6, 6), np.uint8)
     gt = tmp_path / "gt.tmef"
     pred = tmp_path / "pred.tmef"
@@ -518,7 +532,7 @@ def test_provenance_tracks_config_and_inputs(workspace, tmp_path, capsys):
     assert all(len(h) == 64 for h in prov["inputs"].values())
 
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"blur_sigma": 3.0}))
+    cfg.write_text(json.dumps({"background_threshold": 200}))
     out2 = tmp_path / "pred2.tmef"
     assert cli(
         [
@@ -530,6 +544,6 @@ def test_provenance_tracks_config_and_inputs(workspace, tmp_path, capsys):
     ) == 0
     prov2 = json.loads((tmp_path / "pred2.provenance.json").read_text())
     assert prov2["config_sha256"] != prov["config_sha256"]
-    assert prov2["config"]["blur_sigma"] == 3.0
+    assert prov2["config"] == {"crop_px": 384, "stride_px": 320, "background_threshold": 200}
     # same inputs -> same input hashes
     assert prov2["inputs"] == prov["inputs"]

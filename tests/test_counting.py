@@ -47,11 +47,6 @@ def test_area_estimate_linearity():
     assert two == 2 * one
 
 
-def test_estimate_rejects_nonpositive_mean_area():
-    with pytest.raises(ValueError):
-        count_record(np.zeros((4, 4), np.uint8), 7, 0.0)
-
-
 def test_count_record_fields_and_validation():
     mask = _disc_mask([(10, 10), (40, 40)])
     rec = count_record(mask, 7, mean_area=21.0)

@@ -17,7 +17,7 @@ from tmeseg.metrics import (
     mcc_table,
 )
 from tmeseg.raster import InstanceMap
-from tmeseg.taxonomy import ClassMap, class_map_from_json, default_taxonomy
+from tmeseg.taxonomy import class_map_from_json, default_taxonomy
 
 TAX = default_taxonomy()
 

@@ -9,6 +9,7 @@ from oracles import frame_detect_mitosis, frame_mitosis_hits
 from scipy import ndimage
 from test_stream import _traced_peak
 
+import tmeseg.aggregate
 from tmeseg.aggregate import (
     aggregate,
     apply_mitosis,
@@ -20,7 +21,17 @@ from tmeseg.raster import InstanceMap, RegionList, connected_components, label_p
 from tmeseg.synth import TISSUE_INK, Disc, build_bundle, random_scene, throughput_bundle
 from tmeseg.taxonomy import EPITHELIAL_TISSUE, MITOTIC_CELL, STROMA
 
-SMALL_ROI = RunConfig(mitosis_roi_radius_px=5)
+SMALL_ROI = 5  # the mitosis ROI radius for the hand-built scenes
+
+
+def _set_roi_radius(monkeypatch, radius):
+    """Patch the ROI radius that ``mitosis_hulls`` and the oracle both read."""
+    monkeypatch.setattr(tmeseg.aggregate, "MITOSIS_ROI_RADIUS_PX", radius)
+
+
+@pytest.fixture
+def small_roi(monkeypatch):
+    _set_roi_radius(monkeypatch, SMALL_ROI)
 
 
 def _same_attrs(got, want):
@@ -68,16 +79,16 @@ def _square(top, left, size):
     return [(top + r, left + c) for r in range(size) for c in range(size)]
 
 
-def _check(candidates, he, tissue, nuclei, config=SMALL_ROI):
-    got = detect_mitosis(candidates, he, tissue, config)
-    want = frame_detect_mitosis(candidates, he, tissue, config)
+def _check(candidates, he, tissue, nuclei):
+    got = detect_mitosis(candidates, he, tissue)
+    want = frame_detect_mitosis(candidates, he, tissue)
     _assert_equivalent(got, want, nuclei)
     return got
 
 
-def _piece_boxes(candidates, he, config=SMALL_ROI):
+def _piece_boxes(candidates, he):
     boxes = []
-    for y0, x0, region in mitosis_hulls(candidates, he, config):
+    for y0, x0, region in mitosis_hulls(candidates, he):
         rows, cols = np.nonzero(region)
         boxes.append((rows.min() + y0, cols.min() + x0, rows.max() + y0, cols.max() + x0))
     return boxes
@@ -88,6 +99,7 @@ def _piece_boxes(candidates, he, config=SMALL_ROI):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("small_roi")
 def test_hulls_touching_only_diagonally_across_boxes_are_one_region():
     he, tissue, nuclei = _scene(30, 30, [_square(10, 10, 3), _square(13, 13, 3)])
     candidates = [(8.5, 8.5, 0.9), (16.5, 16.5, 0.9)]
@@ -97,6 +109,7 @@ def test_hulls_touching_only_diagonally_across_boxes_are_one_region():
     assert len(got.instance_ids) == 1
 
 
+@pytest.mark.usefixtures("small_roi")
 def test_boxes_touching_without_touching_pixels_are_two_regions():
     anti_diagonal = [(10, 12), (11, 11), (12, 10)]
     corner = [(13, 13), (13, 14), (14, 13)]
@@ -107,19 +120,20 @@ def test_boxes_touching_without_touching_pixels_are_two_regions():
     assert len(got.instance_ids) == 2
 
 
-def test_overlapping_hulls_of_two_candidates_are_one_region():
+def test_overlapping_hulls_of_two_candidates_are_one_region(monkeypatch):
     bar = [(r, c) for r in range(20, 23) for c in range(10, 31)]
     he, tissue, nuclei = _scene(40, 50, [bar])
-    wide = RunConfig(mitosis_roi_radius_px=8)
+    _set_roi_radius(monkeypatch, 8)
     for candidates in (
         [(14.0, 21.0, 0.9), (26.0, 21.0, 0.9)],  # each ROI sees part of the bar
         [(20.0, 21.0, 0.9), (20.0, 21.0, 0.9)],  # the same hull twice
     ):
-        assert len(_piece_boxes(candidates, he, wide)) == 2
-        got = _check(candidates, he, tissue, nuclei, wide)
+        assert len(_piece_boxes(candidates, he)) == 2
+        got = _check(candidates, he, tissue, nuclei)
         assert len(got.instance_ids) == 1
 
 
+@pytest.mark.usefixtures("small_roi")
 def test_hulls_clipped_at_every_frame_edge():
     h, w = 40, 50
     centres = {"top": (0, 25), "bottom": (h - 1, 10), "left": (20, 0), "right": (30, w - 1)}
@@ -135,6 +149,7 @@ def test_hulls_clipped_at_every_frame_edge():
     assert edges[0].any() and edges[-1].any() and edges[:, 0].any() and edges[:, -1].any()
 
 
+@pytest.mark.usefixtures("small_roi")
 def test_candidates_out_of_raster_order():
     centres = [(30, 40), (5, 5), (20, 10), (5, 40), (31, 8)]
     blobs = [list(zip(*Disc(y, x, 2.0).pixels(40, 50))) for y, x in centres]
@@ -147,6 +162,7 @@ def test_candidates_out_of_raster_order():
     assert firsts == sorted(firsts)
 
 
+@pytest.mark.usefixtures("small_roi")
 def test_no_kept_hull():
     he, tissue, nuclei = _scene(30, 30, [_square(10, 10, 3)])
     for candidates, tis in (([], tissue), ([(11.0, 11.0, 0.9)], np.full_like(tissue, STROMA))):

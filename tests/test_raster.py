@@ -39,12 +39,12 @@ def test_gaussian_smooth_matches_direct_convolution():
         he = rng.integers(0, 256, size=(40, 37, 3), dtype=np.uint8)
         # strided views too: each channel is copied into a contiguous plane
         for img in (he, he[::2, 1:], he[:, :, ::-1], he[3:, ::3]):
-            assert np.array_equal(gaussian_smooth(img, 2.0), _blur(img, 2.0))
+            assert np.array_equal(gaussian_smooth(img), _blur(img, 2.0))
 
 
 def test_gaussian_smooth_constant_tile_unchanged():
     he = np.full((16, 16, 3), 170, dtype=np.uint8)
-    assert np.array_equal(gaussian_smooth(he, 2.0), he)
+    assert np.array_equal(gaussian_smooth(he), he)
 
 
 def test_grayscale_rounds_channel_mean():

@@ -95,14 +95,14 @@ def test_streamed_equals_in_memory_on_random_scenes(tmp_path, monkeypatch, seed)
     _assert_same_inputs(streamed, bundle.reduce())
     _assert_same_inputs(streamed, load_bundle(manifest).reduce())  # permuted in memory
     cfg = RunConfig(background_threshold=200) if seed % 3 == 0 else RunConfig()
-    result = aggregate(streamed, cfg)
+    with BundleReader(manifest) as reader:
+        result = aggregate(reader, cfg)
     _assert_same_result(result, aggregate(bundle, cfg))
     truth = reference_aggregate(bundle, cfg)  # the per-pixel oracle, canonical order
     assert np.array_equal(result.semantic, truth["semantic"])
     assert result.classes == truth["classes"]
-    _assert_same_result(
-        tiled_aggregate(streamed, cfg, TilePlan(40, 30)), aggregate(bundle, cfg)
-    )
+    with BundleReader(manifest) as reader:
+        _assert_same_result(tiled_aggregate(reader, cfg, TilePlan(40, 30)), result)
     paths = [manifest] + [tmp_path / f"{p}.tmef" for p in PARTS]
     assert digests == {str(p): _sha256(p) for p in paths}
 
@@ -124,9 +124,10 @@ def test_streamed_equals_in_memory_on_throughput_bundle(slide):
     manifest, _ = slide
     cfg = RunConfig(background_threshold=200)
     streamed, _ = _stream(manifest)
-    in_memory = load_bundle(manifest).reduce()
-    _assert_same_inputs(streamed, in_memory)
-    _assert_same_result(aggregate(streamed, cfg), aggregate(in_memory, cfg))
+    in_memory = load_bundle(manifest)
+    _assert_same_inputs(streamed, in_memory.reduce())
+    with BundleReader(manifest) as reader:
+        _assert_same_result(aggregate(reader, cfg), aggregate(in_memory, cfg))
 
 
 def _traced_peak(fn):

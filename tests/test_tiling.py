@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import tmeseg.tiling
 from tmeseg.aggregate import aggregate
-from tmeseg.config import RunConfig
-from tmeseg.raster import blur_radius, gaussian_smooth
+from tmeseg.config import BLUR_RADIUS, RunConfig
+from tmeseg.raster import gaussian_smooth
 from tmeseg.synth import build_bundle, random_scene
 from tmeseg.tiling import (
     TilePlan,
@@ -155,8 +155,8 @@ class _ReduceAfterFirstBlur:
 def test_blur_runs_while_the_bundle_is_reduced(monkeypatch):
     blurred = threading.Event()
 
-    def signalling_smooth(img, sigma):
-        out = gaussian_smooth(img, sigma)
+    def signalling_smooth(img):
+        out = gaussian_smooth(img)
         blurred.set()
         return out
 
@@ -228,17 +228,15 @@ def test_each_pixel_is_blurred_in_one_owned_cell(case):
     starts = [(rows.start, cols.start) for rows, cols in cells]
     assert starts == sorted(starts)  # row-major
 
-    margin = blur_radius(cfg.blur_sigma)
-
     def extent(span, size):
-        return min(span.stop + margin, size) - max(span.start - margin, 0)
+        return min(span.stop + BLUR_RADIUS, size) - max(span.start - BLUR_RADIUS, 0)
 
     bound = sum(extent(rows, shape[0]) * extent(cols, shape[1]) for rows, cols in cells)
     blurred = []
 
-    def counting_smooth(img, sigma):
+    def counting_smooth(img):
         blurred.append(img.shape[0] * img.shape[1])
-        return gaussian_smooth(img, sigma)
+        return gaussian_smooth(img)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("tmeseg.tiling.gaussian_smooth", counting_smooth)

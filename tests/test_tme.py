@@ -16,7 +16,6 @@ from tmeseg.raster import connected_components
 from tmeseg.tme import (
     ALL_LEUKOCYTES,
     CaseRecord,
-    SlideMetrics,
     association_csv,
     association_table,
     mann_whitney_u,
