@@ -15,6 +15,7 @@ import pytest
 
 import tmeseg
 from tmeseg.cli import cli
+from tmeseg.config import RunConfig
 from tmeseg.container import (
     container_from_instances,
     container_from_labels,
@@ -365,6 +366,10 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "doc",
     [
+        # former integer fields, now constants: the key is refused before its value is read
+        {"mitosis_roi_radius_px": 30.5},
+        {"carbon_rgb_sum_max": 40.5},
+        {"mitosis_min_area_px": True},
         {"crop_px": 50.5, "stride_px": 40},
         {"stride_px": 40.5},
         {"background_threshold": 200.5},
@@ -372,6 +377,11 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
     ids=lambda doc: next(iter(doc)),
 )
 def test_non_integer_config_field_exits_2(workspace, tmp_path, capsys, doc):
+    key = next(iter(doc))
+    expected = (
+        f"{key} must be an integer" if key in RunConfig().to_json()
+        else f"unknown config keys: ['{key}']"
+    )
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "o.tmef"
@@ -379,7 +389,7 @@ def test_non_integer_config_field_exits_2(workspace, tmp_path, capsys, doc):
         ["aggregate", "--bundle", str(workspace["bundle"]), "--out", str(out), "--config", str(cfg)]
     )
     assert code == 2
-    assert f"{next(iter(doc))} must be an integer" in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,13 +1,29 @@
 import pytest
 
-from tmeseg.config import RunConfig
+from tmeseg.config import RunConfig, config_from_json
+
+INT_FIELDS = ["crop_px", "stride_px", "background_threshold"]
+# Fields that became constants in tmeseg.config: a config JSON holding one is
+# refused as an unknown key, whatever its value.
+REMOVED_INT_KEYS = ["mitosis_roi_radius_px", "carbon_rgb_sum_max", "mitosis_min_area_px"]
 
 
-@pytest.mark.parametrize("key", ["crop_px", "stride_px", "background_threshold"])
+@pytest.mark.parametrize("key", ["blur_sigma", "margin_um", "mpp"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_floats_rejected(key, value):
+    # no float is settable any more: each former float field is an unknown key
+    with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+        config_from_json({key: value})
+
+
+@pytest.mark.parametrize("key", INT_FIELDS + REMOVED_INT_KEYS)
 @pytest.mark.parametrize("value", [8.0, 30.5, True])
 def test_integer_fields_reject_floats_and_bools(key, value):
-    with pytest.raises(ValueError, match=f"{key} must be an integer"):
-        RunConfig(**{key: value})
+    expected = (
+        f"{key} must be an integer" if key in INT_FIELDS else rf"unknown config keys: \['{key}'\]"
+    )
+    with pytest.raises(ValueError, match=expected):
+        config_from_json({key: value})
 
 
 def test_background_threshold_may_be_none():
