@@ -297,7 +297,7 @@ class AggregationResult:
     semantic: np.ndarray  # (H, W) uint8 class ids
     instances: InstanceMap
     classes: dict[int, Optional[int]]  # nucleus id -> final class (None undefined)
-    mitosis: RegionList | InstanceMap  # RegionList from the pipeline; check_invariants takes either
+    mitosis: RegionList
     provenance: dict[int, NucleusDecision]
 
     def check_invariants(self) -> None:
@@ -455,11 +455,11 @@ def mitosis_hulls(
         t = otsu_threshold(gray[circle])
         dark = circle & (gray <= t)
         for blob in contours(dark):
-            if blob.area < MITOSIS_MIN_AREA_PX:
+            if len(blob) < MITOSIS_MIN_AREA_PX:
                 continue
             # hull in (x, y) order over the blob's filled pixels, rasterized
             # over its own bounding box, which lies inside the ROI box
-            hull = convex_hull(blob.pixels[:, ::-1])
+            hull = convex_hull(blob[:, ::-1])
             left, top = hull.min(axis=0).tolist()
             right, bottom = hull.max(axis=0).tolist()
             region = rasterize_hull(hull - (left, top), (right - left + 1, bottom - top + 1))
@@ -486,7 +486,7 @@ def detect_mitosis(
     return label_pieces(kept, he.shape[:2])
 
 
-def _nuclei_under(nuclei: InstanceMap, mitosis: RegionList | InstanceMap) -> np.ndarray:
+def _nuclei_under(nuclei: InstanceMap, mitosis: RegionList) -> np.ndarray:
     """The ids of the nuclei with a pixel under a mitosis region, ascending."""
     rows, cols, _, _ = mitosis.pixel_groups()
     under = nuclei.ids[rows, cols]
@@ -496,7 +496,7 @@ def _nuclei_under(nuclei: InstanceMap, mitosis: RegionList | InstanceMap) -> np.
 def apply_mitosis(
     classes: dict[int, Optional[int]],
     nuclei: InstanceMap,
-    mitosis: RegionList | InstanceMap,
+    mitosis: RegionList,
 ) -> tuple[dict[int, Optional[int]], list[int]]:
     """Reassign every nucleus intersecting the mitosis regions to mitotic_cell."""
     hit_ids = _nuclei_under(nuclei, mitosis).tolist()

@@ -33,7 +33,7 @@ import struct
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterator, Optional
+from typing import BinaryIO, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -88,6 +88,8 @@ class StackContainer:
         self.planes = np.ascontiguousarray(self.planes, dtype=_NATIVE[self.dtype])
         if self.planes.ndim != 3 or self.planes.shape[0] != len(self.channels):
             raise ContainerError("planes must be (C, H, W) with one name per channel")
+        if 0 in self.planes.shape[1:]:
+            raise ContainerError("planes must have positive height and width")
         if not self.channels:
             raise ContainerError("at least one channel required")
         if len(set(self.channels)) != len(self.channels):
@@ -463,6 +465,24 @@ def scan_stack(path: str | Path) -> tuple[dict, str]:
     return head.doc(), fh.sha.hexdigest()
 
 
+def _logit_class_ids(name: str, head: _Header, wanted: Sequence[int]) -> tuple[int, ...]:
+    """The class ids of a logit part's channels, once its header is checked
+    to be f32 and to name each of ``wanted`` once."""
+    from .aggregate import check_roster  # deferred: aggregate is a heavier import
+
+    if head.dtype != "f32":
+        raise DtypeError(f"{name} must be f32, not {head.dtype}")
+    class_ids = tuple(VOCABULARY.resolve(c) for c in head.channels)
+    check_roster(name, class_ids, wanted)
+    return class_ids
+
+
+def _class_blocks(part: _Part, ids: tuple[int, ...]) -> Iterator[tuple[int, int, np.ndarray]]:
+    """A logit part's chunks as ``(class id, flat start, chunk)`` blocks."""
+    for channel, start, chunk in _chunks(part):
+        yield ids[channel], start, chunk
+
+
 class BundleReader(ExitStack):
     """A teacher bundle read once from disk, H&E first.
 
@@ -480,13 +500,8 @@ class BundleReader(ExitStack):
     _hashed = True  # whether every byte read feeds ``digests``
 
     def __init__(self, manifest_path: str | Path):
-        from .aggregate import (  # deferred: aggregate is a heavier import
-            CELL_IDS,
-            TISSUE_IDS,
-            check_candidates,
-            check_part,
-            check_roster,
-        )
+        # deferred: aggregate is a heavier import
+        from .aggregate import CELL_IDS, TISSUE_IDS, check_candidates, check_part
 
         super().__init__()
         manifest_path = Path(manifest_path)
@@ -509,11 +524,8 @@ class BundleReader(ExitStack):
                 self._types = _teacher_types(ids_head.meta)
                 for name, wanted in (("tissue_logits", TISSUE_IDS), ("cell_logits", CELL_IDS)):
                     head = heads[name]
-                    if head.dtype != "f32":
-                        raise DtypeError(f"{name} must be f32, not {head.dtype}")
+                    self._class_ids[name] = _logit_class_ids(name, head, wanted)
                     check_part(name, (head.height, head.width), frame)
-                    self._class_ids[name] = tuple(VOCABULARY.resolve(c) for c in head.channels)
-                    check_roster(name, self._class_ids[name], wanted)
                 check_candidates(self.candidates, frame, self.halo)
             except (ValueError, UnknownClassError) as exc:
                 raise ContainerError(f"{manifest_path}: {exc}") from exc
@@ -528,15 +540,11 @@ class BundleReader(ExitStack):
         """Read nuclei and the logit files: the bundle's ``FusionInputs``."""
         from .aggregate import fusion_inputs
 
-        def logits(name: str) -> Iterator[tuple[int, int, np.ndarray]]:
-            for channel, start, chunk in _chunks(self._parts[name]):
-                yield self._class_ids[name][channel], start, chunk
-
         inputs = fusion_inputs(
             self.he,
             _read_instances(self._parts["nuclei"], self._types),
-            logits("tissue_logits"),
-            logits("cell_logits"),
+            _class_blocks(self._parts["tissue_logits"], self._class_ids["tissue_logits"]),
+            _class_blocks(self._parts["cell_logits"], self._class_ids["cell_logits"]),
             self.candidates,
         )
         self.digests.update(_digests(self._parts.values()))
@@ -588,8 +596,6 @@ class StudentReader(ExitStack):
     """
 
     def __init__(self, student_path: str | Path, nuclei_path: str | Path | None = None):
-        from .aggregate import check_roster  # deferred: aggregate is a heavier import
-
         super().__init__()
         with ExitStack() as files:  # closes the files if opening fails
             self._parts = [_open(files, Path(student_path))]
@@ -597,10 +603,7 @@ class StudentReader(ExitStack):
                 self._parts.append(_open(files, Path(nuclei_path)))
             head = self._parts[0][1]
             try:
-                if head.dtype != "f32":
-                    raise DtypeError(f"student logits must be f32, not {head.dtype}")
-                self.class_ids = tuple(VOCABULARY.resolve(c) for c in head.channels)
-                check_roster("student logits", self.class_ids, VOCABULARY.ids)
+                self.class_ids = _logit_class_ids("student logits", head, VOCABULARY.ids)
                 if nuclei_path is not None:
                     ids_head = self._parts[1][1]
                     _check_kind(ids_head.dtype, ids_head.channels, "u32", _IDS, "an instance map")
@@ -617,8 +620,7 @@ class StudentReader(ExitStack):
         return _read_instances(self._parts[1], self._types)
 
     def blocks(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        for channel, start, chunk in _chunks(self._parts[0]):
-            yield self.class_ids[channel], start, chunk
+        return _class_blocks(self._parts[0], self.class_ids)
 
     @property
     def digests(self) -> dict[str, str]:

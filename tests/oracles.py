@@ -19,6 +19,7 @@ import tmeseg.aggregate
 from tmeseg.config import CARBON_RGB_SUM_MAX, MITOSIS_MIN_AREA_PX
 from tmeseg.raster import (
     InstanceMap,
+    RegionList,
     as_bitmask,
     check_rgb_tile,
     connected_components,
@@ -176,8 +177,8 @@ def edt_distance_band(region: np.ndarray, radius_um: float, mpp: float) -> np.nd
 # ``aggregate.detect_mitosis``, which labels the hulls without the frame.
 def frame_detect_mitosis(
     candidates: Sequence[tuple], he: np.ndarray, tissue: np.ndarray
-) -> InstanceMap:
-    """Filter mitosis candidates into an instance map of hull regions.
+) -> RegionList:
+    """Filter mitosis candidates into hull regions.
 
     Per candidate: clip a circular ROI at the tile border; reject when the
     ROI's median RGB sum is <= the carbon-dust bound; Otsu the ROI grays
@@ -213,16 +214,16 @@ def frame_detect_mitosis(
         dark = circle & (gray <= t)
         epi_box = tissue[box] == EPITHELIAL_TISSUE
         for blob in contours(dark):
-            if blob.area < MITOSIS_MIN_AREA_PX:
+            if len(blob) < MITOSIS_MIN_AREA_PX:
                 continue
-            hull = convex_hull(blob.pixels[:, ::-1])
+            hull = convex_hull(blob[:, ::-1])
             region = rasterize_hull(hull, (x1 - x0 + 1, y1 - y0 + 1))
             if (region & epi_box).any():
                 union[box] |= region
     return connected_components(union)
 
 
-def frame_mitosis_hits(nuclei: InstanceMap, mitosis: InstanceMap) -> list[int]:
+def frame_mitosis_hits(nuclei: InstanceMap, mitosis: RegionList) -> list[int]:
     """Ids of the nuclei under the mitosis raster, from two full-frame masks."""
     return np.unique(nuclei.ids[(nuclei.ids > 0) & (mitosis.ids > 0)]).tolist()
 

@@ -13,7 +13,7 @@ from tmeseg.aggregate import (
     fallback_rules,
 )
 from tmeseg.config import RunConfig
-from tmeseg.raster import InstanceAttrs, InstanceMap, LogitStack
+from tmeseg.raster import InstanceAttrs, InstanceMap, LogitStack, connected_components
 from tmeseg.reference import reference_aggregate
 from tmeseg.synth import (
     GLASS,
@@ -351,9 +351,9 @@ def test_apply_mitosis_overrides_everything_it_touches():
     ids[1, 1] = 1
     ids[4, 4] = 2
     nuclei = InstanceMap.from_ids(ids, {})
-    mids = np.zeros((6, 6), np.int32)
-    mids[1, 1] = 1  # overlaps nucleus 1 only
-    mitosis = InstanceMap.from_ids(mids, {})
+    mask = np.zeros((6, 6), bool)
+    mask[1, 1] = True  # overlaps nucleus 1 only
+    mitosis = connected_components(mask)
     classes, hits = apply_mitosis({1: LYM, 2: EPI_N}, nuclei, mitosis)
     assert classes == {1: MIT, 2: EPI_N}
     assert hits == [1]
@@ -363,9 +363,9 @@ def test_apply_mitosis_near_miss_changes_nothing():
     ids = np.zeros((6, 6), np.int32)
     ids[1, 1] = 1
     nuclei = InstanceMap.from_ids(ids, {})
-    mids = np.zeros((6, 6), np.int32)
-    mids[1, 2] = 1  # one pixel away
-    classes, hits = apply_mitosis({1: LYM}, nuclei, InstanceMap.from_ids(mids, {}))
+    mask = np.zeros((6, 6), bool)
+    mask[1, 2] = True  # one pixel away
+    classes, hits = apply_mitosis({1: LYM}, nuclei, connected_components(mask))
     assert classes == {1: LYM} and hits == []
 
 
@@ -520,9 +520,9 @@ def test_check_invariants_catches_mitosis_overlap_without_mitotic_class():
     res = aggregate(build_bundle(random_scene(0)))
     gid = next(g for g, c in res.classes.items() if c != MIT)
     r, c = np.argwhere(res.instances.ids == gid)[0]
-    mit_ids = res.mitosis.ids.copy()
-    mit_ids[r, c] = mit_ids.max() + 1
-    res.mitosis = InstanceMap.from_ids(mit_ids)
+    mask = res.mitosis.ids > 0
+    mask[r, c] = True
+    res.mitosis = connected_components(mask)
     with pytest.raises(AssertionError, match=f"nucleus {gid}: mitosis supersedence"):
         res.check_invariants()
 

@@ -225,6 +225,21 @@ def test_container_shape_and_name_validation():
         StackContainer((), np.zeros((0, 2, 2), np.uint8), "u8")
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: StackContainer(("a",), np.zeros((1, 0, 4), np.uint8), "u8"),
+        lambda: StackContainer(("a",), np.zeros((1, 4, 0), np.uint8), "u8"),
+        lambda: container_from_labels(np.zeros((0, 3), np.uint8)),
+        lambda: container_from_rgb(np.zeros((0, 3, 3), np.uint8)),
+    ],
+    ids=["height-0", "width-0", "labels-0x3", "rgb-0x3"],
+)
+def test_container_refuses_planes_load_stack_would_refuse(make):
+    with pytest.raises(ContainerError, match="positive height and width"):
+        make()
+
+
 def test_container_refuses_a_scale_load_stack_would_refuse():
     with pytest.raises(ContainerError, match="mpp must be a finite number > 0"):
         StackContainer(("a",), np.zeros((1, 2, 2), np.uint8), "u8", mpp=-1)

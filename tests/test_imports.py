@@ -1,4 +1,5 @@
-"""Every imported name is used by the module that imports it."""
+"""Every imported name is used by the module that imports it, and every
+private top-level name of the package is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "tmeseg").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "tmeseg").glob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -32,3 +34,51 @@ def test_the_check_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private_definitions(source: str) -> dict[str, int]:
+    """Private (one leading underscore) functions, classes and constants
+    bound at the top level of a module, with their lines."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    return defined
+
+
+def _read_names(source: str) -> set[str]:
+    """Names an expression of the module loads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_the_check_sees_unread_private_names():
+    source = "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\n"
+    defined = _private_definitions(source)
+    assert defined == {"_A": 1, "_B": 2, "_f": 4, "_C": 6}
+    assert sorted(set(defined) - _read_names(source)) == ["_B", "_C", "_f"]
+
+
+def test_no_unread_private_names():
+    texts = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    read = set().union(*(_read_names(text) for text in texts.values()))
+    unread = [
+        f"{module}: {name} (line {line})"
+        for module, text in texts.items()
+        for name, line in _private_definitions(text).items()
+        if name not in read
+    ]
+    assert unread == []

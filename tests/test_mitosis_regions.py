@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import frame_detect_mitosis, frame_mitosis_hits
+from oracles import frame_detect_mitosis, frame_mitosis_hits, union_find_components
 from scipy import ndimage
 from test_stream import _traced_peak
 
@@ -42,7 +42,7 @@ def _same_attrs(got, want):
         assert np.array(b.centroid).tobytes() == np.array(a.centroid).tobytes()
 
 
-def _assert_equivalent(got, want: InstanceMap, nuclei: InstanceMap):
+def _assert_equivalent(got, want: RegionList, nuclei: InstanceMap):
     """Same ids, attrs, pixel groups and supersedence hits as the frame labelling."""
     assert isinstance(got, RegionList)
     assert got.ids.tobytes() == want.ids.tobytes()
@@ -218,9 +218,14 @@ def test_label_pieces_equals_whole_frame_components():
         shape = tuple(int(v) for v in rng.integers(6, 30, size=2))
         pieces = _random_pieces(rng, *shape, int(rng.integers(0, 25)))
         got = label_pieces(pieces, shape)
-        want = connected_components(_union(pieces, shape))
+        union = _union(pieces, shape)
+        want = connected_components(union)
         assert got.ids.tobytes() == want.ids.tobytes()
         _same_attrs(got.attrs, want.attrs)
+        # the two share a labelling core, so also an independent oracle
+        oracle = InstanceMap.from_ids(union_find_components(union, 8))
+        assert got.ids.tobytes() == oracle.ids.tobytes()
+        _same_attrs(got.attrs, oracle.attrs)
 
 
 def test_label_pieces_ignores_the_label_order_of_ndimage(monkeypatch):
@@ -274,8 +279,13 @@ def test_check_invariants_catches_nucleus_under_a_region_without_mitotic_class()
     res.check_invariants()
     gid = next(g for g, c in res.classes.items() if c != MITOTIC_CELL)
     r, c = np.argwhere(res.instances.ids == gid)[0]
+    rows, cols, slot, gids = res.mitosis.pixel_groups()
     res.mitosis = RegionList(
-        res.mitosis.shape, res.mitosis.pixels + [(np.array([r]), np.array([c]))]
+        res.mitosis.shape,
+        np.append(rows, r),
+        np.append(cols, c),
+        np.append(gids[slot], gids.size + 1),  # one more region, one pixel
     )
+    assert len(res.mitosis.attrs) == gids.size + 1
     with pytest.raises(AssertionError, match=f"nucleus {gid}: mitosis supersedence"):
         res.check_invariants()

@@ -16,8 +16,10 @@ from tmeseg.raster import (
     InstanceAttrs,
     InstanceMap,
     LogitStack,
+    RegionList,
     connected_components,
     contours,
+    label_pieces,
     convex_hull,
     distance_band,
     gaussian_smooth,
@@ -133,7 +135,7 @@ def test_components_id_order_is_raster_scan():
 
 def test_components_renumber_labels_out_of_scan_order(monkeypatch):
     """Ids follow the raster scan even when ``ndimage.label`` numbers the
-    components in another order, so the remap branch stays covered."""
+    components in another order."""
     label = ndimage.label
     rng = np.random.default_rng(6)
 
@@ -146,13 +148,41 @@ def test_components_renumber_labels_out_of_scan_order(monkeypatch):
     for _ in range(10):
         mask = rng.random((24, 31)) < 0.42
         got = connected_components(mask)
-        assert got.ids.tobytes() == union_find_components(mask, 8).tobytes()
-        got.validate()
+        want = InstanceMap.from_ids(union_find_components(mask, 8))
+        assert got.attrs == want.attrs
+        for a, b in zip(got.pixel_groups(), want.pixel_groups()):
+            assert np.array_equal(a, b)
+
+
+def test_region_list_takes_pixels_in_any_order_and_labels_in_any_numbering():
+    rng = np.random.default_rng(7)
+    mask = rng.random((24, 31)) < 0.42
+    want = connected_components(mask)
+    rows, cols, slot, _ = want.pixel_groups()
+    names = rng.permutation(len(want.attrs)) * 7919 + 10**12  # sparse, far above the pixel count
+    shuffle = rng.permutation(rows.size)
+    got = RegionList(mask.shape, rows[shuffle], cols[shuffle], names[slot][shuffle])
+    assert got.attrs == want.attrs
+    for a, b in zip(got.pixel_groups(), want.pixel_groups()):
+        assert np.array_equal(a, b)
 
 
 def test_diagonal_touch_depends_on_connectivity():
     mask = np.array([[1, 0], [0, 1]], dtype=bool)
     assert len(connected_components(mask).instance_ids) == 1
+
+
+def test_labelling_no_pixels_gives_no_regions():
+    shape = (5, 7)
+    empty_pieces = [(0, 0, np.zeros((2, 3), dtype=bool)), (3, 4, np.zeros((1, 1), dtype=bool))]
+    for regions in (
+        connected_components(np.zeros(shape, dtype=bool)),
+        label_pieces([], shape),
+        label_pieces(empty_pieces, shape),
+    ):
+        assert regions.attrs == {} and regions.instance_ids == []
+        assert [a.size for a in regions.pixel_groups()] == [0, 0, 0, 0]
+        assert regions.ids.shape == shape and not regions.ids.any()
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +196,7 @@ def test_contour_area_counts_filled_holes():
     mask[3:6, 3:6] = False  # 3x3 hole
     blobs = contours(mask)
     assert len(blobs) == 1
-    assert blobs[0].area == 25  # 5x5 after hole filling
+    assert len(blobs[0]) == 25  # 5x5 after hole filling
 
 
 def test_convex_hull_contains_all_points():
