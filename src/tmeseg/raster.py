@@ -14,7 +14,6 @@ independent workers.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
@@ -346,18 +345,50 @@ def otsu_threshold(gray: np.ndarray) -> int:
 # Connected components and contours
 # ---------------------------------------------------------------------------
 
-_STRUCT8 = np.ones((3, 3), dtype=bool)  # ndimage.generate_binary_structure(2, 2)
+
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maximal runs ``(row, start, stop)`` of a bool mask's set pixels,
+    in raster order, stops exclusive. Rows are taken in blocks of about
+    ``_BLOCK`` pixels, so no frame-sized temporary is allocated."""
+    h, w = mask.shape
+    step = max(_BLOCK // max(w, 1), 1)
+    found = [np.zeros(0, dtype=np.intp)]
+    for y0 in range(0, h, step):
+        padded = np.pad(mask[y0 : y0 + step], ((0, 0), (1, 1)))
+        # edges alternate start, stop along each row
+        found.append(np.flatnonzero(padded[:, 1:] != padded[:, :-1]) + y0 * (w + 1))
+    row, col = np.divmod(np.concatenate(found), w + 1)
+    return row[::2], col[::2], col[1::2]
 
 
-def _label(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The flat indices of a bool mask's set pixels, in raster order, and
-    each one's 8-connected component label, numbered as ``ndimage`` does."""
-    from scipy import ndimage
+def _label_runs(
+    shape: tuple[int, int], row: np.ndarray, start: np.ndarray, stop: np.ndarray
+) -> RegionList:
+    """The 8-connected components of maximal runs given in raster order.
 
-    labeled, _ = ndimage.label(mask, structure=_STRUCT8)
-    # np.flatnonzero on the bool mask: on the int labels it is ~8x slower
-    index = np.flatnonzero(mask)
-    return index, labeled.ravel()[index]
+    Run-based labelling (He, Chao and Suzuki, 2008): runs on adjacent rows
+    touch when ``start_a <= stop_b`` and ``start_b <= stop_a``, so a run's
+    partners on the row above are one range, found by two ``searchsorted``
+    calls. The equivalences are merged (Wu, Otoo and Suzuki, 2009) by a
+    vectorised union-find: each round hooks the larger root of every
+    unmerged pair onto the smaller, then jumps pointers to the roots.
+    """
+    span = shape[1] + 1  # above every stop: row * span + col orders by row, then col
+    lo = np.searchsorted(row * span + stop, (row - 1) * span + start)
+    hi = np.searchsorted(row * span + start, (row - 1) * span + stop, side="right")
+    count = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(row.size), count)
+    b = np.arange(a.size) - np.repeat(np.cumsum(count) - count - lo, count)
+    label = np.arange(row.size)
+    while not np.array_equal(label[a], label[b]):
+        la, lb = label[a], label[b]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(label[label], label):
+            label = label[label]
+    length = stop - start
+    cols = np.arange(length.sum())
+    cols -= np.repeat(np.cumsum(length) - length - start, length)
+    return RegionList(shape, np.repeat(row, length), cols, np.repeat(label, length))
 
 
 def connected_components(mask: np.ndarray) -> RegionList:
@@ -367,8 +398,7 @@ def connected_components(mask: np.ndarray) -> RegionList:
     pixel is met scanning rows left to right.
     """
     mask = as_bitmask(mask)
-    index, labels = _label(mask)
-    return RegionList(mask.shape, *np.divmod(index, mask.shape[1]), labels)
+    return _label_runs(mask.shape, *_runs(mask))
 
 
 def label_pieces(
@@ -378,60 +408,25 @@ def label_pieces(
     frame of ``shape``, without building the frame.
 
     A piece ``(y0, x0, mask)`` sets the frame pixels ``(y0 + r, x0 + c)``
-    where ``mask[r, c]``; they must lie inside the frame. Pixels of two
-    pieces can be 8-adjacent only where the pieces' bounding boxes, grown by
-    one pixel, meet. So a union-find over those boxes (the equivalence
-    merging of two-pass labelling: Wu, Otoo and Suzuki, 2009) splits the
-    pieces into groups that no component crosses, and each group is
-    labelled on a canvas the size of its box, by the core of
-    ``connected_components``, with labels offset past the earlier groups'.
-    ``RegionList`` then numbers the components by their first pixel in
-    raster order, as for the whole frame.
+    where ``mask[r, c]``; they must lie inside the frame. The pieces' runs,
+    moved into the frame and sorted, are merged where they overlap or abut
+    on a row, which gives the union's maximal runs, and these are labelled
+    as ``connected_components`` labels a frame's.
     """
-    coords = []  # per nonempty piece: frame rows and cols
+    span = shape[1] + 1
+    keys = [np.zeros((2, 0), dtype=np.intp)]  # row * span + (start, stop) in the frame
     for y0, x0, mask in pieces:
-        rr, cc = np.nonzero(mask)
-        if rr.size:
-            coords.append((rr + y0, cc + x0))
-    boxes = np.array(
-        [(r.min(), c.min(), r.max(), c.max()) for r, c in coords], dtype=np.int64
-    ).reshape(-1, 4)
-    parent = list(range(len(coords)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(1, len(coords)):
-        top, left, bottom, right = boxes[i] + (-1, -1, 1, 1)
-        earlier = boxes[:i]
-        meets = (
-            (earlier[:, 0] <= bottom)
-            & (earlier[:, 2] >= top)
-            & (earlier[:, 1] <= right)
-            & (earlier[:, 3] >= left)
-        )
-        for j in np.flatnonzero(meets).tolist():
-            parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = defaultdict(list)
-    for i in range(len(coords)):
-        groups[find(i)].append(i)
-
-    found = [(np.zeros(0, dtype=np.intp),) * 3]  # (rows, cols, labels) per group
-    offset = 0
-    for members in groups.values():
-        rows = np.concatenate([coords[i][0] for i in members])
-        cols = np.concatenate([coords[i][1] for i in members])
-        top, left = rows.min(), cols.min()
-        canvas = np.zeros((rows.max() - top + 1, cols.max() - left + 1), dtype=bool)
-        canvas[rows - top, cols - left] = True
-        index, labels = _label(canvas)
-        rr, cc = np.divmod(index, canvas.shape[1])
-        found.append((rr + top, cc + left, labels + offset))
-        offset += int(labels.max())
-    return RegionList(shape, *(np.concatenate(part) for part in zip(*found)))
+        row, start, stop = _runs(mask)
+        keys.append((row + y0) * span + x0 + np.stack([start, stop]))
+    first, last = np.concatenate(keys, axis=1)
+    order = np.argsort(first, kind="stable")
+    first, last = first[order], np.maximum.accumulate(last[order])
+    # a run heads a merged run unless it overlaps or abuts a run before it on its
+    # row; a merged run ends at the run before the next head (np.roll), or the last
+    head = np.ones(first.size, dtype=bool)
+    head[1:] = first[1:] > last[:-1]
+    row, start = np.divmod(first[head], span)
+    return _label_runs(shape, row, start, last[np.roll(head, -1)] - row * span)
 
 
 def contours(mask: np.ndarray) -> list[np.ndarray]:
@@ -440,7 +435,7 @@ def contours(mask: np.ndarray) -> list[np.ndarray]:
     from scipy import ndimage
 
     mask = as_bitmask(mask)
-    labeled, _ = ndimage.label(mask, structure=_STRUCT8)
+    labeled, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
     out = []
     for i, sl in enumerate(ndimage.find_objects(labeled), start=1):
         rr, cc = np.nonzero(ndimage.binary_fill_holes(labeled[sl] == i))
@@ -550,60 +545,48 @@ def _max_squared(r: float, limit: int) -> int:
 def distance_band(region: np.ndarray, radius_um: float, mpp: float) -> np.ndarray:
     """Pixels outside ``region`` within ``radius_um`` of its nearest pixel.
 
-    Distances are exact Euclidean; the radius is converted to pixels as
-    ``r = radius_um / mpp``. The frame is done in strips of rows. Each
-    strip is read through a window grown by ``floor(r)`` rows on either
-    side (clamped to the frame), where scipy's feature transform finds each
-    pixel's nearest region pixel. That is exact: a region pixel within ``r``
-    of a strip pixel is at most ``floor(r)`` rows away, so it lies in the
-    window, and a pixel farther than ``r`` from the region is no nearer to
-    the window's part of it. A pixel joins the band when its integer
-    squared distance is at most ``_max_squared``'s ceiling, which is the
-    test ``sqrt(d2) <= r`` on scipy's float64 distance map, bit for bit. A
-    window without region pixels leaves its strip empty.
-
-    A strip is at least ``2 * floor(r)`` rows and about ``_BLOCK`` pixels,
-    so at most twice the frame's rows are transformed, and the peak memory
-    depends on the width and the radius, not on the height.
+    Distances are exact Euclidean, with ``r = radius_um / mpp`` pixels. With
+    ``c`` the ceiling of ``_max_squared(r)``, a pixel ``dy`` rows from the
+    region's run ``[start, stop)`` is within ``r`` of it exactly when its
+    column is in ``[start - k, stop - 1 + k]``, ``k = isqrt(c - dy**2)``: the
+    test ``sqrt(d2) <= r`` in float64, bit for bit. The band is the union of
+    these intervals less the region. They are summed as +1/-1 edges into a
+    buffer of about ``_BLOCK`` counts, one strip of rows at a time, and the
+    cumulative sum along each row is the coverage; the peak memory depends
+    on the width, not the height.
     """
     region = as_bitmask(region)
     if not (math.isfinite(radius_um) and radius_um > 0):
         raise ValueError("radius_um must be positive and finite")
     if not (math.isfinite(mpp) and mpp > 0):
         raise ValueError("mpp must be positive and finite")
-    h, w = region.shape
-    r = radius_um / mpp
-    halo = h if r >= h else math.floor(r)
-    ceiling = _max_squared(r, (h - 1) ** 2 + (w - 1) ** 2)
-    strip = max(_BLOCK // w, 1, 2 * halo)
     band = np.zeros_like(region)
-    for y0 in range(0, h, strip):
-        y1 = min(y0 + strip, h)
-        top = max(y0 - halo, 0)
-        window = region[top : min(y1 + halo, h)]
-        if window.any():
-            _strip_band(window, y0 - top, band[y0:y1], ceiling)
+    row, start, stop = _runs(region)
+    if not row.size:
+        return band
+    h, w = region.shape
+    ceiling = _max_squared(radius_um / mpp, (h - 1) ** 2 + (w - 1) ** 2)
+    reach = math.isqrt(ceiling)
+    # beyond w columns an interval covers the whole row, so k and the pad stop at w
+    pad = min(reach, w)
+    span = w + 2 * pad + 1
+    k = [min(math.isqrt(ceiling - dy * dy), w) for dy in range(reach + 1)]
+    first = np.searchsorted(row, np.arange(h + 1))  # the runs of rows y.. start at first[y]
+    lo, hi = row * span + start + pad, row * span + stop + pad
+    step = max(_BLOCK // span, 1)
+    edges = np.empty(step * span, dtype=np.int32)
+    for y0 in range(0, h, step):
+        y1 = min(y0 + step, h)
+        buf = edges[: (y1 - y0) * span]
+        buf[:] = 0
+        for dy in range(max(-reach, y0 - h + 1), min(reach, y1 - 1) + 1):
+            a, b = first[max(y0 - dy, 0)], first[min(y1 - dy, h)]
+            if a < b:
+                # the starts of one dy are distinct, and so are the stops
+                buf[lo[a:b] + ((dy - y0) * span - k[abs(dy)])] += 1
+                buf[hi[a:b] + ((dy - y0) * span + k[abs(dy)])] -= 1
+        np.cumsum(buf, out=buf)  # each row's edges sum to 0
+        cover = buf.reshape(y1 - y0, span)[:, pad : pad + w]
+        np.greater(cover, 0, out=band[y0:y1])
+        np.greater(band[y0:y1], region[y0:y1], out=band[y0:y1])
     return band
-
-
-def _strip_band(window: np.ndarray, first: int, out: np.ndarray, ceiling: int) -> None:
-    """Write into ``out`` the band of ``window``'s rows ``first:first + len(out)``.
-
-    Squared distances are taken in blocks of about ``_BLOCK`` pixels; the
-    feature transform and the blocks are freed on return.
-    """
-    from scipy import ndimage
-
-    ft = ndimage.distance_transform_edt(~window, return_distances=False, return_indices=True)
-    width = window.shape[1]
-    rows = max(_BLOCK // width, 1)
-    cols = np.arange(width)
-    for a in range(0, out.shape[0], rows):
-        b = min(a + rows, out.shape[0])
-        dy = ft[0, first + a : first + b] - np.arange(first + a, first + b)[:, None]
-        dx = ft[1, first + a : first + b] - cols
-        dy *= dy
-        dx *= dx
-        dy += dx
-        np.less_equal(dy, ceiling, out=out[a:b])
-        out[a:b] &= ~window[first + a : first + b]

@@ -98,10 +98,7 @@ def slide_metrics(
     tumor_region = (mask == EPITHELIAL_TISSUE) | (mask == EPITHELIAL_CELL_NUCLEUS)
     tumor_cells = len(connected_components(mask == EPITHELIAL_CELL_NUCLEUS).attrs)
 
-    if tumor_region.any():
-        band = distance_band(tumor_region, margin_um, mpp)
-    else:
-        band = np.zeros(mask.shape, dtype=bool)
+    band = distance_band(tumor_region, margin_um, mpp)
     band_px = int(band.sum())
     band_mm2 = band_px * mpp * mpp / 1e6
 

@@ -19,10 +19,8 @@ import tmeseg.aggregate
 from tmeseg.config import CARBON_RGB_SUM_MAX, MITOSIS_MIN_AREA_PX
 from tmeseg.raster import (
     InstanceMap,
-    RegionList,
     as_bitmask,
     check_rgb_tile,
-    connected_components,
     contours,
     convex_hull,
     grayscale,
@@ -172,12 +170,26 @@ def edt_distance_band(region: np.ndarray, radius_um: float, mpp: float) -> np.nd
     return outside & (dist <= radius_um / mpp)
 
 
+# scipy's labelling over the whole frame: the reference for the run-based
+# ``raster.connected_components`` and ``raster.label_pieces``
+def ndimage_components(mask: np.ndarray) -> InstanceMap:
+    """8-connected components of a bool mask, ids in raster-scan order.
+
+    ``ndimage.label`` numbers components by their first pixel in raster
+    order, the order ``connected_components`` promises.
+    """
+    from scipy import ndimage
+
+    labeled, _ = ndimage.label(as_bitmask(mask), structure=np.ones((3, 3), dtype=bool))
+    return InstanceMap.from_ids(labeled)
+
+
 # The whole-frame mitosis detector: kept hulls ORed into a frame-sized mask,
-# then ``connected_components`` over the frame. The reference for
+# then ``ndimage_components`` over the frame. The reference for
 # ``aggregate.detect_mitosis``, which labels the hulls without the frame.
 def frame_detect_mitosis(
     candidates: Sequence[tuple], he: np.ndarray, tissue: np.ndarray
-) -> RegionList:
+) -> InstanceMap:
     """Filter mitosis candidates into hull regions.
 
     Per candidate: clip a circular ROI at the tile border; reject when the
@@ -220,10 +232,10 @@ def frame_detect_mitosis(
             region = rasterize_hull(hull, (x1 - x0 + 1, y1 - y0 + 1))
             if (region & epi_box).any():
                 union[box] |= region
-    return connected_components(union)
+    return ndimage_components(union)
 
 
-def frame_mitosis_hits(nuclei: InstanceMap, mitosis: RegionList) -> list[int]:
+def frame_mitosis_hits(nuclei: InstanceMap, mitosis: InstanceMap) -> list[int]:
     """Ids of the nuclei under the mitosis raster, from two full-frame masks."""
     return np.unique(nuclei.ids[(nuclei.ids > 0) & (mitosis.ids > 0)]).tolist()
 

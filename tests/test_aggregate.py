@@ -516,17 +516,6 @@ def test_check_invariants_catches_mislabelled_nucleus_pixel():
         res.check_invariants()
 
 
-def test_check_invariants_catches_mitosis_overlap_without_mitotic_class():
-    res = aggregate(build_bundle(random_scene(0)))
-    gid = next(g for g, c in res.classes.items() if c != MIT)
-    r, c = np.argwhere(res.instances.ids == gid)[0]
-    mask = res.mitosis.ids > 0
-    mask[r, c] = True
-    res.mitosis = connected_components(mask)
-    with pytest.raises(AssertionError, match=f"nucleus {gid}: mitosis supersedence"):
-        res.check_invariants()
-
-
 @pytest.mark.parametrize("ghost", [2, 10**6])
 def test_aggregate_rejects_records_without_pixels(ghost):
     ids = np.zeros((8, 8), np.int32)

@@ -5,8 +5,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import frame_detect_mitosis, frame_mitosis_hits, union_find_components
-from scipy import ndimage
+from oracles import (
+    frame_detect_mitosis,
+    frame_mitosis_hits,
+    ndimage_components,
+    union_find_components,
+)
 from test_stream import _traced_peak
 
 import tmeseg.aggregate
@@ -17,7 +21,7 @@ from tmeseg.aggregate import (
     mitosis_hulls,
 )
 from tmeseg.config import RunConfig
-from tmeseg.raster import InstanceMap, RegionList, connected_components, label_pieces
+from tmeseg.raster import InstanceMap, RegionList, label_pieces
 from tmeseg.synth import TISSUE_INK, Disc, build_bundle, random_scene, throughput_bundle
 from tmeseg.taxonomy import EPITHELIAL_TISSUE, MITOTIC_CELL, STROMA
 
@@ -42,7 +46,7 @@ def _same_attrs(got, want):
         assert np.array(b.centroid).tobytes() == np.array(a.centroid).tobytes()
 
 
-def _assert_equivalent(got, want: RegionList, nuclei: InstanceMap):
+def _assert_equivalent(got, want: InstanceMap, nuclei: InstanceMap):
     """Same ids, attrs, pixel groups and supersedence hits as the frame labelling."""
     assert isinstance(got, RegionList)
     assert got.ids.tobytes() == want.ids.tobytes()
@@ -191,7 +195,7 @@ def test_throughput_bundle_matches_frame_labelling():
 
 
 # ---------------------------------------------------------------------------
-# label_pieces against connected_components of the union
+# label_pieces against the whole-frame labelling of the union
 # ---------------------------------------------------------------------------
 
 
@@ -212,37 +216,41 @@ def _union(pieces, shape):
     return union
 
 
+def _assert_labels_union(pieces, shape):
+    got = label_pieces(pieces, shape)
+    union = _union(pieces, shape)
+    for want in (
+        ndimage_components(union),
+        InstanceMap.from_ids(union_find_components(union, 8)),
+    ):
+        assert got.ids.tobytes() == want.ids.tobytes()
+        _same_attrs(got.attrs, want.attrs)
+        for a, b in zip(got.pixel_groups(), want.pixel_groups()):
+            assert np.array_equal(a, b)
+
+
 def test_label_pieces_equals_whole_frame_components():
     rng = np.random.default_rng(11)
     for _ in range(40):
         shape = tuple(int(v) for v in rng.integers(6, 30, size=2))
-        pieces = _random_pieces(rng, *shape, int(rng.integers(0, 25)))
-        got = label_pieces(pieces, shape)
-        union = _union(pieces, shape)
-        want = connected_components(union)
-        assert got.ids.tobytes() == want.ids.tobytes()
-        _same_attrs(got.attrs, want.attrs)
-        # the two share a labelling core, so also an independent oracle
-        oracle = InstanceMap.from_ids(union_find_components(union, 8))
-        assert got.ids.tobytes() == oracle.ids.tobytes()
-        _same_attrs(got.attrs, oracle.attrs)
+        _assert_labels_union(_random_pieces(rng, *shape, int(rng.integers(0, 25))), shape)
 
 
-def test_label_pieces_ignores_the_label_order_of_ndimage(monkeypatch):
-    label = ndimage.label
-    rng = np.random.default_rng(12)
-
-    def permuted_label(mask, structure=None):
-        labeled, n = label(mask, structure=structure)
-        lut = np.concatenate([[0], rng.permutation(n) + 1]).astype(labeled.dtype)
-        return lut[labeled], n
-
-    monkeypatch.setattr(ndimage, "label", permuted_label)
-    for _ in range(10):
-        pieces = _random_pieces(rng, 20, 24, 20)
-        got = label_pieces(pieces, (20, 24))
-        want = connected_components(_union(pieces, (20, 24)))
-        assert got.ids.tobytes() == want.ids.tobytes()
+def test_label_pieces_merges_overlapping_and_abutting_runs():
+    bar = np.ones((1, 4), dtype=bool)
+    cases = [
+        [(2, 1, bar), (2, 3, bar)],  # overlap on a row: one run [1, 7)
+        [(2, 1, bar), (2, 5, bar)],  # abut on a row: one run [1, 9)
+        [(2, 1, bar), (2, 6, bar)],  # one column apart: two runs, two regions
+        [(2, 3, bar), (2, 1, bar), (2, 1, bar)],  # out of order and repeated
+        [(1, 2, np.ones((3, 3), dtype=bool)), (2, 3, bar), (0, 0, np.eye(2, dtype=bool))],
+        [(0, 0, bar), (1, 4, bar), (2, 9, bar)],  # corner to corner, then a gap
+    ]
+    for pieces in cases:
+        _assert_labels_union(pieces, (4, 14))
+    assert len(label_pieces(cases[1], (4, 14)).attrs) == 1
+    assert len(label_pieces(cases[2], (4, 14)).attrs) == 2
+    assert len(label_pieces(cases[5], (4, 14)).attrs) == 2
 
 
 # ---------------------------------------------------------------------------

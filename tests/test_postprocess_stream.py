@@ -332,10 +332,18 @@ def test_student_must_be_f32(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command,uses_scipy",
-    [("evaluate", False), ("info", False), ("postprocess", False), ("count", True)],
+    [
+        ("evaluate", False),
+        ("info", False),
+        ("postprocess", False),
+        ("count", False),
+        ("tme", False),
+        ("aggregate", True),  # the blur: the check sees scipy where it is imported
+    ],
 )
 def test_scipy_is_imported_only_by_commands_that_call_it(tmp_path, command, uses_scipy):
     class_ids, planes, nuclei = _random_inputs(6)
+    assert cli(["synth", "--seed", "1", "--out-dir", str(tmp_path / "bundle")]) == 0
     student = _student_file(tmp_path / "student.tmef", class_ids, planes)
     nuclei_path = _nuclei_file(tmp_path / "nuclei.tmef", nuclei)
     labels = tmp_path / "labels.tmef"
@@ -348,6 +356,9 @@ def test_scipy_is_imported_only_by_commands_that_call_it(tmp_path, command, uses
         "postprocess": ["postprocess", "--student", str(student), "--mode", "panoptic",
                         "--nuclei", str(nuclei_path), "--out", str(tmp_path / "pan.tmef")],
         "count": ["count", "--mask", str(labels), "--out", str(tmp_path / "count.json")],
+        "tme": ["tme", "--mask", str(labels), "--mpp", "0.25", "--out", str(tmp_path / "tme.json")],
+        "aggregate": ["aggregate", "--bundle", str(tmp_path / "bundle" / "bundle.json"),
+                      "--out", str(tmp_path / "agg.tmef")],
     }[command]
     src = str(Path(tmeseg.__file__).resolve().parent.parent)
     # -X importtime reports every module the run imports on stderr, one a line
