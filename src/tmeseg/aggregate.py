@@ -44,8 +44,8 @@ from .raster import (
     InstanceMap,
     LogitStack,
     RegionList,
+    blobs,
     check_rgb_tile,
-    contours,
     convex_hull,
     gaussian_smooth,
     grayscale,
@@ -427,11 +427,17 @@ def mitosis_hulls(
     Per candidate: clip a circular ROI of radius ``MITOSIS_ROI_RADIUS_PX``
     at the tile border; reject when the ROI's median RGB sum is <=
     ``CARBON_RGB_SUM_MAX`` (carbon dust); Otsu the ROI grays and keep the
-    dark side; keep 8-connected blobs (holes filled) of at least
-    ``MITOSIS_MIN_AREA_PX``; rasterize each blob's convex hull. Yields
-    ``(y0, x0, region)``: a bool mask over the hull's bounding box whose
-    top-left frame pixel is ``(y0, x0)``. Reads neither the blur nor the
-    tissue.
+    dark side; keep 8-connected blobs of at least ``MITOSIS_MIN_AREA_PX``;
+    rasterize each blob's convex hull. Yields ``(y0, x0, region)``: a bool
+    mask over the hull's bounding box whose top-left frame pixel is
+    ``(y0, x0)``. Reads neither the blur nor the tissue.
+
+    The hull, over the blob's run ends, and the area test, over its own
+    pixels, are those of the blob with its holes filled: (1) a hole pixel's
+    row holds blob pixels on both sides, or the hole would reach the border
+    by a 4-path, so it lies in the run ends' hull; (2) the smallest blob with
+    a hole is the 4-pixel diamond, so while ``MITOSIS_MIN_AREA_PX <= 4``
+    every blob with a hole passes, filled or not.
     """
     check_rgb_tile(he)
     h, w = he.shape[:2]
@@ -454,12 +460,12 @@ def mitosis_hulls(
         gray = grayscale(roi)
         t = otsu_threshold(gray[circle])
         dark = circle & (gray <= t)
-        for blob in contours(dark):
-            if len(blob) < MITOSIS_MIN_AREA_PX:
+        for area, ends in blobs(dark):
+            if area < MITOSIS_MIN_AREA_PX:
                 continue
-            # hull in (x, y) order over the blob's filled pixels, rasterized
+            # hull in (x, y) order over the blob's run ends, rasterized
             # over its own bounding box, which lies inside the ROI box
-            hull = convex_hull(blob[:, ::-1])
+            hull = convex_hull(ends[:, ::-1])
             left, top = hull.min(axis=0).tolist()
             right, bottom = hull.max(axis=0).tolist()
             region = rasterize_hull(hull - (left, top), (right - left + 1, bottom - top + 1))

@@ -218,6 +218,9 @@ def _cmd_postprocess(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _load_config(args)
+    instance_flags = [args.map, args.nuclei, args.gt_classes]
+    if any(instance_flags) and not all(instance_flags):
+        raise _UsageError("instance evaluation needs --map, --nuclei, and --gt-classes together")
     digests: dict[str, str] = {}
     gt = labels_from_container(_load(args.gt, digests))
     pred = labels_from_container(_load(args.pred, digests))
@@ -229,7 +232,7 @@ def _cmd_evaluate(args) -> int:
     ]
     print(format_table(["class", "dice", "iou"], rows))
 
-    if args.map and args.nuclei and args.gt_classes:
+    if all(instance_flags):
         cmap = load_class_map(args.map)
         nuclei = instances_from_container(_load(args.nuclei, digests))
         with open(args.gt_classes, "r", encoding="utf-8") as fh:
@@ -253,10 +256,6 @@ def _cmd_evaluate(args) -> int:
         ]
         print()
         print(format_table(["class", "mcc", "n_gt"], rows))
-    elif args.map or args.nuclei or args.gt_classes:
-        raise _UsageError(
-            "instance evaluation needs --map, --nuclei, and --gt-classes together"
-        )
 
     out = Path(args.out)
     _write_json(report, out)

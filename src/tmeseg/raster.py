@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -342,7 +342,7 @@ def otsu_threshold(gray: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Connected components and contours
+# Connected components and blobs
 # ---------------------------------------------------------------------------
 
 
@@ -361,10 +361,12 @@ def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return row[::2], col[::2], col[1::2]
 
 
-def _label_runs(
+def _run_labels(
     shape: tuple[int, int], row: np.ndarray, start: np.ndarray, stop: np.ndarray
-) -> RegionList:
-    """The 8-connected components of maximal runs given in raster order.
+) -> np.ndarray:
+    """Each run's 8-connected component, for maximal runs in raster order:
+    the index of the component's first run, so labels ascend with each
+    component's first pixel.
 
     Run-based labelling (He, Chao and Suzuki, 2008): runs on adjacent rows
     touch when ``start_a <= stop_b`` and ``start_b <= stop_a``, so a run's
@@ -385,10 +387,18 @@ def _label_runs(
         np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
         while not np.array_equal(label[label], label):
             label = label[label]
+    return label
+
+
+def _label_runs(
+    shape: tuple[int, int], row: np.ndarray, start: np.ndarray, stop: np.ndarray
+) -> RegionList:
+    """``_run_labels``' components, the runs expanded into their pixels."""
     length = stop - start
     cols = np.arange(length.sum())
     cols -= np.repeat(np.cumsum(length) - length - start, length)
-    return RegionList(shape, np.repeat(row, length), cols, np.repeat(label, length))
+    label = np.repeat(_run_labels(shape, row, start, stop), length)
+    return RegionList(shape, np.repeat(row, length), cols, label)
 
 
 def connected_components(mask: np.ndarray) -> RegionList:
@@ -429,18 +439,22 @@ def label_pieces(
     return _label_runs(shape, row, start, last[np.roll(head, -1)] - row * span)
 
 
-def contours(mask: np.ndarray) -> list[np.ndarray]:
-    """The filled pixels of each 8-connected component, as ``(N, 2)`` arrays
-    of (row, col); holes count toward ``N``."""
-    from scipy import ndimage
+def blobs(mask: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``(pixel_count, run_ends)`` per 8-connected component of a bool
+    mask, in the order of the components' first pixels.
 
+    ``run_ends`` is ``(2 * runs, 2)`` of (row, col): the first and the last
+    pixel of each of the component's runs.
+    """
     mask = as_bitmask(mask)
-    labeled, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
-    out = []
-    for i, sl in enumerate(ndimage.find_objects(labeled), start=1):
-        rr, cc = np.nonzero(ndimage.binary_fill_holes(labeled[sl] == i))
-        out.append(np.stack([rr + sl[0].start, cc + sl[1].start], axis=1))
-    return out
+    row, start, stop = _runs(mask)
+    label = _run_labels(mask.shape, row, start, stop)
+    # sorted by label, each component's runs are consecutive from its head
+    order = np.argsort(label, kind="stable")
+    heads = np.flatnonzero(np.diff(label[order], prepend=-1))
+    counts = np.add.reduceat((stop - start)[order], heads)
+    ends = np.stack([row, start, row, stop - 1], axis=1)[order].reshape(-1, 2)
+    yield from zip(counts.tolist(), np.split(ends, 2 * heads[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +490,8 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all points collinear collapse to the two extremes
-        hull = [pl[0], pl[-1]]
-    return np.asarray(hull, dtype=np.int64)
+    # collinear points pop down to the two extremes
+    return np.asarray(lower[:-1] + upper[:-1], dtype=np.int64)
 
 
 def rasterize_hull(hull: np.ndarray, extent: tuple[int, int]) -> np.ndarray:

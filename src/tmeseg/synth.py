@@ -31,6 +31,16 @@ NUCLEUS_INK = 90
 # ---------------------------------------------------------------------------
 
 
+def _grid(cy: float, cx: float, ry: float, rx: float, h: int, w: int) -> tuple[np.ndarray, ...]:
+    """Row and column grids of the box ``cy +- ry, cx +- rx``, outward to
+    whole pixels, clipped to an ``h`` x ``w`` frame; empty when outside."""
+    y0 = max(int(math.floor(cy - ry)), 0)
+    y1 = min(int(math.ceil(cy + ry)), h - 1)
+    x0 = max(int(math.floor(cx - rx)), 0)
+    x1 = min(int(math.ceil(cx + rx)), w - 1)
+    return np.meshgrid(np.arange(y0, y1 + 1), np.arange(x0, x1 + 1), indexing="ij")
+
+
 @dataclass(frozen=True)
 class Disc:
     cy: float
@@ -38,15 +48,7 @@ class Disc:
     r: float
 
     def pixels(self, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-        y0 = max(int(math.floor(self.cy - self.r)), 0)
-        y1 = min(int(math.ceil(self.cy + self.r)), h - 1)
-        x0 = max(int(math.floor(self.cx - self.r)), 0)
-        x1 = min(int(math.ceil(self.cx + self.r)), w - 1)
-        if y0 > y1 or x0 > x1:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        gy, gx = np.meshgrid(
-            np.arange(y0, y1 + 1), np.arange(x0, x1 + 1), indexing="ij"
-        )
+        gy, gx = _grid(self.cy, self.cx, self.r, self.r, h, w)
         hit = (gy - self.cy) ** 2 + (gx - self.cx) ** 2 <= self.r * self.r
         return gy[hit], gx[hit]
 
@@ -59,15 +61,7 @@ class Ellipse:
     rx: float
 
     def pixels(self, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-        y0 = max(int(math.floor(self.cy - self.ry)), 0)
-        y1 = min(int(math.ceil(self.cy + self.ry)), h - 1)
-        x0 = max(int(math.floor(self.cx - self.rx)), 0)
-        x1 = min(int(math.ceil(self.cx + self.rx)), w - 1)
-        if y0 > y1 or x0 > x1:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        gy, gx = np.meshgrid(
-            np.arange(y0, y1 + 1), np.arange(x0, x1 + 1), indexing="ij"
-        )
+        gy, gx = _grid(self.cy, self.cx, self.ry, self.rx, h, w)
         hit = ((gy - self.cy) / self.ry) ** 2 + ((gx - self.cx) / self.rx) ** 2 <= 1.0
         return gy[hit], gx[hit]
 
@@ -246,8 +240,15 @@ def random_scene(
     Tissue regions contest, nuclei span all hierarchy levels plus
     undefined (some with fibroblast teacher types on stroma), and
     candidates cover accepted blobs, off-epithelium blobs, carbon dust,
-    and bare positions.
+    and bare positions. The frame is at least 30 x 30: the epithelial
+    ellipse's semi-axes are drawn from ``[10, side / 3]``.
     """
+    for name, value, least in [
+        ("height", height, 30), ("width", width, 30),
+        ("max_nuclei", max_nuclei, 0), ("max_candidates", max_candidates, 0),
+    ]:
+        if value < least:
+            raise ValueError(f"random_scene {name} must be at least {least}, got {value}")
     rng = np.random.default_rng(seed)
     h, w = height, width
 
@@ -333,46 +334,19 @@ def random_scene(
     for _ in range(int(rng.integers(0, max_candidates + 1))):
         kind = kinds[int(rng.integers(0, len(kinds)))]
         score = float(rng.uniform(0.05, 1.0))
-        if kind == "blob_epi":
-            cy = ecy + float(rng.uniform(-5, 5))
-            cx = ecx + float(rng.uniform(-5, 5))
-            candidates.append(
-                CandidateSpec(
-                    x=min(max(cx, 0.0), w - 1.0),
-                    y=min(max(cy, 0.0), h - 1.0),
-                    score=score,
-                    draw="blob",
-                    radius=float(rng.uniform(2.5, 5.0)),
-                    intensity=20,
-                )
-            )
-        elif kind == "blob_far":
-            cy, cx = point(2)
-            candidates.append(
-                CandidateSpec(
-                    x=cx,
-                    y=cy,
-                    score=score,
-                    draw="blob",
-                    radius=float(rng.uniform(2.5, 5.0)),
-                    intensity=25,
-                )
-            )
-        elif kind == "dust":
-            cy, cx = point(4)
-            candidates.append(
-                CandidateSpec(
-                    x=cx,
-                    y=cy,
-                    score=score,
-                    draw="dust",
-                    radius=float(min(h, w) / 3),
-                    intensity=12,
-                )
-            )
+        if kind == "blob_epi":  # near the epithelium's centre, clamped to the frame
+            cy = min(max(ecy + float(rng.uniform(-5, 5)), 0.0), h - 1.0)
+            cx = min(max(ecx + float(rng.uniform(-5, 5)), 0.0), w - 1.0)
         else:
-            cy, cx = point(1)
-            candidates.append(CandidateSpec(x=cx, y=cy, score=score))
+            cy, cx = point({"blob_far": 2, "dust": 4, "bare": 1}[kind])
+        if kind == "dust":
+            draw = {"draw": "dust", "radius": float(min(h, w) / 3), "intensity": 12}
+        elif kind == "bare":
+            draw = {}
+        else:
+            radius = float(rng.uniform(2.5, 5.0))
+            draw = {"draw": "blob", "radius": radius, "intensity": 20 if kind == "blob_epi" else 25}
+        candidates.append(CandidateSpec(x=cx, y=cy, score=score, **draw))
 
     return SceneSpec(
         height=h,

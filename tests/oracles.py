@@ -21,7 +21,6 @@ from tmeseg.raster import (
     InstanceMap,
     as_bitmask,
     check_rgb_tile,
-    contours,
     convex_hull,
     grayscale,
     otsu_threshold,
@@ -184,6 +183,24 @@ def ndimage_components(mask: np.ndarray) -> InstanceMap:
     return InstanceMap.from_ids(labeled)
 
 
+def filled_blobs(mask: np.ndarray) -> list[np.ndarray]:
+    """The filled pixels of each 8-connected component, in first-pixel
+    order, as ``(N, 2)`` arrays of (row, col); holes count toward ``N``.
+
+    ``ndimage.label`` with a 3x3 structure, ``find_objects``, then
+    ``binary_fill_holes`` on each component's box: the reference for
+    ``raster.blobs``, which fills no hole.
+    """
+    from scipy import ndimage
+
+    labeled, _ = ndimage.label(as_bitmask(mask), structure=np.ones((3, 3), dtype=bool))
+    out = []
+    for i, sl in enumerate(ndimage.find_objects(labeled), start=1):
+        rr, cc = np.nonzero(ndimage.binary_fill_holes(labeled[sl] == i))
+        out.append(np.stack([rr + sl[0].start, cc + sl[1].start], axis=1))
+    return out
+
+
 # The whole-frame mitosis detector: kept hulls ORed into a frame-sized mask,
 # then ``ndimage_components`` over the frame. The reference for
 # ``aggregate.detect_mitosis``, which labels the hulls without the frame.
@@ -225,10 +242,10 @@ def frame_detect_mitosis(
         t = otsu_threshold(gray[circle])
         dark = circle & (gray <= t)
         epi_box = tissue[box] == EPITHELIAL_TISSUE
-        for blob in contours(dark):
+        for blob in filled_blobs(dark):
             if len(blob) < MITOSIS_MIN_AREA_PX:
                 continue
-            hull = convex_hull(blob[:, ::-1])
+            hull = convex_hull(blob[:, ::-1])  # over every filled pixel
             region = rasterize_hull(hull, (x1 - x0 + 1, y1 - y0 + 1))
             if (region & epi_box).any():
                 union[box] |= region

@@ -310,6 +310,15 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     )
     assert code == 1  # partial instance flags are a usage error
     assert "together" in capsys.readouterr().err
+    # checked before either label file is read or a table printed
+    code = cli(
+        ["evaluate", "--gt", str(tmp_path / "no-gt.tmef"), "--pred",
+         str(tmp_path / "no-pred.tmef"), "--nuclei", "n.tmef", "--gt-classes", "c.json",
+         "--out", str(tmp_path / "r.json")]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "together" in captured.err and captured.out == ""
 
 
 def test_taxonomy_option_is_gone(tmp_path, capsys):

@@ -117,7 +117,7 @@ def test_the_check_sees_scipy_imports():
     assert _scipy_imports(source) == [(None, 1), ("f", 4), ("g", 8)]
 
 
-def test_scipy_is_imported_only_by_the_blur_and_contours():
+def test_scipy_is_imported_only_by_the_blur():
     # a top-level import would load scipy.ndimage in every command: about
     # 0.4 s and 27 MB of RSS, measured on a 2-CPU host
     found = [
@@ -125,4 +125,4 @@ def test_scipy_is_imported_only_by_the_blur_and_contours():
         for path in SOURCES
         for func, _ in _scipy_imports(path.read_text(encoding="utf-8"))
     ]
-    assert sorted(found) == [("raster.py", "contours"), ("raster.py", "gaussian_smooth")]
+    assert found == [("raster.py", "gaussian_smooth")]

@@ -6,19 +6,21 @@ from oracles import (
     brute_distance_band,
     edt_distance_band,
     exhaustive_otsu,
+    filled_blobs,
     ndimage_components,
     point_in_hull,
     union_find_components,
 )
 from test_stream import _traced_peak
+from tmeseg.config import MITOSIS_MIN_AREA_PX
 from tmeseg.raster import (
     _BLOCK,
     InstanceAttrs,
     InstanceMap,
     LogitStack,
     RegionList,
+    blobs,
     connected_components,
-    contours,
     label_pieces,
     convex_hull,
     distance_band,
@@ -163,6 +165,7 @@ def test_labelling_no_pixels_gives_no_regions():
             assert regions.attrs == {} and regions.instance_ids == []
             assert [a.size for a in regions.pixel_groups()] == [0, 0, 0, 0]
             assert regions.ids.shape == shape and not regions.ids.any()
+        assert list(blobs(np.zeros(shape, dtype=bool))) == []
 
 
 def _caps(tops, height):
@@ -219,17 +222,64 @@ def test_components_on_adversarial_masks(name):
 
 
 # ---------------------------------------------------------------------------
-# Contours and hulls
+# Blobs and hulls
 # ---------------------------------------------------------------------------
 
 
-def test_contour_area_counts_filled_holes():
+def _hull(points_rc: np.ndarray) -> list:
+    return convex_hull(points_rc[:, ::-1]).tolist()
+
+
+def test_ring_blob_has_the_filled_square_hull():
     mask = np.zeros((9, 9), dtype=bool)
     mask[2:7, 2:7] = True
     mask[3:6, 3:6] = False  # 3x3 hole
-    blobs = contours(mask)
-    assert len(blobs) == 1
-    assert len(blobs[0]) == 25  # 5x5 after hole filling
+    [(area, ends)] = blobs(mask)
+    assert area == 16  # the ring's own pixels: the hole is not filled
+    assert _hull(ends) == _hull(np.argwhere(np.pad(np.ones((5, 5), dtype=bool), 2)))
+
+
+def test_blob_hulls_equal_filled_blob_hulls():
+    rng = np.random.default_rng(23)
+    masks = []
+    for _ in range(600):
+        h, w = rng.integers(1, 41, size=2).tolist()
+        masks.append(rng.random((h, w)) < rng.uniform(0.2, 0.9))
+    ring = np.pad(np.ones((5, 7), dtype=bool), 1)
+    ring[2:5, 2:6] = False
+    nested = ring.copy()
+    nested[3, 3] = True  # a blob inside the ring's hole
+    diamond = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
+    masks += [ring, nested, diamond, np.zeros((4, 4), dtype=bool)]
+    for mask in masks:
+        got = list(blobs(mask))
+        filled = filled_blobs(mask)
+        labeled = ndimage_components(mask)
+        # each blob's area is its own pixel count, holes not filled
+        counts = [labeled.attrs[g].pixel_count for g in labeled.instance_ids]
+        assert [area for area, _ in got] == counts
+        assert [_hull(ends) for _, ends in got] == [_hull(blob) for blob in filled]
+        assert [area >= MITOSIS_MIN_AREA_PX for area, _ in got] == [
+            len(blob) >= MITOSIS_MIN_AREA_PX for blob in filled
+        ]
+
+
+def test_min_area_admits_the_smallest_holed_blob():
+    from scipy import ndimage
+
+    # no blob of 3 pixels or fewer has a hole: each fits in a 3x3 box
+    for bits in range(1 << 9):
+        small = np.array([(bits >> i) & 1 for i in range(9)], dtype=bool).reshape(3, 3)
+        if small.sum() <= 3:
+            assert np.array_equal(ndimage.binary_fill_holes(small), small)
+    diamond = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
+    [(area, _)] = blobs(diamond)
+    assert area == 4 and ndimage.binary_fill_holes(diamond).sum() == 5
+    assert MITOSIS_MIN_AREA_PX <= area, (
+        "mitosis_hulls tests a blob's area without filling its holes; this "
+        "equals the filled-area test only while every blob with a hole, the "
+        "smallest being this 4-pixel diamond, passes it"
+    )
 
 
 def test_convex_hull_contains_all_points():

@@ -137,6 +137,27 @@ def test_random_scene_bundles_validate():
         build_bundle(random_scene(seed)).validate()
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"height": 29}, "height must be at least 30, got 29"),
+        ({"width": 0}, "width must be at least 30, got 0"),
+        ({"max_nuclei": -1}, "max_nuclei must be at least 0, got -1"),
+        ({"max_candidates": -3}, "max_candidates must be at least 0, got -3"),
+    ],
+)
+def test_random_scene_rejects_values_below_its_bounds(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        random_scene(0, **kwargs)
+
+
+def test_random_scene_at_its_bounds():
+    for seed in range(20):
+        scene = random_scene(seed, height=30, width=30, max_nuclei=0, max_candidates=0)
+        assert (scene.height, scene.width, scene.nuclei, scene.candidates) == (30, 30, (), ())
+        build_bundle(scene).validate()
+
+
 def test_fixture_returns_reference_truth():
     scene = SceneSpec(
         height=48,
