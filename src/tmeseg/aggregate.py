@@ -43,7 +43,6 @@ from .config import (
 from .raster import (
     InstanceMap,
     LogitStack,
-    RegionList,
     blobs,
     check_rgb_tile,
     convex_hull,
@@ -143,7 +142,7 @@ class TeacherBundle:
             check_part(name, (stack.height, stack.width), frame)
             check_roster(name, stack.class_ids, wanted)
             stack.require_finite()
-        check_part("nuclei", self.nuclei.ids.shape, frame)
+        check_part("nuclei", self.nuclei.shape, frame)
         self.nuclei.validate()
         check_candidates(self.mitosis_candidates, frame, self.halo or 0)
 
@@ -197,14 +196,13 @@ class FusionInputs:
 
     ``tissue_pre`` is the tissue label before glass is applied;
     ``cell_vals`` holds the cell logits at the nucleus pixels, one row per
-    ``CELL_IDS`` channel, columns in ``groups`` (``nuclei.pixel_groups()``)
-    order. ``TeacherBundle.reduce`` and ``container.BundleReader.reduce``
-    both build it through ``fusion_inputs``.
+    ``CELL_IDS`` channel, columns in ``nuclei.pixel_groups()`` order.
+    ``TeacherBundle.reduce`` and ``container.BundleReader.reduce`` both
+    build it through ``fusion_inputs``.
     """
 
     he: np.ndarray
     nuclei: InstanceMap
-    groups: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     tissue_pre: np.ndarray  # (H, W) uint8
     cell_vals: np.ndarray  # (len(CELL_IDS), N) float32
     mitosis_candidates: tuple
@@ -269,16 +267,12 @@ def fusion_inputs(
     Blocks of one plane arrive in order and planes one after another, as
     they lie in a file. The parts must already be checked against each other.
     """
-    groups = nuclei.pixel_groups()
-    h, w = nuclei.ids.shape
-    tissue_pre = _reduce_tissue(tissue_blocks, (h, w))
-    rows, cols = groups[0], groups[1]
+    rows, cols, _, _ = nuclei.pixel_groups()
     return FusionInputs(
         he=he,
         nuclei=nuclei,
-        groups=groups,
-        tissue_pre=tissue_pre,
-        cell_vals=_reduce_cells(cell_blocks, rows * w + cols, _CELL_ROW),
+        tissue_pre=_reduce_tissue(tissue_blocks, nuclei.shape),
+        cell_vals=_reduce_cells(cell_blocks, rows * nuclei.shape[1] + cols, _CELL_ROW),
         mitosis_candidates=tuple(mitosis_candidates),
     )
 
@@ -297,7 +291,7 @@ class AggregationResult:
     semantic: np.ndarray  # (H, W) uint8 class ids
     instances: InstanceMap
     classes: dict[int, Optional[int]]  # nucleus id -> final class (None undefined)
-    mitosis: RegionList
+    mitosis: InstanceMap
     provenance: dict[int, NucleusDecision]
 
     def check_invariants(self) -> None:
@@ -474,7 +468,7 @@ def mitosis_hulls(
 
 def detect_mitosis(
     candidates: Sequence[tuple], he: np.ndarray, tissue: np.ndarray
-) -> RegionList:
+) -> InstanceMap:
     """Filter mitosis candidates into hull regions.
 
     Keeps the ``mitosis_hulls`` that overlap epithelial tissue by at least
@@ -492,7 +486,7 @@ def detect_mitosis(
     return label_pieces(kept, he.shape[:2])
 
 
-def _nuclei_under(nuclei: InstanceMap, mitosis: RegionList) -> np.ndarray:
+def _nuclei_under(nuclei: InstanceMap, mitosis: InstanceMap) -> np.ndarray:
     """The ids of the nuclei with a pixel under a mitosis region, ascending."""
     rows, cols, _, _ = mitosis.pixel_groups()
     under = nuclei.ids[rows, cols]
@@ -502,7 +496,7 @@ def _nuclei_under(nuclei: InstanceMap, mitosis: RegionList) -> np.ndarray:
 def apply_mitosis(
     classes: dict[int, Optional[int]],
     nuclei: InstanceMap,
-    mitosis: RegionList,
+    mitosis: InstanceMap,
 ) -> tuple[dict[int, Optional[int]], list[int]]:
     """Reassign every nucleus intersecting the mitosis regions to mitotic_cell."""
     hit_ids = _nuclei_under(nuclei, mitosis).tolist()
@@ -532,7 +526,7 @@ def _fuse(inputs: FusionInputs, gray: np.ndarray, cfg: RunConfig) -> Aggregation
     t = cfg.background_threshold
     glass = gray > (otsu_threshold(gray) if t is None else t)
     tissue = np.where(glass, np.uint8(BACKGROUND), inputs.tissue_pre)
-    rows, cols, slot, gids = inputs.groups
+    rows, cols, slot, gids = inputs.nuclei.pixel_groups()
     voted, decisions = _vote_groups(inputs.cell_vals, slot, gids.size)
     gid_list = gids.tolist()
     provenance = dict(zip(gid_list, decisions))

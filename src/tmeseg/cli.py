@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .counting import count_record
 from .metrics import evaluate_instances, evaluate_semantic, format_table
 from .postprocess import NUCLEUS_CLASSES, reduce_force, reduce_panoptic
 from .raster import InstanceMap
-from .taxonomy import VOCABULARY, load_class_map
+from .taxonomy import VOCABULARY, UnknownClassError, class_map_from_json
 
 SCHEMA_VERSION = 1
 
@@ -58,23 +58,35 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _hashed(paths: Sequence[Path]) -> dict[str, str]:
-    """The SHA-256 of each file, keyed by path as ``str``."""
-    return {str(p): _sha256_file(Path(p)) for p in paths}
-
-
 def _load(path: str, digests: dict[str, str]):
     """Load a TMEF1 file; its SHA-256, from the same read, goes into ``digests``."""
     container, digests[str(Path(path))] = load_hashed(path)
     return container
+
+
+def _read_json(path: str, parse: Callable, digests: dict[str, str]):
+    """``parse`` of a JSON sidecar, read once: its bytes are hashed into
+    ``digests``, then decoded. A malformed file raises ``ValueError`` naming it."""
+    raw = Path(path).read_bytes()
+    digests[str(Path(path))] = hashlib.sha256(raw).hexdigest()
+    try:
+        return parse(json.loads(raw))
+    except (ValueError, UnknownClassError) as exc:
+        detail = exc.args[0] if isinstance(exc, KeyError) else exc  # a KeyError's str() is quoted
+        raise ValueError(f"{path}: {detail}") from None
+
+
+def _gt_classes(doc) -> dict[int, int]:
+    """The classed nuclei of a ``--gt-classes`` document, whose ``classes``
+    maps nucleus ids, as integer strings, to a vocabulary class id or null."""
+    classes = doc.get("classes") if isinstance(doc, dict) else None
+    if not isinstance(classes, dict):
+        raise ValueError("'classes' must be an object of nucleus id -> class id or null")
+    for g, c in classes.items():
+        # a bool is not a class id; null is no ground-truth class, and the nucleus sits out
+        if not (g.isdecimal() and (c is None or type(c) is int and c in VOCABULARY.ids)):
+            raise ValueError(f"nucleus {g!r} -> {c!r}: not a nucleus id -> class id or null")
+    return {int(g): c for g, c in classes.items() if c is not None}
 
 
 def _provenance(
@@ -222,6 +234,9 @@ def _cmd_evaluate(args) -> int:
     if any(instance_flags) and not all(instance_flags):
         raise _UsageError("instance evaluation needs --map, --nuclei, and --gt-classes together")
     digests: dict[str, str] = {}
+    if all(instance_flags):  # the JSON sidecars first: a malformed one prints nothing
+        cmap = _read_json(args.map, class_map_from_json, digests)
+        gt_classes = _read_json(args.gt_classes, _gt_classes, digests)
     gt = labels_from_container(_load(args.gt, digests))
     pred = labels_from_container(_load(args.pred, digests))
 
@@ -233,15 +248,7 @@ def _cmd_evaluate(args) -> int:
     print(format_table(["class", "dice", "iou"], rows))
 
     if all(instance_flags):
-        cmap = load_class_map(args.map)
         nuclei = instances_from_container(_load(args.nuclei, digests))
-        with open(args.gt_classes, "r", encoding="utf-8") as fh:
-            classes_doc = json.load(fh)
-        gt_classes = {
-            int(g): c
-            for g, c in classes_doc.get("classes", {}).items()
-            if c is not None
-        }
         # nuclei marked null carry no ground-truth class; they sit out
         unlabeled = [g for g in nuclei.instance_ids if g not in gt_classes]
         if unlabeled:
@@ -250,7 +257,6 @@ def _cmd_evaluate(args) -> int:
             nuclei = InstanceMap.from_ids(ids)
         instance = evaluate_instances(nuclei, gt_classes, pred, cmap)
         report["instance"] = instance
-        digests.update(_hashed([Path(args.map), Path(args.gt_classes)]))
         rows = [
             [name, vals["mcc"], vals["n_gt"]] for name, vals in instance.items()
         ]

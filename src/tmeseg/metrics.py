@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .raster import InstanceMap
+from .raster import _BLOCK, InstanceMap
 from .taxonomy import VOCABULARY, ClassMap
 
 
@@ -119,7 +119,7 @@ def instance_eval_units(
     cover the whole instance.
     """
     pred = np.asarray(pred)
-    if pred.shape != gt_instances.ids.shape:
+    if pred.shape != gt_instances.shape:
         raise ValueError("prediction and instance raster dimensions differ")
     k = len(cmap.eval_classes)
     lut = np.zeros(VOCABULARY.n_classes, dtype=np.int64)
@@ -190,16 +190,33 @@ def evaluate_instances(
 def evaluate_semantic(
     gt: np.ndarray, pred: np.ndarray, classes: Sequence[int]
 ) -> dict[str, dict]:
-    """Per-class Dice and IoU from one-vs-rest binarization."""
+    """Per-class Dice and IoU of two uint8 label rasters, one-vs-rest.
+
+    One joint histogram of ``(gt, pred)`` pairs, counted ``_BLOCK`` pixels
+    at a time, gives every class's |G|, |P| and |G∩P|: the integers
+    ``dice`` and ``iou`` count on the class's two masks, so the same floats.
+    """
     gt = np.asarray(gt)
     pred = np.asarray(pred)
     if gt.shape != pred.shape:
         raise ValueError("ground truth and prediction dimensions differ")
+    if gt.dtype != np.uint8 or pred.dtype != np.uint8:
+        raise ValueError("evaluate_semantic expects uint8 label rasters")
+    g, p = gt.ravel(), pred.ravel()
+    joint = np.zeros(1 << 16, dtype=np.int64)
+    for i in range(0, g.size, _BLOCK):
+        pair = g[i : i + _BLOCK].astype(np.intp) << 8 | p[i : i + _BLOCK]
+        joint += np.bincount(pair, minlength=1 << 16)
+    joint = joint.reshape(256, 256)  # [gt class, pred class]
+    n_gt, n_pred = joint.sum(axis=1).tolist(), joint.sum(axis=0).tolist()
+    both = joint.diagonal().tolist()
     out: dict[str, dict] = {}
     for cid in classes:
-        gm = gt == cid
-        pm = pred == cid
-        out[VOCABULARY.name_of(cid)] = {"dice": dice(gm, pm), "iou": iou(gm, pm)}
+        total, inter = n_gt[cid] + n_pred[cid], both[cid]
+        out[VOCABULARY.name_of(cid)] = {
+            "dice": 2 * inter / total if total else 1.0,
+            "iou": inter / (total - inter) if total else 1.0,
+        }
     return out
 
 

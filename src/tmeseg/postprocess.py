@@ -125,7 +125,7 @@ def panoptic_assign(
     per-nucleus classes.
     """
     blocks = _student_planes(stack)
-    if nuclei.ids.shape != (stack.height, stack.width):
+    if nuclei.shape != (stack.height, stack.width):
         raise ValueError("nuclei and logits dimensions differ")
     return reduce_panoptic(blocks, nuclei)
 
@@ -140,7 +140,7 @@ def reduce_panoptic(
     at the nucleus pixels and summed per nucleus once all have arrived, in
     pixel order, so the float64 sums match a sum over whole planes bit for bit.
     """
-    h, w = nuclei.ids.shape
+    h, w = nuclei.shape
     rows, cols, slot, gids = nuclei.pixel_groups()
     region = _Argmax(h * w)
 

@@ -14,7 +14,7 @@ independent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
@@ -89,38 +89,89 @@ class InstanceAttrs:
     teacher_type: Optional[int] = None
 
 
-@dataclass
 class InstanceMap:
-    """Integer instance-id raster plus per-instance attribute records."""
+    """Labelled instances of a frame of ``shape``: their pixels, grouped by
+    id, and one attribute record per id.
 
-    ids: np.ndarray
-    attrs: dict[int, InstanceAttrs] = field(default_factory=dict)
+    Both constructors compute the groups and ``attrs`` once:
+    ``InstanceMap(ids)`` scans an int32 id raster, and ``regions`` takes
+    the region pixels themselves. ``pixel_groups`` returns the stored
+    arrays and ``validate`` checks ``attrs`` against them. ``ids`` is the
+    id raster, read-only: the one scanned, or the groups painted on first use.
+    """
 
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int32)
-        if self.ids.ndim != 2:
+    def __init__(self, ids: np.ndarray, teacher_types: Optional[dict[int, Optional[int]]] = None):
+        ids = np.asarray(ids, dtype=np.int32)
+        if ids.ndim != 2:
             raise ValueError("instance ids must be a 2-d raster")
+        flat = ids.ravel()
+        # a bool mask per block: np.nonzero on the ints themselves is ~8x slower
+        index = np.concatenate(
+            [np.zeros(0, dtype=np.intp)]
+            + [np.flatnonzero(flat[i : i + _BLOCK] != 0) + i for i in range(0, flat.size, _BLOCK)]
+        )
+        rows, cols = np.divmod(index, ids.shape[1])
+        gids, slot = _group_ids(flat[index])
+        self._keep(ids.shape, (rows, cols, slot, gids), teacher_types)
+        self.ids = _read_only(ids.view())
 
-    @property
-    def height(self) -> int:
-        return self.ids.shape[0]
+    @classmethod
+    def from_ids(cls, ids: np.ndarray, teacher_types: Optional[dict] = None) -> "InstanceMap":
+        """``InstanceMap(ids, teacher_types)``."""
+        return cls(ids, teacher_types)
 
-    @property
-    def width(self) -> int:
-        return self.ids.shape[1]
+    @classmethod
+    def regions(
+        cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, labels: np.ndarray
+    ) -> "InstanceMap":
+        """The regions of a frame of ``shape`` given as their pixels
+        ``(rows, cols)``, in any order, and a label per pixel, in any
+        numbering: the pixels are put in raster order and the regions
+        numbered ``1..n`` by their first pixel in raster order. This is the
+        one place that numbering is made.
+        """
+        shape = (int(shape[0]), int(shape[1]))
+        order = np.argsort(rows * shape[1] + cols, kind="stable")
+        gids, slot = _group_ids(labels[order])
+        n = gids.size
+        # reversed so that each label's earliest pixel is written last
+        first = np.empty(n, dtype=np.intp)
+        first[slot[::-1]] = np.arange(slot.size - 1, -1, -1)
+        rank = np.argsort(np.argsort(first))
+        imap = cls.__new__(cls)
+        imap._keep(shape, (rows[order], cols[order], rank[slot], np.arange(1, n + 1)))
+        return imap
+
+    def _keep(self, shape, groups, types: Optional[dict[int, Optional[int]]] = None) -> None:
+        """Store the groups, read-only, and their attribute records.
+
+        Centroids are float64 sums of integer coordinates over the count, so
+        they are exact below 2**53 pixels and independent of the pixel order.
+        """
+        self.shape = shape
+        self._groups = tuple(_read_only(a) for a in groups)
+        rows, cols, slot, gids = groups
+        counts = np.bincount(slot)
+        centroids = zip(
+            np.bincount(slot, weights=rows) / counts, np.bincount(slot, weights=cols) / counts
+        )
+        types = types or {}
+        self.attrs = {
+            gid: InstanceAttrs(n, centroid, types.get(gid))
+            for gid, n, centroid in zip(gids.tolist(), counts.tolist(), centroids)
+        }
 
     @property
     def instance_ids(self) -> list[int]:
         return sorted(self.attrs)
 
-    @classmethod
-    def from_ids(
-        cls, ids: np.ndarray, teacher_types: Optional[dict[int, Optional[int]]] = None
-    ) -> "InstanceMap":
-        """Build the attribute table (counts, centroids) from an id raster."""
-        imap = cls(ids)
-        imap.attrs = _instance_attrs(*imap.pixel_groups(), teacher_types)
-        return imap
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """The groups painted into a full-frame int32 id raster."""
+        rows, cols, slot, gids = self._groups
+        ids = np.zeros(self.shape, dtype=np.int32)
+        ids[rows, cols] = gids[slot]
+        return _read_only(ids)
 
     def pixel_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The instance pixels in raster order, grouped by id.
@@ -130,21 +181,10 @@ class InstanceMap:
         arrays indexed by ``slot`` are sized by ``gids.size``, never by an
         id value.
         """
-        flat = self.ids.ravel()
-        # a bool mask per block: np.nonzero on the ints themselves is ~8x slower
-        index = np.concatenate(
-            [np.zeros(0, dtype=np.intp)]
-            + [
-                np.flatnonzero(flat[i : i + _BLOCK] != 0) + i
-                for i in range(0, flat.size, _BLOCK)
-            ]
-        )
-        rows, cols = np.divmod(index, self.width)
-        gids, slot = _group_ids(flat[index])
-        return rows, cols, slot, gids
+        return self._groups
 
     def validate(self) -> None:
-        _, _, slot, gids = self.pixel_groups()
+        _, _, slot, gids = self._groups
         counts = dict(zip(gids.tolist(), np.bincount(slot).tolist()))
         if set(counts) - set(self.attrs):
             raise ValueError("raster contains ids without attribute records")
@@ -160,73 +200,9 @@ class InstanceMap:
                 )
 
 
-class RegionList:
-    """Labelled regions kept as their pixels, with the attribute table and
-    ``pixel_groups`` of an ``InstanceMap`` but no full-frame raster.
-
-    Built from the region pixels ``(rows, cols)`` of a frame of ``shape``,
-    in any order, and a label per pixel, in any numbering: the pixels are
-    put in raster order and the regions numbered ``1..n`` by their first
-    pixel in raster order. This is the one place that numbering is made.
-    """
-
-    def __init__(
-        self, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, labels: np.ndarray
-    ):
-        self.shape = (int(shape[0]), int(shape[1]))
-        order = np.argsort(rows * self.shape[1] + cols, kind="stable")
-        gids, slot = _group_ids(labels[order])
-        n = gids.size
-        # reversed so that each label's earliest pixel is written last
-        first = np.empty(n, dtype=np.intp)
-        first[slot[::-1]] = np.arange(slot.size - 1, -1, -1)
-        rank = np.argsort(np.argsort(first))
-        self.rows, self.cols, self.slot = rows[order], cols[order], rank[slot]
-        self.attrs = _instance_attrs(self.rows, self.cols, self.slot, np.arange(1, n + 1))
-
-    @property
-    def instance_ids(self) -> list[int]:
-        return sorted(self.attrs)
-
-    @cached_property
-    def ids(self) -> np.ndarray:
-        """The regions painted into a full-frame int32 id raster.
-
-        For comparisons against whole-frame labellings; the pipeline itself
-        reads only ``pixel_groups``.
-        """
-        ids = np.zeros(self.shape, dtype=np.int32)
-        ids[self.rows, self.cols] = self.slot + 1
-        return ids
-
-    def pixel_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``InstanceMap.pixel_groups`` of the painted raster, as stored."""
-        gids = np.arange(1, len(self.attrs) + 1, dtype=np.intp)
-        return self.rows, self.cols, self.slot, gids
-
-
-def _instance_attrs(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    slot: np.ndarray,
-    gids: np.ndarray,
-    types: Optional[dict[int, Optional[int]]] = None,
-) -> dict[int, InstanceAttrs]:
-    """Pixel count and centroid per id, from ``pixel_groups``.
-
-    Centroids are float64 sums of integer coordinates over the count, so
-    they are exact below 2**53 pixels and independent of the pixel order.
-    """
-    counts = np.bincount(slot)
-    centroids = zip(
-        np.bincount(slot, weights=rows) / counts,
-        np.bincount(slot, weights=cols) / counts,
-    )
-    types = types or {}
-    return {
-        gid: InstanceAttrs(n, centroid, types.get(gid))
-        for gid, n, centroid in zip(gids.tolist(), counts.tolist(), centroids)
-    }
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _group_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,16 +368,16 @@ def _run_labels(
 
 def _label_runs(
     shape: tuple[int, int], row: np.ndarray, start: np.ndarray, stop: np.ndarray
-) -> RegionList:
+) -> InstanceMap:
     """``_run_labels``' components, the runs expanded into their pixels."""
     length = stop - start
     cols = np.arange(length.sum())
     cols -= np.repeat(np.cumsum(length) - length - start, length)
     label = np.repeat(_run_labels(shape, row, start, stop), length)
-    return RegionList(shape, np.repeat(row, length), cols, label)
+    return InstanceMap.regions(shape, np.repeat(row, length), cols, label)
 
 
-def connected_components(mask: np.ndarray) -> RegionList:
+def connected_components(mask: np.ndarray) -> InstanceMap:
     """Label maximal 8-connected true-regions, ids in raster-scan order.
 
     Ids start at 1 and follow the order in which each component's first
@@ -413,7 +389,7 @@ def connected_components(mask: np.ndarray) -> RegionList:
 
 def label_pieces(
     pieces: Iterable[tuple[int, int, np.ndarray]], shape: tuple[int, int]
-) -> RegionList:
+) -> InstanceMap:
     """``connected_components(union)`` of bool pieces pasted into a
     frame of ``shape``, without building the frame.
 

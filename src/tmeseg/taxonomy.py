@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 
@@ -151,15 +150,23 @@ class ClassMap:
         return self.mapping[cid]
 
 
-def class_map_from_json(doc: dict) -> ClassMap:
+def class_map_from_json(doc) -> ClassMap:
     """Build a ClassMap from ``{"eval_classes": [...], "map": {src: eval}}``.
 
-    Source classes absent from ``map`` (or mapped to null) are unmapped;
-    totality over the vocabulary is therefore always satisfied.
+    ``eval_classes`` is a list of distinct names and ``map`` an object of
+    source name -> evaluation name or null. Source classes absent from
+    ``map`` (or mapped to null) are unmapped; totality over the vocabulary
+    is therefore always satisfied.
     """
-    eval_classes = tuple(doc["eval_classes"])
+    names = doc.get("eval_classes") if isinstance(doc, dict) else None
+    if not (isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)):
+        raise ValueError("'eval_classes' must be a list of class names")
+    eval_classes = tuple(names)
+    pairs = doc.get("map", {})
+    if not isinstance(pairs, dict):
+        raise ValueError("'map' must be an object of class name -> evaluation class or null")
     mapping: dict[int, Optional[int]] = {cid: None for cid in VOCABULARY.ids}
-    for src, dst in doc.get("map", {}).items():
+    for src, dst in pairs.items():
         cid = VOCABULARY.resolve(src)
         if dst is None:
             mapping[cid] = None
@@ -168,8 +175,3 @@ def class_map_from_json(doc: dict) -> ClassMap:
                 raise ValueError(f"map target {dst!r} not in eval_classes")
             mapping[cid] = eval_classes.index(dst)
     return ClassMap(eval_classes, mapping)
-
-
-def load_class_map(path: str | Path) -> ClassMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return class_map_from_json(json.load(fh))

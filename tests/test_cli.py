@@ -526,6 +526,75 @@ def test_unmapped_ground_truth_class_exits_2(tmp_path, capsys):
     assert "unmapped" in capsys.readouterr().err
 
 
+def _instance_inputs(tmp_path) -> dict[str, Path]:
+    """A 6x6 frame with one nucleus, id 1: nuclei, gt and pred containers."""
+    nid = np.zeros((6, 6), np.int32)
+    nid[2:4, 2:4] = 1
+    paths = {name: tmp_path / f"{name}.tmef" for name in ("nuclei", "gt", "pred")}
+    save_stack(container_from_instances(InstanceMap.from_ids(nid)), paths["nuclei"])
+    labels = np.zeros((6, 6), np.uint8)
+    save_stack(container_from_labels(labels), paths["gt"])
+    save_stack(container_from_labels(labels), paths["pred"])
+    return paths
+
+
+_GOOD_MAP = {"eval_classes": ["lymphocyte"], "map": {"lymphocyte": "lymphocyte"}}
+_GOOD_CLASSES = {"classes": {"1": TAX.resolve("lymphocyte")}}
+
+
+@pytest.mark.parametrize(
+    "flag, doc, message",
+    [
+        ("--gt-classes", [1], "'classes' must be an object"),
+        ("--gt-classes", {"classes": [1, 2]}, "'classes' must be an object"),
+        ("--gt-classes", {"classes": {"1": [3]}}, "nucleus '1' -> [3]: not"),
+        ("--gt-classes", {"classes": {"1": True}}, "nucleus '1' -> True: not"),
+        ("--gt-classes", {"classes": {"1": 99}}, "nucleus '1' -> 99: not"),
+        ("--gt-classes", {"classes": {"one": 3}}, "nucleus 'one' -> 3: not"),
+        ("--gt-classes", {"classes": {"-1": None}}, "nucleus '-1' -> None: not"),
+        ("--gt-classes", b"{not json", "Expecting property name"),
+        ("--map", [1], "'eval_classes' must be a list"),
+        ("--map", {"eval_classes": 5}, "'eval_classes' must be a list"),
+        ("--map", {"eval_classes": [["a"]]}, "'eval_classes' must be a list"),
+        ("--map", {"eval_classes": ["a", "a"]}, "must be unique"),
+        ("--map", {"eval_classes": ["a"], "map": []}, "'map' must be an object"),
+        ("--map", {"eval_classes": ["a"], "map": {"lymphocyte": ["a"]}}, "not in eval_classes"),
+        ("--map", {"eval_classes": ["a"], "map": {"nonsense": "a"}}, "unknown class name"),
+    ],
+)
+def test_malformed_sidecar_exits_2_naming_the_file(tmp_path, capsys, flag, doc, message):
+    paths = _instance_inputs(tmp_path)
+    sidecars = {"--map": tmp_path / "map.json", "--gt-classes": tmp_path / "classes.json"}
+    sidecars["--map"].write_text(json.dumps(_GOOD_MAP))
+    sidecars["--gt-classes"].write_text(json.dumps(_GOOD_CLASSES))
+    bad = sidecars[flag]
+    bad.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    argv = ["evaluate", "--gt", str(paths["gt"]), "--pred", str(paths["pred"]),
+            "--nuclei", str(paths["nuclei"]), "--out", str(tmp_path / "r.json")]
+    for name, path in sidecars.items():
+        argv += [name, str(path)]
+    assert cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # read before any label file, so no table
+    assert f"error: {bad}: " in captured.err and message in captured.err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_good_sidecars_pass_the_checks(tmp_path, capsys):
+    paths = _instance_inputs(tmp_path)
+    (tmp_path / "map.json").write_text(json.dumps(_GOOD_MAP))
+    # a null class and an id absent from the raster are both allowed
+    (tmp_path / "classes.json").write_text(
+        json.dumps({"classes": {"1": TAX.resolve("lymphocyte"), "7": None}})
+    )
+    argv = ["evaluate", "--gt", str(paths["gt"]), "--pred", str(paths["pred"]),
+            "--nuclei", str(paths["nuclei"]), "--map", str(tmp_path / "map.json"),
+            "--gt-classes", str(tmp_path / "classes.json"), "--out", str(tmp_path / "r.json")]
+    assert cli(argv) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["instance"]["lymphocyte"]["n_gt"] == 1
+    capsys.readouterr()
+
+
 def test_version_and_help_exit_0(capsys):
     assert cli(["--version"]) == 0
     assert cli(["--help"]) == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tmeseg.metrics
 from oracles import hand_dice, hand_mcc
 from tmeseg.metrics import (
     ConfusionCounts,
@@ -283,6 +284,29 @@ def test_semantic_checkerboard():
 def test_semantic_shape_mismatch():
     with pytest.raises(ValueError, match="dimensions"):
         evaluate_semantic(np.zeros((2, 2)), np.zeros((3, 3)), [0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_semantic_histogram_equals_per_class_masks(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 60, size=2))
+    # few values, so most of the 15 classes are absent from one side or both
+    gt = rng.choice([0, 1, 3, 7], size=shape).astype(np.uint8)
+    pred = np.where(rng.random(shape) < 0.3, rng.integers(0, 10, size=shape), gt).astype(np.uint8)
+    monkeypatch.setattr(tmeseg.metrics, "_BLOCK", 97)  # many blocks, the last one short
+    table = evaluate_semantic(gt, pred, TAX.ids)
+    for cid in TAX.ids:
+        want = {"dice": dice(gt == cid, pred == cid), "iou": iou(gt == cid, pred == cid)}
+        assert table[TAX.name_of(cid)] == want  # the same floats, not approximately
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.bool_, np.float64])
+def test_semantic_takes_uint8_label_rasters(dtype):
+    labels = np.zeros((3, 3), np.uint8)
+    with pytest.raises(ValueError, match="uint8"):
+        evaluate_semantic(labels.astype(dtype), labels, [0])
+    with pytest.raises(ValueError, match="uint8"):
+        evaluate_semantic(labels, labels.astype(dtype), [0])
 
 
 def test_format_table_alignment_and_none():

@@ -21,7 +21,7 @@ from tmeseg.aggregate import (
     mitosis_hulls,
 )
 from tmeseg.config import RunConfig
-from tmeseg.raster import InstanceMap, RegionList, label_pieces
+from tmeseg.raster import InstanceMap, label_pieces
 from tmeseg.synth import TISSUE_INK, Disc, build_bundle, random_scene, throughput_bundle
 from tmeseg.taxonomy import EPITHELIAL_TISSUE, MITOTIC_CELL, STROMA
 
@@ -48,7 +48,7 @@ def _same_attrs(got, want):
 
 def _assert_equivalent(got, want: InstanceMap, nuclei: InstanceMap):
     """Same ids, attrs, pixel groups and supersedence hits as the frame labelling."""
-    assert isinstance(got, RegionList)
+    assert isinstance(got, InstanceMap)
     assert got.ids.tobytes() == want.ids.tobytes()
     _same_attrs(got.attrs, want.attrs)
     assert len(got.instance_ids) == len(want.instance_ids)
@@ -283,12 +283,12 @@ def test_mitosis_working_memory_does_not_grow_with_frame_area():
 
 def test_check_invariants_catches_nucleus_under_a_region_without_mitotic_class():
     res = aggregate(build_bundle(random_scene(0)))
-    assert isinstance(res.mitosis, RegionList)
+    assert isinstance(res.mitosis, InstanceMap)
     res.check_invariants()
     gid = next(g for g, c in res.classes.items() if c != MITOTIC_CELL)
     r, c = np.argwhere(res.instances.ids == gid)[0]
     rows, cols, slot, gids = res.mitosis.pixel_groups()
-    res.mitosis = RegionList(
+    res.mitosis = InstanceMap.regions(
         res.mitosis.shape,
         np.append(rows, r),
         np.append(cols, c),

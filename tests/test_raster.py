@@ -18,7 +18,6 @@ from tmeseg.raster import (
     InstanceAttrs,
     InstanceMap,
     LogitStack,
-    RegionList,
     blobs,
     connected_components,
     label_pieces,
@@ -30,6 +29,7 @@ from tmeseg.raster import (
     rasterize_hull,
 )
 from tmeseg.reference import _blur, _gray_rows
+from tmeseg.synth import build_bundle, random_scene
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_region_list_takes_pixels_in_any_order_and_labels_in_any_numbering():
     rows, cols, slot, _ = want.pixel_groups()
     names = rng.permutation(len(want.attrs)) * 7919 + 10**12  # sparse, far above the pixel count
     shuffle = rng.permutation(rows.size)
-    got = RegionList(mask.shape, rows[shuffle], cols[shuffle], names[slot][shuffle])
+    got = InstanceMap.regions(mask.shape, rows[shuffle], cols[shuffle], names[slot][shuffle])
     assert got.attrs == want.attrs
     for a, b in zip(got.pixel_groups(), want.pixel_groups()):
         assert np.array_equal(a, b)
@@ -539,3 +539,40 @@ def test_validate_rejects_attribute_records_without_pixels(ghost):
     imap.attrs[ghost] = InstanceAttrs(pixel_count=0, centroid=(0.0, 0.0))
     with pytest.raises(ValueError, match="without raster pixels"):
         imap.validate()
+
+
+def test_a_map_built_from_a_raster_is_valid():
+    ids = np.zeros((5, 6), dtype=np.int32)
+    ids[1:3, 1:4] = 7
+    ids[4, 0] = 2
+    imap = InstanceMap(ids, {7: 3})
+    imap.validate()
+    assert imap.instance_ids == [2, 7] and imap.attrs[7].teacher_type == 3
+    assert imap.shape == (5, 6) and np.array_equal(imap.ids, ids)
+
+
+def test_ids_are_read_only():
+    ids = np.zeros((4, 4), dtype=np.int32)
+    ids[1, 1:3] = 5
+    scanned = InstanceMap(ids)
+    painted = InstanceMap.regions((4, 4), np.array([2, 1]), np.array([0, 3]), np.array([9, 4]))
+    assert painted.ids.tolist() == [[0, 0, 0, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 0, 0, 0]]
+    for imap in (scanned, painted):
+        with pytest.raises(ValueError, match="read-only"):
+            imap.ids[0, 0] = 1
+        for arr in imap.pixel_groups():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+    assert ids.flags.writeable  # the caller's array is left as it was
+
+
+def test_reducing_a_bundle_never_rescans_its_nuclei(monkeypatch):
+    bundle = build_bundle(random_scene(3))
+    calls = []
+    group_ids = tmeseg.raster._group_ids
+    monkeypatch.setattr(
+        tmeseg.raster, "_group_ids", lambda vals: calls.append(vals.size) or group_ids(vals)
+    )
+    inputs = bundle.reduce()
+    assert calls == []
+    assert inputs.nuclei.pixel_groups() is bundle.nuclei.pixel_groups()

@@ -50,7 +50,7 @@ def _assert_same_inputs(a, b):
     assert np.array_equal(a.he, b.he)
     assert np.array_equal(a.nuclei.ids, b.nuclei.ids)
     assert a.nuclei.attrs == b.nuclei.attrs
-    for x, y in zip(a.groups, b.groups):
+    for x, y in zip(a.nuclei.pixel_groups(), b.nuclei.pixel_groups()):
         assert np.array_equal(x, y)
     assert a.tissue_pre.dtype == b.tissue_pre.dtype == np.uint8
     assert np.array_equal(a.tissue_pre, b.tissue_pre)
