@@ -43,14 +43,15 @@ from .config import (
 from .raster import (
     InstanceMap,
     LogitStack,
-    blobs,
+    _merge_runs,
+    _otsu_rows,
+    _run_pixels,
+    blob_hulls,
     check_rgb_tile,
-    convex_hull,
     gaussian_smooth,
     grayscale,
     label_pieces,
     otsu_threshold,
-    rasterize_hull,
 )
 from .taxonomy import (
     BACKGROUND,
@@ -413,57 +414,59 @@ def fallback_rules(
 # ---------------------------------------------------------------------------
 
 
+_BATCH = 32  # candidates per batch: a peak of about 2 MB at a 30 px radius
+
+
 def mitosis_hulls(
     candidates: Sequence[tuple], he: np.ndarray
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The H&E-only part of mitosis detection: every candidate's hull rasters.
-
-    Per candidate: clip a circular ROI of radius ``MITOSIS_ROI_RADIUS_PX``
-    at the tile border; reject when the ROI's median RGB sum is <=
-    ``CARBON_RGB_SUM_MAX`` (carbon dust); Otsu the ROI grays and keep the
-    dark side; keep 8-connected blobs of at least ``MITOSIS_MIN_AREA_PX``;
-    rasterize each blob's convex hull. Yields ``(y0, x0, region)``: a bool
-    mask over the hull's bounding box whose top-left frame pixel is
-    ``(y0, x0)``. Reads neither the blur nor the tissue.
-
-    The hull, over the blob's run ends, and the area test, over its own
-    pixels, are those of the blob with its holes filled: (1) a hole pixel's
-    row holds blob pixels on both sides, or the hole would reach the border
-    by a 4-path, so it lies in the run ends' hull; (2) the smallest blob with
-    a hole is the 4-pixel diamond, so while ``MITOSIS_MIN_AREA_PX <= 4``
-    every blob with a hole passes, filled or not.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The H&E-only part of ``detect_mitosis``: per batch of ``_BATCH``
+    candidates, the frame row intervals ``(hull, row, start, stop)`` of
+    their hulls (as ``raster.blob_hulls`` gives them), numbered in
+    candidate order, then blob order. Reads neither the blur nor the tissue.
     """
     check_rgb_tile(he)
-    h, w = he.shape[:2]
+    pixels = he.reshape(-1, 3)  # a view of a C-contiguous tile, as every reader builds
+    points = np.asarray([c[:2] for c in candidates], dtype=np.float64).reshape(-1, 2)
+    for i in range(0, len(points), _BATCH):
+        yield _batch_hulls(points[i : i + _BATCH], pixels, he.shape[:2])
+
+
+def _batch_hulls(
+    points: np.ndarray, pixels: np.ndarray, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``mitosis_hulls`` of one batch of points ``(x, y)`` in a tile of ``shape``
+    with RGB ``pixels`` in raster order; its arrays are freed on return."""
+    h, w = shape
     r = MITOSIS_ROI_RADIUS_PX
-    for x, y, _ in candidates:
-        y0 = max(int(np.ceil(y - r)), 0)
-        y1 = min(int(np.floor(y + r)), h - 1)
-        x0 = max(int(np.ceil(x - r)), 0)
-        x1 = min(int(np.floor(x + r)), w - 1)
-        if y0 > y1 or x0 > x1:
-            continue
-        gy = np.arange(y0, y1 + 1)[:, None]
-        gx = np.arange(x0, x1 + 1)[None, :]
-        circle = (gy - y) ** 2 + (gx - x) ** 2 <= float(r) * float(r)
-        if not circle.any():
-            continue
-        roi = he[y0 : y1 + 1, x0 : x1 + 1]
-        if np.median(roi.astype(np.int32).sum(axis=2)[circle]) <= CARBON_RGB_SUM_MAX:
-            continue  # carbon dust
-        gray = grayscale(roi)
-        t = otsu_threshold(gray[circle])
-        dark = circle & (gray <= t)
-        for area, ends in blobs(dark):
-            if area < MITOSIS_MIN_AREA_PX:
-                continue
-            # hull in (x, y) order over the blob's run ends, rasterized
-            # over its own bounding box, which lies inside the ROI box
-            hull = convex_hull(ends[:, ::-1])
-            left, top = hull.min(axis=0).tolist()
-            right, bottom = hull.max(axis=0).tolist()
-            region = rasterize_hull(hull - (left, top), (right - left + 1, bottom - top + 1))
-            yield y0 + top, x0 + left, region
+    side = np.arange(2 * r + 1)
+    xs, ys = points[:, :, None].transpose(1, 0, 2)  # (n, 1) each
+    top, left = np.ceil(ys - r).astype(np.intp), np.ceil(xs - r).astype(np.intp)
+    gy, gx = top + side, left + side  # (n, 2r + 1) frame rows and columns
+    in_y = (gy >= 0) & (gy < h) & (gy <= np.floor(ys + r))
+    in_x = (gx >= 0) & (gx < w) & (gx <= np.floor(xs + r))
+    circle = ((gy - ys) ** 2)[:, :, None] + ((gx - xs) ** 2)[:, None, :] <= float(r) * float(r)
+    circle &= in_y[:, :, None] & in_x[:, None, :]
+    rows, cols = np.clip(gy, 0, h - 1), np.clip(gx, 0, w - 1)
+    rgb = np.take(pixels, rows[:, :, None] * w + cols[:, None, :], axis=0)
+    sums = rgb[..., 0].astype(np.int16) + rgb[..., 1] + rgb[..., 2]
+    count = circle.sum(axis=(1, 2))
+    ranked = np.sort(np.where(circle, sums, 0x7FFF).reshape(count.size, -1), axis=1)
+    mid = np.take_along_axis(ranked, np.stack([(count - 1) // 2, count // 2], axis=1), axis=1)
+    del rgb, ranked  # the rest reads the sums: fewer of the batch's arrays live at once
+    live = (count > 0) & (mid.sum(axis=1) > 2 * CARBON_RGB_SUM_MAX)  # not carbon dust
+    circle, gray, top, left = circle[live], (sums[live] + 1) // 3, top[live], left[live]
+    n = live.sum()
+    # circle pixels come candidate by candidate, count[live] of each
+    slot = np.repeat(np.arange(0, 256 * n, 256), count[live])
+    slot += gray[circle]
+    hist = np.bincount(slot, minlength=256 * n).reshape(n, 256)
+    dark = np.zeros((n, side.size + 1, side.size), dtype=bool)  # a blank row below each
+    dark[:, :-1] = circle & (gray <= _otsu_rows(hist)[:, None, None])
+    hull, row, start, stop = blob_hulls(dark.reshape(-1, side.size), MITOSIS_MIN_AREA_PX)
+    cand, row = np.divmod(row, side.size + 1)
+    x0 = left[cand, 0]
+    return hull, top[cand, 0] + row, x0 + start, x0 + stop
 
 
 def detect_mitosis(
@@ -471,19 +474,35 @@ def detect_mitosis(
 ) -> InstanceMap:
     """Filter mitosis candidates into hull regions.
 
-    Keeps the ``mitosis_hulls`` that overlap epithelial tissue by at least
-    one pixel. Their union is labelled 8-connected without a full-frame
-    raster (``label_pieces``); region ids follow raster-scan order.
+    Per candidate: clip a circular ROI of radius ``MITOSIS_ROI_RADIUS_PX``
+    at the tile border; reject carbon dust, a median RGB sum <=
+    ``CARBON_RGB_SUM_MAX``; Otsu the ROI grays and keep the dark side; keep
+    8-connected blobs of at least ``MITOSIS_MIN_AREA_PX``; keep their convex
+    hulls that overlap epithelial tissue. Region ids follow raster order
+    over the hulls' union.
+
+    Each step runs on a batch of candidates (``mitosis_hulls``) exactly as
+    on one: the same float64 circle test over unclipped ROI boxes; the
+    median as ``(lo + hi) / 2`` of the middle two sorted circle sums, in
+    integers; ``_otsu_rows`` of one histogram per candidate; one labelling
+    of the dark masks, stacked with a blank row between candidates. A hull
+    is row intervals (``raster.blob_hulls``). No hole is filled, yet hull
+    and area test are the filled blob's: a hole pixel's row holds blob
+    pixels on both sides, or the hole would reach the border by a 4-path,
+    so it lies in the hull; and while ``MITOSIS_MIN_AREA_PX <= 4`` every
+    blob with a hole (the smallest is the 4-pixel diamond) passes. Kept
+    intervals join the union's runs batch by batch, so the working memory is
+    one batch and the union, which ``label_pieces`` labels 8-connected.
     """
-    kept = [
-        (y0, x0, region)
-        for y0, x0, region in mitosis_hulls(candidates, he)
-        if (
-            tissue[y0 : y0 + region.shape[0], x0 : x0 + region.shape[1]][region]
-            == EPITHELIAL_TISSUE
-        ).any()
-    ]
-    return label_pieces(kept, he.shape[:2])
+    shape = he.shape[:2]
+    union = np.zeros((3, 0), dtype=np.intp)  # rows, starts and stops of its runs
+    for hull, row, start, stop in mitosis_hulls(candidates, he):
+        epi = tissue[_run_pixels(row, start, stop)] == EPITHELIAL_TISSUE
+        on_epi = np.repeat(hull, stop - start)[epi]
+        keep = (np.bincount(on_epi, minlength=hull.size) > 0)[hull]
+        union = np.concatenate([union, np.stack([row, start, stop])[:, keep]], axis=1)
+        union = np.stack(_merge_runs(shape, *union))
+    return label_pieces(shape, *union)
 
 
 def _nuclei_under(nuclei: InstanceMap, mitosis: InstanceMap) -> np.ndarray:

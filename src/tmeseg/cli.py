@@ -114,9 +114,8 @@ def _provenance_path(out: Path) -> Path:
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            return config_from_json(json.load(fh))
+    if getattr(args, "config", None):  # read as a sidecar, not an input: provenance holds it
+        return _read_json(args.config, config_from_json, {})
     return RunConfig()
 
 
@@ -245,7 +244,7 @@ def _cmd_evaluate(args) -> int:
     rows = [
         [name, vals["dice"], vals["iou"]] for name, vals in semantic.items()
     ]
-    print(format_table(["class", "dice", "iou"], rows))
+    tables = [format_table(["class", "dice", "iou"], rows)]
 
     if all(instance_flags):
         nuclei = instances_from_container(_load(args.nuclei, digests))
@@ -260,9 +259,10 @@ def _cmd_evaluate(args) -> int:
         rows = [
             [name, vals["mcc"], vals["n_gt"]] for name, vals in instance.items()
         ]
-        print()
-        print(format_table(["class", "mcc", "n_gt"], rows))
+        tables.append(format_table(["class", "mcc", "n_gt"], rows))
 
+    # printed once every nucleus has passed the map: a data error prints nothing
+    print("\n\n".join(tables))
     out = Path(args.out)
     _write_json(report, out)
     record = _provenance("evaluate", config, digests, [out])

@@ -63,6 +63,8 @@ class RunConfig:
 
 
 def config_from_json(doc: dict[str, Any]) -> RunConfig:
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(doc) - known
     if unknown:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -282,39 +282,47 @@ def grayscale(img: np.ndarray) -> np.ndarray:
 
 
 def otsu_threshold(gray: np.ndarray) -> int:
-    """Threshold maximizing between-class variance over the 256-bin histogram.
-
-    The split is ``{<= t}`` vs ``{> t}``; among equally good thresholds the
-    smallest is returned. A single-valued raster returns that value. The
-    variance comparison runs in exact integer arithmetic (the between-class
-    variance is proportional to (s0*w1 - s1*w0)^2 / (w0*w1)), so the
-    maximizer is reproducible bit-for-bit.
-    """
+    """Threshold maximizing between-class variance over the 256-bin
+    histogram, ``_otsu_rows`` of it: the split is ``{<= t}`` vs ``{> t}``."""
     gray = np.asarray(gray)
     if gray.size == 0:
         raise ValueError("raster is empty")
     if gray.dtype != np.uint8:
         raise ValueError("otsu_threshold expects 8-bit values")
-    hist = np.bincount(gray.ravel(), minlength=256).tolist()
-    nonzero = [v for v in range(256) if hist[v]]
-    if len(nonzero) == 1:
-        return nonzero[0]
-    total = sum(hist)
-    grand = sum(v * hist[v] for v in range(256))
-    w0 = 0
-    s0 = 0
-    best_t, best_num, best_den = 0, -1, 1
-    for t in range(256):
-        w0 += hist[t]
-        s0 += t * hist[t]
-        w1 = total - w0
-        if w0 == 0 or w1 == 0:
-            continue
-        num = (s0 * w1 - (grand - s0) * w0) ** 2
-        den = w0 * w1
-        if num * best_den > best_num * den:
-            best_t, best_num, best_den = t, num, den
-    return best_t
+    return int(_otsu_rows(np.bincount(gray.ravel(), minlength=256)[None])[0])
+
+
+def _otsu_rows(hist: np.ndarray) -> np.ndarray:
+    """Otsu's threshold of each row of ``(n, 256)`` value counts, exactly.
+
+    With ``w0``, ``s0`` the count and sum of the values ``<= t`` and ``N``,
+    ``S`` the row's, the between-class variance is proportional to ``d**2 /
+    den``, ``d = s0 * N - S * w0``, ``den = w0 * (N - w0)``: integers, in
+    int64 while ``255 * N**2 < 2**62``. The float64 score takes four
+    roundings, within a relative 5e-16, so every exact maximizer scores
+    within ``1e-12`` of the row's best float; where several do, Python ints
+    decide, ties to the smallest. A single-valued row returns that value.
+    """
+    present = hist > 0
+    big = 255 * int(hist.sum(axis=1).max(initial=0)) ** 2 >= 1 << 62
+    hist = hist.astype(object if big else np.int64)
+    w0 = np.cumsum(hist, axis=1)
+    s0 = np.cumsum(hist * np.arange(256), axis=1)
+    d = s0 * w0[:, -1:] - s0[:, -1:] * w0
+    den = w0 * (w0[:, -1:] - w0)
+    score = np.full(hist.shape, -1.0)
+    np.divide(d.astype(float) ** 2, den.astype(float), out=score, where=den > 0)
+    # the smallest threshold of a split is a value present: the one below has less
+    near = present & (score >= score.max(axis=1, keepdims=True) * (1 - 1e-12))
+    best = np.argmax(near, axis=1)
+    for i in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+        num, dn = -1, 1
+        for t in np.flatnonzero(near[i]).tolist():
+            if int(d[i, t]) ** 2 * dn > num * int(den[i, t]):
+                best[i], num, dn = t, int(d[i, t]) ** 2, int(den[i, t])
+    single = present.sum(axis=1) == 1
+    best[single] = np.argmax(present[single], axis=1)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +374,20 @@ def _run_labels(
     return label
 
 
+def _run_pixels(row: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pixels ``(rows, cols)`` of runs ``[start, stop)`` on ``row``, run by run."""
+    length = stop - start
+    cols = np.arange(length.sum())
+    cols -= np.repeat(np.cumsum(length) - length - start, length)
+    return np.repeat(row, length), cols
+
+
 def _label_runs(
     shape: tuple[int, int], row: np.ndarray, start: np.ndarray, stop: np.ndarray
 ) -> InstanceMap:
     """``_run_labels``' components, the runs expanded into their pixels."""
-    length = stop - start
-    cols = np.arange(length.sum())
-    cols -= np.repeat(np.cumsum(length) - length - start, length)
-    label = np.repeat(_run_labels(shape, row, start, stop), length)
-    return InstanceMap.regions(shape, np.repeat(row, length), cols, label)
+    label = np.repeat(_run_labels(shape, row, start, stop), stop - start)
+    return InstanceMap.regions(shape, *_run_pixels(row, start, stop), label)
 
 
 def connected_components(mask: np.ndarray) -> InstanceMap:
@@ -388,126 +401,91 @@ def connected_components(mask: np.ndarray) -> InstanceMap:
 
 
 def label_pieces(
-    pieces: Iterable[tuple[int, int, np.ndarray]], shape: tuple[int, int]
+    shape: tuple[int, int], row: np.ndarray, start: np.ndarray, stop: np.ndarray
 ) -> InstanceMap:
-    """``connected_components(union)`` of bool pieces pasted into a
-    frame of ``shape``, without building the frame.
+    """``connected_components`` of the union of row runs in a frame of
+    ``shape``, without building the frame.
 
-    A piece ``(y0, x0, mask)`` sets the frame pixels ``(y0 + r, x0 + c)``
-    where ``mask[r, c]``; they must lie inside the frame. The pieces' runs,
-    moved into the frame and sorted, are merged where they overlap or abut
-    on a row, which gives the union's maximal runs, and these are labelled
-    as ``connected_components`` labels a frame's.
+    Run ``i`` sets the pixels ``[start[i], stop[i])`` of row ``row[i]``;
+    runs lie inside the frame and may come in any order, repeat, overlap
+    or abut. ``_merge_runs`` gives the union's maximal runs, and these are
+    labelled as ``connected_components`` labels a frame's.
     """
-    span = shape[1] + 1
-    keys = [np.zeros((2, 0), dtype=np.intp)]  # row * span + (start, stop) in the frame
-    for y0, x0, mask in pieces:
-        row, start, stop = _runs(mask)
-        keys.append((row + y0) * span + x0 + np.stack([start, stop]))
-    first, last = np.concatenate(keys, axis=1)
+    return _label_runs(shape, *_merge_runs(shape, row, start, stop))
+
+
+def _merge_runs(
+    shape: tuple[int, int], row: np.ndarray, start: np.ndarray, stop: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maximal runs, in raster order, of the union of row runs given in
+    any order: sorted, runs are merged where they overlap or abut on a row."""
+    span = shape[1] + 1  # row * span + col orders by row, then col
+    first = row * span + start
     order = np.argsort(first, kind="stable")
-    first, last = first[order], np.maximum.accumulate(last[order])
+    first, last = first[order], np.maximum.accumulate((row * span + stop)[order])
     # a run heads a merged run unless it overlaps or abuts a run before it on its
     # row; a merged run ends at the run before the next head (np.roll), or the last
     head = np.ones(first.size, dtype=bool)
     head[1:] = first[1:] > last[:-1]
     row, start = np.divmod(first[head], span)
-    return _label_runs(shape, row, start, last[np.roll(head, -1)] - row * span)
+    return row, start, last[np.roll(head, -1)] - row * span
 
 
-def blobs(mask: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """``(pixel_count, run_ends)`` per 8-connected component of a bool
-    mask, in the order of the components' first pixels.
+def blob_hulls(
+    mask: np.ndarray, min_area: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The convex hulls of a bool mask's 8-connected components of at least
+    ``min_area`` pixels, as row intervals ``(hull, row, start, stop)``: hull
+    ``hull`` holds the columns ``[start, stop)`` of ``row``. Hulls are
+    numbered ``0..`` by their components' first pixels; rows ascend.
 
-    ``run_ends`` is ``(2 * runs, 2)`` of (row, col): the first and the last
-    pixel of each of the component's runs.
+    A component's rows are consecutive; with ``a(y)`` and ``b(y)`` the
+    columns of row ``y``'s first and last pixel, the hull's left edge is
+    the lower convex envelope of ``a`` and its right edge the upper one of
+    ``b``. The columns from the integer ceiling of the one to the floor of
+    the other (``_ceil_envelope``) are exactly the row's pixel centres
+    inside or on the polygon, for points and segments too.
     """
     mask = as_bitmask(mask)
     row, start, stop = _runs(mask)
     label = _run_labels(mask.shape, row, start, stop)
-    # sorted by label, each component's runs are consecutive from its head
+    # sorted by label, each component's runs are consecutive and in raster order
     order = np.argsort(label, kind="stable")
-    heads = np.flatnonzero(np.diff(label[order], prepend=-1))
-    counts = np.add.reduceat((stop - start)[order], heads)
-    ends = np.stack([row, start, row, stop - 1], axis=1)[order].reshape(-1, 2)
-    yield from zip(counts.tolist(), np.split(ends, 2 * heads[1:]))
+    label, row, start, stop = label[order], row[order], start[order], stop[order]
+    # one group of runs per (component, row): first start, last stop
+    group = np.ones(row.size, dtype=bool)
+    group[1:] = (label[1:] != label[:-1]) | (row[1:] != row[:-1])
+    first = np.flatnonzero(group)
+    a, b = start[first].tolist(), (stop[np.roll(group, -1)] - 1).tolist()
+    label, row = label[first], row[first]
+    heads = np.flatnonzero(np.diff(label, prepend=-1))  # each component's top row
+    keep = np.add.reduceat(np.add.reduceat(stop - start, first), heads) >= min_area
+    bounds = np.append(heads, row.size)
+    lo, hi = [], []
+    for i, j in zip(bounds[:-1][keep].tolist(), bounds[1:][keep].tolist()):
+        lo += _ceil_envelope(a[i:j])
+        hi += [1 - v for v in _ceil_envelope([-v for v in b[i:j]])]
+    heights = np.diff(bounds)
+    hull = np.repeat(np.arange(keep.sum()), heights[keep])
+    return hull, row[np.repeat(keep, heights)], np.array(lo, np.intp), np.array(hi, np.intp)
 
 
-# ---------------------------------------------------------------------------
-# Convex hulls
-# ---------------------------------------------------------------------------
-
-
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Convex hull via monotone chain; vertices counter-clockwise.
-
-    ``points`` is (N, 2) of (x, y). Degenerate inputs give a single point
-    or a 2-vertex segment. Counter-clockwise is in the mathematical (x, y)
-    plane, i.e. positive shoelace area.
-    """
-    pts = np.asarray(points, dtype=np.int64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-        raise ValueError("points must be a non-empty (N, 2) array")
-    uniq = np.unique(pts, axis=0)  # sorts lexicographically by (x, y)
-    if uniq.shape[0] == 1:
-        return uniq
-    pl = [tuple(p) for p in uniq.tolist()]
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[int, int]] = []
-    for p in pl:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[int, int]] = []
-    for p in reversed(pl):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    # collinear points pop down to the two extremes
-    return np.asarray(lower[:-1] + upper[:-1], dtype=np.int64)
-
-
-def rasterize_hull(hull: np.ndarray, extent: tuple[int, int]) -> np.ndarray:
-    """Fill pixels whose integer centers lie inside or on the hull.
-
-    ``extent`` is (width, height); the mask is returned as (H, W) bool.
-    Handles point and segment degeneracies exactly (integer arithmetic).
-    """
-    width, height = extent
-    mask = np.zeros((height, width), dtype=bool)
-    hull = np.asarray(hull, dtype=np.int64)
-    xs, ys = hull[:, 0], hull[:, 1]
-    x0 = max(int(xs.min()), 0)
-    x1 = min(int(xs.max()), width - 1)
-    y0 = max(int(ys.min()), 0)
-    y1 = min(int(ys.max()), height - 1)
-    if x0 > x1 or y0 > y1:
-        return mask
-    gx, gy = np.meshgrid(
-        np.arange(x0, x1 + 1, dtype=np.int64),
-        np.arange(y0, y1 + 1, dtype=np.int64),
-    )
-    if hull.shape[0] == 1:
-        inside = (gx == xs[0]) & (gy == ys[0])
-    elif hull.shape[0] == 2:
-        dx, dy = xs[1] - xs[0], ys[1] - ys[0]
-        cross = dx * (gy - ys[0]) - dy * (gx - xs[0])
-        dot = dx * (gx - xs[0]) + dy * (gy - ys[0])
-        inside = (cross == 0) & (dot >= 0) & (dot <= dx * dx + dy * dy)
-    else:
-        inside = np.ones(gx.shape, dtype=bool)
-        for i in range(hull.shape[0]):
-            ax, ay = hull[i]
-            bx, by = hull[(i + 1) % hull.shape[0]]
-            # CCW polygon: interior is left of every edge
-            inside &= (bx - ax) * (gy - ay) - (by - ay) * (gx - ax) >= 0
-            if not inside.any():
+def _ceil_envelope(vals: list[int]) -> list[int]:
+    """The ceiling, at each ``i``, of the lower convex envelope of the
+    points ``(i, vals[i])``, in integer arithmetic."""
+    chain: list[tuple[int, int]] = []  # the envelope's vertices
+    for i, v in enumerate(vals):
+        # drop the last vertex while it lies on or above the chord that skips it
+        while len(chain) > 1:
+            (i0, v0), (i1, v1) = chain[-2:]
+            if (v1 - v0) * (i - i0) < (v - v0) * (i1 - i0):
                 break
-    mask[y0 : y1 + 1, x0 : x1 + 1] = inside
-    return mask
+            chain.pop()
+        chain.append((i, v))
+    out = []
+    for (i0, v0), (i1, v1) in zip(chain, chain[1:]):
+        out += [v0 - (v0 - v1) * k // (i1 - i0) for k in range(i1 - i0)]
+    return out + [chain[-1][1]]
 
 
 # ---------------------------------------------------------------------------

@@ -21,23 +21,28 @@ from tmeseg.raster import (
     InstanceMap,
     as_bitmask,
     check_rgb_tile,
-    convex_hull,
     grayscale,
     otsu_threshold,
-    rasterize_hull,
 )
 from tmeseg.taxonomy import EPITHELIAL_TISSUE
 
 
 def exhaustive_otsu(values: Sequence[int]) -> int:
-    """Exact between-class-variance maximizer over all 256 thresholds.
+    """``exhaustive_otsu_hist`` of the values' 256-bin histogram."""
+    hist = [0] * 256
+    for v in values:
+        hist[int(v)] += 1
+    return exhaustive_otsu_hist(hist)
+
+
+def exhaustive_otsu_hist(hist: Sequence[int]) -> int:
+    """Exact between-class-variance maximizer over all 256 thresholds, for
+    value counts ``hist`` of any size.
 
     Rational arithmetic throughout; smallest maximizing threshold wins;
     a single distinct value returns that value.
     """
-    hist = [0] * 256
-    for v in values:
-        hist[int(v)] += 1
+    hist = [int(c) for c in hist]
     present = [v for v in range(256) if hist[v]]
     if len(present) == 1:
         return present[0]
@@ -102,6 +107,81 @@ def union_find_components(mask: np.ndarray, connectivity: int = 8) -> np.ndarray
                     next_id += 1
                 labels[y, x] = roots[root]
     return labels
+
+
+# Convex hulls as polygons, rasterized by an edge test over a box: the
+# reference for ``raster.blob_hulls``, which takes each hull's row
+# intervals from two integer envelopes
+def convex_hull(points: np.ndarray) -> np.ndarray:
+    """Convex hull via monotone chain; vertices counter-clockwise.
+
+    ``points`` is (N, 2) of (x, y). Degenerate inputs give a single point
+    or a 2-vertex segment. Counter-clockwise is in the mathematical (x, y)
+    plane, i.e. positive shoelace area.
+    """
+    pts = np.asarray(points, dtype=np.int64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
+        raise ValueError("points must be a non-empty (N, 2) array")
+    uniq = np.unique(pts, axis=0)  # sorts lexicographically by (x, y)
+    if uniq.shape[0] == 1:
+        return uniq
+    pl = [tuple(p) for p in uniq.tolist()]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list[tuple[int, int]] = []
+    for p in pl:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[tuple[int, int]] = []
+    for p in reversed(pl):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    # collinear points pop down to the two extremes
+    return np.asarray(lower[:-1] + upper[:-1], dtype=np.int64)
+
+
+def rasterize_hull(hull: np.ndarray, extent: tuple[int, int]) -> np.ndarray:
+    """Fill pixels whose integer centers lie inside or on the hull.
+
+    ``extent`` is (width, height); the mask is returned as (H, W) bool.
+    Handles point and segment degeneracies exactly (integer arithmetic).
+    """
+    width, height = extent
+    mask = np.zeros((height, width), dtype=bool)
+    hull = np.asarray(hull, dtype=np.int64)
+    xs, ys = hull[:, 0], hull[:, 1]
+    x0 = max(int(xs.min()), 0)
+    x1 = min(int(xs.max()), width - 1)
+    y0 = max(int(ys.min()), 0)
+    y1 = min(int(ys.max()), height - 1)
+    if x0 > x1 or y0 > y1:
+        return mask
+    gx, gy = np.meshgrid(
+        np.arange(x0, x1 + 1, dtype=np.int64),
+        np.arange(y0, y1 + 1, dtype=np.int64),
+    )
+    if hull.shape[0] == 1:
+        inside = (gx == xs[0]) & (gy == ys[0])
+    elif hull.shape[0] == 2:
+        dx, dy = xs[1] - xs[0], ys[1] - ys[0]
+        cross = dx * (gy - ys[0]) - dy * (gx - xs[0])
+        dot = dx * (gx - xs[0]) + dy * (gy - ys[0])
+        inside = (cross == 0) & (dot >= 0) & (dot <= dx * dx + dy * dy)
+    else:
+        inside = np.ones(gx.shape, dtype=bool)
+        for i in range(hull.shape[0]):
+            ax, ay = hull[i]
+            bx, by = hull[(i + 1) % hull.shape[0]]
+            # CCW polygon: interior is left of every edge
+            inside &= (bx - ax) * (gy - ay) - (by - ay) * (gx - ax) >= 0
+            if not inside.any():
+                break
+    mask[y0 : y1 + 1, x0 : x1 + 1] = inside
+    return mask
 
 
 def point_in_hull(px: int, py: int, hull: Sequence[tuple[int, int]]) -> bool:
@@ -189,7 +269,7 @@ def filled_blobs(mask: np.ndarray) -> list[np.ndarray]:
 
     ``ndimage.label`` with a 3x3 structure, ``find_objects``, then
     ``binary_fill_holes`` on each component's box: the reference for
-    ``raster.blobs``, which fills no hole.
+    ``raster.blob_hulls``, which fills no hole.
     """
     from scipy import ndimage
 

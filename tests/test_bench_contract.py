@@ -30,9 +30,21 @@ def test_blockwise_invariant_check_accepts_an_aggregation_result():
     child._check_invariants_blockwise(result)
 
 
+def _run_traced(script: str) -> None:
+    """Run ``script`` in a child process, where ``tracer.install()`` may
+    rebind functions across the package; it fails by raising."""
+    path = os.pathsep.join([str(ROOT / "src"), str(BENCH)])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_tracer_wraps_the_methods_it_times():
-    # in a child process: install() rebinds functions across the package
-    script = """
+    _run_traced("""
 import numpy as np
 import tracer
 from tmeseg.raster import InstanceMap
@@ -44,12 +56,23 @@ build_bundle(random_scene(1)).validate()
 calls = recorder.summary()["calls"]
 assert calls["raster.InstanceMap.from_ids"] >= 1, calls
 assert calls["aggregate.TeacherBundle.validate"] == 1, calls
-"""
-    path = os.pathsep.join([str(ROOT / "src"), str(BENCH)])
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
+""")
+
+
+def test_tracer_counts_mitosis_candidates_and_regions():
+    # the per-layer mitosis metrics read these counters; a renamed or
+    # bypassed detect_mitosis would leave them at 0
+    _run_traced("""
+import tracer
+
+recorder = tracer.install()
+from tmeseg.aggregate import aggregate
+from tmeseg.synth import build_bundle, random_scene
+
+bundle = build_bundle(random_scene(0, 300, 300, max_nuclei=60, max_candidates=12))
+result = aggregate(bundle)
+counters = recorder.summary()["counters"]
+assert bundle.mitosis_candidates and result.mitosis.attrs
+assert counters["aggregate.mitosis_candidates"] == len(bundle.mitosis_candidates), counters
+assert counters["aggregate.mitosis_regions"] == len(result.mitosis.attrs), counters
+""")

@@ -373,6 +373,24 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [("[1]", "config must be a JSON object"), ('{"background_threshold": 200,\n', "Expecting")],
+    ids=["list", "truncated"],
+)
+def test_malformed_config_exits_2_naming_the_file(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "t.json"
+    code = cli(
+        ["tme", "--mask", str(_small_mask(tmp_path)), "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: " in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         # former integer fields, now constants: the key is refused before its value is read
@@ -524,6 +542,24 @@ def test_unmapped_ground_truth_class_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "unmapped" in capsys.readouterr().err
+
+
+def test_unmapped_nucleus_class_prints_nothing(workspace, capsys):
+    # the aggregate output's nuclei carry classes besides lymphocyte
+    d = workspace["dir"]
+    narrow_map = d / "map.json"
+    narrow_map.write_text(
+        json.dumps({"eval_classes": ["lymphocyte"], "map": {"lymphocyte": "lymphocyte"}})
+    )
+    report = d / "r.json"
+    argv = ["evaluate", "--gt", str(workspace["gt"]), "--pred", str(workspace["pred"]),
+            "--nuclei", str(workspace["nuclei"]), "--map", str(narrow_map),
+            "--gt-classes", str(workspace["gt_classes"]), "--out", str(report)]
+    assert cli(argv) == 2
+    captured = capsys.readouterr()
+    assert "is unmapped" in captured.err
+    assert captured.out == ""  # no Dice table ahead of the error
+    assert not report.exists()
 
 
 def _instance_inputs(tmp_path) -> dict[str, Path]:

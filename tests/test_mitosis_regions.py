@@ -91,10 +91,13 @@ def _check(candidates, he, tissue, nuclei):
 
 
 def _piece_boxes(candidates, he):
+    """Each hull's (top, left, bottom, right) frame pixels, in candidate order."""
     boxes = []
-    for y0, x0, region in mitosis_hulls(candidates, he):
-        rows, cols = np.nonzero(region)
-        boxes.append((rows.min() + y0, cols.min() + x0, rows.max() + y0, cols.max() + x0))
+    for hull, row, start, stop in mitosis_hulls(candidates, he):
+        for k in range(hull.size and hull.max() + 1):
+            on = hull == k
+            box = row[on].min(), start[on].min(), row[on].max(), stop[on].max() - 1
+            boxes.append(tuple(int(v) for v in box))
     return boxes
 
 
@@ -194,31 +197,54 @@ def test_throughput_bundle_matches_frame_labelling():
     _assert_equivalent(got, want, bundle.nuclei)
 
 
+@pytest.mark.parametrize("shape", [(1, 90), (90, 1), (1, 1), (2, 3), (47, 61), (90, 90)])
+def test_noise_frames_match_frame_labelling(shape):
+    """Two batches of candidates on noise, plain and quantised to four gray
+    levels per channel (Otsu ties), with a dark band of carbon dust;
+    candidates on and off pixel centres, repeated, in the halo and far off
+    the frame."""
+    h, w = shape
+    rng = np.random.default_rng(h * 100 + w)
+    he = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    he[: h // 3] //= 16
+    tissue = np.where(rng.random(shape) < 0.6, EPITHELIAL_TISSUE, STROMA).astype(np.uint8)
+    nuclei = InstanceMap.from_ids((rng.random(shape) < 0.2) * rng.integers(1, 9, size=shape))
+    n = tmeseg.aggregate._BATCH + 9
+    xs, ys = rng.uniform(-40, w + 40, size=n), rng.uniform(-40, h + 40, size=n)
+    xs[::2], ys[::2] = np.round(xs[::2]), np.round(ys[::2])
+    candidates = [(float(x), float(y), 0.9) for x, y in zip(xs, ys)]
+    candidates += candidates[::5] + [(-100.0, -100.0, 0.9), (w + 100.0, h / 2, 0.9)]
+    for image in (he, he // 64 * 64):
+        got = _check(candidates, image, tissue, nuclei)
+        assert got.attrs or h * w < 100
+
+
 # ---------------------------------------------------------------------------
 # label_pieces against the whole-frame labelling of the union
 # ---------------------------------------------------------------------------
 
 
-def _random_pieces(rng, h, w, n):
-    """Small random masks, some clipped by the frame edges, overlapping freely."""
-    pieces = []
-    for _ in range(n):
-        ph, pw = rng.integers(1, 6, size=2)
-        y0, x0 = rng.integers(0, h - ph + 1), rng.integers(0, w - pw + 1)
-        pieces.append((int(y0), int(x0), rng.random((ph, pw)) < 0.6))
-    return pieces
+def _random_runs(rng, h, w, n):
+    """Short random row runs, some clipped by the frame edges, overlapping freely."""
+    row, start = rng.integers(0, h, size=n), rng.integers(0, w, size=n)
+    return row, start, np.minimum(start + rng.integers(1, 6, size=n), w)
 
 
-def _union(pieces, shape):
+def _runs_of(triples):
+    """``(row, start, stop)`` arrays from a list of ``(row, start, stop)``."""
+    return tuple(np.array(v, dtype=np.intp).reshape(-1) for v in zip(*triples))
+
+
+def _union(runs, shape):
     union = np.zeros(shape, dtype=bool)
-    for y0, x0, mask in pieces:
-        union[y0 : y0 + mask.shape[0], x0 : x0 + mask.shape[1]] |= mask
+    for y, a, b in zip(*runs):
+        union[y, a:b] = True
     return union
 
 
-def _assert_labels_union(pieces, shape):
-    got = label_pieces(pieces, shape)
-    union = _union(pieces, shape)
+def _assert_labels_union(runs, shape):
+    got = label_pieces(shape, *runs)
+    union = _union(runs, shape)
     for want in (
         ndimage_components(union),
         InstanceMap.from_ids(union_find_components(union, 8)),
@@ -233,24 +259,23 @@ def test_label_pieces_equals_whole_frame_components():
     rng = np.random.default_rng(11)
     for _ in range(40):
         shape = tuple(int(v) for v in rng.integers(6, 30, size=2))
-        _assert_labels_union(_random_pieces(rng, *shape, int(rng.integers(0, 25))), shape)
+        _assert_labels_union(_random_runs(rng, *shape, int(rng.integers(0, 60))), shape)
 
 
 def test_label_pieces_merges_overlapping_and_abutting_runs():
-    bar = np.ones((1, 4), dtype=bool)
     cases = [
-        [(2, 1, bar), (2, 3, bar)],  # overlap on a row: one run [1, 7)
-        [(2, 1, bar), (2, 5, bar)],  # abut on a row: one run [1, 9)
-        [(2, 1, bar), (2, 6, bar)],  # one column apart: two runs, two regions
-        [(2, 3, bar), (2, 1, bar), (2, 1, bar)],  # out of order and repeated
-        [(1, 2, np.ones((3, 3), dtype=bool)), (2, 3, bar), (0, 0, np.eye(2, dtype=bool))],
-        [(0, 0, bar), (1, 4, bar), (2, 9, bar)],  # corner to corner, then a gap
+        [(2, 1, 5), (2, 3, 7)],  # overlap on a row: one run [1, 7)
+        [(2, 1, 5), (2, 5, 9)],  # abut on a row: one run [1, 9)
+        [(2, 1, 5), (2, 6, 10)],  # one column apart: two runs, two regions
+        [(2, 3, 7), (2, 1, 5), (2, 1, 5)],  # out of order and repeated
+        [(1, 2, 5), (2, 2, 5), (3, 2, 5), (2, 3, 7), (0, 0, 1), (1, 1, 2)],
+        [(0, 0, 4), (1, 4, 8), (2, 9, 13)],  # corner to corner, then a gap
     ]
-    for pieces in cases:
-        _assert_labels_union(pieces, (4, 14))
-    assert len(label_pieces(cases[1], (4, 14)).attrs) == 1
-    assert len(label_pieces(cases[2], (4, 14)).attrs) == 2
-    assert len(label_pieces(cases[5], (4, 14)).attrs) == 2
+    for runs in cases:
+        _assert_labels_union(_runs_of(runs), (4, 14))
+    assert len(label_pieces((4, 14), *_runs_of(cases[1])).attrs) == 1
+    assert len(label_pieces((4, 14), *_runs_of(cases[2])).attrs) == 2
+    assert len(label_pieces((4, 14), *_runs_of(cases[5])).attrs) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +304,19 @@ def test_mitosis_working_memory_does_not_grow_with_frame_area():
     peaks = [_traced_peak(lambda: stages(*field)) for field in (small, large)]
     # a frame-sized bool union alone would be 1 MB on the large frame
     assert peaks[1] <= peaks[0] + 64 * 1024
+
+
+def test_mitosis_working_memory_is_bounded_by_one_batch():
+    candidates, he, tissue, _ = _blob_field(256)
+    detect_mitosis(candidates, he, tissue)  # one-time allocations are not the stage's
+
+    def stage(cands):
+        assert len(detect_mitosis(cands, he, tissue).instance_ids) == 36
+
+    once, repeated = (_traced_peak(lambda: stage(c)) for c in (candidates, candidates * 8))
+    # the batches differ a little in their blobs; 8x the candidates in one
+    # batch would hold 8x the ROI arrays, tens of MB
+    assert repeated <= once + 128 * 1024, (once, repeated)
 
 
 def test_check_invariants_catches_nucleus_under_a_region_without_mitotic_class():

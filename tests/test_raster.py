@@ -4,11 +4,14 @@ import pytest
 import tmeseg.raster
 from oracles import (
     brute_distance_band,
+    convex_hull,
     edt_distance_band,
     exhaustive_otsu,
+    exhaustive_otsu_hist,
     filled_blobs,
     ndimage_components,
     point_in_hull,
+    rasterize_hull,
     union_find_components,
 )
 from test_stream import _traced_peak
@@ -18,15 +21,15 @@ from tmeseg.raster import (
     InstanceAttrs,
     InstanceMap,
     LogitStack,
-    blobs,
+    _otsu_rows,
+    _runs,
+    blob_hulls,
     connected_components,
     label_pieces,
-    convex_hull,
     distance_band,
     gaussian_smooth,
     grayscale,
     otsu_threshold,
-    rasterize_hull,
 )
 from tmeseg.reference import _blur, _gray_rows
 from tmeseg.synth import build_bundle, random_scene
@@ -112,6 +115,45 @@ def test_otsu_two_values_ties_to_smallest_maximizer():
     assert otsu_threshold(gray) == exhaustive_otsu(gray.tolist())
 
 
+def test_otsu_rows_tie_heavy_and_single_valued():
+    rng = np.random.default_rng(31)
+    rows = []
+    for _ in range(120):
+        row = np.zeros(256, dtype=np.int64)
+        levels = rng.choice(256, size=int(rng.integers(1, 5)), replace=False)
+        row[levels] = rng.integers(1, 4, size=levels.size)  # few values, small counts
+        rows.append(row)
+    for v in (0, 77, 255):  # single-valued rows
+        rows.append(np.bincount([v], minlength=256) * 9)
+    # mirror-symmetric rows: two different splits score exactly alike
+    for a, b in ((1, 2), (5, 5), (3, 40)):
+        row = np.zeros(256, dtype=np.int64)
+        row[[0, 255]], row[[100, 155]] = a, b
+        rows.append(row)
+    assert _otsu_rows(np.array(rows)).tolist() == [exhaustive_otsu_hist(row) for row in rows]
+
+
+def test_otsu_of_a_4096_square_frame_and_of_huge_counts():
+    rng = np.random.default_rng(37)
+    counts = rng.multinomial(4096 * 4096, rng.dirichlet(np.full(8, 0.5)))
+    levels = np.sort(rng.choice(256, size=8, replace=False)).astype(np.uint8)
+    gray = np.repeat(levels, counts).reshape(4096, 4096)
+    hist = np.bincount(gray.ravel(), minlength=256)
+    assert otsu_threshold(gray) == exhaustive_otsu_hist(hist.tolist())
+    # counts past int64's reach for d = s0 * N - S * w0: Python ints. The
+    # mirror-symmetric row's best splits, t = 0 and t = 128, tie exactly; one
+    # count more or less at 255 breaks the tie by a relative 2**-60 or so,
+    # below float64's resolution, so only the exact comparison can tell
+    big = 1 << 60
+    wanted = []
+    for extra in (0, 1, -1):
+        row = [0] * 256
+        row[0], row[127], row[128], row[255] = big, 10 * big, 10 * big, big + extra
+        wanted.append(exhaustive_otsu_hist(row))
+        assert _otsu_rows(np.array([row], dtype=object)).tolist() == [wanted[-1]]
+    assert sorted(set(wanted)) == [0, 128]
+
+
 # ---------------------------------------------------------------------------
 # Connected components
 # ---------------------------------------------------------------------------
@@ -154,18 +196,16 @@ def test_diagonal_touch_depends_on_connectivity():
 
 
 def test_labelling_no_pixels_gives_no_regions():
-    # the pieces set no pixels, so they fit any frame
-    empty_pieces = [(0, 0, np.zeros((2, 3), dtype=bool)), (3, 4, np.zeros((1, 1), dtype=bool))]
+    no_runs = [np.zeros(0, dtype=np.intp)] * 3  # they set no pixels, so they fit any frame
     for shape in [(5, 7), (5, 0), (0, 5), (0, 0)]:
         for regions in (
             connected_components(np.zeros(shape, dtype=bool)),
-            label_pieces([], shape),
-            label_pieces(empty_pieces, shape),
+            label_pieces(shape, *no_runs),
         ):
             assert regions.attrs == {} and regions.instance_ids == []
             assert [a.size for a in regions.pixel_groups()] == [0, 0, 0, 0]
             assert regions.ids.shape == shape and not regions.ids.any()
-        assert list(blobs(np.zeros(shape, dtype=bool))) == []
+        assert [a.size for a in blob_hulls(np.zeros(shape, dtype=bool), 1)] == [0, 0, 0, 0]
 
 
 def _caps(tops, height):
@@ -226,17 +266,30 @@ def test_components_on_adversarial_masks(name):
 # ---------------------------------------------------------------------------
 
 
-def _hull(points_rc: np.ndarray) -> list:
-    return convex_hull(points_rc[:, ::-1]).tolist()
+def _hull_rows(blobs: list, shape: tuple[int, int]) -> list:
+    """``rasterize_hull(convex_hull(blob))`` of each blob's (row, col)
+    pixels as ``blob_hulls`` gives it: ``[hull, row, start, stop]`` lists."""
+    out = [[], [], [], []]
+    for k, blob in enumerate(blobs):
+        region = rasterize_hull(convex_hull(blob[:, ::-1]), shape[::-1])
+        row, start, stop = _runs(region)  # one run per row: the region is convex
+        assert np.array_equal(row, np.unique(row))
+        for part, vals in zip(out, ([k] * row.size, row, start, stop)):
+            part += list(vals)
+    return out
+
+
+def _as_lists(arrays) -> list:
+    return [a.tolist() for a in arrays]
 
 
 def test_ring_blob_has_the_filled_square_hull():
     mask = np.zeros((9, 9), dtype=bool)
     mask[2:7, 2:7] = True
     mask[3:6, 3:6] = False  # 3x3 hole
-    [(area, ends)] = blobs(mask)
-    assert area == 16  # the ring's own pixels: the hole is not filled
-    assert _hull(ends) == _hull(np.argwhere(np.pad(np.ones((5, 5), dtype=bool), 2)))
+    assert _as_lists(blob_hulls(mask, 16)) == [[0] * 5, [2, 3, 4, 5, 6], [2] * 5, [7] * 5]
+    # the ring's own 16 pixels: the hole is not filled
+    assert blob_hulls(mask, 17)[0].size == 0
 
 
 def test_blob_hulls_equal_filled_blob_hulls():
@@ -252,16 +305,31 @@ def test_blob_hulls_equal_filled_blob_hulls():
     diamond = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
     masks += [ring, nested, diamond, np.zeros((4, 4), dtype=bool)]
     for mask in masks:
-        got = list(blobs(mask))
         filled = filled_blobs(mask)
         labeled = ndimage_components(mask)
-        # each blob's area is its own pixel count, holes not filled
+        # the area test counts each blob's own pixels, holes not filled
         counts = [labeled.attrs[g].pixel_count for g in labeled.instance_ids]
-        assert [area for area, _ in got] == counts
-        assert [_hull(ends) for _, ends in got] == [_hull(blob) for blob in filled]
-        assert [area >= MITOSIS_MIN_AREA_PX for area, _ in got] == [
+        for min_area in (1, MITOSIS_MIN_AREA_PX, 6):
+            kept = [blob for blob, n in zip(filled, counts) if n >= min_area]
+            assert _as_lists(blob_hulls(mask, min_area)) == _hull_rows(kept, mask.shape)
+        assert [n >= MITOSIS_MIN_AREA_PX for n in counts] == [
             len(blob) >= MITOSIS_MIN_AREA_PX for blob in filled
         ]
+
+
+def test_blob_hulls_of_thin_and_sloped_blobs():
+    # points, segments of every slope and thin wedges: the degenerate hulls
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        h, w = rng.integers(1, 30, size=2).tolist()
+        mask = np.zeros((h, w), dtype=bool)
+        for _ in range(int(rng.integers(1, 4))):
+            y, x = rng.integers(0, h), rng.integers(0, w)
+            dy, dx = rng.integers(-1, 2), rng.integers(-3, 4)
+            for k in range(int(rng.integers(1, 12))):
+                if 0 <= y + k * dy < h and 0 <= x + k * dx < w:
+                    mask[y + k * dy, x + k * dx : x + k * dx + abs(dx) + 1] = True
+        assert _as_lists(blob_hulls(mask, 1)) == _hull_rows(filled_blobs(mask), mask.shape)
 
 
 def test_min_area_admits_the_smallest_holed_blob():
@@ -273,9 +341,10 @@ def test_min_area_admits_the_smallest_holed_blob():
         if small.sum() <= 3:
             assert np.array_equal(ndimage.binary_fill_holes(small), small)
     diamond = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
-    [(area, _)] = blobs(diamond)
-    assert area == 4 and ndimage.binary_fill_holes(diamond).sum() == 5
-    assert MITOSIS_MIN_AREA_PX <= area, (
+    # its area is its own 4 pixels, not the 5 of its filled hull
+    assert blob_hulls(diamond, 4)[0].size == 3 and blob_hulls(diamond, 5)[0].size == 0
+    assert ndimage.binary_fill_holes(diamond).sum() == 5
+    assert MITOSIS_MIN_AREA_PX <= 4, (
         "mitosis_hulls tests a blob's area without filling its holes; this "
         "equals the filled-area test only while every blob with a hole, the "
         "smallest being this 4-pixel diamond, passes it"
