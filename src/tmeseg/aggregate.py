@@ -20,6 +20,11 @@ label before glass and the cell logits at the nucleus pixels
 (``FusionInputs``), which a bundle in memory (``TeacherBundle.reduce``) and
 a bundle streamed from disk (``container.BundleReader``) both produce.
 
+Stages 3-6 keep each nucleus's class in one int16 array, in the order of
+``nuclei.pixel_groups()``: the vote fills it, stages 4 and 5 give masks
+that set class and rule, and stage 6 paints it. The result's dicts are
+built once, and every result passes ``check_invariants``.
+
 Everything is deterministic: identical bundles give bit-identical results.
 A structurally separate per-pixel reference of the same rules lives in
 ``reference.py`` and is used as the test oracle.
@@ -27,7 +32,7 @@ A structurally separate per-pixel reference of the same rules lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -96,6 +101,8 @@ Blocks = Iterable[tuple[int, int, np.ndarray]]
 
 # Internal sentinel for "no class"; the public API uses None.
 UNDEFINED = -1
+# ``NucleusDecision.rule`` by code; a later rule overrides an earlier one.
+RULES = ("undefined", "vote", "fallback_epithelial", "fallback_fibroblast", "mitosis")
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +285,13 @@ def fusion_inputs(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class NucleusDecision:
     """How one nucleus got its final class."""
 
-    rule: str  # vote | fallback_epithelial | fallback_fibroblast | mitosis | undefined
-    votes: dict[int, int] = field(default_factory=dict)  # UNDEFINED key = -1
-    level_fired: tuple[int, int, int, int] = (0, 0, 0, 0)
+    rule: str  # one of RULES
+    votes: dict[int, int]  # UNDEFINED key = -1
+    level_fired: tuple[int, int, int, int]
 
 
 @dataclass
@@ -318,58 +325,36 @@ class AggregationResult:
 # ---------------------------------------------------------------------------
 
 
-def _classify_pixels(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walk hierarchy levels 1..4 at pixels whose cell logits are the
-    columns of ``vals`` (rows in ``CELL_IDS`` order).
+def _vote_groups(
+    vals: np.ndarray, slot: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify the pixels, the columns of ``vals`` (rows in ``CELL_IDS``
+    order), then take a majority vote per nucleus; pixel ``i`` belongs to
+    nucleus ``slot[i]`` of ``m``.
 
-    Returns (labels, fired): labels is int16 with UNDEFINED where no level
-    produced a positive winner; fired is (4, N) bool marking override hits.
-    At each level the winning channel is the argmax (ties to the lowest
-    class id); it overrides the running label only when positive.
+    A pixel walks hierarchy levels 1..4: at each level the winning channel
+    is the argmax (ties to the lowest class id), and it overrides the
+    running label, at first UNDEFINED, only when positive. Returns three
+    arrays over the nuclei: the voted int16 class id (UNDEFINED where
+    undefined wins a strict plurality; defined ties go to the lowest class
+    id); the ``(m, N_CLASSES + 1)`` vote counts, column 0 undefined and
+    column ``c + 1`` class ``c``; and the ``(m, 4)`` per-level override hits.
     """
-    n = vals.shape[1]
-    labels = np.full(n, UNDEFINED, dtype=np.int16)
-    fired = np.zeros((len(_LEVELS), n), dtype=bool)
-    if n == 0:
-        return labels, fired
+    labels = np.full(slot.size, UNDEFINED, dtype=np.int16)
+    fired = np.empty((m, len(_LEVELS)), dtype=np.intp)
     for lvl, (plane_rows, ids) in enumerate(_LEVELS):
         sub = vals[plane_rows]  # (k, N)
         win = np.argmax(sub, axis=0)  # first max -> lowest id
-        winval = np.take_along_axis(sub, win[None, :], axis=0)[0]
-        pos = winval > 0
+        pos = np.take_along_axis(sub, win[None, :], axis=0)[0] > 0
         labels[pos] = ids[win[pos]]
-        fired[lvl] = pos
-    return labels, fired
-
-
-def _vote_groups(
-    vals: np.ndarray, slot: np.ndarray, m: int
-) -> tuple[np.ndarray, list[NucleusDecision]]:
-    """Classify the pixels (the columns of ``vals``), then take a majority
-    vote per nucleus.
-
-    Pixel ``i`` belongs to nucleus ``slot[i]`` of ``m``. Returns the voted
-    int16 class id per nucleus (UNDEFINED where undefined wins a strict
-    plurality; defined ties go to the lowest class id) and one decision
-    record per nucleus with the vote counts and per-level override hits.
-    """
-    labels, fired = _classify_pixels(vals)
+        fired[:, lvl] = np.bincount(slot[pos], minlength=m)
     width = N_CLASSES + 1  # column 0 = undefined, column c + 1 = class id c
     key = slot.astype(np.int64) * width + (labels.astype(np.int64) + 1)
     counts = np.bincount(key, minlength=m * width).reshape(m, width)
     defined = counts[:, 1:]  # every class id, ascending; ties go to the lowest
     winner = np.argmax(defined, axis=1).astype(np.int16)
     voted = np.where(counts[:, 0] > defined.max(axis=1), np.int16(UNDEFINED), winner)
-    fired_per = np.stack([np.bincount(slot[f], minlength=m) for f in fired], axis=1)
-    decisions = [
-        NucleusDecision(
-            rule="vote" if cls != UNDEFINED else "undefined",
-            votes={c - 1: n for c, n in enumerate(row) if n},
-            level_fired=tuple(hits),
-        )
-        for cls, row, hits in zip(voted.tolist(), counts.tolist(), fired_per.tolist())
-    ]
-    return voted, decisions
+    return voted, counts, fired
 
 
 # ---------------------------------------------------------------------------
@@ -378,35 +363,25 @@ def _vote_groups(
 
 
 def fallback_rules(
-    nuclei: InstanceMap,
-    classes: dict[int, Optional[int]],
-    tissue: np.ndarray,
-) -> tuple[dict[int, Optional[int]], dict[int, str]]:
+    nuclei: InstanceMap, voted: np.ndarray, tissue: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Resolve undefined nuclei from tissue context.
 
-    A nucleus with more than half its pixels on epithelial tissue becomes
-    epithelial_cell_nucleus; one with more than half on stroma whose
-    teacher type is fibroblast (teacher name `connective`) becomes
-    fibroblast. Everything else stays undefined.
+    ``voted`` is the class per nucleus, UNDEFINED for none, in the order of
+    ``nuclei.pixel_groups()``. Returns two disjoint masks over the nuclei:
+    the undefined ones with more than half their pixels on epithelial
+    tissue, which become epithelial_cell_nucleus; and the other undefined
+    ones with more than half on stroma and the fibroblast teacher type
+    (teacher name `connective`), which become fibroblast.
     """
-    out = dict(classes)
-    rules: dict[int, str] = {}
-    undef = [g for g, c in classes.items() if c is None]
-    if not undef:
-        return out, rules
     rows, cols, slot, gids = nuclei.pixel_groups()
-    tis = tissue[rows, cols]
-    cnt_epi = np.bincount(slot[tis == EPITHELIAL_TISSUE], minlength=gids.size)
-    cnt_str = np.bincount(slot[tis == STROMA], minlength=gids.size)
-    for gid, i in zip(undef, np.searchsorted(gids, undef).tolist()):
-        total = nuclei.attrs[gid].pixel_count
-        if 2 * int(cnt_epi[i]) > total:
-            out[gid] = EPITHELIAL_CELL_NUCLEUS
-            rules[gid] = "fallback_epithelial"
-        elif 2 * int(cnt_str[i]) > total and nuclei.attrs[gid].teacher_type == FIBROBLAST:
-            out[gid] = FIBROBLAST
-            rules[gid] = "fallback_fibroblast"
-    return out, rules
+    tis, m = tissue[rows, cols], gids.size
+    half, undefined = np.bincount(slot, minlength=m) / 2, voted == UNDEFINED
+    epithelial = undefined & (np.bincount(slot[tis == EPITHELIAL_TISSUE], minlength=m) > half)
+    fibroblast = undefined & ~epithelial & (np.bincount(slot[tis == STROMA], minlength=m) > half)
+    types = [nuclei.attrs[g].teacher_type for g in gids[fibroblast].tolist()]
+    fibroblast[fibroblast] = [t == FIBROBLAST for t in types]
+    return epithelial, fibroblast
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +487,11 @@ def _nuclei_under(nuclei: InstanceMap, mitosis: InstanceMap) -> np.ndarray:
     return np.unique(under[under > 0])
 
 
-def apply_mitosis(
-    classes: dict[int, Optional[int]],
-    nuclei: InstanceMap,
-    mitosis: InstanceMap,
-) -> tuple[dict[int, Optional[int]], list[int]]:
-    """Reassign every nucleus intersecting the mitosis regions to mitotic_cell."""
-    hit_ids = _nuclei_under(nuclei, mitosis).tolist()
-    out = dict(classes)
-    for gid in hit_ids:
-        out[gid] = MITOTIC_CELL
-    return out, hit_ids
+def apply_mitosis(nuclei: InstanceMap, mitosis: InstanceMap) -> np.ndarray:
+    """The mask over the nuclei, in the order of ``nuclei.pixel_groups()``,
+    of those intersecting the mitosis regions: they become mitotic_cell,
+    whatever class they had."""
+    return np.isin(nuclei.pixel_groups()[3], _nuclei_under(nuclei, mitosis))
 
 
 # ---------------------------------------------------------------------------
@@ -541,40 +510,36 @@ def aggregate(bundle, config: Optional[RunConfig] = None) -> AggregationResult:
 
 def _fuse(inputs: FusionInputs, gray: np.ndarray, cfg: RunConfig) -> AggregationResult:
     """All six stages, from the smoothed grayscale
-    (``grayscale(gaussian_smooth(he))``) of ``inputs.he``."""
+    (``grayscale(gaussian_smooth(he))``) of ``inputs.he``; the fallback and
+    mitosis masks set class and rule code together, in ``RULES`` order."""
     t = cfg.background_threshold
     glass = gray > (otsu_threshold(gray) if t is None else t)
     tissue = np.where(glass, np.uint8(BACKGROUND), inputs.tissue_pre)
     rows, cols, slot, gids = inputs.nuclei.pixel_groups()
-    voted, decisions = _vote_groups(inputs.cell_vals, slot, gids.size)
-    gid_list = gids.tolist()
-    provenance = dict(zip(gid_list, decisions))
-    classes: dict[int, Optional[int]] = {
-        gid: None if cls == UNDEFINED else cls
-        for gid, cls in zip(gid_list, voted.tolist())
-    }
-
-    classes, fb_rules = fallback_rules(inputs.nuclei, classes, tissue)
-    for gid, rule in fb_rules.items():
-        provenance[gid].rule = rule
-
+    cls, votes, fired = _vote_groups(inputs.cell_vals, slot, gids.size)
+    rule = (cls != UNDEFINED).astype(np.int8)  # RULES codes 0 and 1
+    epithelial, fibroblast = fallback_rules(inputs.nuclei, cls, tissue)
     mitosis = detect_mitosis(inputs.mitosis_candidates, inputs.he, tissue)
-    classes, mit_ids = apply_mitosis(classes, inputs.nuclei, mitosis)
-    for gid in mit_ids:
-        provenance[gid].rule = "mitosis"
+    mitotic = apply_mitosis(inputs.nuclei, mitosis)
+    masks = (epithelial, EPITHELIAL_CELL_NUCLEUS), (fibroblast, FIBROBLAST), (mitotic, MITOTIC_CELL)
+    for code, (mask, final) in enumerate(masks, start=2):
+        cls[mask], rule[mask] = final, code
 
-    final = np.array(
-        [UNDEFINED if classes[g] is None else classes[g] for g in gid_list],
-        dtype=np.int16,
-    )[slot]
-    keep = final != UNDEFINED
+    painted = cls[slot]
+    keep = painted != UNDEFINED
     semantic = tissue  # nucleus classes paint over the tissue labels
-    semantic[rows[keep], cols[keep]] = final[keep]
+    semantic[rows[keep], cols[keep]] = painted[keep]
 
-    return AggregationResult(
+    gid_list = gids.tolist()
+    result = AggregationResult(
         semantic=semantic,
         instances=inputs.nuclei,
-        classes=classes,
+        classes={g: None if c == UNDEFINED else c for g, c in zip(gid_list, cls.tolist())},
         mitosis=mitosis,
-        provenance=provenance,
+        provenance={
+            g: NucleusDecision(RULES[r], {c - 1: n for c, n in enumerate(row) if n}, tuple(hits))
+            for g, r, row, hits in zip(gid_list, rule.tolist(), votes.tolist(), fired.tolist())
+        },
     )
+    result.check_invariants()
+    return result

@@ -173,6 +173,8 @@ def _cmd_synth(args) -> int:
 def _cmd_aggregate(args) -> int:
     from .tiling import tiled_aggregate
 
+    if args.workers < 1:  # before any input file is opened
+        raise ValueError("workers must be >= 1")
     config = _load_config(args)
     # one pass over the input files; the blur runs while nuclei and logits are read
     with BundleReader(args.bundle) as reader:

@@ -242,28 +242,22 @@ def check_rgb_tile(img: np.ndarray) -> np.ndarray:
 
 
 def gaussian_smooth(img: np.ndarray) -> np.ndarray:
-    """Separable Gaussian blur per channel, reflect edges, rounded to uint8.
+    """Separable Gaussian blur of each channel, reflect edges, rounded to uint8.
 
     Sigma is ``BLUR_SIGMA`` and the kernel radius ``BLUR_RADIUS``, ceil(3
-    sigma). Each channel is copied once into a contiguous uint8 plane and
-    blurred into a float64 output, which is rounded and clipped in place,
-    so the result is independent of channel order and input strides.
+    sigma). One filter call blurs rows and columns of all three channels
+    into a float64 output, which is rounded and clipped in place; scipy
+    filters each line in float64 whatever its stride, so the result is
+    independent of the input's strides.
     """
     from scipy import ndimage  # here, not at the top: commands that never call it skip the import
 
     check_rgb_tile(img)
-    out = np.empty_like(img)
-    for ch in range(3):
-        sm = ndimage.gaussian_filter(
-            np.ascontiguousarray(img[:, :, ch]),
-            BLUR_SIGMA,
-            output=np.float64,
-            mode="reflect",
-            radius=BLUR_RADIUS,
-        )
-        np.rint(sm, out=sm)
-        out[:, :, ch] = np.clip(sm, 0, 255, out=sm)
-    return out
+    sm = ndimage.gaussian_filter(
+        img, BLUR_SIGMA, output=np.float64, mode="reflect", radius=BLUR_RADIUS, axes=(0, 1)
+    )
+    np.rint(sm, out=sm)
+    return np.clip(sm, 0, 255, out=sm).astype(np.uint8)
 
 
 def grayscale(img: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from tmeseg.aggregate import (
     CELL_CHANNELS,
     TISSUE_CHANNELS,
+    UNDEFINED,
     TeacherBundle,
     aggregate,
     apply_mitosis,
@@ -39,7 +40,6 @@ ENDO = TAX.resolve("endothelial_cell")
 RBC = TAX.resolve("red_blood_cell")
 LYM = TAX.resolve("lymphocyte")
 PLS = TAX.resolve("plasma_cell")
-EPI_N = TAX.resolve("epithelial_cell_nucleus")
 FIB = TAX.resolve("fibroblast")
 MIT = TAX.resolve("mitotic_cell")
 
@@ -243,42 +243,44 @@ def _nucleus_on_tissue(n_on, n_off, tissue_class, teacher=None):
     return InstanceMap.from_ids(ids, types), tissue
 
 
+def _fallback(nuclei, tissue, voted=UNDEFINED):
+    """The fallback rule that fires for the one nucleus of ``nuclei``,
+    voted ``voted``, or None: the masks are disjoint, at most one is set."""
+    epithelial, fibroblast = fallback_rules(nuclei, np.array([voted], np.int16), tissue)
+    assert epithelial.shape == fibroblast.shape == (1,)
+    assert not (epithelial & fibroblast).any()
+    if epithelial[0]:
+        return "fallback_epithelial"
+    return "fallback_fibroblast" if fibroblast[0] else None
+
+
 def test_fallback_epithelial_majority():
     nuclei, tissue = _nucleus_on_tissue(6, 4, EPI)
-    classes, rules = fallback_rules(nuclei, {1: None}, tissue)
-    assert classes == {1: EPI_N}
-    assert rules == {1: "fallback_epithelial"}
+    assert _fallback(nuclei, tissue) == "fallback_epithelial"
 
 
 def test_fallback_exactly_half_is_not_enough():
     nuclei, tissue = _nucleus_on_tissue(5, 5, EPI)
     # 5 of 10 on epithelium and 5 on stroma: neither rule fires (the
     # stroma arm also needs the fibroblast teacher type)
-    classes, rules = fallback_rules(nuclei, {1: None}, tissue)
-    assert classes == {1: None} and rules == {}
+    assert _fallback(nuclei, tissue) is None
 
 
 def test_fallback_fibroblast_needs_teacher_type():
     nuclei, tissue = _nucleus_on_tissue(0, 10, EPI, teacher=FIB)
-    classes, rules = fallback_rules(nuclei, {1: None}, tissue)
-    assert classes == {1: FIB}
-    assert rules == {1: "fallback_fibroblast"}
+    assert _fallback(nuclei, tissue) == "fallback_fibroblast"
     nuclei2, tissue2 = _nucleus_on_tissue(0, 10, EPI)  # no teacher type
-    classes2, rules2 = fallback_rules(nuclei2, {1: None}, tissue2)
-    assert classes2 == {1: None} and rules2 == {}
+    assert _fallback(nuclei2, tissue2) is None
 
 
 def test_fallback_epithelial_beats_fibroblast_arm():
     nuclei, tissue = _nucleus_on_tissue(6, 4, EPI, teacher=FIB)
-    classes, rules = fallback_rules(nuclei, {1: None}, tissue)
-    assert classes == {1: EPI_N}
-    assert rules == {1: "fallback_epithelial"}
+    assert _fallback(nuclei, tissue) == "fallback_epithelial"
 
 
 def test_fallback_leaves_defined_classes_alone():
     nuclei, tissue = _nucleus_on_tissue(10, 0, EPI, teacher=FIB)
-    classes, rules = fallback_rules(nuclei, {1: LYM}, tissue)
-    assert classes == {1: LYM} and rules == {}
+    assert _fallback(nuclei, tissue, voted=LYM) is None
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +356,8 @@ def test_apply_mitosis_overrides_everything_it_touches():
     mask = np.zeros((6, 6), bool)
     mask[1, 1] = True  # overlaps nucleus 1 only
     mitosis = connected_components(mask)
-    classes, hits = apply_mitosis({1: LYM, 2: EPI_N}, nuclei, mitosis)
-    assert classes == {1: MIT, 2: EPI_N}
-    assert hits == [1]
+    # a mask over nuclei 1 and 2, whatever their classes: nucleus 1 becomes mitotic
+    assert apply_mitosis(nuclei, mitosis).tolist() == [True, False]
 
 
 def test_apply_mitosis_near_miss_changes_nothing():
@@ -365,8 +366,7 @@ def test_apply_mitosis_near_miss_changes_nothing():
     nuclei = InstanceMap.from_ids(ids, {})
     mask = np.zeros((6, 6), bool)
     mask[1, 2] = True  # one pixel away
-    classes, hits = apply_mitosis({1: LYM}, nuclei, connected_components(mask))
-    assert classes == {1: LYM} and hits == []
+    assert apply_mitosis(nuclei, connected_components(mask)).tolist() == [False]
 
 
 # ---------------------------------------------------------------------------

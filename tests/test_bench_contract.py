@@ -76,3 +76,21 @@ assert bundle.mitosis_candidates and result.mitosis.attrs
 assert counters["aggregate.mitosis_candidates"] == len(bundle.mitosis_candidates), counters
 assert counters["aggregate.mitosis_regions"] == len(result.mitosis.attrs), counters
 """)
+
+
+def test_tracer_records_the_fallback_and_mitosis_stages():
+    # the per-layer metrics aggregate.fallback_s and aggregate.apply_mitosis_s
+    # sum these spans; a stage that ``_fuse`` stops calling by its module
+    # name would leave them at 0
+    _run_traced("""
+import tracer
+
+recorder = tracer.install()
+from tmeseg.aggregate import aggregate
+from tmeseg.synth import build_bundle, random_scene
+
+aggregate(build_bundle(random_scene(5)))
+calls = recorder.summary()["calls"]
+assert calls.get("aggregate.fallback_rules", 0) >= 1, calls
+assert calls.get("aggregate.apply_mitosis", 0) >= 1, calls
+""")

@@ -471,6 +471,15 @@ def test_data_errors_exit_2(workspace, tmp_path, capsys):
     assert "astrocyte" in err
 
 
+def test_aggregate_checks_workers_before_opening_the_bundle(tmp_path, capsys):
+    # the manifest does not exist: the workers message shows nothing was opened
+    code = cli(["aggregate", "--bundle", str(tmp_path / "nope.json"),
+                "--out", str(tmp_path / "o.tmef"), "--workers", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "workers must be >= 1" in err and "nope.json" not in err
+
+
 def test_aggregate_data_error_leaves_no_thread(workspace, tmp_path, capsys):
     cell_path = workspace["bundle"].parent / "cell_logits.tmef"
     cell = load_stack(cell_path)

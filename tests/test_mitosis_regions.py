@@ -54,9 +54,8 @@ def _assert_equivalent(got, want: InstanceMap, nuclei: InstanceMap):
     assert len(got.instance_ids) == len(want.instance_ids)
     for a, b in zip(got.pixel_groups(), want.pixel_groups()):
         assert np.array_equal(a, b)
-    classes = {g: None for g in nuclei.instance_ids}
-    _, hits = apply_mitosis(classes, nuclei, got)
-    assert hits == frame_mitosis_hits(nuclei, want)
+    gids = nuclei.pixel_groups()[3]
+    assert gids[apply_mitosis(nuclei, got)].tolist() == frame_mitosis_hits(nuclei, want)
 
 
 def _scene(h, w, blobs, tissue_class=EPITHELIAL_TISSUE):
@@ -299,7 +298,7 @@ def test_mitosis_working_memory_does_not_grow_with_frame_area():
     def stages(candidates, he, tissue, nuclei):
         mitosis = detect_mitosis(candidates, he, tissue)
         assert len(mitosis.instance_ids) == 36
-        return apply_mitosis({}, nuclei, mitosis)
+        return apply_mitosis(nuclei, mitosis)
 
     peaks = [_traced_peak(lambda: stages(*field)) for field in (small, large)]
     # a frame-sized bool union alone would be 1 MB on the large frame
@@ -335,3 +334,14 @@ def test_check_invariants_catches_nucleus_under_a_region_without_mitotic_class()
     assert len(res.mitosis.attrs) == gids.size + 1
     with pytest.raises(AssertionError, match=f"nucleus {gid}: mitosis supersedence"):
         res.check_invariants()
+
+
+def test_every_result_is_checked_for_supersedence(monkeypatch):
+    bundle = build_bundle(random_scene(5))
+    assert MITOTIC_CELL in aggregate(bundle).classes.values()  # regions cover nuclei
+    # a supersedence stage that hits nothing: the result fails its own check
+    monkeypatch.setattr(
+        tmeseg.aggregate, "apply_mitosis", lambda nuclei, mitosis: np.zeros(len(nuclei.attrs), bool)
+    )
+    with pytest.raises(AssertionError, match="mitosis supersedence"):
+        aggregate(bundle)

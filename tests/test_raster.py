@@ -44,8 +44,9 @@ def test_gaussian_smooth_matches_direct_convolution():
     rng = np.random.default_rng(11)
     for _ in range(5):
         he = rng.integers(0, 256, size=(40, 37, 3), dtype=np.uint8)
-        # strided views too: each channel is copied into a contiguous plane
-        for img in (he, he[::2, 1:], he[:, :, ::-1], he[3:, ::3]):
+        # strided views too: the filter reads every line in float64 whatever
+        # its stride; and frames one pixel high, wide, or both
+        for img in (he, he[::2, 1:], he[:, :, ::-1], he[3:, ::3], he[:1, :1], he[:1], he[:, :1]):
             assert np.array_equal(gaussian_smooth(img), _blur(img, 2.0))
 
 
