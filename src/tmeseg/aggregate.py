@@ -13,8 +13,8 @@ Stages, in fixed order:
 5. mitosis candidate filtering and nucleus supersedence
 6. final mask combination (nucleus classes paint over tissue labels)
 
-``_fuse`` runs all six on the smoothed grayscale; ``aggregate`` blurs the
-whole frame for it and ``tiling.tiled_aggregate`` blurs it cell by cell.
+``_fuse`` runs all six on the smoothed grayscale, which both ``aggregate``
+and ``tiling.tiled_aggregate`` blur cell by cell: serially, or on threads.
 Stages 2-6 read the logit stacks only through two reductions, the tissue
 label before glass and the cell logits at the nucleus pixels
 (``FusionInputs``), which a bundle in memory (``TeacherBundle.reduce``) and
@@ -46,6 +46,7 @@ from .config import (
     check_scale,
 )
 from .raster import (
+    _BLOCK,
     InstanceMap,
     LogitStack,
     _merge_runs,
@@ -53,8 +54,6 @@ from .raster import (
     _run_pixels,
     blob_hulls,
     check_rgb_tile,
-    gaussian_smooth,
-    grayscale,
     label_pieces,
     otsu_threshold,
 )
@@ -98,6 +97,8 @@ _LEVELS = [
 
 # Streams of logit blocks, ``(class id, flat start, f32 block)``; see ``fusion_inputs``.
 Blocks = Iterable[tuple[int, int, np.ndarray]]
+# Streams of aligned blocks of all planes, ``(flat start, {class id: f32 block})``.
+AlignedBlocks = Iterable[tuple[int, Mapping[int, np.ndarray]]]
 
 # Internal sentinel for "no class"; the public API uses None.
 UNDEFINED = -1
@@ -160,7 +161,7 @@ class TeacherBundle:
         return fusion_inputs(
             self.he,
             self.nuclei,
-            _whole_planes(self.tissue_logits),
+            _aligned_views(self.tissue_logits),
             _whole_planes(self.cell_logits),
             self.mitosis_candidates,
         )
@@ -202,7 +203,8 @@ def check_candidates(candidates: Sequence[tuple], frame: tuple, halo: int) -> No
 class FusionInputs:
     """A validated bundle with its logit stacks reduced to what fusion reads.
 
-    ``tissue_pre`` is the tissue label before glass is applied;
+    ``tissue_pre`` is the tissue label before glass is applied; ``_fuse``
+    consumes it, writing glass and then the nucleus classes into it.
     ``cell_vals`` holds the cell logits at the nucleus pixels, one row per
     ``CELL_IDS`` channel, columns in ``nuclei.pixel_groups()`` order.
     ``TeacherBundle.reduce`` and ``container.BundleReader.reduce`` both
@@ -211,35 +213,25 @@ class FusionInputs:
 
     he: np.ndarray
     nuclei: InstanceMap
-    tissue_pre: np.ndarray  # (H, W) uint8
+    tissue_pre: np.ndarray  # (H, W) uint8, C-contiguous; consumed by _fuse
     cell_vals: np.ndarray  # (len(CELL_IDS), N) float32
     mitosis_candidates: tuple
 
 
-def _reduce_tissue(blocks: Blocks, shape: tuple) -> np.ndarray:
-    """Tissue labels before glass, from tissue-logit blocks in any channel order.
-
-    Holds at most one plane of the smooth-muscle / epithelium pair; the
-    contest is decided block by block as the other plane arrives. Positive
-    red-blood-cell pixels are kept as a mask and overlaid last.
+def _reduce_tissue(blocks: AlignedBlocks, shape: tuple) -> np.ndarray:
+    """Tissue labels before glass, from aligned blocks of the three tissue
+    planes: each ``(start, planes)`` gives every plane's values at flat
+    indices ``[start, start + size)``, and the blocks cover the frame. The
+    smooth-muscle / epithelium contest and the red-blood-cell overlay are
+    decided block by block, so no plane or mask of the frame is held.
     """
-    size = shape[0] * shape[1]
-    labels = np.full(size, STROMA, dtype=np.uint8)
-    rbc = np.zeros(size, dtype=bool)
-    held_id, held = None, None  # the first of the pair to arrive
-    for class_id, start, block in blocks:
-        span = slice(start, start + block.size)
-        if class_id == RED_BLOOD_CELL:
-            np.greater(block, 0, out=rbc[span])
-        elif held_id in (None, class_id):
-            if held is None:
-                held_id, held = class_id, np.empty(size, dtype=np.float32)
-            held[span] = block
-        else:
-            sm, epi = (block, held[span]) if class_id == SMOOTH_MUSCLE else (held[span], block)
-            winner = np.where(epi > sm, np.uint8(EPITHELIAL_TISSUE), np.uint8(SMOOTH_MUSCLE))
-            labels[span] = np.where((sm > 0) | (epi > 0), winner, np.uint8(STROMA))
-    labels[rbc] = RED_BLOOD_CELL
+    labels = np.empty(shape[0] * shape[1], dtype=np.uint8)
+    for start, planes in blocks:
+        sm, epi = planes[SMOOTH_MUSCLE], planes[EPITHELIAL_TISSUE]
+        out = labels[start : start + sm.size]
+        np.copyto(out, np.where(epi > sm, np.uint8(EPITHELIAL_TISSUE), np.uint8(SMOOTH_MUSCLE)))
+        np.copyto(out, np.uint8(STROMA), where=(sm <= 0) & (epi <= 0))
+        np.copyto(out, np.uint8(RED_BLOOD_CELL), where=planes[RED_BLOOD_CELL] > 0)
     return labels.reshape(shape)
 
 
@@ -261,26 +253,37 @@ def _whole_planes(stack: LogitStack) -> Blocks:
         yield class_id, 0, plane.ravel()
 
 
+def _aligned_views(stack: LogitStack) -> AlignedBlocks:
+    """The planes of ``stack`` as aligned blocks of whole rows, about
+    ``_BLOCK`` pixels each; views where the planes are contiguous."""
+    step = max(1, _BLOCK // stack.width)
+    for y in range(0, stack.height, step):
+        yield y * stack.width, {
+            c: plane[y : y + step].ravel() for c, plane in zip(stack.class_ids, stack.planes)
+        }
+
+
 def fusion_inputs(
     he: np.ndarray,
     nuclei: InstanceMap,
-    tissue_blocks: Blocks,
+    tissue_blocks: AlignedBlocks,
     cell_blocks: Blocks,
     mitosis_candidates: Sequence[tuple],
 ) -> FusionInputs:
     """Reduce two streams of logit blocks, in that order, into ``FusionInputs``.
 
-    Each stream yields ``(class id, flat start, block)``: the f32 values of
-    one channel's plane at flat indices ``[start, start + block.size)``.
-    Blocks of one plane arrive in order and planes one after another, as
-    they lie in a file. The parts must already be checked against each other.
+    The tissue stream yields aligned blocks of its three planes (see
+    ``_reduce_tissue``). The cell stream yields ``(class id, flat start,
+    block)``: the f32 values of one channel's plane at flat indices
+    ``[start, start + block.size)``, blocks of one plane in order and planes
+    one after another, as they lie in a file. The parts must already be
+    checked against each other.
     """
-    rows, cols, _, _ = nuclei.pixel_groups()
     return FusionInputs(
         he=he,
         nuclei=nuclei,
         tissue_pre=_reduce_tissue(tissue_blocks, nuclei.shape),
-        cell_vals=_reduce_cells(cell_blocks, rows * nuclei.shape[1] + cols, _CELL_ROW),
+        cell_vals=_reduce_cells(cell_blocks, nuclei.index, _CELL_ROW),
         mitosis_candidates=tuple(mitosis_candidates),
     )
 
@@ -481,10 +484,13 @@ def detect_mitosis(
 
 
 def _nuclei_under(nuclei: InstanceMap, mitosis: InstanceMap) -> np.ndarray:
-    """The ids of the nuclei with a pixel under a mitosis region, ascending."""
-    rows, cols, _, _ = mitosis.pixel_groups()
-    under = nuclei.ids[rows, cols]
-    return np.unique(under[under > 0])
+    """The ids of the nuclei with a pixel under a mitosis region, ascending:
+    each mitosis pixel is looked up in the nuclei's ascending flat index."""
+    _, _, slot, gids = nuclei.pixel_groups()
+    at = np.searchsorted(nuclei.index, mitosis.index)
+    hit = at < nuclei.index.size
+    hit[hit] = nuclei.index[at[hit]] == mitosis.index[hit]
+    return np.unique(gids[slot[at[hit]]])
 
 
 def apply_mitosis(nuclei: InstanceMap, mitosis: InstanceMap) -> np.ndarray:
@@ -503,18 +509,32 @@ def aggregate(bundle, config: Optional[RunConfig] = None) -> AggregationResult:
     """Validate one bundle and run the whole pipeline on it.
 
     ``bundle`` is a ``TeacherBundle`` or an open ``container.BundleReader``.
+    The blur runs serially over the cells of the config's tile plan, as
+    ``tiling.tiled_aggregate`` runs it on threads, so no float64 frame is
+    held; a tile no larger than the crop is one cell.
     """
+    from .tiling import TilePlan, _blur_cell, tile_cells  # deferred: tiling imports this module
+
+    cfg = config or RunConfig()
     inputs = bundle.reduce()
-    return _fuse(inputs, grayscale(gaussian_smooth(inputs.he)), config or RunConfig())
+    gray = np.empty(inputs.he.shape[:2], dtype=np.uint8)
+    for cell in tile_cells(gray.shape, TilePlan(crop=cfg.crop_px, stride=cfg.stride_px)):
+        _blur_cell(inputs.he, cell, gray)
+    return _fuse(inputs, gray, cfg)
 
 
 def _fuse(inputs: FusionInputs, gray: np.ndarray, cfg: RunConfig) -> AggregationResult:
     """All six stages, from the smoothed grayscale
     (``grayscale(gaussian_smooth(he))``) of ``inputs.he``; the fallback and
-    mitosis masks set class and rule code together, in ``RULES`` order."""
+    mitosis masks set class and rule code together, in ``RULES`` order.
+    ``inputs.tissue_pre`` is consumed: glass is written into it in place,
+    block by block, and it becomes the result's ``semantic``."""
     t = cfg.background_threshold
-    glass = gray > (otsu_threshold(gray) if t is None else t)
-    tissue = np.where(glass, np.uint8(BACKGROUND), inputs.tissue_pre)
+    threshold = otsu_threshold(gray) if t is None else t
+    tissue = inputs.tissue_pre
+    step = max(1, _BLOCK // tissue.shape[1])
+    for y in range(0, tissue.shape[0], step):
+        np.copyto(tissue[y : y + step], np.uint8(BACKGROUND), where=gray[y : y + step] > threshold)
     rows, cols, slot, gids = inputs.nuclei.pixel_groups()
     cls, votes, fired = _vote_groups(inputs.cell_vals, slot, gids.size)
     rule = (cls != UNDEFINED).astype(np.int8)  # RULES codes 0 and 1

@@ -10,15 +10,17 @@ Every reader checks a file's header against ``fstat`` before it allocates
 anything, then reads the payload through one loop, ``_chunks``, which
 checks the size and f32 finiteness and, for a hashed read, feeds every
 byte to a SHA-256. A whole read fills the final array plane by plane; a
-streamed read goes through one buffer of at most 4 MB:
+streamed read goes through one buffer of at most 4 MB. Each file is read
+once, except a bundle's tissue logits (see ``BundleReader``):
 
 * ``load_stack`` reads one file whole; ``load_hashed`` also returns its
   SHA-256, taken in the same read.
 * ``BundleReader`` reads a teacher bundle: opening it checks every header
   against the others before allocating any payload and reads H&E; its
-  ``reduce`` then reads nuclei and reduces each logit file chunk by chunk,
-  so the logit stacks never sit in memory. ``load_bundle`` opens a bundle
-  the same way, then reads nuclei and both logit stacks whole.
+  ``reduce`` then reads nuclei, keeping only their nonzero pixels, and
+  reduces each logit file block by block, so no logit plane and no id
+  raster sits in memory. ``load_bundle`` opens a bundle the same way, then
+  reads nuclei the same way and both logit stacks whole.
 * ``StudentReader`` reads a student logit file, and its nuclei, for the
   ``postprocess`` reductions in the same way.
 * ``scan_stack`` checks and hashes one file without keeping its payload.
@@ -111,13 +113,12 @@ class StackContainer:
 
 def save_stack(container: StackContainer, path: str | Path) -> None:
     header = json.dumps(container.header(), sort_keys=True).encode("utf-8")
-    payload = container.planes.astype(_DTYPES[container.dtype], copy=False).tobytes(
-        order="C"
-    )
+    # written from the array's own buffer: no copy unless the planes need one
+    payload = np.ascontiguousarray(container.planes, dtype=_DTYPES[container.dtype])
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        fh.write(payload)
+        fh.write(memoryview(payload).cast("B"))
 
 
 def _read_header(fh, path, file_size: int) -> tuple[int, dict]:
@@ -149,6 +150,7 @@ class _Header:
     mpp: Optional[float]
     halo: Optional[int]
     meta: dict
+    offset: int = 0  # of the first payload byte in the file
 
     @property
     def wire(self) -> np.dtype:
@@ -202,7 +204,7 @@ def _read_checked_header(fh, path) -> _Header:
         raise ContainerError(f"{path}: meta must be a JSON object")
     mpp, halo = header.get("mpp"), header.get("halo")
     check_scale(mpp, halo, path, ContainerError)
-    head = _Header(dtype, height, width, tuple(channels), mpp, halo, meta)
+    head = _Header(dtype, height, width, tuple(channels), mpp, halo, meta, 4 + hlen)
     expected = width * height * len(channels) * head.wire.itemsize
     actual = file_size - 4 - hlen
     if actual != expected:
@@ -212,6 +214,14 @@ def _read_checked_header(fh, path) -> _Header:
 
 def _changed(path) -> TruncatedPayloadError:
     return TruncatedPayloadError(f"{path}: payload size changed while reading")
+
+
+def _check_read(got: int, chunk: np.ndarray, head: _Header, path) -> None:
+    """A read of ``got`` bytes filled ``chunk``, whose f32 values are finite."""
+    if got != chunk.nbytes:
+        raise _changed(path)
+    if head.dtype == "f32" and not all_finite(chunk):
+        raise PayloadValueError(f"{path}: f32 payload contains NaN or Inf")
 
 
 class _Hashed:
@@ -264,10 +274,7 @@ def _chunks(part: _Part, out: Optional[np.ndarray] = None) -> Iterator[tuple[int
     for channel, plane in enumerate(out):
         for start in range(0, size, step):
             chunk = plane[: min(step, size - start)]
-            if fh.readinto(memoryview(chunk).cast("B")) != chunk.nbytes:
-                raise _changed(path)
-            if head.dtype == "f32" and not all_finite(chunk):
-                raise PayloadValueError(f"{path}: f32 payload contains NaN or Inf")
+            _check_read(fh.readinto(memoryview(chunk).cast("B")), chunk, head, path)
             yield channel, start, chunk
     if fh.read(1):
         raise _changed(path)
@@ -354,7 +361,7 @@ def container_from_instances(
 
 def instances_from_container(container: StackContainer) -> InstanceMap:
     _check_kind(container.dtype, container.channels, "u32", _IDS, "an instance map")
-    return _instance_map(container.planes[0], _teacher_types(container.meta))
+    return InstanceMap.from_ids(_signed_ids(container.planes[0]), _teacher_types(container.meta))
 
 
 def _check_kind(dtype, channels, want_dtype: str, want_channels: tuple, kind: str) -> None:
@@ -370,12 +377,12 @@ def _teacher_types(meta: dict) -> dict[int, int]:
         raise PayloadValueError(f"bad teacher_types in instance map meta: {exc}") from exc
 
 
-def _instance_map(ids: np.ndarray, types: dict[int, int]) -> InstanceMap:
-    """The instance map of a u32 id raster."""
+def _signed_ids(ids: np.ndarray) -> np.ndarray:
+    """u32 instance ids as int32, checked below 2**31."""
     ids = ids.view(np.int32)
     if ids.size and ids.min() < 0:  # u32 ids >= 2**31 wrap negative
         raise PayloadValueError("instance ids must be below 2**31")
-    return InstanceMap.from_ids(ids, types)
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +446,23 @@ def _parse_manifest(raw: bytes, manifest_path: Path) -> tuple[dict, dict[str, Pa
 
 
 # ---------------------------------------------------------------------------
-# Readers: every byte read once and checked; streamed reads hash and reduce
+# Readers: every byte checked; streamed reads hash and reduce
 # ---------------------------------------------------------------------------
 
 
 def _read_instances(part: _Part, types: dict[int, int]) -> InstanceMap:
-    """The instance map of a checked u32 ``part``."""
-    return _instance_map(_read_whole(part)[0], types)
+    """The instance map of a checked u32 ``part``, read chunk by chunk:
+    only the flat index and id of its nonzero pixels are kept."""
+    _, head, _ = part
+    index, ids = [], []
+    for _, start, chunk in _chunks(part):
+        chunk = _signed_ids(chunk)
+        at = np.flatnonzero(chunk != 0)  # a bool mask: ~8x faster than on the ints
+        index.append(at + start)
+        ids.append(chunk[at])
+    return InstanceMap.from_pixels(
+        (head.height, head.width), np.concatenate(index), np.concatenate(ids), types
+    )
 
 
 def _digests(parts) -> dict[str, str]:
@@ -460,8 +477,7 @@ def scan_stack(path: str | Path) -> tuple[dict, str]:
     """
     with ExitStack() as files:
         fh, head, path = part = _open(files, Path(path))
-        for _ in _chunks(part):
-            pass
+        _drain(part)
     return head.doc(), fh.sha.hexdigest()
 
 
@@ -483,16 +499,50 @@ def _class_blocks(part: _Part, ids: tuple[int, ...]) -> Iterator[tuple[int, int,
         yield ids[channel], start, chunk
 
 
+def _aligned_blocks(
+    fd: int, part: _Part, ids: tuple[int, ...]
+) -> Iterator[tuple[int, dict[int, np.ndarray]]]:
+    """A logit part's planes as aligned blocks ``(flat start, {class id:
+    block})``, read by positioned reads on ``fd``; the blocks of one start
+    share ``_CHUNK_BYTES``, each is checked finite and overwritten by the next."""
+    _, head, path = part
+    size, item = head.height * head.width, head.wire.itemsize
+    step = max(1, min(_CHUNK_BYTES // (item * len(ids)), size))
+    bufs = [np.empty(step, dtype=head.wire) for _ in ids]
+    for start in range(0, size, step):
+        blocks = [buf[: min(step, size - start)] for buf in bufs]
+        for channel, block in enumerate(blocks):
+            at = head.offset + (channel * size + start) * item
+            _check_read(os.preadv(fd, [memoryview(block).cast("B")], at), block, head, path)
+        yield start, dict(zip(ids, blocks))
+
+
+def _drain(part: _Part) -> None:
+    """Read ``part`` to its end through ``_chunks``, for its checks and hash."""
+    for _ in _chunks(part):
+        pass
+
+
 class BundleReader(ExitStack):
-    """A teacher bundle read once from disk, H&E first.
+    """A teacher bundle read from disk, H&E first.
 
     Opening reads the manifest and all four headers, checks them against
     each other with the checks ``TeacherBundle.validate`` uses before any
     payload is allocated, and reads H&E into ``he``. ``reduce`` reads
-    nuclei, then each logit file through one buffer of at most
-    ``_CHUNK_BYTES``, where every chunk is hashed, checked finite and
-    reduced; it returns the ``FusionInputs`` and fills ``digests`` (the
-    SHA-256 of the manifest and of each part, keyed by path as ``str``).
+    nuclei, keeping their nonzero pixels, then the cell logits through one
+    buffer of at most ``_CHUNK_BYTES``, where every chunk is hashed, checked
+    finite and reduced. It returns the ``FusionInputs`` and fills
+    ``digests`` (the SHA-256 of the manifest and of each part, keyed by path
+    as ``str``).
+
+    The tissue logits are read twice. The tissue contest needs the three
+    planes at the same pixels, and in the file they lie one after another,
+    so ``reduce`` reads aligned blocks of all three by positioned reads on
+    a duplicate of the file's descriptor and checks each finite; no plane
+    is held. Meanwhile a thread reads the file once more in file order
+    through ``_chunks``, for the SHA-256 and the size and trailing-byte
+    checks; that read mostly comes from the page cache.
+
     It is an ``ExitStack`` holding the part files open: leaving its ``with``
     block, or ``close()``, closes them.
     """
@@ -538,15 +588,22 @@ class BundleReader(ExitStack):
 
     def reduce(self):
         """Read nuclei and the logit files: the bundle's ``FusionInputs``."""
+        from concurrent.futures import ThreadPoolExecutor  # deferred: only reduce starts a thread
+
         from .aggregate import fusion_inputs
 
-        inputs = fusion_inputs(
-            self.he,
-            _read_instances(self._parts["nuclei"], self._types),
-            _class_blocks(self._parts["tissue_logits"], self._class_ids["tissue_logits"]),
-            _class_blocks(self._parts["cell_logits"], self._class_ids["cell_logits"]),
-            self.candidates,
-        )
+        tissue = self._parts["tissue_logits"]
+        positioned = self.enter_context(open(os.dup(tissue[0].fileno()), "rb", buffering=0))
+        with ThreadPoolExecutor(max_workers=1) as pool:  # leaving waits for the drain
+            drain = pool.submit(_drain, tissue)
+            inputs = fusion_inputs(
+                self.he,
+                _read_instances(self._parts["nuclei"], self._types),
+                _aligned_blocks(positioned.fileno(), tissue, self._class_ids["tissue_logits"]),
+                _class_blocks(self._parts["cell_logits"], self._class_ids["cell_logits"]),
+                self.candidates,
+            )
+        drain.result()  # raises what the drain's checks found
         self.digests.update(_digests(self._parts.values()))
         return inputs
 

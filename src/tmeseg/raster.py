@@ -93,11 +93,13 @@ class InstanceMap:
     """Labelled instances of a frame of ``shape``: their pixels, grouped by
     id, and one attribute record per id.
 
-    Both constructors compute the groups and ``attrs`` once:
-    ``InstanceMap(ids)`` scans an int32 id raster, and ``regions`` takes
-    the region pixels themselves. ``pixel_groups`` returns the stored
-    arrays and ``validate`` checks ``attrs`` against them. ``ids`` is the
-    id raster, read-only: the one scanned, or the groups painted on first use.
+    Every constructor computes the groups and ``attrs`` once. The core,
+    ``from_pixels``, takes the ascending flat ``index`` of the nonzero
+    pixels and their ids; ``InstanceMap(ids)`` scans an int32 id raster for
+    them, and ``regions`` numbers region pixels given in any order.
+    ``pixel_groups`` returns the stored arrays and ``validate`` checks
+    ``attrs`` against them. ``ids`` is the id raster, read-only: the one
+    scanned, or the groups painted on first use.
     """
 
     def __init__(self, ids: np.ndarray, teacher_types: Optional[dict[int, Optional[int]]] = None):
@@ -110,15 +112,27 @@ class InstanceMap:
             [np.zeros(0, dtype=np.intp)]
             + [np.flatnonzero(flat[i : i + _BLOCK] != 0) + i for i in range(0, flat.size, _BLOCK)]
         )
-        rows, cols = np.divmod(index, ids.shape[1])
-        gids, slot = _group_ids(flat[index])
-        self._keep(ids.shape, (rows, cols, slot, gids), teacher_types)
+        self._keep_pixels(ids.shape, index, flat[index], teacher_types)
         self.ids = _read_only(ids.view())
 
     @classmethod
     def from_ids(cls, ids: np.ndarray, teacher_types: Optional[dict] = None) -> "InstanceMap":
         """``InstanceMap(ids, teacher_types)``."""
         return cls(ids, teacher_types)
+
+    @classmethod
+    def from_pixels(
+        cls,
+        shape: tuple[int, int],
+        index: np.ndarray,
+        ids: np.ndarray,
+        teacher_types: Optional[dict[int, Optional[int]]] = None,
+    ) -> "InstanceMap":
+        """The instances of a frame of ``shape`` whose nonzero pixels lie at
+        the ascending flat ``index`` with ``ids``; no raster is built."""
+        imap = cls.__new__(cls)
+        imap._keep_pixels(shape, index, ids, teacher_types)
+        return imap
 
     @classmethod
     def regions(
@@ -141,6 +155,14 @@ class InstanceMap:
         imap = cls.__new__(cls)
         imap._keep(shape, (rows[order], cols[order], rank[slot], np.arange(1, n + 1)))
         return imap
+
+    def _keep_pixels(self, shape, index, ids, types: Optional[dict[int, Optional[int]]]) -> None:
+        """``from_pixels``: the groups of the pixels at ``index`` with ``ids``."""
+        index = np.asarray(index, dtype=np.intp)
+        rows, cols = np.divmod(index, shape[1])
+        gids, slot = _group_ids(np.asarray(ids))
+        self._keep(shape, (rows, cols, slot, gids), types)
+        self.index = _read_only(index.view())
 
     def _keep(self, shape, groups, types: Optional[dict[int, Optional[int]]] = None) -> None:
         """Store the groups, read-only, and their attribute records.
@@ -166,6 +188,12 @@ class InstanceMap:
         return sorted(self.attrs)
 
     @cached_property
+    def index(self) -> np.ndarray:
+        """The flat index of the instance pixels, ascending, read-only."""
+        rows, cols, _, _ = self._groups
+        return _read_only(rows * self.shape[1] + cols)
+
+    @cached_property
     def ids(self) -> np.ndarray:
         """The groups painted into a full-frame int32 id raster."""
         rows, cols, slot, gids = self._groups
@@ -174,7 +202,8 @@ class InstanceMap:
         return _read_only(ids)
 
     def pixel_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The instance pixels in raster order, grouped by id.
+        """The instance pixels in raster order (``index`` is their flat
+        index), grouped by id.
 
         Returns ``(rows, cols, slot, gids)``: ``gids`` holds the ids present,
         ascending, and ``gids[slot]`` is each pixel's id. Per-instance
@@ -277,13 +306,17 @@ def grayscale(img: np.ndarray) -> np.ndarray:
 
 def otsu_threshold(gray: np.ndarray) -> int:
     """Threshold maximizing between-class variance over the 256-bin
-    histogram, ``_otsu_rows`` of it: the split is ``{<= t}`` vs ``{> t}``."""
+    histogram, ``_otsu_rows`` of it: the split is ``{<= t}`` vs ``{> t}``.
+    The histogram is summed over ``_BLOCK``-pixel blocks, since ``bincount``
+    widens its input to intp."""
     gray = np.asarray(gray)
     if gray.size == 0:
         raise ValueError("raster is empty")
     if gray.dtype != np.uint8:
         raise ValueError("otsu_threshold expects 8-bit values")
-    return int(_otsu_rows(np.bincount(gray.ravel(), minlength=256)[None])[0])
+    flat = gray.ravel()
+    hist = sum(np.bincount(flat[i : i + _BLOCK], minlength=256) for i in range(0, flat.size, _BLOCK))
+    return int(_otsu_rows(hist[None])[0])
 
 
 def _otsu_rows(hist: np.ndarray) -> np.ndarray:

@@ -1,8 +1,12 @@
 """Every imported name is used by the module that imports it, every
 private top-level name of the package is read somewhere in the package,
-and scipy is imported only inside the functions that call it."""
+scipy is imported only inside the functions that call it, and start-up
+loads only what it needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -126,3 +130,36 @@ def test_scipy_is_imported_only_by_the_blur():
         for func, _ in _scipy_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == [("raster.py", "gaussian_smooth")]
+
+
+def _loaded_by(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``statement``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{statement}\nprint(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_the_container_import_loads_only_its_dependencies():
+    # every command and the benchmark's set-up start with it
+    loaded = _loaded_by("import tmeseg.container")
+    assert {m for m in loaded if m.split(".")[0] == "tmeseg"} == {
+        "tmeseg", "tmeseg.config", "tmeseg.container", "tmeseg.data", "tmeseg.raster",
+        "tmeseg.taxonomy",
+    }
+
+
+@pytest.mark.parametrize("module", ["tmeseg.container", "tmeseg.cli"])
+def test_start_up_loads_no_scipy_thread_pool_or_tiling(module):
+    loaded = _loaded_by(f"import {module}")
+    heavy = {
+        m
+        for m in loaded
+        if m.split(".")[0] == "scipy"
+        or m.startswith(("concurrent.futures", "tmeseg.tiling"))
+    }
+    assert heavy == set()

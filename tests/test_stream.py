@@ -1,5 +1,6 @@
 """The streamed bundle reader: equal to the in-memory path, hashes every
-byte, fails from the headers, and never holds a logit stack."""
+byte, fails from the headers or on the first bad block, closes what it
+opened, and never holds a logit plane or an id raster."""
 
 import hashlib
 import itertools
@@ -21,6 +22,8 @@ from tmeseg.container import (
     BundleReader,
     ContainerError,
     PayloadValueError,
+    StackContainer,
+    StudentReader,
     TruncatedPayloadError,
     container_from_logits,
     load_bundle,
@@ -30,6 +33,7 @@ from tmeseg.container import (
 from tmeseg.raster import LogitStack
 from tmeseg.reference import reference_aggregate
 from tmeseg.synth import build_bundle, random_scene, throughput_bundle
+from tmeseg.taxonomy import VOCABULARY
 from tmeseg.tiling import TilePlan, tiled_aggregate
 
 PARTS = ("he", "tissue_logits", "cell_logits", "nuclei")
@@ -141,8 +145,8 @@ def _traced_peak(fn):
 
 def test_streamed_read_holds_no_logit_stack(slide):
     manifest, payload = slide
-    # H&E, nuclei, one tissue plane and small reductions: ~0.26x here;
-    # load_bundle holds the whole payload, ~1.0x
+    # H&E, the nuclei's pixels, read buffers and small reductions: ~0.12x
+    # here; load_bundle holds the whole payload, ~1.0x
     assert _traced_peak(lambda: _stream(manifest)) <= 0.4 * payload
 
 
@@ -174,8 +178,20 @@ def test_cli_aggregate_peak_rss_below_the_logit_files(slide, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
-    # the stacks alone are 208 MiB; a streamed run peaks near 130 MB
+    # the stacks alone are 208 MiB; a streamed run peaks near 105 MB
     assert int(proc.stdout) * 1024 < logit_bytes  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.parametrize("threshold", [200, None], ids=["pinned", "otsu"])
+def test_tiled_aggregate_on_a_reader_peaks_below_12_bytes_per_pixel(slide, threshold):
+    manifest, _ = slide
+    cfg = RunConfig(background_threshold=threshold)
+    with BundleReader(manifest) as reader:  # H&E is read on opening
+        frame = reader.he.shape[0] * reader.he.shape[1]
+        peak = _traced_peak(lambda: tiled_aggregate(reader, cfg, workers=2))
+    # no id raster, no held tissue plane or mask, glass written in place:
+    # about 8 bytes per pixel here, 14-18 with them
+    assert peak <= 12 * frame
 
 
 def _narrow_cells(bundle, out_dir):
@@ -211,9 +227,16 @@ def test_parts_that_disagree_fail_from_the_headers(tmp_path, capsys, break_part,
         assert _traced_peak(read) < 1 << 20
 
 
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
 
 @pytest.mark.parametrize("part", ["tissue_logits", "cell_logits"])
-@pytest.mark.parametrize("where,value", [(0, np.nan), (-1, np.inf)], ids=["first-nan", "last-inf"])
+@pytest.mark.parametrize(
+    "where,value",
+    [(0, np.nan), (-1, np.inf), (-1, np.nan)],
+    ids=["first-nan", "last-inf", "last-nan"],
+)
 def test_every_logit_value_is_checked_finite(tmp_path, monkeypatch, capsys, part, where, value):
     monkeypatch.setattr(tmeseg.container, "_CHUNK_BYTES", 4 * 500)
     bundle = build_bundle(random_scene(3, max_nuclei=5))
@@ -222,9 +245,11 @@ def test_every_logit_value_is_checked_finite(tmp_path, monkeypatch, capsys, part
     planes = stack.planes.copy()
     planes.reshape(-1)[where] = value
     _rewrite(bundle, tmp_path, part, LogitStack(stack.class_ids, planes))
+    before = _open_fds()
     for read in (_stream, load_bundle):
         with pytest.raises(PayloadValueError, match="NaN or Inf"):
             read(manifest)
+        assert _open_fds() == before
     assert cli(["aggregate", "--bundle", str(manifest), "--out", str(tmp_path / "o.tmef")]) == 2
     assert part in capsys.readouterr().err
 
@@ -251,3 +276,36 @@ def test_file_growing_after_fstat_is_rejected(tmp_path, monkeypatch, read):
     }
     with pytest.raises(TruncatedPayloadError, match="changed while reading"):
         readers[read]()
+
+
+def test_a_large_nucleus_id_in_a_later_chunk_is_rejected(tmp_path, monkeypatch):
+    monkeypatch.setattr(tmeseg.container, "_CHUNK_BYTES", 4 * 500)  # 500 ids a chunk
+    bundle = build_bundle(random_scene(5, max_nuclei=5))
+    manifest = save_bundle(bundle, tmp_path)
+    ids = bundle.nuclei.ids.astype(np.uint32)
+    ids[-1, -1] = 2**31
+    save_stack(StackContainer(("instance_ids",), ids[None], "u32"), tmp_path / "nuclei.tmef")
+    planes = np.zeros((len(VOCABULARY.ids), bundle.height, bundle.width), np.float32)
+    student = tmp_path / "student.tmef"
+    save_stack(container_from_logits(LogitStack(VOCABULARY.ids, planes)), student)
+    before = _open_fds()
+    with pytest.raises(PayloadValueError, match="below 2"):
+        _stream(manifest)
+    assert _open_fds() == before
+    with pytest.raises(PayloadValueError, match="below 2"):
+        with StudentReader(student, tmp_path / "nuclei.tmef") as reader:
+            reader.nuclei()
+    assert _open_fds() == before
+
+
+@pytest.mark.parametrize("change", [4, -4], ids=["grown", "shrunk"])
+def test_a_tissue_file_resized_after_opening_is_rejected(tmp_path, monkeypatch, change):
+    monkeypatch.setattr(tmeseg.container, "_CHUNK_BYTES", 4 * 500)
+    manifest = save_bundle(build_bundle(random_scene(7, max_nuclei=5)), tmp_path)
+    tissue = tmp_path / "tissue_logits.tmef"
+    before = _open_fds()
+    with pytest.raises(TruncatedPayloadError, match="changed while reading"):
+        with BundleReader(manifest) as reader:
+            os.truncate(tissue, os.path.getsize(tissue) + change)
+            reader.reduce()
+    assert _open_fds() == before
