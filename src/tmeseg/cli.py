@@ -251,11 +251,10 @@ def _cmd_evaluate(args) -> int:
     if all(instance_flags):
         nuclei = instances_from_container(_load(args.nuclei, digests))
         # nuclei marked null carry no ground-truth class; they sit out
-        unlabeled = [g for g in nuclei.instance_ids if g not in gt_classes]
-        if unlabeled:
-            ids = nuclei.ids.copy()
-            ids[np.isin(ids, unlabeled)] = 0
-            nuclei = InstanceMap.from_ids(ids)
+        _, _, slot, gids = nuclei.pixel_groups()
+        kept = np.isin(gids, list(gt_classes))[slot]
+        if not kept.all():
+            nuclei = InstanceMap.from_pixels(nuclei.shape, nuclei.index[kept], gids[slot][kept])
         instance = evaluate_instances(nuclei, gt_classes, pred, cmap)
         report["instance"] = instance
         rows = [

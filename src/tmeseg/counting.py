@@ -54,10 +54,12 @@ def class_pixel_area(mask: np.ndarray, class_id: int) -> int:
 def count_record(
     mask: np.ndarray, class_id: int, mean_area: Optional[float] = None
 ) -> CountRecord:
+    """Pixel area and component count from one labelling of the class."""
+    attrs = connected_components(np.asarray(mask) == class_id).attrs
     return CountRecord(
         class_id=class_id,
-        pixel_area=class_pixel_area(mask, class_id),
-        component_count=count_by_components(mask, class_id),
+        pixel_area=sum(a.pixel_count for a in attrs.values()),
+        component_count=len(attrs),
         mean_area_per_cell=mean_area,
     )
 

@@ -93,13 +93,12 @@ class InstanceMap:
     """Labelled instances of a frame of ``shape``: their pixels, grouped by
     id, and one attribute record per id.
 
-    Every constructor computes the groups and ``attrs`` once. The core,
-    ``from_pixels``, takes the ascending flat ``index`` of the nonzero
-    pixels and their ids; ``InstanceMap(ids)`` scans an int32 id raster for
-    them, and ``regions`` numbers region pixels given in any order.
-    ``pixel_groups`` returns the stored arrays and ``validate`` checks
-    ``attrs`` against them. ``ids`` is the id raster, read-only: the one
-    scanned, or the groups painted on first use.
+    Every map is built by one core, ``from_pixels``, from the ascending flat
+    ``index`` of the nonzero pixels and their ids: ``InstanceMap(ids)``
+    scans an int32 id raster for them, and the labellings pass their runs'
+    pixels. ``pixel_groups`` returns the stored arrays and ``validate``
+    checks ``attrs`` against them. ``ids`` is the id raster, read-only: the
+    one scanned, or the groups painted on first use.
     """
 
     def __init__(self, ids: np.ndarray, teacher_types: Optional[dict[int, Optional[int]]] = None):
@@ -134,45 +133,18 @@ class InstanceMap:
         imap._keep_pixels(shape, index, ids, teacher_types)
         return imap
 
-    @classmethod
-    def regions(
-        cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, labels: np.ndarray
-    ) -> "InstanceMap":
-        """The regions of a frame of ``shape`` given as their pixels
-        ``(rows, cols)``, in any order, and a label per pixel, in any
-        numbering: the pixels are put in raster order and the regions
-        numbered ``1..n`` by their first pixel in raster order. This is the
-        one place that numbering is made.
-        """
-        shape = (int(shape[0]), int(shape[1]))
-        order = np.argsort(rows * shape[1] + cols, kind="stable")
-        gids, slot = _group_ids(labels[order])
-        n = gids.size
-        # reversed so that each label's earliest pixel is written last
-        first = np.empty(n, dtype=np.intp)
-        first[slot[::-1]] = np.arange(slot.size - 1, -1, -1)
-        rank = np.argsort(np.argsort(first))
-        imap = cls.__new__(cls)
-        imap._keep(shape, (rows[order], cols[order], rank[slot], np.arange(1, n + 1)))
-        return imap
-
     def _keep_pixels(self, shape, index, ids, types: Optional[dict[int, Optional[int]]]) -> None:
-        """``from_pixels``: the groups of the pixels at ``index`` with ``ids``."""
-        index = np.asarray(index, dtype=np.intp)
-        rows, cols = np.divmod(index, shape[1])
-        gids, slot = _group_ids(np.asarray(ids))
-        self._keep(shape, (rows, cols, slot, gids), types)
-        self.index = _read_only(index.view())
-
-    def _keep(self, shape, groups, types: Optional[dict[int, Optional[int]]] = None) -> None:
-        """Store the groups, read-only, and their attribute records.
+        """Store ``index``, the groups of its pixels and their attribute records.
 
         Centroids are float64 sums of integer coordinates over the count, so
         they are exact below 2**53 pixels and independent of the pixel order.
         """
-        self.shape = shape
-        self._groups = tuple(_read_only(a) for a in groups)
-        rows, cols, slot, gids = groups
+        self.shape = (int(shape[0]), int(shape[1]))
+        index = np.asarray(index, dtype=np.intp)
+        rows, cols = np.divmod(index, self.shape[1])
+        gids, slot = _group_ids(np.asarray(ids))
+        self.index = _read_only(index.view())
+        self._groups = tuple(_read_only(a) for a in (rows, cols, slot, gids))
         counts = np.bincount(slot)
         centroids = zip(
             np.bincount(slot, weights=rows) / counts, np.bincount(slot, weights=cols) / counts
@@ -186,12 +158,6 @@ class InstanceMap:
     @property
     def instance_ids(self) -> list[int]:
         return sorted(self.attrs)
-
-    @cached_property
-    def index(self) -> np.ndarray:
-        """The flat index of the instance pixels, ascending, read-only."""
-        rows, cols, _, _ = self._groups
-        return _read_only(rows * self.shape[1] + cols)
 
     @cached_property
     def ids(self) -> np.ndarray:
@@ -376,8 +342,8 @@ def _run_labels(
     shape: tuple[int, int], row: np.ndarray, start: np.ndarray, stop: np.ndarray
 ) -> np.ndarray:
     """Each run's 8-connected component, for maximal runs in raster order:
-    the index of the component's first run, so labels ascend with each
-    component's first pixel.
+    ``1..n``, numbered by each component's first run and so by its first
+    pixel. This is the one place regions are numbered.
 
     Run-based labelling (He, Chao and Suzuki, 2008): runs on adjacent rows
     touch when ``start_a <= stop_b`` and ``start_b <= stop_a``, so a run's
@@ -398,7 +364,8 @@ def _run_labels(
         np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
         while not np.array_equal(label[label], label):
             label = label[label]
-    return label
+    # each root is its component's first run: number the roots 1..n in run order
+    return np.cumsum(label == np.arange(row.size))[label]
 
 
 def _run_pixels(row: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -412,9 +379,11 @@ def _run_pixels(row: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple[n
 def _label_runs(
     shape: tuple[int, int], row: np.ndarray, start: np.ndarray, stop: np.ndarray
 ) -> InstanceMap:
-    """``_run_labels``' components, the runs expanded into their pixels."""
+    """``_run_labels``' components; runs in raster order give an ascending flat index."""
+    offset = row * shape[1]
+    _, index = _run_pixels(row, offset + start, offset + stop)
     label = np.repeat(_run_labels(shape, row, start, stop), stop - start)
-    return InstanceMap.regions(shape, *_run_pixels(row, start, stop), label)
+    return InstanceMap.from_pixels(shape, index, label)
 
 
 def connected_components(mask: np.ndarray) -> InstanceMap:
@@ -471,7 +440,8 @@ def blob_hulls(
     the lower convex envelope of ``a`` and its right edge the upper one of
     ``b``. The columns from the integer ceiling of the one to the floor of
     the other (``_ceil_envelope``) are exactly the row's pixel centres
-    inside or on the polygon, for points and segments too.
+    inside or on the polygon, for points and segments too. Runs are only
+    sorted and grouped by ``_run_labels``' labels, whatever their numbering.
     """
     mask = as_bitmask(mask)
     row, start, stop = _runs(mask)
@@ -543,10 +513,11 @@ def distance_band(region: np.ndarray, radius_um: float, mpp: float) -> np.ndarra
     region's run ``[start, stop)`` is within ``r`` of it exactly when its
     column is in ``[start - k, stop - 1 + k]``, ``k = isqrt(c - dy**2)``: the
     test ``sqrt(d2) <= r`` in float64, bit for bit. The band is the union of
-    these intervals less the region. They are summed as +1/-1 edges into a
-    buffer of about ``_BLOCK`` counts, one strip of rows at a time, and the
-    cumulative sum along each row is the coverage; the peak memory depends
-    on the width, not the height.
+    these intervals less the region; runs of a row at most ``2k`` apart
+    join theirs, so only the ends of joined intervals are summed as +1/-1
+    edges, into a buffer of about ``_BLOCK`` counts, one strip of rows at a
+    time. The cumulative sum along each row is the coverage; the peak
+    memory depends on the width, not the height.
     """
     region = as_bitmask(region)
     if not (math.isfinite(radius_um) and radius_um > 0):
@@ -565,6 +536,9 @@ def distance_band(region: np.ndarray, radius_um: float, mpp: float) -> np.ndarra
     span = w + 2 * pad + 1
     k = [min(math.isqrt(ceiling - dy * dy), w) for dy in range(reach + 1)]
     first = np.searchsorted(row, np.arange(h + 1))  # the runs of rows y.. start at first[y]
+    # gap[i]: the columns between runs i - 1 and i on one row; above every 2k across rows
+    apart = np.where(row[1:] == row[:-1], start[1:] - stop[:-1], 2 * w + 1)
+    gap = np.pad(apart, 1, constant_values=2 * w + 1)
     lo, hi = row * span + start + pad, row * span + stop + pad
     step = max(_BLOCK // span, 1)
     edges = np.empty(step * span, dtype=np.int32)
@@ -576,8 +550,9 @@ def distance_band(region: np.ndarray, radius_um: float, mpp: float) -> np.ndarra
             a, b = first[max(y0 - dy, 0)], first[min(y1 - dy, h)]
             if a < b:
                 # the starts of one dy are distinct, and so are the stops
-                buf[lo[a:b] + ((dy - y0) * span - k[abs(dy)])] += 1
-                buf[hi[a:b] + ((dy - y0) * span + k[abs(dy)])] -= 1
+                cut = gap[a : b + 1] > 2 * k[abs(dy)]
+                buf[lo[a:b][cut[:-1]] + ((dy - y0) * span - k[abs(dy)])] += 1
+                buf[hi[a:b][cut[1:]] + ((dy - y0) * span + k[abs(dy)])] -= 1
         np.cumsum(buf, out=buf)  # each row's edges sum to 0
         cover = buf.reshape(y1 - y0, span)[:, pad : pad + w]
         np.greater(cover, 0, out=band[y0:y1])

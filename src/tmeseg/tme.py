@@ -151,23 +151,14 @@ def _rank_data(pooled: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     return two_rank, (ends - starts).astype(np.int64)
 
 
-def _exact_two_sided_p(a: Sequence[float], b: Sequence[float], two_u: int) -> float:
-    """Exact two-sided p over all assignments, ties included.
+def _exact_two_sided_p(n1: int, n2: int, groups: list[int], two_u: int) -> float:
+    """Exact two-sided p over all assignments of ``n1`` and ``n2`` items,
+    ties included; ``groups`` are ``_rank_data``'s tie counts, by value.
 
     Dynamic program over distinct pooled values tracking (items assigned
     to the first sample, doubled U); weights are binomial counts, so the
     distribution is exact for any tie pattern.
     """
-    n1, n2 = len(a), len(b)
-    pooled = sorted(list(a) + list(b))
-    groups: list[int] = []
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j < len(pooled) and pooled[j] == pooled[i]:
-            j += 1
-        groups.append(j - i)
-        i = j
     # dp[(k, u2)] = number of assignments of k items to sample 1 so far
     dp: dict[tuple[int, int], int] = {(0, 0): 1}
     below = 0  # pooled items in earlier groups
@@ -213,7 +204,7 @@ def mann_whitney_u(
     u = two_u / 2.0
 
     if min(n1, n2) <= exact_max_n:
-        p = _exact_two_sided_p(list(a), list(b), two_u)
+        p = _exact_two_sided_p(n1, n2, tie_counts.tolist(), two_u)
     else:
         n = n1 + n2
         tie_term = int(((tie_counts**3) - tie_counts).sum())

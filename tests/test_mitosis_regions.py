@@ -324,12 +324,13 @@ def test_check_invariants_catches_nucleus_under_a_region_without_mitotic_class()
     res.check_invariants()
     gid = next(g for g, c in res.classes.items() if c != MITOTIC_CELL)
     r, c = np.argwhere(res.instances.ids == gid)[0]
-    rows, cols, slot, gids = res.mitosis.pixel_groups()
-    res.mitosis = InstanceMap.regions(
+    _, _, slot, gids = res.mitosis.pixel_groups()
+    flat = r * res.mitosis.shape[1] + c
+    at = np.searchsorted(res.mitosis.index, flat)
+    res.mitosis = InstanceMap.from_pixels(
         res.mitosis.shape,
-        np.append(rows, r),
-        np.append(cols, c),
-        np.append(gids[slot], gids.size + 1),  # one more region, one pixel
+        np.insert(res.mitosis.index, at, flat),
+        np.insert(gids[slot], at, gids.size + 1),  # one more region, one pixel
     )
     assert len(res.mitosis.attrs) == gids.size + 1
     with pytest.raises(AssertionError, match=f"nucleus {gid}: mitosis supersedence"):

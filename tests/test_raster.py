@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+import tmeseg.cli
 import tmeseg.raster
 from oracles import (
     brute_distance_band,
@@ -15,7 +18,16 @@ from oracles import (
     union_find_components,
 )
 from test_stream import _traced_peak
+from tmeseg.aggregate import aggregate
+from tmeseg.cli import cli
 from tmeseg.config import MITOSIS_MIN_AREA_PX
+from tmeseg.container import (
+    BundleReader,
+    container_from_instances,
+    container_from_labels,
+    save_bundle,
+    save_stack,
+)
 from tmeseg.raster import (
     _BLOCK,
     InstanceAttrs,
@@ -33,6 +45,7 @@ from tmeseg.raster import (
 )
 from tmeseg.reference import _blur, _gray_rows
 from tmeseg.synth import build_bundle, random_scene
+from tmeseg.taxonomy import VOCABULARY
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +189,6 @@ def test_components_id_order_is_raster_scan():
     comp = connected_components(mask)
     assert comp.ids[0, 6] == 1
     assert comp.ids[4, 0] == 2
-
-
-def test_region_list_takes_pixels_in_any_order_and_labels_in_any_numbering():
-    rng = np.random.default_rng(7)
-    mask = rng.random((24, 31)) < 0.42
-    want = connected_components(mask)
-    rows, cols, slot, _ = want.pixel_groups()
-    names = rng.permutation(len(want.attrs)) * 7919 + 10**12  # sparse, far above the pixel count
-    shuffle = rng.permutation(rows.size)
-    got = InstanceMap.regions(mask.shape, rows[shuffle], cols[shuffle], names[slot][shuffle])
-    assert got.attrs == want.attrs
-    for a, b in zip(got.pixel_groups(), want.pixel_groups()):
-        assert np.array_equal(a, b)
 
 
 def test_diagonal_touch_depends_on_connectivity():
@@ -393,6 +393,18 @@ def test_distance_band_matches_brute_force():
         for radius_px in (1.0, 2.5, 4.0):
             got = distance_band(region, radius_px * 0.25, 0.25)
             assert np.array_equal(got, brute_distance_band(region, radius_px))
+    # fragmented rows: runs of 1-3 pixels with every gap from 1 to 10 columns
+    # between neighbours, so gaps fall below, at and above 2k for each dy
+    region = np.zeros((24, 96), dtype=bool)
+    for y in (6, 7, 12, 17):
+        x = 3
+        for gap in rng.permutation(np.arange(1, 11)).tolist():
+            length = int(rng.integers(1, 4))
+            region[y, x : x + length] = True
+            x += length + gap
+    for radius_px in (1.0, 1.5, 2.5, 3.0, 4.0, 4.5):
+        got = distance_band(region, radius_px * 0.25, 0.25)
+        assert np.array_equal(got, brute_distance_band(region, radius_px)), radius_px
 
 
 @pytest.mark.parametrize(
@@ -625,8 +637,8 @@ def test_ids_are_read_only():
     ids = np.zeros((4, 4), dtype=np.int32)
     ids[1, 1:3] = 5
     scanned = InstanceMap(ids)
-    painted = InstanceMap.regions((4, 4), np.array([2, 1]), np.array([0, 3]), np.array([9, 4]))
-    assert painted.ids.tolist() == [[0, 0, 0, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 0, 0, 0]]
+    painted = InstanceMap.from_pixels((4, 4), np.array([7, 8]), np.array([4, 9]))
+    assert painted.ids.tolist() == [[0, 0, 0, 0], [0, 0, 0, 4], [9, 0, 0, 0], [0, 0, 0, 0]]
     for imap in (scanned, painted):
         with pytest.raises(ValueError, match="read-only"):
             imap.ids[0, 0] = 1
@@ -634,6 +646,57 @@ def test_ids_are_read_only():
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
     assert ids.flags.writeable  # the caller's array is left as it was
+
+
+def _evaluated_nuclei(tmp_path, monkeypatch, nuclei: InstanceMap) -> InstanceMap:
+    """The nuclei ``tmeseg evaluate`` scores when every other one is null in
+    ``--gt-classes``."""
+    paths = {name: tmp_path / f"{name}.tmef" for name in ("nuclei", "gt", "pred")}
+    save_stack(container_from_instances(nuclei), paths["nuclei"])
+    for name in ("gt", "pred"):
+        save_stack(container_from_labels(np.zeros(nuclei.shape, np.uint8)), paths[name])
+    lymphocyte = VOCABULARY.resolve("lymphocyte")
+    classes = {str(g): lymphocyte if i % 2 else None for i, g in enumerate(nuclei.instance_ids)}
+    (tmp_path / "classes.json").write_text(json.dumps({"classes": classes}))
+    (tmp_path / "map.json").write_text(
+        json.dumps({"eval_classes": ["lymphocyte"], "map": {"lymphocyte": "lymphocyte"}})
+    )
+    seen = []
+    evaluate = tmeseg.cli.evaluate_instances
+    monkeypatch.setattr(
+        tmeseg.cli, "evaluate_instances", lambda n, *rest: seen.append(n) or evaluate(n, *rest)
+    )
+    argv = ["evaluate", "--gt", str(paths["gt"]), "--pred", str(paths["pred"]),
+            "--nuclei", str(paths["nuclei"]), "--gt-classes", str(tmp_path / "classes.json"),
+            "--map", str(tmp_path / "map.json"), "--out", str(tmp_path / "report.json")]
+    assert cli(argv) == 0
+    assert seen[0].instance_ids == nuclei.instance_ids[1::2]
+    return seen[0]
+
+
+def test_every_source_of_a_map_stores_its_ascending_pixel_index(tmp_path, monkeypatch):
+    bundle = build_bundle(random_scene(6))
+    with BundleReader(save_bundle(bundle, tmp_path)) as reader:
+        streamed = reader.reduce().nuclei
+    rng = np.random.default_rng(9)
+    row = rng.integers(0, 24, size=40)
+    start = rng.integers(0, 28, size=40)
+    sources = {
+        "raster scan": InstanceMap(bundle.nuclei.ids),
+        "BundleReader": streamed,
+        "connected_components": connected_components(rng.random((24, 31)) < 0.42),
+        "label_pieces": label_pieces((24, 31), row, start, start + rng.integers(1, 4, size=40)),
+        "detect_mitosis": aggregate(bundle).mitosis,
+        "evaluate": _evaluated_nuclei(tmp_path, monkeypatch, bundle.nuclei),
+    }
+    for name, imap in sources.items():
+        rows, cols, _, _ = imap.pixel_groups()
+        assert rows.size, name
+        assert np.array_equal(imap.index, rows * imap.shape[1] + cols), name
+        assert (np.diff(imap.index) > 0).all(), name
+        assert not imap.index.flags.writeable, name
+        assert all(type(n) is int for n in imap.shape), name
+        imap.validate()
 
 
 def test_reducing_a_bundle_never_rescans_its_nuclei(monkeypatch):
