@@ -22,6 +22,7 @@ from . import __version__
 from .config import DEFAULT_MPP, RunConfig, config_from_json
 from .container import (
     BundleReader,
+    ContainerError,
     StudentReader,
     container_from_labels,
     labels_from_container,
@@ -58,10 +59,14 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _load(path: str, digests: dict[str, str]):
-    """Load a TMEF1 file; its SHA-256, from the same read, goes into ``digests``."""
+def _load(path: str, digests: dict[str, str], adapt: Callable):
+    """``adapt`` of a TMEF1 file, whose SHA-256, from the same read, goes
+    into ``digests``. A container of the wrong kind raises naming the file."""
     container, digests[str(Path(path))] = load_hashed(path)
-    return container
+    try:
+        return adapt(container)
+    except ContainerError as exc:
+        raise ContainerError(f"{path}: {exc}") from None
 
 
 def _read_json(path: str, parse: Callable, digests: dict[str, str]):
@@ -238,8 +243,8 @@ def _cmd_evaluate(args) -> int:
     if all(instance_flags):  # the JSON sidecars first: a malformed one prints nothing
         cmap = _read_json(args.map, class_map_from_json, digests)
         gt_classes = _read_json(args.gt_classes, _gt_classes, digests)
-    gt = labels_from_container(_load(args.gt, digests))
-    pred = labels_from_container(_load(args.pred, digests))
+    gt = _load(args.gt, digests, labels_from_container)
+    pred = _load(args.pred, digests, labels_from_container)
 
     semantic = evaluate_semantic(gt, pred, VOCABULARY.ids)
     report = {"schema_version": SCHEMA_VERSION, "semantic": semantic}
@@ -249,7 +254,7 @@ def _cmd_evaluate(args) -> int:
     tables = [format_table(["class", "dice", "iou"], rows)]
 
     if all(instance_flags):
-        nuclei = instances_from_container(_load(args.nuclei, digests))
+        nuclei = _load(args.nuclei, digests, instances_from_container)
         # nuclei marked null carry no ground-truth class; they sit out
         _, _, slot, gids = nuclei.pixel_groups()
         kept = np.isin(gids, list(gt_classes))[slot]
@@ -274,15 +279,15 @@ def _cmd_evaluate(args) -> int:
 def _cmd_count(args) -> int:
     config = _load_config(args)
     digests: dict[str, str] = {}
-    mask = labels_from_container(_load(args.mask, digests))
     names = (
         [n.strip() for n in args.classes.split(",") if n.strip()]
         if args.classes
         else list(NUCLEUS_CLASSES)
     )
+    cids = [VOCABULARY.resolve(name) for name in names]
+    mask = _load(args.mask, digests, labels_from_container)
     records = {}
-    for name in names:
-        cid = VOCABULARY.resolve(name)
+    for cid in cids:
         rec = count_record(mask, cid, args.mean_area)
         records[VOCABULARY.name_of(cid)] = {
             "class_id": cid,
@@ -306,9 +311,8 @@ def _cmd_tme(args) -> int:
 
     config = _load_config(args)
     digests: dict[str, str] = {}
-    container = _load(args.mask, digests)
-    mask = labels_from_container(container)
-    mpp = args.mpp if args.mpp is not None else container.mpp
+    mask, mask_mpp = _load(args.mask, digests, lambda c: (labels_from_container(c), c.mpp))
+    mpp = args.mpp if args.mpp is not None else mask_mpp
     metrics = slide_metrics(mask, DEFAULT_MPP if mpp is None else mpp)
     out = Path(args.out)
     _write_json(

@@ -430,18 +430,19 @@ def _parse_manifest(raw: bytes, manifest_path: Path) -> tuple[dict, dict[str, Pa
         doc = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ContainerError(f"{manifest_path}: unreadable bundle manifest: {exc}") from exc
+    where = f"{manifest_path}: bundle manifest"
     if not isinstance(doc, dict):
-        raise ContainerError("bundle manifest must be a JSON object")
+        raise ContainerError(f"{where} must be a JSON object")
     bad = [k for k in BUNDLE_PARTS if not isinstance(doc.get(k), str)]
     if bad:
-        raise ContainerError(f"bundle manifest needs file names for parts {bad}")
+        raise ContainerError(f"{where} needs file names for parts {bad}")
     candidates = doc.get("candidates", [])
     if not isinstance(candidates, list) or not all(
         isinstance(c, list) and len(c) == 3 and all(map(_is_number, c))
         for c in candidates
     ):
-        raise ContainerError("bundle manifest candidates must be [x, y, score] numbers")
-    check_scale(doc.get("mpp"), doc.get("halo"), "bundle manifest", ContainerError)
+        raise ContainerError(f"{where} candidates must be [x, y, score] numbers")
+    check_scale(doc.get("mpp"), doc.get("halo"), where, ContainerError)
     return doc, {k: manifest_path.parent / doc[k] for k in BUNDLE_PARTS}
 
 

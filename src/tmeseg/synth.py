@@ -1,9 +1,10 @@
 """Synthetic scene construction: deterministic teacher bundles for tests,
 benchmarks, and the command-line ``synth`` command.
 
-A scene is declarative: geometric primitives place tissue ink, teacher
-logits, nucleus instances, and mitosis candidates on a glass slide.
-``build_bundle`` renders it once; the pipeline and the per-pixel
+A scene is declarative: discs, ellipses and rectangles place tissue ink,
+teacher logits, nucleus instances, and mitosis candidates on a glass
+slide. ``build_bundle`` is the one renderer, of ``random_scene`` and of
+the benchmark's ``throughput_bundle`` alike; the pipeline and the per-pixel
 reference (``reference.reference_aggregate``) then consume the identical
 bundle, so the reference's result is its ground truth.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from .aggregate import CELL_CHANNELS, CELL_IDS, TISSUE_CHANNELS, TISSUE_IDS, TeacherBundle
 from .config import DEFAULT_MPP
 from .raster import InstanceMap, LogitStack
-from .taxonomy import FIBROBLAST, VOCABULARY
+from .taxonomy import VOCABULARY
 
 GLASS = 235
 TISSUE_INK = 170
@@ -66,7 +67,23 @@ class Ellipse:
         return gy[hit], gx[hit]
 
 
-Shape = Union[Disc, Ellipse]
+@dataclass(frozen=True)
+class Rect:
+    """Rows ``y0 .. y1 - 1`` by columns ``x0 .. x1 - 1``, clipped to the frame."""
+
+    y0: int
+    x0: int
+    y1: int
+    x1: int
+
+    def pixels(self, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """Broadcastable ``rows[:, None]`` and ``cols[None, :]``: no meshgrid."""
+        rows = np.arange(max(self.y0, 0), min(self.y1, h))
+        cols = np.arange(max(self.x0, 0), min(self.x1, w))
+        return rows[:, None], cols[None, :]
+
+
+Shape = Union[Disc, Ellipse, Rect]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +194,7 @@ def build_bundle(scene: SceneSpec) -> TeacherBundle:
     types: dict[int, Optional[int]] = {}
     for gid, spec in enumerate(scene.nuclei, start=1):
         rows, cols = spec.shape.pixels(h, w)
-        if rows.size == 0:
+        if np.broadcast(rows, cols).size == 0:
             raise ValueError(f"nucleus {gid} has no pixels inside the tile")
         if (ids[rows, cols] != 0).any():
             raise ValueError(f"nucleus {gid} overlaps an earlier nucleus")
@@ -359,90 +376,37 @@ def random_scene(
 
 
 def throughput_bundle(size: int = 4096, seed: int = 0) -> TeacherBundle:
-    """Large dense bundle for timing runs, built vectorized.
+    """Large dense square bundle for timing runs: a ``SceneSpec`` drawn by
+    ``build_bundle``.
 
-    Horizontal bands alternate epithelium / stroma / smooth muscle /
-    stroma; a grid of ~5000 classed nuclei (with some undefined ones
-    carrying fibroblast teacher types) and ~150 blob candidates fills
-    the interior.
+    Inside a 32 px glass border, every 2048 rows hold a 512-row epithelial
+    band and, 1024 rows lower, a 512-row smooth-muscle band, stroma between.
+    A 56 px grid of up to 5000 radius-3 nuclei (cycling the cell channels,
+    ~10% undefined with fibroblast teacher types) and up to 160 blob
+    candidates on the epithelial bands fill the interior.
     """
     rng = np.random.default_rng(seed)
     h = w = int(size)
-    border = 32
+    lo, hi = 32, h - 32  # the interior, on both axes
+    tissue = [TissuePatch(Rect(lo, lo, hi, hi))]
+    for y in range(0, h, 2048):
+        for y0, name, logit in ((y, "epithelial_tissue", 2.0), (y + 1024, "smooth_muscle", 1.5)):
+            tissue.append(TissuePatch(Rect(max(y0, lo), lo, min(y0 + 512, hi), hi), name, logit))
 
-    he = np.full((h, w, 3), GLASS, dtype=np.uint8)
-    interior = np.zeros((h, w), dtype=bool)
-    interior[border : h - border, border : w - border] = True
-    he[interior] = TISSUE_INK
-
-    yy = np.arange(h)[:, None]
-    band = (yy // 512) % 4  # 0 epi, 1 stroma, 2 smooth muscle, 3 stroma
-    epi_region = interior & (band == 0)
-    sm_region = interior & (band == 2)
-
-    def plane(region: np.ndarray, value: float) -> np.ndarray:
-        out = np.full((h, w), -2.0, dtype=np.float32)
-        out[region] = np.float32(value)
-        return out
-
-    tissue_planes = {
-        "smooth_muscle": plane(sm_region, 1.5),
-        "epithelial_tissue": plane(epi_region, 2.0),
-        "red_blood_cell": np.full((h, w), -2.0, dtype=np.float32),
-    }
-
-    # nucleus grid: radius-3 discs, then classes by id
-    spacing = 56
-    centers = np.arange(border + spacing // 2, h - border - 4, spacing)
-    cyv, cxv = np.meshgrid(centers, centers, indexing="ij")
-    cyv, cxv = cyv.ravel(), cxv.ravel()
-    keep = min(cyv.size, 5000)
-    cyv, cxv = cyv[:keep], cxv[:keep]
-    dy, dx = np.meshgrid(np.arange(-3, 4), np.arange(-3, 4), indexing="ij")
-    disc = (dy**2 + dx**2) <= 9
-    dy, dx = dy[disc], dx[disc]
-    flat = (cyv[:, None] + dy[None, :]) * w + (cxv[:, None] + dx[None, :])
-    gids = np.arange(1, keep + 1, dtype=np.int32)
-    ids = np.zeros(h * w, dtype=np.int32)
-    ids[flat] = np.broadcast_to(gids[:, None], flat.shape)
-    ids = ids.reshape(h, w)
-    he.reshape(-1, 3)[flat.ravel()] = NUCLEUS_INK
-
-    # class per nucleus: cycle the cell channels, ~10% undefined
-    slot = rng.integers(0, len(CELL_CHANNELS), size=keep)
-    undefined = rng.random(keep) < 0.10
-    cell_planes = {
-        name: np.full((h, w), -2.0, dtype=np.float32) for name in CELL_CHANNELS
-    }
-    lut = np.full(keep + 1, -1, dtype=np.int64)
-    lut[1:] = np.where(undefined, -1, slot)
-    owner = lut[ids]
-    for k, name in enumerate(CELL_CHANNELS):
-        cell_planes[name][owner == k] = 3.0
-    types = {int(g): FIBROBLAST for g, u in zip(gids, undefined) if u}
-
-    # blob candidates on the epithelial bands
-    step = 200
-    grid = np.arange(border + 64, w - border - 64, step)
-    cands = []
-    for cy in grid:
-        if band[cy, 0] != 0:
-            continue
-        for cx in grid:
-            cands.append((float(cx), float(cy), 0.9))
-    cands = cands[:160]
-    bdy, bdx = np.meshgrid(np.arange(-3, 4), np.arange(-3, 4), indexing="ij")
-    bdisc = (bdy**2 + bdx**2) <= 9
-    bdy, bdx = bdy[bdisc], bdx[bdisc]
-    for cx, cy, _ in cands:
-        he[int(cy) + bdy, int(cx) + bdx] = 20
-
-    return TeacherBundle(
-        he=he,
-        tissue_logits=LogitStack(
-            TISSUE_IDS, np.stack([tissue_planes[n] for n in TISSUE_CHANNELS])
-        ),
-        cell_logits=LogitStack(CELL_IDS, np.stack([cell_planes[n] for n in CELL_CHANNELS])),
-        nuclei=InstanceMap.from_ids(ids, types),
-        mitosis_candidates=tuple(cands),
+    centers = range(lo + 28, hi - 4, 56)
+    cells = [(cy, cx) for cy in centers for cx in centers][:5000]
+    slot = rng.integers(0, len(CELL_CHANNELS), len(cells)).tolist()
+    undefined = (rng.random(len(cells)) < 0.10).tolist()
+    nuclei = [
+        NucleusSpec(Disc(cy, cx, 3), teacher_type="fibroblast") if u
+        else NucleusSpec(Disc(cy, cx, 3), CELL_CHANNELS[k])
+        for (cy, cx), k, u in zip(cells, slot, undefined)
+    ]
+    grid = range(lo + 64, hi - 64, 200)
+    blobs = [
+        CandidateSpec(cx, cy, draw="blob", radius=3)
+        for cy in grid if (cy // 512) % 4 == 0 for cx in grid
+    ][:160]
+    return build_bundle(
+        SceneSpec(h, w, tissue=tuple(tissue), nuclei=tuple(nuclei), candidates=tuple(blobs))
     )

@@ -471,6 +471,15 @@ def test_data_errors_exit_2(workspace, tmp_path, capsys):
     assert "astrocyte" in err
 
 
+def test_count_checks_class_names_before_reading_the_mask(tmp_path, capsys):
+    code = cli(["count", "--mask", str(tmp_path / "missing.tmef"), "--classes", "bogus",
+                "--out", str(tmp_path / "c.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown class name 'bogus'" in err and "missing.tmef" not in err
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_aggregate_checks_workers_before_opening_the_bundle(tmp_path, capsys):
     # the manifest does not exist: the workers message shows nothing was opened
     code = cli(["aggregate", "--bundle", str(tmp_path / "nope.json"),
@@ -518,7 +527,9 @@ def test_malformed_manifest_exits_2(workspace, tmp_path, capsys, edit):
     workspace["bundle"].write_text(json.dumps(edit(doc)))
     out = tmp_path / "o.tmef"
     assert cli(["aggregate", "--bundle", str(workspace["bundle"]), "--out", str(out)]) == 2
-    assert "bundle manifest" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bundle manifest" in err
+    assert str(workspace["bundle"]) in err
     assert not out.exists()
 
 
@@ -623,6 +634,41 @@ def test_malformed_sidecar_exits_2_naming_the_file(tmp_path, capsys, flag, doc, 
     assert captured.out == ""  # read before any label file, so no table
     assert f"error: {bad}: " in captured.err and message in captured.err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("evaluate", "--gt", "not a label raster container"),
+        ("evaluate", "--pred", "not a label raster container"),
+        ("evaluate", "--nuclei", "not an instance map container"),
+        ("count", "--mask", "not a label raster container"),
+        ("tme", "--mask", "not a label raster container"),
+    ],
+)
+def test_wrong_kind_of_container_exits_2_naming_the_file(tmp_path, capsys, command, flag, message):
+    paths = _instance_inputs(tmp_path)
+    (tmp_path / "map.json").write_text(json.dumps(_GOOD_MAP))
+    (tmp_path / "classes.json").write_text(json.dumps(_GOOD_CLASSES))
+    # an instance map where labels belong, or labels where the instance map does
+    wrong = tmp_path / "wrong.tmef"
+    wrong.write_bytes(paths["gt" if flag == "--nuclei" else "nuclei"].read_bytes())
+    inputs = {
+        "evaluate": {"--gt": paths["gt"], "--pred": paths["pred"], "--nuclei": paths["nuclei"],
+                     "--map": tmp_path / "map.json", "--gt-classes": tmp_path / "classes.json"},
+        "count": {"--mask": paths["gt"]},
+        "tme": {"--mask": paths["gt"]},
+    }[command]
+    inputs[flag] = wrong
+    out = tmp_path / "out.json"
+    argv = [command, "--out", str(out)]
+    for name, path in inputs.items():
+        argv += [name, str(path)]
+    assert cli(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {wrong}: {message}" in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not out.with_suffix(".provenance.json").exists()
 
 
 def test_good_sidecars_pass_the_checks(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,21 @@ def test_throughput_bundle_small_variant():
     assert bundle.he.shape == (512, 512, 3)
     assert len(bundle.nuclei.instance_ids) > 10
     assert len(bundle.mitosis_candidates) > 0
+
+
+def test_throughput_bundle_2200_is_pinned():
+    """``golden.json`` pins ``throughput_bundle(512)``, which has one
+    epithelial band only. At 2200 px the frame also holds the smooth-muscle
+    band (rows 1024-1535), a second epithelial band (from row 2048) and
+    candidates on both epithelial bands; the digest pins every pixel of them."""
+    bundle = throughput_bundle(2200, seed=7)
+    assert (len(bundle.nuclei.attrs), len(bundle.mitosis_candidates)) == (1444, 44)
+    digest = hashlib.sha256()
+    for arr in (bundle.he, bundle.tissue_logits.planes, bundle.cell_logits.planes,
+                bundle.nuclei.ids):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    types = sorted((g, a.teacher_type) for g, a in bundle.nuclei.attrs.items())
+    digest.update(repr((types, bundle.mitosis_candidates)).encode())
+    assert digest.hexdigest() == (
+        "2f9cede678465644e7b806143d781d8358d0bd65f7419d25abcc2d148a3b851d"
+    )
