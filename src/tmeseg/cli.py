@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import __version__
+from .aggregate import aggregate
 from .config import DEFAULT_MPP, RunConfig, config_from_json
 from .container import (
     BundleReader,
@@ -133,8 +134,8 @@ def _write_json(doc: dict, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-# reference, synth, tiling and tme are imported by the commands that use them,
-# so the others start without them
+# reference, synth and tme are imported by the commands that use them, so the
+# others start without them
 
 
 def _cmd_synth(args) -> int:
@@ -176,14 +177,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    from .tiling import tiled_aggregate
-
     if args.workers < 1:  # before any input file is opened
         raise ValueError("workers must be >= 1")
     config = _load_config(args)
     # one pass over the input files; the blur runs while nuclei and logits are read
     with BundleReader(args.bundle) as reader:
-        result = tiled_aggregate(reader, config, workers=args.workers)
+        result = aggregate(reader, config, workers=args.workers)
     out = Path(args.out)
     save_stack(container_from_labels(result.semantic, reader.mpp), out)
     classes_path = out.with_suffix(".classes.json")

@@ -41,16 +41,6 @@ class CountRecord:
         return self.pixel_area / self.mean_area_per_cell
 
 
-def count_by_components(mask: np.ndarray, class_id: int) -> int:
-    """Number of 8-connected regions of the class in a label raster."""
-    binary = np.asarray(mask) == class_id
-    return len(connected_components(binary).attrs)
-
-
-def class_pixel_area(mask: np.ndarray, class_id: int) -> int:
-    return int((np.asarray(mask) == class_id).sum())
-
-
 def count_record(
     mask: np.ndarray, class_id: int, mean_area: Optional[float] = None
 ) -> CountRecord:

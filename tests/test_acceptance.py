@@ -18,17 +18,17 @@ from tmeseg.aggregate import (
     CELL_CHANNELS,
     TISSUE_IDS,
     TeacherBundle,
+    TilePlan,
     aggregate,
     detect_mitosis,
 )
 from tmeseg.config import RunConfig
-from tmeseg.counting import calibrate, count_by_components, count_record
+from tmeseg.counting import calibrate, count_record
 from tmeseg.metrics import ConfusionCounts, dice, iou, mcc
 from tmeseg.raster import InstanceMap, LogitStack, distance_band, otsu_threshold
 from tmeseg.reference import reference_aggregate
 from tmeseg.synth import TISSUE_INK, build_bundle, random_scene, throughput_bundle
 from tmeseg.taxonomy import default_taxonomy
-from tmeseg.tiling import TilePlan, tiled_aggregate
 from tmeseg.tme import mann_whitney_u
 
 TAX = default_taxonomy()
@@ -317,7 +317,7 @@ def test_criterion_06_counting_exact():
     cls = 7
     for k in range(1, 51):
         mask = _stamp_discs(k)
-        assert count_by_components(mask, cls) == k
+        assert count_record(mask, cls).component_count == k
         assert count_record(mask, cls, 25.0).area_estimate == float(k)
     fit = calibrate([(25.0 * k, float(k)) for k in range(1, 51)])
     r2_ok = abs(fit["r_squared"] - 1.0) <= 1e-9
@@ -411,7 +411,7 @@ def test_criterion_09_stitch_determinism():
             random_scene(seed, *shape, max_nuclei=400, max_candidates=30)
         )
         full = aggregate(bundle, cfg)
-        runs = [tiled_aggregate(bundle, cfg, plan, workers=w) for w in (1, 4, 8)]
+        runs = [aggregate(bundle, cfg, plan, workers=w) for w in (1, 4, 8)]
         for run in runs:
             all_ok = all_ok and np.array_equal(full.semantic, run.semantic)
             all_ok = all_ok and full.classes == run.classes
@@ -437,7 +437,7 @@ def test_criterion_09_stitch_determinism():
 def test_criterion_10_throughput_single_worker():
     bundle = throughput_bundle(4096)
     t0 = time.perf_counter()
-    result = tiled_aggregate(bundle, plan=TilePlan(crop=384, stride=320), workers=1)
+    result = aggregate(bundle, plan=TilePlan(crop=384, stride=320), workers=1)
     elapsed = time.perf_counter() - t0
     assert result.semantic.shape == (4096, 4096)
     assert len(result.classes) == len(bundle.nuclei.instance_ids)
@@ -453,10 +453,10 @@ def test_criterion_10_throughput_single_worker():
 def test_criterion_10_scaling_four_workers():
     bundle = throughput_bundle(4096)
     t0 = time.perf_counter()
-    tiled_aggregate(bundle, plan=TilePlan(crop=384, stride=320), workers=1)
+    aggregate(bundle, plan=TilePlan(crop=384, stride=320), workers=1)
     single = time.perf_counter() - t0
     t0 = time.perf_counter()
-    tiled_aggregate(bundle, plan=TilePlan(crop=384, stride=320), workers=4)
+    aggregate(bundle, plan=TilePlan(crop=384, stride=320), workers=4)
     quad = time.perf_counter() - t0
     _verdict(
         10,

@@ -94,3 +94,33 @@ calls = recorder.summary()["calls"]
 assert calls.get("aggregate.fallback_rules", 0) >= 1, calls
 assert calls.get("aggregate.apply_mitosis", 0) >= 1, calls
 """)
+
+
+def test_the_benchmark_runs_on_small_inputs(tmp_path, monkeypatch):
+    # each workload's own steps, at 300 px and 2 tiles: a name the benchmark
+    # reads that the package no longer has fails here, not in a benchmark run
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts bench/ on it
+    child, run = _bench_module("child"), _bench_module("run")
+    child.SLIDE_SIZE = child.ANALYZE_SIZE = 300
+    child.TILES = child.MIN_TILES = 2
+    work = {name: tmp_path / name for name in ("slide", "tiles", "analyze")}
+    for path in work.values():
+        (path / "out").mkdir(parents=True)
+    child.prepare_slide(work["slide"], 0)
+    child.prepare_tiles(work["tiles"], 52, 0, 2)
+    child.prepare_analyze(work["analyze"], 0)
+    for name, path in work.items():
+        child.setup(name, path)
+
+    report = tmp_path / "tiles.json"
+    child.run_tiles(work["tiles"], 0.0, False, str(report))
+    assert run.read_json(report)["failed"] == 0
+
+    for name, calls, check in (
+        ("slide", run.slide_calls, run.check_slide),
+        ("analyze", run.analyze_calls, run.check_analyze),
+    ):
+        path = work[name]
+        op = run.run_op(path, calls(path), set())  # each call through run.cli_call
+        assert op["ok"], [c["stderr"] for c in op["calls"].values()]
+        assert check(path, op, run.read_json(path / "expect.json"), None), name

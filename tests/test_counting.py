@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import closed_form_calibrate
-from tmeseg.counting import (
-    CountRecord,
-    calibrate,
-    class_pixel_area,
-    count_by_components,
-    count_record,
-)
+from tmeseg.counting import CountRecord, calibrate, count_record
 
 
 def _disc_mask(centers, r=2.5, size=64, class_id=7):
@@ -20,21 +14,21 @@ def _disc_mask(centers, r=2.5, size=64, class_id=7):
 
 
 def test_component_count_empty_and_separated():
-    assert count_by_components(np.zeros((8, 8), np.uint8), 7) == 0
+    assert count_record(np.zeros((8, 8), np.uint8), 7).component_count == 0
     mask = _disc_mask([(10, 10), (10, 40), (40, 20)])
-    assert count_by_components(mask, 7) == 3
-    assert count_by_components(mask, 3) == 0
+    assert count_record(mask, 7).component_count == 3
+    assert count_record(mask, 3).component_count == 0
 
 
 def test_touching_cells_merge_into_one_component():
     mask = _disc_mask([(20, 20), (20, 24)])  # overlapping discs
-    assert count_by_components(mask, 7) == 1
+    assert count_record(mask, 7).component_count == 1
 
 
 def test_area_estimate_is_exact_for_uniform_cells():
     mask = np.zeros((50, 50), np.uint8)
     mask[:10, :50] = 7  # 500 pixels
-    assert class_pixel_area(mask, 7) == 500
+    assert count_record(mask, 7).pixel_area == 500
     assert count_record(mask, 7, 25.0).area_estimate == 20.0
 
 
@@ -51,7 +45,7 @@ def test_count_record_fields_and_validation():
     mask = _disc_mask([(10, 10), (40, 40)])
     rec = count_record(mask, 7, mean_area=21.0)
     assert rec.component_count == 2
-    assert rec.pixel_area == class_pixel_area(mask, 7)
+    assert rec.pixel_area == int((mask == 7).sum())
     assert rec.area_estimate == pytest.approx(rec.pixel_area / 21.0)
     assert count_record(mask, 7).area_estimate is None
     with pytest.raises(ValueError):

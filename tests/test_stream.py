@@ -3,6 +3,7 @@ byte, fails from the headers or on the first bad block, closes what it
 opened, and never holds a logit plane or an id raster."""
 
 import hashlib
+import importlib
 import itertools
 import os
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 
 import tmeseg
 import tmeseg.container
-from tmeseg.aggregate import aggregate
+from tmeseg.aggregate import TilePlan, aggregate
 from tmeseg.cli import cli
 from tmeseg.config import RunConfig
 from tmeseg.container import (
@@ -34,7 +35,6 @@ from tmeseg.raster import LogitStack
 from tmeseg.reference import reference_aggregate
 from tmeseg.synth import build_bundle, random_scene, throughput_bundle
 from tmeseg.taxonomy import VOCABULARY
-from tmeseg.tiling import TilePlan, tiled_aggregate
 
 PARTS = ("he", "tissue_logits", "cell_logits", "nuclei")
 # Every order of the three tissue planes: smooth muscle before and after
@@ -106,7 +106,7 @@ def test_streamed_equals_in_memory_on_random_scenes(tmp_path, monkeypatch, seed)
     assert np.array_equal(result.semantic, truth["semantic"])
     assert result.classes == truth["classes"]
     with BundleReader(manifest) as reader:
-        _assert_same_result(tiled_aggregate(reader, cfg, TilePlan(40, 30)), result)
+        _assert_same_result(aggregate(reader, cfg, TilePlan(40, 30)), result)
     paths = [manifest] + [tmp_path / f"{p}.tmef" for p in PARTS]
     assert digests == {str(p): _sha256(p) for p in paths}
 
@@ -183,15 +183,16 @@ def test_cli_aggregate_peak_rss_below_the_logit_files(slide, tmp_path):
 
 
 @pytest.mark.parametrize("threshold", [200, None], ids=["pinned", "otsu"])
-def test_tiled_aggregate_on_a_reader_peaks_below_12_bytes_per_pixel(slide, threshold):
+def test_aggregate_on_a_reader_peaks_below_8_bytes_per_pixel(slide, threshold):
     manifest, _ = slide
     cfg = RunConfig(background_threshold=threshold)
+    importlib.import_module("scipy.ndimage")  # so the blur's first call traces no import
     with BundleReader(manifest) as reader:  # H&E is read on opening
         frame = reader.he.shape[0] * reader.he.shape[1]
-        peak = _traced_peak(lambda: tiled_aggregate(reader, cfg, workers=2))
+        peak = _traced_peak(lambda: aggregate(reader, cfg, workers=2))
     # no id raster, no held tissue plane or mask, glass written in place:
-    # about 8 bytes per pixel here, 14-18 with them
-    assert peak <= 12 * frame
+    # 6.0-6.5 bytes per pixel here, 14-18 with them
+    assert peak <= 8 * frame
 
 
 def _narrow_cells(bundle, out_dir):

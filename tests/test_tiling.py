@@ -6,17 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import tmeseg.tiling
-from tmeseg.aggregate import aggregate
+import tmeseg.aggregate
+from tmeseg.aggregate import TilePlan, aggregate, axis_offsets, tile_cells
 from tmeseg.config import BLUR_RADIUS, RunConfig
 from tmeseg.raster import gaussian_smooth
+from tmeseg.reference import reference_aggregate
 from tmeseg.synth import build_bundle, random_scene
-from tmeseg.tiling import (
-    TilePlan,
-    axis_offsets,
-    tile_cells,
-    tiled_aggregate,
-)
 
 STITCH_CFG = RunConfig(background_threshold=200)
 
@@ -49,6 +44,9 @@ def test_tile_plan_validation():
         TilePlan(crop=384, stride=385)
     with pytest.raises(ValueError):
         TilePlan(crop=0)
+    for crop, stride in ((50.5, 40), (60.0, 50.0), (True, True)):
+        with pytest.raises(ValueError, match="integers"):
+            TilePlan(crop, stride)
 
 
 def test_tile_cells_row_major_and_sized():
@@ -82,7 +80,7 @@ def _scene_bundle(seed, size):
 def test_tiled_equals_full_frame_on_stitch_safe_scene():
     bundle = _scene_bundle(3, 768)
     full = aggregate(bundle, STITCH_CFG)
-    tiled = tiled_aggregate(bundle, STITCH_CFG, TilePlan(), workers=1)
+    tiled = aggregate(bundle, STITCH_CFG, TilePlan(), workers=1)
     _assert_same_result(full, tiled)
     rules = {d.rule for d in tiled.provenance.values()}
     assert rules <= {"vote", "fallback_epithelial", "fallback_fibroblast", "mitosis", "undefined"}
@@ -90,8 +88,8 @@ def test_tiled_equals_full_frame_on_stitch_safe_scene():
 
 def test_tiled_result_independent_of_worker_count():
     bundle = _scene_bundle(7, 768)
-    one = tiled_aggregate(bundle, STITCH_CFG, TilePlan(), workers=1)
-    three = tiled_aggregate(bundle, STITCH_CFG, TilePlan(), workers=3)
+    one = aggregate(bundle, STITCH_CFG, TilePlan(), workers=1)
+    three = aggregate(bundle, STITCH_CFG, TilePlan(), workers=3)
     _assert_same_result(one, three)
     assert one.provenance.keys() == three.provenance.keys()
 
@@ -99,12 +97,12 @@ def test_tiled_result_independent_of_worker_count():
 def test_workers_must_be_positive():
     bundle = _scene_bundle(5, 400)
     with pytest.raises(ValueError):
-        tiled_aggregate(bundle, STITCH_CFG, workers=0)
+        aggregate(bundle, STITCH_CFG, workers=0)
 
 
 def test_frame_within_one_cell_equals_full_frame():
     bundle = _scene_bundle(9, 320)
-    res = tiled_aggregate(bundle, STITCH_CFG, TilePlan(), workers=4)
+    res = aggregate(bundle, STITCH_CFG, TilePlan(), workers=4)
     full = aggregate(bundle, STITCH_CFG)
     _assert_same_result(full, res)
 
@@ -128,11 +126,11 @@ class _InlinePool:
 
 
 def test_pool_size_is_bounded_by_the_cells(monkeypatch):
-    monkeypatch.setattr(tmeseg.tiling, "ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     bundle = _scene_bundle(11, 100)
     plan = TilePlan(crop=60, stride=50)  # 2 x 2 cells
-    res = tiled_aggregate(bundle, STITCH_CFG, plan, workers=10**6)
+    res = aggregate(bundle, STITCH_CFG, plan, workers=10**6)
     assert _InlinePool.sizes == [len(tile_cells((100, 100), plan))] == [4]
     _assert_same_result(aggregate(bundle, STITCH_CFG), res)
 
@@ -160,10 +158,10 @@ def test_blur_runs_while_the_bundle_is_reduced(monkeypatch):
         blurred.set()
         return out
 
-    monkeypatch.setattr(tmeseg.tiling, "gaussian_smooth", signalling_smooth)
+    monkeypatch.setattr(tmeseg.aggregate, "gaussian_smooth", signalling_smooth)
     bundle = _scene_bundle(13, 400)
     waiting = _ReduceAfterFirstBlur(bundle, blurred)
-    res = tiled_aggregate(waiting, STITCH_CFG, TilePlan(), workers=1)
+    res = aggregate(waiting, STITCH_CFG, TilePlan(), workers=1)
     assert waiting.waited == [True]
     _assert_same_result(aggregate(bundle, STITCH_CFG), res)
 
@@ -174,7 +172,7 @@ def test_threaded_blur_under_frequent_thread_switches():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        res = tiled_aggregate(bundle, STITCH_CFG, plan, workers=8)
+        res = aggregate(bundle, STITCH_CFG, plan, workers=8)
     finally:
         sys.setswitchinterval(interval)
     full = aggregate(bundle, STITCH_CFG)
@@ -205,7 +203,7 @@ def test_tiled_equals_full_frame_for_any_plan(case):
     scene = random_scene(seed, height, width, max_nuclei=40, max_candidates=8)
     bundle = build_bundle(scene)
     full = aggregate(bundle, cfg)
-    tiled = tiled_aggregate(bundle, cfg, plan, workers=workers)
+    tiled = aggregate(bundle, cfg, plan, workers=workers)
     assert tiled.semantic.tobytes() == full.semantic.tobytes()
     assert tiled.classes == full.classes
     assert np.array_equal(tiled.mitosis.ids, full.mitosis.ids)
@@ -239,7 +237,19 @@ def test_each_pixel_is_blurred_in_one_owned_cell(case):
         return gaussian_smooth(img)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("tmeseg.tiling.gaussian_smooth", counting_smooth)
-        tiled_aggregate(bundle, cfg, plan, workers=1)
+        mp.setattr("tmeseg.aggregate.gaussian_smooth", counting_smooth)
+        aggregate(bundle, cfg, plan, workers=1)
     assert len(blurred) == len(cells)
     assert sum(blurred) <= bound
+
+
+def test_one_cell_is_blurred_without_a_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-cell frame started a thread pool")
+
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+    bundle = _scene_bundle(19, 256)  # within the default 384 px crop
+    res = aggregate(bundle, STITCH_CFG, workers=4)
+    truth = reference_aggregate(bundle, STITCH_CFG)
+    assert res.semantic.tobytes() == truth["semantic"].tobytes()
+    assert res.classes == truth["classes"]
