@@ -13,12 +13,12 @@ Stages, in fixed order:
 5. mitosis candidate filtering and nucleus supersedence
 6. final mask combination (nucleus classes paint over tissue labels)
 
-``aggregate`` is the one driver: it blurs the cells of a ``TilePlan`` on
-threads while the bundle is reduced, and ``_fuse`` runs all six stages on
-the smoothed grayscale. Stages 2-6 read the logit stacks only through two
-reductions, the tissue label before glass and the cell logits at the
-nucleus pixels (``FusionInputs``), which a bundle in memory
-(``TeacherBundle.reduce``) and a bundle streamed from disk
+``aggregate`` is the one driver: it blurs the cells that ``RunConfig``'s
+crop and stride cut, on threads while the bundle is reduced, and ``_fuse``
+runs all six stages on the smoothed grayscale. Stages 2-6 read the logit
+stacks only through two reductions, the tissue label before glass and the
+cell logits at the nucleus pixels (``FusionInputs``), which a bundle in
+memory (``TeacherBundle.reduce``) and a bundle streamed from disk
 (``container.BundleReader``) both produce.
 
 Stages 3-6 keep each nucleus's class in one int16 array, in the order of
@@ -45,7 +45,6 @@ from .config import (
     MITOSIS_MIN_AREA_PX,
     MITOSIS_ROI_RADIUS_PX,
     RunConfig,
-    _is_int,
     check_scale,
 )
 from .raster import (
@@ -333,23 +332,6 @@ class AggregationResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TilePlan:
-    """Window ``crop`` and ``stride`` in pixels; their origins cut the frame
-    into the cells that are blurred one by one."""
-
-    crop: int = 384
-    stride: int = 320
-
-    def __post_init__(self):
-        if not (_is_int(self.crop) and _is_int(self.stride)):
-            raise ValueError("crop and stride must be integers")
-        if self.crop < 1:
-            raise ValueError("crop must be >= 1")
-        if not 1 <= self.stride <= self.crop:
-            raise ValueError("stride must be in [1, crop]")
-
-
 def axis_offsets(extent: int, crop: int, stride: int) -> list[int]:
     """Window start offsets along one axis, final window clamped."""
     if extent <= crop:
@@ -360,8 +342,9 @@ def axis_offsets(extent: int, crop: int, stride: int) -> list[int]:
     return offsets
 
 
-def tile_cells(shape: tuple[int, int], plan: TilePlan) -> list[tuple[slice, slice]]:
-    """The row-major (rows, cols) cells of ``plan`` over an (height, width) frame.
+def tile_cells(shape: tuple[int, int], cfg: RunConfig) -> list[tuple[slice, slice]]:
+    """The row-major (rows, cols) cells of ``cfg``'s crop and stride over an
+    (height, width) frame.
 
     On each axis a cell runs from one window origin of ``axis_offsets`` to
     the next, or to the image edge for the last, so the cells partition the
@@ -369,7 +352,7 @@ def tile_cells(shape: tuple[int, int], plan: TilePlan) -> list[tuple[slice, slic
     """
 
     def spans(extent: int) -> list[slice]:
-        starts = axis_offsets(extent, plan.crop, plan.stride)
+        starts = axis_offsets(extent, cfg.crop_px, cfg.stride_px)
         return [slice(a, b) for a, b in zip(starts, starts[1:] + [extent])]
 
     return [(rows, cols) for rows in spans(shape[0]) for cols in spans(shape[1])]
@@ -573,25 +556,22 @@ def apply_mitosis(nuclei: InstanceMap, mitosis: InstanceMap) -> np.ndarray:
 
 
 def aggregate(
-    bundle,
-    config: Optional[RunConfig] = None,
-    plan: Optional[TilePlan] = None,
-    workers: int = 1,
+    bundle, config: Optional[RunConfig] = None, workers: int = 1
 ) -> AggregationResult:
     """Validate one bundle and run the whole pipeline on it.
 
     ``bundle`` is a ``TeacherBundle`` or an open ``container.BundleReader``.
-    The cells of ``plan`` (by default the config's) are blurred on up to
+    The cells of the config's crop and stride are blurred on up to
     ``workers`` threads as soon as ``bundle.he`` is known, while this thread
     reduces the bundle; each cell is written once into one grayscale
     canvas, so no float64 frame is held, and the result is the same for any
-    plan and any worker count.
+    crop, stride and worker count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cfg = config or RunConfig()
     he = check_rgb_tile(bundle.he)
-    cells = tile_cells(he.shape[:2], plan or TilePlan(cfg.crop_px, cfg.stride_px))
+    cells = tile_cells(he.shape[:2], cfg)
     gray = np.empty(he.shape[:2], dtype=np.uint8)
     if len(cells) == 1:
         # a tile within one crop: a thread costs more than its overlap with

@@ -4,7 +4,8 @@ Subcommands: synth, aggregate, postprocess, evaluate, count, tme, info.
 Exit codes: 0 success, 1 usage error (synopsis on stderr), 2 data error.
 Every run that writes output also writes a JSON provenance record next to
 it (package version, full config, SHA-256 of the config and of every
-input file) so results stay attributable byte-for-byte.
+input file) so results stay attributable byte-for-byte. Only synth and
+aggregate read a ``--config``; the other records hold the default config.
 """
 
 from __future__ import annotations
@@ -82,6 +83,14 @@ def _read_json(path: str, parse: Callable, digests: dict[str, str]):
         raise ValueError(f"{path}: {detail}") from None
 
 
+def _compare(paths: tuple[str, str], check: Callable, *args):
+    """``check(*args)``, where a ``ValueError`` names the two files it compared."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ValueError(f"{paths[0]} and {paths[1]}: {exc}") from None
+
+
 def _gt_classes(doc) -> dict[int, int]:
     """The classed nuclei of a ``--gt-classes`` document, whose ``classes``
     maps nucleus ids, as integer strings, to a vocabulary class id or null."""
@@ -120,7 +129,7 @@ def _provenance_path(out: Path) -> Path:
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):  # read as a sidecar, not an input: provenance holds it
+    if args.config:  # read as a sidecar, not an input: provenance holds it
         return _read_json(args.config, config_from_json, {})
     return RunConfig()
 
@@ -204,7 +213,6 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_postprocess(args) -> int:
-    config = _load_config(args)
     if args.mode == "panoptic" and not args.nuclei:
         raise _UsageError("--mode panoptic requires --nuclei")
     if args.mode == "force" and args.nuclei:
@@ -226,7 +234,7 @@ def _cmd_postprocess(args) -> int:
         classes_path = out.with_suffix(".classes.json")
         _write_json(doc, classes_path)
         outputs.append(classes_path)
-    record = _provenance("postprocess", config, reader.digests, outputs)
+    record = _provenance("postprocess", RunConfig(), reader.digests, outputs)
     record["mode"] = args.mode
     _write_json(record, _provenance_path(out))
     print(f"wrote {out}")
@@ -234,7 +242,6 @@ def _cmd_postprocess(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config = _load_config(args)
     instance_flags = [args.map, args.nuclei, args.gt_classes]
     if any(instance_flags) and not all(instance_flags):
         raise _UsageError("instance evaluation needs --map, --nuclei, and --gt-classes together")
@@ -245,7 +252,7 @@ def _cmd_evaluate(args) -> int:
     gt = _load(args.gt, digests, labels_from_container)
     pred = _load(args.pred, digests, labels_from_container)
 
-    semantic = evaluate_semantic(gt, pred, VOCABULARY.ids)
+    semantic = _compare((args.gt, args.pred), evaluate_semantic, gt, pred, VOCABULARY.ids)
     report = {"schema_version": SCHEMA_VERSION, "semantic": semantic}
     rows = [
         [name, vals["dice"], vals["iou"]] for name, vals in semantic.items()
@@ -259,7 +266,10 @@ def _cmd_evaluate(args) -> int:
         kept = np.isin(gids, list(gt_classes))[slot]
         if not kept.all():
             nuclei = InstanceMap.from_pixels(nuclei.shape, nuclei.index[kept], gids[slot][kept])
-        instance = evaluate_instances(nuclei, gt_classes, pred, cmap)
+        # rasters that do not match, else a ground-truth class the map leaves out
+        same = pred.shape == nuclei.shape
+        pair = (args.gt_classes, args.map) if same else (args.pred, args.nuclei)
+        instance = _compare(pair, evaluate_instances, nuclei, gt_classes, pred, cmap)
         report["instance"] = instance
         rows = [
             [name, vals["mcc"], vals["n_gt"]] for name, vals in instance.items()
@@ -270,13 +280,12 @@ def _cmd_evaluate(args) -> int:
     print("\n\n".join(tables))
     out = Path(args.out)
     _write_json(report, out)
-    record = _provenance("evaluate", config, digests, [out])
+    record = _provenance("evaluate", RunConfig(), digests, [out])
     _write_json(record, _provenance_path(out))
     return 0
 
 
 def _cmd_count(args) -> int:
-    config = _load_config(args)
     digests: dict[str, str] = {}
     names = (
         [n.strip() for n in args.classes.split(",") if n.strip()]
@@ -300,7 +309,7 @@ def _cmd_count(args) -> int:
         [n, r["component_count"], r["pixel_area"]] for n, r in records.items()
     ]
     print(format_table(["class", "components", "pixels"], rows))
-    record = _provenance("count", config, digests, [out])
+    record = _provenance("count", RunConfig(), digests, [out])
     _write_json(record, _provenance_path(out))
     return 0
 
@@ -308,7 +317,6 @@ def _cmd_count(args) -> int:
 def _cmd_tme(args) -> int:
     from .tme import slide_metrics
 
-    config = _load_config(args)
     digests: dict[str, str] = {}
     mask, mask_mpp = _load(args.mask, digests, lambda c: (labels_from_container(c), c.mpp))
     mpp = args.mpp if args.mpp is not None else mask_mpp
@@ -321,7 +329,7 @@ def _cmd_tme(args) -> int:
         f"tumor cells: {metrics.tumor_cell_count}; "
         f"margin band: {metrics.band_area_mm2:.6f} mm^2"
     )
-    record = _provenance("tme", config, digests, [out])
+    record = _provenance("tme", RunConfig(), digests, [out])
     _write_json(record, _provenance_path(out))
     return 0
 
@@ -355,9 +363,6 @@ def build_parser() -> _Parser:
     )
     subs = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
-    def common(sub):
-        sub.add_argument("--config", help="RunConfig JSON path")
-
     sub = subs.add_parser("synth", help="generate a bundle")
     sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--out-dir", required=True)
@@ -370,7 +375,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="also run the per-pixel reference and write ground truth",
     )
-    common(sub)
+    sub.add_argument("--config", help="RunConfig JSON path")
     sub.set_defaults(func=_cmd_synth)
 
     sub = subs.add_parser(
@@ -379,7 +384,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--bundle", required=True, help="bundle manifest JSON")
     sub.add_argument("--out", required=True, help="output label container")
     sub.add_argument("--workers", type=int, default=1, help="blur threads beside the reader")
-    common(sub)
+    sub.add_argument("--config", help="RunConfig JSON path")
     sub.set_defaults(func=_cmd_aggregate)
 
     sub = subs.add_parser(
@@ -389,7 +394,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--mode", choices=("force", "panoptic"), required=True)
     sub.add_argument("--nuclei", help="instance container (panoptic mode)")
     sub.add_argument("--out", required=True)
-    common(sub)
     sub.set_defaults(func=_cmd_postprocess)
 
     sub = subs.add_parser("evaluate", help="score a prediction")
@@ -399,7 +403,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--nuclei", help="ground-truth instance container")
     sub.add_argument("--gt-classes", help="per-nucleus class JSON (aggregate output)")
     sub.add_argument("--out", required=True, help="report JSON")
-    common(sub)
     sub.set_defaults(func=_cmd_evaluate)
 
     sub = subs.add_parser("count", help="cell counts from a mask")
@@ -412,14 +415,12 @@ def build_parser() -> _Parser:
         help="mean pixels per cell for area-based estimates",
     )
     sub.add_argument("--out", required=True)
-    common(sub)
     sub.set_defaults(func=_cmd_count)
 
     sub = subs.add_parser("tme", help="slide-level TME metrics")
     sub.add_argument("--mask", required=True)
     sub.add_argument("--mpp", type=float, default=None, help="microns per pixel")
     sub.add_argument("--out", required=True)
-    common(sub)
     sub.set_defaults(func=_cmd_tme)
 
     sub = subs.add_parser("info", help="print a container header")

@@ -2,7 +2,8 @@
 
 The aggregation rules fix their parameters (arXiv 2501.02909), so they are
 module constants, not settings: the stages read them directly. RunConfig
-holds only what a run may set: the tile plan and a pinned glass threshold.
+is the one thing a run may set, and the one place it is checked: the crop
+and stride that cut the blur cells, and a pinned glass threshold.
 """
 
 from __future__ import annotations

@@ -139,9 +139,7 @@ def instance_eval_units(
         gt_eval = cmap.map_id(gt_classes[gid])
         if gt_eval is None:
             name = VOCABULARY.name_of(gt_classes[gid])
-            raise ValueError(
-                f"ground-truth class {name!r} is unmapped; fix the class map"
-            )
+            raise ValueError(f"nucleus {gid}: ground-truth class {name!r} is unmapped")
         pred_eval = int(np.argmax(row)) if row.any() else None
         units.append(EvalUnit(gid, gt_eval, pred_eval))
     return units

@@ -18,7 +18,6 @@ from tmeseg.aggregate import (
     CELL_CHANNELS,
     TISSUE_IDS,
     TeacherBundle,
-    TilePlan,
     aggregate,
     detect_mitosis,
 )
@@ -403,15 +402,14 @@ def test_criterion_08_mann_whitney():
 
 
 def test_criterion_09_stitch_determinism():
-    cfg = RunConfig(background_threshold=200)
-    plan = TilePlan(crop=384, stride=320)
+    cfg = RunConfig(crop_px=384, stride_px=320, background_threshold=200)
     all_ok = True
     for seed, shape in ((3, (768, 768)), (7, (768, 768)), (11, (1088, 1088))):
         bundle = build_bundle(
             random_scene(seed, *shape, max_nuclei=400, max_candidates=30)
         )
         full = aggregate(bundle, cfg)
-        runs = [aggregate(bundle, cfg, plan, workers=w) for w in (1, 4, 8)]
+        runs = [aggregate(bundle, cfg, workers=w) for w in (1, 4, 8)]
         for run in runs:
             all_ok = all_ok and np.array_equal(full.semantic, run.semantic)
             all_ok = all_ok and full.classes == run.classes
@@ -437,7 +435,7 @@ def test_criterion_09_stitch_determinism():
 def test_criterion_10_throughput_single_worker():
     bundle = throughput_bundle(4096)
     t0 = time.perf_counter()
-    result = aggregate(bundle, plan=TilePlan(crop=384, stride=320), workers=1)
+    result = aggregate(bundle, RunConfig(crop_px=384, stride_px=320), workers=1)
     elapsed = time.perf_counter() - t0
     assert result.semantic.shape == (4096, 4096)
     assert len(result.classes) == len(bundle.nuclei.instance_ids)
@@ -453,10 +451,10 @@ def test_criterion_10_throughput_single_worker():
 def test_criterion_10_scaling_four_workers():
     bundle = throughput_bundle(4096)
     t0 = time.perf_counter()
-    aggregate(bundle, plan=TilePlan(crop=384, stride=320), workers=1)
+    aggregate(bundle, RunConfig(crop_px=384, stride_px=320), workers=1)
     single = time.perf_counter() - t0
     t0 = time.perf_counter()
-    aggregate(bundle, plan=TilePlan(crop=384, stride=320), workers=4)
+    aggregate(bundle, RunConfig(crop_px=384, stride_px=320), workers=4)
     quad = time.perf_counter() - t0
     _verdict(
         10,

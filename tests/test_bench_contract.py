@@ -1,6 +1,6 @@
 """What the benchmark in ``bench/`` uses of the package, checked without
-changing ``bench/``: its invariant check on an aggregation result, and the
-tracer's wrapping of the methods it times."""
+changing ``bench/``: its invariant check on an aggregation result, the
+tracer's wrapping of the methods it times, and the ``tiling`` names it reads."""
 
 import importlib.util
 import os
@@ -8,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tmeseg.aggregate import aggregate
+import tmeseg.aggregate
+from test_tiling import _InlinePool
+from tmeseg import tiling
+from tmeseg.aggregate import aggregate, tile_cells
+from tmeseg.config import RunConfig
 from tmeseg.synth import build_bundle, random_scene
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +32,28 @@ def test_blockwise_invariant_check_accepts_an_aggregation_result():
     result = aggregate(build_bundle(random_scene(0, 300, 300, max_nuclei=60, max_candidates=12)))
     assert result.mitosis.instance_ids  # the mitosis half of the check has work
     child._check_invariants_blockwise(result)
+
+
+def test_tiled_aggregate_runs_the_driver_with_the_plan(monkeypatch):
+    # ``bench/child.py`` reads ``tiling.TilePlan`` and ``tiling.tiled_aggregate``
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cells, blur = [], tmeseg.aggregate._blur_cell
+
+    def counting_blur(he, cell, gray):
+        cells.append(cell)
+        blur(he, cell, gray)
+
+    monkeypatch.setattr(tmeseg.aggregate, "_blur_cell", counting_blur)
+    cfg = RunConfig(background_threshold=200)
+    bundle = build_bundle(random_scene(11, 100, 100, max_nuclei=200, max_candidates=20))
+    shimmed = tiling.tiled_aggregate(bundle, cfg, tiling.TilePlan(crop=60, stride=50), workers=4)
+    assert _InlinePool.sizes == [len(cells)] == [4]  # 2 x 2 cells
+    assert cells == tile_cells((100, 100), RunConfig(crop_px=60, stride_px=50))
+    full = aggregate(bundle, cfg)
+    assert shimmed.semantic.tobytes() == full.semantic.tobytes()
+    assert shimmed.classes == full.classes
+    assert shimmed.provenance == full.provenance
 
 
 def _run_traced(script: str) -> None:

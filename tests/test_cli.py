@@ -321,6 +321,25 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "together" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["postprocess", "--student", "s.tmef", "--mode", "force"],
+        ["evaluate", "--gt", "gt.tmef", "--pred", "pred.tmef"],
+        ["count", "--mask", "mask.tmef"],
+        ["tme", "--mask", "mask.tmef"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_config_is_refused_where_no_setting_is_read(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    out = tmp_path / "o.json"
+    assert cli(argv + ["--out", str(out), "--config", str(cfg)]) == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_taxonomy_option_is_gone(tmp_path, capsys):
     vocabulary = tmp_path / "x.json"
     vocabulary.write_text("{}")
@@ -360,12 +379,12 @@ def test_tme_non_finite_mpp_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_non_finite_config_exits_2(tmp_path, capsys):
+def test_non_finite_config_exits_2(workspace, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"background_threshold": NaN}')
-    out = tmp_path / "t.json"
+    out = tmp_path / "o.tmef"
     code = cli(
-        ["tme", "--mask", str(_small_mask(tmp_path)), "--config", str(cfg), "--out", str(out)]
+        ["aggregate", "--bundle", str(workspace["bundle"]), "--out", str(out), "--config", str(cfg)]
     )
     assert code == 2
     assert "background_threshold must be an integer" in capsys.readouterr().err
@@ -377,12 +396,12 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
     [("[1]", "config must be a JSON object"), ('{"background_threshold": 200,\n', "Expecting")],
     ids=["list", "truncated"],
 )
-def test_malformed_config_exits_2_naming_the_file(tmp_path, capsys, text, message):
+def test_malformed_config_exits_2_naming_the_file(workspace, tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
-    out = tmp_path / "t.json"
+    out = tmp_path / "o.tmef"
     code = cli(
-        ["tme", "--mask", str(_small_mask(tmp_path)), "--config", str(cfg), "--out", str(out)]
+        ["aggregate", "--bundle", str(workspace["bundle"]), "--out", str(out), "--config", str(cfg)]
     )
     assert code == 2
     err = capsys.readouterr().err
@@ -518,13 +537,17 @@ def test_aggregate_data_error_leaves_no_thread(workspace, tmp_path, capsys):
         lambda doc: {**doc, "mpp": 0},
         lambda doc: {**doc, "halo": -3},
         lambda doc: {**doc, "halo": 2.7},
+        lambda doc: b'{"he": "\xff.tmef"}',
+        lambda doc: b'{"he": "he.tmef",',
     ],
     ids=["not-object", "part", "candidates", "short-candidate", "string-coord",
-         "halo", "mpp", "mpp-negative", "mpp-zero", "halo-negative", "halo-float"],
+         "halo", "mpp", "mpp-negative", "mpp-zero", "halo-negative", "halo-float",
+         "not-utf8", "not-json"],
 )
 def test_malformed_manifest_exits_2(workspace, tmp_path, capsys, edit):
-    doc = json.loads(workspace["bundle"].read_text())
-    workspace["bundle"].write_text(json.dumps(edit(doc)))
+    edited = edit(json.loads(workspace["bundle"].read_text()))
+    raw = edited if isinstance(edited, bytes) else json.dumps(edited).encode()
+    workspace["bundle"].write_bytes(raw)
     out = tmp_path / "o.tmef"
     assert cli(["aggregate", "--bundle", str(workspace["bundle"]), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -533,35 +556,51 @@ def test_malformed_manifest_exits_2(workspace, tmp_path, capsys, edit):
     assert not out.exists()
 
 
-def test_unmapped_ground_truth_class_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "shapes, named, message",
+    [
+        ({}, ("gt_classes", "map"), "nucleus 1: ground-truth class 'neutrophil' is unmapped"),
+        ({"gt": (8, 8)}, ("gt", "pred"), "ground truth and prediction dimensions differ"),
+        ({"gt": (6, 7), "pred": (6, 7)}, ("pred", "nuclei"),
+         "prediction and instance raster dimensions differ"),
+    ],
+    ids=["unmapped", "gt-pred", "pred-nuclei"],
+)
+def test_unmapped_ground_truth_class_exits_2(tmp_path, capsys, shapes, named, message):
     nid = np.zeros((6, 6), np.int32)
     nid[2:4, 2:4] = 1
-    nuclei = tmp_path / "nuclei.tmef"
-    save_stack(container_from_instances(InstanceMap.from_ids(nid)), nuclei)
-    labels = np.zeros((6, 6), np.uint8)
-    gt = tmp_path / "gt.tmef"
-    pred = tmp_path / "pred.tmef"
-    save_stack(container_from_labels(labels), gt)
-    save_stack(container_from_labels(labels), pred)
-    gt_classes = tmp_path / "gt.classes.json"
-    gt_classes.write_text(json.dumps({"classes": {"1": TAX.resolve("neutrophil")}}))
-    narrow_map = tmp_path / "map.json"
-    narrow_map.write_text(
+    paths = {
+        "nuclei": tmp_path / "nuclei.tmef",
+        "gt": tmp_path / "gt.tmef",
+        "pred": tmp_path / "pred.tmef",
+        "gt_classes": tmp_path / "gt.classes.json",
+        "map": tmp_path / "map.json",
+    }
+    save_stack(container_from_instances(InstanceMap.from_ids(nid)), paths["nuclei"])
+    for name in ("gt", "pred"):
+        labels = np.zeros(shapes.get(name, (6, 6)), np.uint8)
+        save_stack(container_from_labels(labels), paths[name])
+    paths["gt_classes"].write_text(json.dumps({"classes": {"1": TAX.resolve("neutrophil")}}))
+    paths["map"].write_text(
         json.dumps({"eval_classes": ["lymphocyte"], "map": {"lymphocyte": "lymphocyte"}})
     )
+    out = tmp_path / "r.json"
     code = cli(
         [
             "evaluate",
-            "--gt", str(gt),
-            "--pred", str(pred),
-            "--map", str(narrow_map),
-            "--nuclei", str(nuclei),
-            "--gt-classes", str(gt_classes),
-            "--out", str(tmp_path / "r.json"),
+            "--gt", str(paths["gt"]),
+            "--pred", str(paths["pred"]),
+            "--map", str(paths["map"]),
+            "--nuclei", str(paths["nuclei"]),
+            "--gt-classes", str(paths["gt_classes"]),
+            "--out", str(out),
         ]
     )
     assert code == 2
-    assert "unmapped" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"error: {paths[named[0]]} and {paths[named[1]]}: {message}" in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not out.with_suffix(".provenance.json").exists()
 
 
 def test_unmapped_nucleus_class_prints_nothing(workspace, capsys):

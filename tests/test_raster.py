@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -35,7 +36,9 @@ from tmeseg.raster import (
     LogitStack,
     _otsu_rows,
     _runs,
+    as_bitmask,
     blob_hulls,
+    check_rgb_tile,
     connected_components,
     label_pieces,
     distance_band,
@@ -390,7 +393,9 @@ def test_distance_band_matches_brute_force():
         region = np.zeros((20, 20), dtype=bool)
         ys, xs = rng.integers(4, 16, size=6), rng.integers(4, 16, size=6)
         region[ys, xs] = True
-        for radius_px in (1.0, 2.5, 4.0):
+        # sqrt(13) * sqrt(13) < 13 in float64, yet sqrt(13.0) <= sqrt(13): the
+        # band holds offset (2, 3) only where _max_squared corrects floor(r * r)
+        for radius_px in (1.0, 2.5, 4.0, math.sqrt(13)):
             got = distance_band(region, radius_px * 0.25, 0.25)
             assert np.array_equal(got, brute_distance_band(region, radius_px))
     # fragmented rows: runs of 1-3 pixels with every gap from 1 to 10 columns
@@ -552,6 +557,33 @@ def test_require_finite_checks_every_block(bad):
         with pytest.raises(ValueError, match="NaN or Inf"):
             stack.require_finite()
         flat[pos] = 0.0
+
+
+def _reserved_id_record():
+    imap = InstanceMap.from_ids(np.eye(3, dtype=np.int32))
+    imap.attrs[0] = InstanceAttrs(pixel_count=6, centroid=(1.0, 1.0))
+    imap.validate()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_rgb_tile(np.zeros((4, 4), np.uint8)), r"must be \(H, W, 3\) uint8"),
+        (lambda: check_rgb_tile(np.zeros((4, 4, 3), np.uint16)), r"must be \(H, W, 3\) uint8"),
+        (lambda: check_rgb_tile(np.zeros((0, 4, 3), np.uint8)), "at least 1x1"),
+        (lambda: otsu_threshold(np.zeros((0, 4), np.uint8)), "raster is empty"),
+        (lambda: otsu_threshold(np.zeros((4, 4), np.int16)), "expects 8-bit values"),
+        (lambda: as_bitmask(np.zeros((4, 4), np.uint8)), "2-d bool array"),
+        (lambda: as_bitmask(np.zeros((2, 4, 4), bool)), "2-d bool array"),
+        (lambda: InstanceMap(np.zeros((2, 4, 4), np.int32)), "2-d raster"),
+        (_reserved_id_record, "id 0 is reserved"),
+    ],
+    ids=["rgb-2d", "rgb-uint16", "rgb-empty", "otsu-empty", "otsu-int16", "bitmask-uint8",
+         "bitmask-3d", "instances-3d", "instances-id-0"],
+)
+def test_raster_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_instance_map_attrs_from_ids():

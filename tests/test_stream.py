@@ -2,6 +2,7 @@
 byte, fails from the headers or on the first bad block, closes what it
 opened, and never holds a logit plane or an id raster."""
 
+import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -16,7 +17,7 @@ import pytest
 
 import tmeseg
 import tmeseg.container
-from tmeseg.aggregate import TilePlan, aggregate
+from tmeseg.aggregate import aggregate
 from tmeseg.cli import cli
 from tmeseg.config import RunConfig
 from tmeseg.container import (
@@ -106,7 +107,8 @@ def test_streamed_equals_in_memory_on_random_scenes(tmp_path, monkeypatch, seed)
     assert np.array_equal(result.semantic, truth["semantic"])
     assert result.classes == truth["classes"]
     with BundleReader(manifest) as reader:
-        _assert_same_result(aggregate(reader, cfg, TilePlan(40, 30)), result)
+        tiled = aggregate(reader, dataclasses.replace(cfg, crop_px=40, stride_px=30))
+    _assert_same_result(tiled, result)
     paths = [manifest] + [tmp_path / f"{p}.tmef" for p in PARTS]
     assert digests == {str(p): _sha256(p) for p in paths}
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 from concurrent.futures import Future
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tmeseg.aggregate
-from tmeseg.aggregate import TilePlan, aggregate, axis_offsets, tile_cells
+from tmeseg.aggregate import aggregate, axis_offsets, tile_cells
 from tmeseg.config import BLUR_RADIUS, RunConfig
 from tmeseg.raster import gaussian_smooth
 from tmeseg.reference import reference_aggregate
@@ -37,21 +38,9 @@ def test_axis_offsets_cover_every_pixel():
         assert covered.all()
 
 
-def test_tile_plan_validation():
-    with pytest.raises(ValueError):
-        TilePlan(crop=384, stride=0)
-    with pytest.raises(ValueError):
-        TilePlan(crop=384, stride=385)
-    with pytest.raises(ValueError):
-        TilePlan(crop=0)
-    for crop, stride in ((50.5, 40), (60.0, 50.0), (True, True)):
-        with pytest.raises(ValueError, match="integers"):
-            TilePlan(crop, stride)
-
-
 def test_tile_cells_row_major_and_sized():
     """The cells of ``tile_cells`` partition the frame in row-major order."""
-    cells = tile_cells((768, 704), TilePlan())
+    cells = tile_cells((768, 704), RunConfig())
     rows = [slice(0, 320), slice(320, 384), slice(384, 768)]  # origins 0, 320, 384
     cols = [slice(0, 320), slice(320, 704)]  # origins 0, 320
     assert cells == [(r, c) for r in rows for c in cols]
@@ -59,7 +48,7 @@ def test_tile_cells_row_major_and_sized():
 
 def test_tile_cells_small_extent_single_cell():
     """An extent smaller than the crop is one cell of the full extent."""
-    assert tile_cells((100, 90), TilePlan()) == [(slice(0, 100), slice(0, 90))]
+    assert tile_cells((100, 90), RunConfig()) == [(slice(0, 100), slice(0, 90))]
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +69,7 @@ def _scene_bundle(seed, size):
 def test_tiled_equals_full_frame_on_stitch_safe_scene():
     bundle = _scene_bundle(3, 768)
     full = aggregate(bundle, STITCH_CFG)
-    tiled = aggregate(bundle, STITCH_CFG, TilePlan(), workers=1)
+    tiled = aggregate(bundle, STITCH_CFG, workers=1)
     _assert_same_result(full, tiled)
     rules = {d.rule for d in tiled.provenance.values()}
     assert rules <= {"vote", "fallback_epithelial", "fallback_fibroblast", "mitosis", "undefined"}
@@ -88,8 +77,8 @@ def test_tiled_equals_full_frame_on_stitch_safe_scene():
 
 def test_tiled_result_independent_of_worker_count():
     bundle = _scene_bundle(7, 768)
-    one = aggregate(bundle, STITCH_CFG, TilePlan(), workers=1)
-    three = aggregate(bundle, STITCH_CFG, TilePlan(), workers=3)
+    one = aggregate(bundle, STITCH_CFG, workers=1)
+    three = aggregate(bundle, STITCH_CFG, workers=3)
     _assert_same_result(one, three)
     assert one.provenance.keys() == three.provenance.keys()
 
@@ -102,7 +91,7 @@ def test_workers_must_be_positive():
 
 def test_frame_within_one_cell_equals_full_frame():
     bundle = _scene_bundle(9, 320)
-    res = aggregate(bundle, STITCH_CFG, TilePlan(), workers=4)
+    res = aggregate(bundle, STITCH_CFG, workers=4)
     full = aggregate(bundle, STITCH_CFG)
     _assert_same_result(full, res)
 
@@ -129,9 +118,9 @@ def test_pool_size_is_bounded_by_the_cells(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     bundle = _scene_bundle(11, 100)
-    plan = TilePlan(crop=60, stride=50)  # 2 x 2 cells
-    res = aggregate(bundle, STITCH_CFG, plan, workers=10**6)
-    assert _InlinePool.sizes == [len(tile_cells((100, 100), plan))] == [4]
+    cfg = dataclasses.replace(STITCH_CFG, crop_px=60, stride_px=50)  # 2 x 2 cells
+    res = aggregate(bundle, cfg, workers=10**6)
+    assert _InlinePool.sizes == [len(tile_cells((100, 100), cfg))] == [4]
     _assert_same_result(aggregate(bundle, STITCH_CFG), res)
 
 
@@ -161,18 +150,18 @@ def test_blur_runs_while_the_bundle_is_reduced(monkeypatch):
     monkeypatch.setattr(tmeseg.aggregate, "gaussian_smooth", signalling_smooth)
     bundle = _scene_bundle(13, 400)
     waiting = _ReduceAfterFirstBlur(bundle, blurred)
-    res = aggregate(waiting, STITCH_CFG, TilePlan(), workers=1)
+    res = aggregate(waiting, STITCH_CFG, workers=1)
     assert waiting.waited == [True]
     _assert_same_result(aggregate(bundle, STITCH_CFG), res)
 
 
 def test_threaded_blur_under_frequent_thread_switches():
     bundle = _scene_bundle(17, 200)
-    plan = TilePlan(crop=24, stride=20)  # 100 cells, each written by one of 8 threads
+    cfg = dataclasses.replace(STITCH_CFG, crop_px=24, stride_px=20)  # 100 cells, 8 threads
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        res = aggregate(bundle, STITCH_CFG, plan, workers=8)
+        res = aggregate(bundle, cfg, workers=8)
     finally:
         sys.setswitchinterval(interval)
     full = aggregate(bundle, STITCH_CFG)
@@ -190,8 +179,7 @@ def _tiling_cases(draw):
     return (
         draw(st.integers(0, 10_000)),
         (height, width),
-        TilePlan(crop, stride),
-        RunConfig(background_threshold=threshold),
+        RunConfig(crop_px=crop, stride_px=stride, background_threshold=threshold),
         draw(st.sampled_from((1, 2))),
     )
 
@@ -199,11 +187,12 @@ def _tiling_cases(draw):
 @settings(max_examples=30, deadline=None)
 @given(_tiling_cases())
 def test_tiled_equals_full_frame_for_any_plan(case):
-    seed, (height, width), plan, cfg, workers = case
+    seed, (height, width), cfg, workers = case
     scene = random_scene(seed, height, width, max_nuclei=40, max_candidates=8)
     bundle = build_bundle(scene)
-    full = aggregate(bundle, cfg)
-    tiled = aggregate(bundle, cfg, plan, workers=workers)
+    # the default 384 px crop is one cell over a frame of at most 96 px
+    full = aggregate(bundle, RunConfig(background_threshold=cfg.background_threshold))
+    tiled = aggregate(bundle, cfg, workers=workers)
     assert tiled.semantic.tobytes() == full.semantic.tobytes()
     assert tiled.classes == full.classes
     assert np.array_equal(tiled.mitosis.ids, full.mitosis.ids)
@@ -216,9 +205,9 @@ def test_tiled_equals_full_frame_for_any_plan(case):
 @settings(max_examples=30, deadline=None)
 @given(_tiling_cases())
 def test_each_pixel_is_blurred_in_one_owned_cell(case):
-    seed, shape, plan, cfg, _ = case
+    seed, shape, cfg, _ = case
     bundle = build_bundle(random_scene(seed, *shape, max_nuclei=10, max_candidates=2))
-    cells = tile_cells(shape, plan)
+    cells = tile_cells(shape, cfg)
     cover = np.zeros(shape, dtype=np.int64)
     for rows, cols in cells:
         cover[rows, cols] += 1
@@ -238,7 +227,7 @@ def test_each_pixel_is_blurred_in_one_owned_cell(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("tmeseg.aggregate.gaussian_smooth", counting_smooth)
-        aggregate(bundle, cfg, plan, workers=1)
+        aggregate(bundle, cfg, workers=1)
     assert len(blurred) == len(cells)
     assert sum(blurred) <= bound
 

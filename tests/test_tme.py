@@ -264,6 +264,16 @@ def test_association_depleted_direction():
     assert cell["direction"] == "depleted"
 
 
+def test_association_balanced_direction():
+    # mutated [1, 2] against wild-type [1, 2]: U = 2.0 = n_mut * n_wt / 2
+    cases = [_case(f"m{i}", v, True) for i, v in enumerate((1.0, 2.0))] + [
+        _case(f"w{i}", v, False) for i, v in enumerate((1.0, 2.0))
+    ]
+    cell = association_table(cases, ["TP53"])["in_tumor/lymphocyte"]["TP53"]
+    assert cell["U"] == 2.0
+    assert cell["direction"] == "balanced"
+
+
 def test_association_insufficient_n():
     cases = [_case("m0", 5.0, True)] + [_case(f"w{i}", 1.0, False) for i in range(4)]
     cell = association_table(cases, ["TP53"])["in_tumor/lymphocyte"]["TP53"]
