@@ -24,12 +24,10 @@ from .aggregate import aggregate
 from .config import DEFAULT_MPP, RunConfig, config_from_json
 from .container import (
     BundleReader,
-    ContainerError,
     StudentReader,
     container_from_labels,
-    labels_from_container,
-    load_hashed,
-    instances_from_container,
+    load_instances,
+    load_labels,
     save_bundle,
     save_stack,
     scan_stack,
@@ -59,16 +57,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Provenance
 # ---------------------------------------------------------------------------
-
-
-def _load(path: str, digests: dict[str, str], adapt: Callable):
-    """``adapt`` of a TMEF1 file, whose SHA-256, from the same read, goes
-    into ``digests``. A container of the wrong kind raises naming the file."""
-    container, digests[str(Path(path))] = load_hashed(path)
-    try:
-        return adapt(container)
-    except ContainerError as exc:
-        raise ContainerError(f"{path}: {exc}") from None
 
 
 def _read_json(path: str, parse: Callable, digests: dict[str, str]):
@@ -249,8 +237,8 @@ def _cmd_evaluate(args) -> int:
     if all(instance_flags):  # the JSON sidecars first: a malformed one prints nothing
         cmap = _read_json(args.map, class_map_from_json, digests)
         gt_classes = _read_json(args.gt_classes, _gt_classes, digests)
-    gt = _load(args.gt, digests, labels_from_container)
-    pred = _load(args.pred, digests, labels_from_container)
+    gt, _, digests[str(Path(args.gt))] = load_labels(args.gt)
+    pred, _, digests[str(Path(args.pred))] = load_labels(args.pred)
 
     semantic = _compare((args.gt, args.pred), evaluate_semantic, gt, pred, VOCABULARY.ids)
     report = {"schema_version": SCHEMA_VERSION, "semantic": semantic}
@@ -260,7 +248,7 @@ def _cmd_evaluate(args) -> int:
     tables = [format_table(["class", "dice", "iou"], rows)]
 
     if all(instance_flags):
-        nuclei = _load(args.nuclei, digests, instances_from_container)
+        nuclei, digests[str(Path(args.nuclei))] = load_instances(args.nuclei)
         # nuclei marked null carry no ground-truth class; they sit out
         _, _, slot, gids = nuclei.pixel_groups()
         kept = np.isin(gids, list(gt_classes))[slot]
@@ -293,7 +281,7 @@ def _cmd_count(args) -> int:
         else list(NUCLEUS_CLASSES)
     )
     cids = [VOCABULARY.resolve(name) for name in names]
-    mask = _load(args.mask, digests, labels_from_container)
+    mask, _, digests[str(Path(args.mask))] = load_labels(args.mask)
     records = {}
     for cid in cids:
         rec = count_record(mask, cid, args.mean_area)
@@ -318,7 +306,7 @@ def _cmd_tme(args) -> int:
     from .tme import slide_metrics
 
     digests: dict[str, str] = {}
-    mask, mask_mpp = _load(args.mask, digests, lambda c: (labels_from_container(c), c.mpp))
+    mask, mask_mpp, digests[str(Path(args.mask))] = load_labels(args.mask)
     mpp = args.mpp if args.mpp is not None else mask_mpp
     metrics = slide_metrics(mask, DEFAULT_MPP if mpp is None else mpp)
     out = Path(args.out)

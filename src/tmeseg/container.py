@@ -6,21 +6,26 @@ header carries ``{"magic": "TMEF1", "width", "height", "dtype", "channels",
 "mpp"?, "halo"?, "meta"?}`` with dtype one of f32 / u8 / u32. Round-trips
 are lossless; f32 payloads must be finite.
 
-Every reader checks a file's header against ``fstat`` before it allocates
-anything, then reads the payload through one loop, ``_chunks``, which
-checks the size and f32 finiteness and, for a hashed read, feeds every
-byte to a SHA-256. A whole read fills the final array plane by plane; a
-streamed read goes through one buffer of at most 4 MB. Each file is read
-once, except a bundle's tissue logits (see ``BundleReader``):
+Every reader opens a file through one function, ``_open``, which checks
+its header against ``fstat`` and, where a kind of data is asked for (an
+RGB tile, a label raster or an instance map), checks that kind on the
+header, all before any payload is read. The payload then goes through one
+loop, ``_chunks``, which checks the size and f32 finiteness and, for a
+hashed read, feeds every byte to a SHA-256. A whole read fills the final
+array plane by plane; a streamed read goes through one buffer of at most
+4 MB. Each file is read once, except a bundle's tissue logits (see
+``BundleReader``):
 
-* ``load_stack`` reads one file whole; ``load_hashed`` also returns its
+* ``load_stack`` reads one file of any kind whole, unhashed.
+* ``load_labels`` reads a label raster whole and ``load_instances`` an
+  instance map, keeping only its nonzero pixels; each returns the file's
   SHA-256, taken in the same read.
 * ``BundleReader`` reads a teacher bundle: opening it checks every header
   against the others before allocating any payload and reads H&E; its
-  ``reduce`` then reads nuclei, keeping only their nonzero pixels, and
-  reduces each logit file block by block, so no logit plane and no id
-  raster sits in memory. ``load_bundle`` opens a bundle the same way, then
-  reads nuclei the same way and both logit stacks whole.
+  ``reduce`` then reads nuclei as ``load_instances`` does and reduces each
+  logit file block by block, so no logit plane and no id raster sits in
+  memory. ``load_bundle`` opens a bundle the same way, then reads nuclei
+  the same way and both logit stacks whole.
 * ``StudentReader`` reads a student logit file, and its nuclei, for the
   ``postprocess`` reductions in the same way.
 * ``scan_stack`` checks and hashes one file without keeping its payload.
@@ -47,6 +52,12 @@ MAGIC = "TMEF1"
 _CHUNK_BYTES = 1 << 22  # the streamed reader's buffer: 4 MB at most
 _RGB = ("r", "g", "b")
 _IDS = ("instance_ids",)
+# the kinds of data a reader can ask ``_open`` for: dtype, channels, name
+_KINDS = {
+    "rgb": ("u8", _RGB, "an RGB tile"),
+    "labels": ("u8", ("labels",), "a label raster"),
+    "instances": ("u32", _IDS, "an instance map"),
+}
 
 _DTYPES = {"f32": "<f4", "u8": "|u1", "u32": "<u4"}
 _NATIVE = {"f32": np.float32, "u8": np.uint8, "u32": np.uint32}
@@ -112,6 +123,9 @@ class StackContainer:
 
 
 def save_stack(container: StackContainer, path: str | Path) -> None:
+    # before the file is opened, so a refused stack leaves no file behind
+    if container.dtype == "f32" and not all_finite(container.planes):
+        raise PayloadValueError(f"{path}: f32 payload contains NaN or Inf")
     header = json.dumps(container.header(), sort_keys=True).encode("utf-8")
     # written from the array's own buffer: no copy unless the planes need one
     payload = np.ascontiguousarray(container.planes, dtype=_DTYPES[container.dtype])
@@ -248,12 +262,22 @@ class _Hashed:
 _Part = tuple[_Hashed | BinaryIO, _Header, str | Path]  # open file, checked header, path
 
 
-def _open(files: ExitStack, path: str | Path, hashed: bool = True) -> _Part:
-    """Open ``path`` in ``files``, hashed or not; read and check its header."""
+def _open(
+    files: ExitStack, path: str | Path, kind: Optional[str] = None, hashed: bool = True
+) -> _Part:
+    """Open ``path`` in ``files``, hashed or not; read and check its header,
+    and that it holds ``kind`` of ``_KINDS`` if one is given."""
     fh = files.enter_context(open(path, "rb"))
     if hashed:
         fh = _Hashed(fh)
-    return fh, _read_checked_header(fh, path), path
+    head = _read_checked_header(fh, path)
+    if kind is not None:
+        dtype, channels, name = _KINDS[kind]
+        if (head.dtype, head.channels) != (dtype, channels):
+            raise ContainerError(f"{path}: not {name} container")
+        if kind == "instances":
+            _teacher_types(head.meta, path)
+    return fh, head, path
 
 
 def _chunks(part: _Part, out: Optional[np.ndarray] = None) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -296,21 +320,25 @@ def load_stack(path: str | Path) -> StackContainer:
     memory of a load is about the payload size.
     """
     with ExitStack() as files:
-        return _container(_open(files, path, hashed=False))
+        _, head, _ = part = _open(files, path, hashed=False)
+        return StackContainer(
+            head.channels, _read_whole(part), head.dtype, mpp=head.mpp, halo=head.halo,
+            meta=head.meta,
+        )
 
 
-def load_hashed(path: str | Path) -> tuple[StackContainer, str]:
-    """``load_stack`` and the file's SHA-256, both from the one read."""
+def load_labels(path: str | Path) -> tuple[np.ndarray, Optional[float], str]:
+    """A label raster read whole: ``(labels, mpp, SHA-256 of the file)``."""
     with ExitStack() as files:
-        part = _open(files, path)
-        return _container(part), part[0].sha.hexdigest()
+        fh, head, _ = part = _open(files, path, "labels")
+        return _read_whole(part)[0], head.mpp, fh.sha.hexdigest()
 
 
-def _container(part: _Part) -> StackContainer:
-    _, head, _ = part
-    return StackContainer(
-        head.channels, _read_whole(part), head.dtype, mpp=head.mpp, halo=head.halo, meta=head.meta
-    )
+def load_instances(path: str | Path) -> tuple[InstanceMap, str]:
+    """An instance map, keeping only its nonzero pixels, and the file's SHA-256."""
+    with ExitStack() as files:
+        part = _open(files, path, "instances")
+        return _read_instances(part), part[0].sha.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +357,6 @@ def container_from_labels(
     labels: np.ndarray, mpp: Optional[float] = None
 ) -> StackContainer:
     return StackContainer(("labels",), labels[None, :, :], "u8", mpp=mpp)
-
-
-def labels_from_container(container: StackContainer) -> np.ndarray:
-    _check_kind(container.dtype, container.channels, "u8", ("labels",), "a label raster")
-    return container.planes[0]
 
 
 def container_from_rgb(he: np.ndarray, mpp: Optional[float] = None) -> StackContainer:
@@ -359,30 +382,12 @@ def container_from_instances(
     )
 
 
-def instances_from_container(container: StackContainer) -> InstanceMap:
-    _check_kind(container.dtype, container.channels, "u32", _IDS, "an instance map")
-    return InstanceMap.from_ids(_signed_ids(container.planes[0]), _teacher_types(container.meta))
-
-
-def _check_kind(dtype, channels, want_dtype: str, want_channels: tuple, kind: str) -> None:
-    if dtype != want_dtype or tuple(channels) != want_channels:
-        raise ContainerError(f"not {kind} container")
-
-
-def _teacher_types(meta: dict) -> dict[int, int]:
+def _teacher_types(meta: dict, path: str | Path) -> dict[int, int]:
     types_doc = meta.get("teacher_types", {})
     try:
         return {int(k): int(v) for k, v in types_doc.items()}
     except (AttributeError, TypeError, ValueError) as exc:
-        raise PayloadValueError(f"bad teacher_types in instance map meta: {exc}") from exc
-
-
-def _signed_ids(ids: np.ndarray) -> np.ndarray:
-    """u32 instance ids as int32, checked below 2**31."""
-    ids = ids.view(np.int32)
-    if ids.size and ids.min() < 0:  # u32 ids >= 2**31 wrap negative
-        raise PayloadValueError("instance ids must be below 2**31")
-    return ids
+        raise PayloadValueError(f"{path}: bad teacher_types in instance map meta: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +456,21 @@ def _parse_manifest(raw: bytes, manifest_path: Path) -> tuple[dict, dict[str, Pa
 # ---------------------------------------------------------------------------
 
 
-def _read_instances(part: _Part, types: dict[int, int]) -> InstanceMap:
-    """The instance map of a checked u32 ``part``, read chunk by chunk:
-    only the flat index and id of its nonzero pixels are kept."""
-    _, head, _ = part
+def _read_instances(part: _Part) -> InstanceMap:
+    """The instance map of a ``part`` opened as instances, read chunk by
+    chunk: only the flat index and id of its nonzero pixels are kept."""
+    _, head, path = part
     index, ids = [], []
     for _, start, chunk in _chunks(part):
-        chunk = _signed_ids(chunk)
+        chunk = chunk.view(np.int32)
+        if chunk.min() < 0:  # u32 ids >= 2**31 wrap negative
+            raise PayloadValueError(f"{path}: instance ids must be below 2**31")
         at = np.flatnonzero(chunk != 0)  # a bool mask: ~8x faster than on the ints
         index.append(at + start)
         ids.append(chunk[at])
     return InstanceMap.from_pixels(
-        (head.height, head.width), np.concatenate(index), np.concatenate(ids), types
+        (head.height, head.width), np.concatenate(index), np.concatenate(ids),
+        _teacher_types(head.meta, path),
     )
 
 
@@ -563,16 +571,16 @@ class BundleReader(ExitStack):
         self.mpp = DEFAULT_MPP if doc.get("mpp") is None else float(doc["mpp"])
         self.digests = {str(manifest_path): hashlib.sha256(raw).hexdigest()} if self._hashed else {}
         with ExitStack() as files:  # closes the files if opening fails
-            self._parts = {k: _open(files, p, self._hashed) for k, p in parts.items()}
+            kinds = {"he": "rgb", "nuclei": "instances"}
+            self._parts = {
+                k: _open(files, p, kinds.get(k), self._hashed) for k, p in parts.items()
+            }
             heads = {k: head for k, (_, head, _) in self._parts.items()}
             he_head, ids_head = heads["he"], heads["nuclei"]
             frame = (he_head.height, he_head.width)
             self._class_ids = {}
             try:
-                _check_kind(he_head.dtype, he_head.channels, "u8", _RGB, "an RGB tile")
-                _check_kind(ids_head.dtype, ids_head.channels, "u32", _IDS, "an instance map")
                 check_part("nuclei", (ids_head.height, ids_head.width), frame)
-                self._types = _teacher_types(ids_head.meta)
                 for name, wanted in (("tissue_logits", TISSUE_IDS), ("cell_logits", CELL_IDS)):
                     head = heads[name]
                     self._class_ids[name] = _logit_class_ids(name, head, wanted)
@@ -599,7 +607,7 @@ class BundleReader(ExitStack):
             drain = pool.submit(_drain, tissue)
             inputs = fusion_inputs(
                 self.he,
-                _read_instances(self._parts["nuclei"], self._types),
+                _read_instances(self._parts["nuclei"]),
                 _aligned_blocks(positioned.fileno(), tissue, self._class_ids["tissue_logits"]),
                 _class_blocks(self._parts["cell_logits"], self._class_ids["cell_logits"]),
                 self.candidates,
@@ -633,7 +641,7 @@ def load_bundle(manifest_path: str | Path):
             he=reader.he,
             tissue_logits=stack("tissue_logits"),
             cell_logits=stack("cell_logits"),
-            nuclei=_read_instances(reader._parts["nuclei"], reader._types),
+            nuclei=_read_instances(reader._parts["nuclei"]),
             mitosis_candidates=reader.candidates,
             halo=reader.halo,
             mpp=reader.mpp,
@@ -658,24 +666,24 @@ class StudentReader(ExitStack):
         with ExitStack() as files:  # closes the files if opening fails
             self._parts = [_open(files, Path(student_path))]
             if nuclei_path is not None:
-                self._parts.append(_open(files, Path(nuclei_path)))
+                self._parts.append(_open(files, Path(nuclei_path), "instances"))
             head = self._parts[0][1]
             try:
                 self.class_ids = _logit_class_ids("student logits", head, VOCABULARY.ids)
-                if nuclei_path is not None:
-                    ids_head = self._parts[1][1]
-                    _check_kind(ids_head.dtype, ids_head.channels, "u32", _IDS, "an instance map")
-                    if (ids_head.height, ids_head.width) != (head.height, head.width):
-                        raise ValueError("nuclei and logits dimensions differ")
-                    self._types = _teacher_types(ids_head.meta)
             except (ValueError, UnknownClassError) as exc:
                 raise ContainerError(f"{student_path}: {exc}") from exc
+            if nuclei_path is not None:
+                ids_head = self._parts[1][1]
+                if (ids_head.height, ids_head.width) != (head.height, head.width):
+                    raise ContainerError(
+                        f"{student_path} and {nuclei_path}: nuclei and logits dimensions differ"
+                    )
             self.push(files.pop_all())
         self.shape = (head.height, head.width)
         self.mpp = head.mpp
 
     def nuclei(self) -> InstanceMap:
-        return _read_instances(self._parts[1], self._types)
+        return _read_instances(self._parts[1])
 
     def blocks(self) -> Iterator[tuple[int, int, np.ndarray]]:
         return _class_blocks(self._parts[0], self.class_ids)

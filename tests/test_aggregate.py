@@ -15,6 +15,7 @@ from tmeseg.aggregate import (
 )
 from tmeseg.config import RunConfig
 from tmeseg.raster import InstanceAttrs, InstanceMap, LogitStack, connected_components
+from tmeseg import reference
 from tmeseg.reference import reference_aggregate
 from tmeseg.synth import (
     GLASS,
@@ -90,6 +91,12 @@ def test_background_otsu_separates_glass_from_ink():
     bg = _tissue(b) == BG
     # smoothing blends the boundary; the outer columns are unambiguous
     assert bg[:, 9].all() and not bg[:, 0].any()
+
+
+@pytest.mark.parametrize("values", [[], np.zeros(0, np.uint8)], ids=["list", "array"])
+def test_reference_otsu_refuses_no_pixels(values):
+    with pytest.raises(ValueError, match="no pixels"):
+        reference._otsu(values)
 
 
 def test_tissue_all_negative_is_stroma():

@@ -17,14 +17,19 @@ import tmeseg
 from tmeseg.cli import cli
 from tmeseg.config import RunConfig
 from tmeseg.container import (
+    StackContainer,
     container_from_instances,
     container_from_labels,
     container_from_logits,
     load_stack,
+    save_bundle,
     save_stack,
 )
 from tmeseg.raster import InstanceMap, LogitStack
+from tmeseg.synth import build_bundle, random_scene
 from tmeseg.taxonomy import default_taxonomy
+
+from test_stream import _poke_f32
 
 TAX = default_taxonomy()
 
@@ -510,9 +515,7 @@ def test_aggregate_checks_workers_before_opening_the_bundle(tmp_path, capsys):
 
 def test_aggregate_data_error_leaves_no_thread(workspace, tmp_path, capsys):
     cell_path = workspace["bundle"].parent / "cell_logits.tmef"
-    cell = load_stack(cell_path)
-    cell.planes[-1, -1, -1] = np.nan  # the last value the reader reaches
-    save_stack(cell, cell_path)
+    _poke_f32(cell_path, -1, np.nan)  # the last value the reader reaches
     before = threading.active_count()
     out = tmp_path / "o.tmef"
     code = cli(["aggregate", "--bundle", str(workspace["bundle"]), "--out", str(out),
@@ -683,22 +686,33 @@ def test_malformed_sidecar_exits_2_naming_the_file(tmp_path, capsys, flag, doc, 
         ("evaluate", "--nuclei", "not an instance map container"),
         ("count", "--mask", "not a label raster container"),
         ("tme", "--mask", "not a label raster container"),
+        ("postprocess", "--nuclei", "not an instance map container"),
+        ("aggregate", "he", "not an RGB tile container"),  # a bundle part
+        ("aggregate", "nuclei", "not an instance map container"),
     ],
 )
 def test_wrong_kind_of_container_exits_2_naming_the_file(tmp_path, capsys, command, flag, message):
     paths = _instance_inputs(tmp_path)
     (tmp_path / "map.json").write_text(json.dumps(_GOOD_MAP))
     (tmp_path / "classes.json").write_text(json.dumps(_GOOD_CLASSES))
-    # an instance map where labels belong, or labels where the instance map does
+    # an instance map where labels belong, or labels where anything else does
     wrong = tmp_path / "wrong.tmef"
-    wrong.write_bytes(paths["gt" if flag == "--nuclei" else "nuclei"].read_bytes())
-    inputs = {
-        "evaluate": {"--gt": paths["gt"], "--pred": paths["pred"], "--nuclei": paths["nuclei"],
-                     "--map": tmp_path / "map.json", "--gt-classes": tmp_path / "classes.json"},
-        "count": {"--mask": paths["gt"]},
-        "tme": {"--mask": paths["gt"]},
-    }[command]
-    inputs[flag] = wrong
+    wrong.write_bytes(paths["nuclei" if flag in ("--gt", "--pred", "--mask") else "gt"].read_bytes())
+    if command == "aggregate":  # the manifest names the wrong file for the part
+        manifest = save_bundle(build_bundle(random_scene(3, max_nuclei=5)), tmp_path / "bundle")
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, flag: str(wrong)}))
+        inputs = {"--bundle": manifest}
+    else:
+        inputs = {
+            "evaluate": {"--gt": paths["gt"], "--pred": paths["pred"], "--nuclei": paths["nuclei"],
+                         "--map": tmp_path / "map.json",
+                         "--gt-classes": tmp_path / "classes.json"},
+            "count": {"--mask": paths["gt"]},
+            "tme": {"--mask": paths["gt"]},
+            "postprocess": {"--student": _student_container(tmp_path), "--mode": "panoptic"},
+        }[command]
+        inputs[flag] = wrong
     out = tmp_path / "out.json"
     argv = [command, "--out", str(out)]
     for name, path in inputs.items():
@@ -708,6 +722,38 @@ def test_wrong_kind_of_container_exits_2_naming_the_file(tmp_path, capsys, comma
     assert f"error: {wrong}: {message}" in captured.err
     assert captured.out == ""
     assert not out.exists() and not out.with_suffix(".provenance.json").exists()
+
+
+def _bad_nuclei(path: Path, shape, case: str) -> None:
+    """An instance map of ``shape`` with an id of 2**31, or malformed teacher types."""
+    ids = np.zeros((1,) + shape, np.uint32)
+    ids[0, 1, 1] = 2**31 if case == "id" else 1
+    meta = {"teacher_types": [1]} if case == "types" else {}
+    save_stack(StackContainer(("instance_ids",), ids, "u32", meta=meta), path)
+
+
+@pytest.mark.parametrize("command", ["aggregate", "postprocess"])
+@pytest.mark.parametrize(
+    "case, message",
+    [("id", "instance ids must be below 2**31"),
+     ("types", "bad teacher_types in instance map meta")],
+)
+def test_bad_nuclei_exit_2_naming_the_nuclei_file(tmp_path, capsys, command, case, message):
+    out = tmp_path / "out.tmef"
+    if command == "aggregate":
+        bundle = build_bundle(random_scene(3, max_nuclei=5))
+        manifest = save_bundle(bundle, tmp_path / "bundle")
+        nuclei = tmp_path / "bundle" / "nuclei.tmef"
+        _bad_nuclei(nuclei, bundle.he.shape[:2], case)
+        argv = ["aggregate", "--bundle", str(manifest)]
+    else:
+        nuclei = tmp_path / "nuclei.tmef"
+        _bad_nuclei(nuclei, (8, 8), case)
+        argv = ["postprocess", "--student", str(_student_container(tmp_path)),
+                "--mode", "panoptic", "--nuclei", str(nuclei)]
+    assert cli(argv + ["--out", str(out)]) == 2
+    assert f"error: {nuclei}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_good_sidecars_pass_the_checks(tmp_path, capsys):

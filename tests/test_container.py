@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -22,9 +24,9 @@ from tmeseg.container import (
     container_from_labels,
     container_from_logits,
     container_from_rgb,
-    instances_from_container,
-    labels_from_container,
     load_bundle,
+    load_instances,
+    load_labels,
     load_stack,
     save_bundle,
     save_stack,
@@ -138,6 +140,16 @@ def test_nonfinite_f32_payload_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(PayloadValueError, match="NaN"):
         load_stack(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_refuses_a_nonfinite_f32_plane(tmp_path, value):
+    planes = np.zeros((2, 3, 3), np.float32)
+    planes[1, 2, 0] = value
+    path = tmp_path / "stack.tmef"
+    with pytest.raises(PayloadValueError, match="NaN or Inf"):
+        save_stack(StackContainer(("a", "b"), planes, "f32"), path)
+    assert not path.exists()
 
 
 def _write_raw(path, header, payload=bytes(4)):
@@ -272,16 +284,18 @@ def test_logit_adapter_rejects_unknown_channel(tmp_path):
 
 def test_label_and_rgb_adapters(tmp_path):
     labels = np.arange(12, dtype=np.uint8).reshape(3, 4)
-    back = labels_from_container(load_stack(_write(tmp_path, container_from_labels(labels))))
+    path = _write(tmp_path, container_from_labels(labels, mpp=0.5))
+    back, mpp, digest = load_labels(path)
     assert np.array_equal(back, labels)
+    assert (mpp, digest) == (0.5, hashlib.sha256(path.read_bytes()).hexdigest())
     he = np.random.default_rng(2).integers(0, 256, size=(5, 6, 3)).astype(np.uint8)
     planar = load_stack(_write(tmp_path, container_from_rgb(he), "he.tmef"))
     assert planar.channels == ("r", "g", "b")
     assert np.array_equal(planar.planes, np.moveaxis(he, 2, 0))
     with pytest.raises(ContainerError):
         container_from_rgb(np.zeros((5, 6, 4), np.uint8))
-    with pytest.raises(ContainerError):
-        labels_from_container(container_from_rgb(he))
+    with pytest.raises(ContainerError, match="not a label raster container"):
+        load_labels(tmp_path / "he.tmef")
 
 
 def test_instance_adapter_keeps_teacher_types(tmp_path):
@@ -289,9 +303,9 @@ def test_instance_adapter_keeps_teacher_types(tmp_path):
     ids[1, 1] = 1
     ids[3, 3] = 2
     imap = InstanceMap.from_ids(ids, {1: TAX.resolve("fibroblast")})
-    back = instances_from_container(
-        load_stack(_write(tmp_path, container_from_instances(imap)))
-    )
+    path = _write(tmp_path, container_from_instances(imap))
+    back, digest = load_instances(path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert np.array_equal(back.ids, ids)
     assert back.attrs[1].teacher_type == TAX.resolve("fibroblast")
     assert back.attrs[2].teacher_type is None
@@ -301,19 +315,21 @@ def test_instance_ids_beyond_int32_rejected(tmp_path):
     ids = np.zeros((1, 4, 4), np.uint32)
     ids[0, 1, 1] = 2**31
     path = _write(tmp_path, StackContainer(("instance_ids",), ids, "u32"))
-    with pytest.raises(PayloadValueError, match="2\\*\\*31"):
-        instances_from_container(load_stack(path))
+    with pytest.raises(PayloadValueError, match=re.escape(f"{path}: instance ids must be below 2**31")):
+        load_instances(path)
     ids[0, 1, 1] = 2**31 - 1
-    back = instances_from_container(StackContainer(("instance_ids",), ids, "u32"))
+    path = _write(tmp_path, StackContainer(("instance_ids",), ids, "u32"))
+    back, _ = load_instances(path)
     assert back.instance_ids == [2**31 - 1]
 
 
 @pytest.mark.parametrize("types", [[1], {"1": None}, {"one": 2}])
-def test_malformed_teacher_types_rejected(types):
+def test_malformed_teacher_types_rejected(tmp_path, types):
     ids = np.ones((1, 2, 2), np.uint32)
     c = StackContainer(("instance_ids",), ids, "u32", meta={"teacher_types": types})
-    with pytest.raises(PayloadValueError, match="teacher_types"):
-        instances_from_container(c)
+    path = _write(tmp_path, c)
+    with pytest.raises(PayloadValueError, match=re.escape(f"{path}: bad teacher_types")):
+        load_instances(path)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +398,7 @@ def test_load_stack_peak_is_about_one_payload(tmp_path):
 def test_instance_load_peak_is_about_one_payload(tmp_path):
     nuclei = throughput_bundle(512).nuclei
     path = _write(tmp_path, container_from_instances(nuclei))
-    peak = _traced_peak(lambda: instances_from_container(load_stack(path)))
+    peak = _traced_peak(lambda: load_instances(path))
     assert peak <= 1.5 * nuclei.ids.nbytes
 
 

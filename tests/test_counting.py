@@ -52,6 +52,15 @@ def test_count_record_fields_and_validation():
         CountRecord(class_id=7, pixel_area=1, component_count=2)
 
 
+@pytest.mark.parametrize(
+    "pixel_area, component_count, message",
+    [(4, -1, "component_count must be >= 0"), (1, 2, "each component needs at least one pixel")],
+)
+def test_count_record_rejects_impossible_counts(pixel_area, component_count, message):
+    with pytest.raises(ValueError, match=message):
+        CountRecord(class_id=7, pixel_area=pixel_area, component_count=component_count)
+
+
 @pytest.mark.parametrize("mean_area", [0.0, -4.0, float("nan"), float("inf")])
 def test_count_record_rejects_bad_mean_area(mean_area):
     with pytest.raises(ValueError, match="mean_area_per_cell"):

@@ -29,8 +29,7 @@ from tmeseg.cli import cli
 from tmeseg.container import (
     BundleReader,
     container_from_logits,
-    instances_from_container,
-    load_stack,
+    load_instances,
     save_bundle,
     save_stack,
 )
@@ -67,7 +66,7 @@ def _run(*argv: str) -> str:
 def _student(nuclei_path: Path, path: Path) -> None:
     """A full-vocabulary student logit container over the frame of
     ``nuclei_path``: small exact float32 values from integer arithmetic."""
-    h, w = instances_from_container(load_stack(nuclei_path)).shape
+    h, w = load_instances(nuclei_path)[0].shape
     yy, xx = np.mgrid[:h, :w]
     planes = np.stack(
         [((yy * (c + 3) + xx * (2 * c + 1) + c) % 23 - 11) / 4 for c in VOCABULARY.ids]

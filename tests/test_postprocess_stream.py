@@ -3,6 +3,7 @@ argmax / per-nucleus sums over id-sorted planes, one pass per file, header
 failures before any payload is allocated, and no student stack in memory."""
 
 import hashlib
+import importlib
 import json
 import os
 import struct
@@ -37,7 +38,7 @@ from tmeseg.raster import InstanceMap, LogitStack
 from tmeseg.synth import throughput_bundle
 from tmeseg.taxonomy import LEUKOCYTE, VOCABULARY
 
-from test_stream import _LAUNCHER, _traced_peak
+from test_stream import _LAUNCHER, _poke_f32, _traced_peak
 
 N = VOCABULARY.n_classes
 
@@ -198,7 +199,7 @@ def test_streamed_equals_in_memory_on_throughput_bundle(slide):
     container = load_stack(student)
     stack = LogitStack(tuple(VOCABULARY.resolve(c) for c in container.channels), container.planes)
     del container
-    nuclei = tmeseg.container.instances_from_container(load_stack(nuclei_path))
+    nuclei, _ = tmeseg.container.load_instances(nuclei_path)
     assert np.array_equal(_streamed(student), force_mode(stack))
     labels, classes = panoptic_assign(stack, nuclei)
     del stack
@@ -253,8 +254,8 @@ def test_info_reads_one_chunk_at_a_time(slide, capsys):
 def test_every_student_value_is_checked_finite(tmp_path, monkeypatch, capsys, mode, where, value):
     monkeypatch.setattr(tmeseg.container, "_CHUNK_BYTES", 4 * 50)
     class_ids, planes, nuclei = _random_inputs(3)
-    planes.reshape(-1)[where] = value
     student = _student_file(tmp_path / "student.tmef", class_ids, planes)
+    _poke_f32(student, where, value)
     nuclei_path = _nuclei_file(tmp_path / "nuclei.tmef", nuclei) if mode == "panoptic" else None
     out = tmp_path / "out.tmef"
     assert _postprocess(student, out, nuclei_path) == 2
@@ -274,8 +275,8 @@ def test_in_memory_modes_reject_non_finite_logits():
 
 def test_info_rejects_a_nan_payload(tmp_path, capsys):
     class_ids, planes, _ = _random_inputs(4)
-    planes.reshape(-1)[-1] = np.nan
     student = _student_file(tmp_path / "student.tmef", class_ids, planes)
+    _poke_f32(student, -1, np.nan)
     assert cli(["info", str(student)]) == 2
     assert "NaN or Inf" in capsys.readouterr().err
 
@@ -301,7 +302,7 @@ NAMES = VOCABULARY.names
         (NAMES[:-1], (1024, 1024), "missing ['mitotic_cell']"),
         (NAMES + ("stroma",), (1024, 1024), "channel names must be distinct"),
         (NAMES + ("lym",), (1024, 1024), "channels must be distinct"),  # lymphocyte twice
-        (NAMES, (1024, 1023), "nuclei and logits dimensions differ"),
+        (NAMES, (1024, 1023), "nuclei and logits dimensions differ"),  # names both files
     ],
     ids=["missing-class", "duplicated-channel", "duplicated-class", "nuclei-wrong-dims"],
 )
@@ -312,11 +313,37 @@ def test_header_failures_exit_2_before_any_payload(tmp_path, capsys, channels, n
     codes = []
     peak = _traced_peak(lambda: codes.append(_postprocess(student, out, nuclei)))
     assert codes == [2]
-    assert message in capsys.readouterr().err
+    named = f"{student} and {nuclei}" if "dimensions" in message else f"{student}"
+    err = capsys.readouterr().err
+    assert f"error: {named}: " in err and message in err
     assert peak < 1 << 20
     assert not out.exists()
     with pytest.raises(ContainerError, match="student"):
         StudentReader(student, nuclei)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("count", "--mask"), ("tme", "--mask"), ("evaluate", "--gt"), ("evaluate", "--pred")],
+)
+def test_wrong_kind_exits_2_before_any_payload(tmp_path, capsys, command, flag):
+    wrong = _sparse(tmp_path / "student.tmef", "f32", NAMES, 1024, 1200)
+    assert os.path.getsize(wrong) > 64 << 20
+    labels = tmp_path / "labels.tmef"
+    save_stack(StackContainer(("labels",), np.zeros((1, 4, 4), np.uint8), "u8"), labels)
+    inputs = {"--gt": labels, "--pred": labels} if command == "evaluate" else {}
+    inputs[flag] = wrong
+    out = tmp_path / "out.json"
+    argv = [command, "--out", str(out)]
+    for name, path in inputs.items():
+        argv += [name, str(path)]
+    importlib.import_module("tmeseg.tme")  # the bound is on the read, not on `tme`'s import
+    codes = []
+    peak = _traced_peak(lambda: codes.append(cli(argv)))
+    assert codes == [2]
+    assert f"error: {wrong}: not a label raster container" in capsys.readouterr().err
+    assert peak <= 1 << 20
+    assert not out.exists()
 
 
 def test_student_must_be_f32(tmp_path, capsys):

@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import itertools
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -45,6 +46,17 @@ TISSUE_ORDERS = list(itertools.permutations(range(3)))
 
 def _rewrite(bundle, out_dir: Path, name: str, stack: LogitStack) -> None:
     save_stack(container_from_logits(stack, bundle.mpp, bundle.halo), out_dir / f"{name}.tmef")
+
+
+def _poke_f32(path: Path, where: int, value: float) -> None:
+    """Overwrite payload value ``where`` (a flat index; negative counts from
+    the end) of an f32 TMEF1 file, for the non-finite values that
+    ``save_stack`` refuses to write."""
+    with open(path, "r+b") as fh:
+        (hlen,) = struct.unpack("<I", fh.read(4))
+        size = (os.fstat(fh.fileno()).st_size - 4 - hlen) // 4
+        fh.seek(4 + hlen + 4 * (where % size))
+        fh.write(struct.pack("<f", value))
 
 
 def _permuted(stack: LogitStack, order) -> LogitStack:
@@ -244,10 +256,7 @@ def test_every_logit_value_is_checked_finite(tmp_path, monkeypatch, capsys, part
     monkeypatch.setattr(tmeseg.container, "_CHUNK_BYTES", 4 * 500)
     bundle = build_bundle(random_scene(3, max_nuclei=5))
     manifest = save_bundle(bundle, tmp_path)
-    stack = getattr(bundle, part)
-    planes = stack.planes.copy()
-    planes.reshape(-1)[where] = value
-    _rewrite(bundle, tmp_path, part, LogitStack(stack.class_ids, planes))
+    _poke_f32(tmp_path / f"{part}.tmef", where, value)
     before = _open_fds()
     for read in (_stream, load_bundle):
         with pytest.raises(PayloadValueError, match="NaN or Inf"):

@@ -2,6 +2,7 @@ import pytest
 
 from tmeseg.taxonomy import (
     ClassMap,
+    Taxonomy,
     UnknownClassError,
     class_map_from_json,
     default_taxonomy,
@@ -94,3 +95,19 @@ def test_class_map_from_json_unlisted_is_unmapped():
 def test_class_map_totality_enforced():
     with pytest.raises(ValueError):
         ClassMap(("lymphocyte",), {0: None})  # misses most source ids
+
+
+@pytest.mark.parametrize(
+    "names, abbrevs, levels, message",
+    [
+        (("background", "a", "a"), ("bg", "a1", "a2"), (), "class names must be unique"),
+        (("background", "a"), ("bg",), (), "one abbreviation per class required"),
+        (("a", "background"), ("a", "bg"), (), "id 0 is reserved for background"),
+        (("background", "a", "b"), ("bg", "a", "b"), ((1,), (2, 1)),
+         "class id 1 appears in two levels"),
+    ],
+    ids=["duplicate-name", "abbrev-count", "no-background", "two-levels"],
+)
+def test_malformed_taxonomy_rejected(names, abbrevs, levels, message):
+    with pytest.raises(ValueError, match=message):
+        Taxonomy(names, abbrevs, levels)
