@@ -19,7 +19,8 @@ runs all six stages on the smoothed grayscale. Stages 2-6 read the logit
 stacks only through two reductions, the tissue label before glass and the
 cell logits at the nucleus pixels (``FusionInputs``), which a bundle in
 memory (``TeacherBundle.reduce``) and a bundle streamed from disk
-(``container.BundleReader``) both produce.
+(``container.BundleReader``) both produce. Both check the bundle by one
+rule, ``check_bundle``: on array shapes and on file headers.
 
 Stages 3-6 keep each nucleus's class in one int16 array, in the order of
 ``nuclei.pixel_groups()``: the vote fills it, stages 4 and 5 give masks
@@ -91,6 +92,8 @@ CELL_CHANNELS = (
 )
 TISSUE_IDS = ids_of(TISSUE_CHANNELS)
 CELL_IDS = ids_of(CELL_CHANNELS)
+# The roster each logit part of a bundle carries.
+_ROSTERS = {"tissue_logits": TISSUE_IDS, "cell_logits": CELL_IDS}
 # Row of each cell channel in ``FusionInputs.cell_vals``.
 _CELL_ROW = {c: i for i, c in enumerate(CELL_IDS)}
 # Per hierarchy level: (cell_vals rows, class ids), both ascending by id.
@@ -147,17 +150,13 @@ class TeacherBundle:
     def validate(self) -> None:
         check_scale(self.mpp, self.halo, "bundle")
         check_rgb_tile(self.he)
-        frame = self.he.shape[:2]
-        for name, stack, wanted in (
-            ("tissue_logits", self.tissue_logits, TISSUE_IDS),
-            ("cell_logits", self.cell_logits, CELL_IDS),
-        ):
-            check_part(name, (stack.height, stack.width), frame)
-            check_roster(name, stack.class_ids, wanted)
+        stacks = {"tissue_logits": self.tissue_logits, "cell_logits": self.cell_logits}
+        parts = {k: ((s.height, s.width), s.class_ids) for k, s in stacks.items()}
+        parts["nuclei"] = (self.nuclei.shape, None)
+        check_bundle(self.he.shape[:2], parts, self.mitosis_candidates, self.halo or 0)
+        for stack in stacks.values():
             stack.require_finite()
-        check_part("nuclei", self.nuclei.shape, frame)
         self.nuclei.validate()
-        check_candidates(self.mitosis_candidates, frame, self.halo or 0)
 
     def reduce(self) -> "FusionInputs":
         """Validate, then feed each whole logit plane through the block reducers."""
@@ -171,12 +170,6 @@ class TeacherBundle:
         )
 
 
-def check_part(name: str, shape: tuple, frame: tuple) -> None:
-    """A bundle part's (height, width) must equal the H&E frame's."""
-    if tuple(shape) != tuple(frame):
-        raise ValueError(f"{name} does not share the H&E dimensions")
-
-
 def check_roster(name: str, class_ids: Sequence[int], wanted: Sequence[int]) -> None:
     """A logit stack must carry exactly the wanted channels, in any order."""
     want_ids, have_ids = set(wanted), set(class_ids)
@@ -188,8 +181,16 @@ def check_roster(name: str, class_ids: Sequence[int], wanted: Sequence[int]) -> 
         raise ValueError(f"{name} channel mismatch: missing {missing}, unexpected {extra}")
 
 
-def check_candidates(candidates: Sequence[tuple], frame: tuple, halo: int) -> None:
-    """Candidates lie inside the tile plus halo, with scores in [0, 1]."""
+def check_bundle(frame: tuple, parts: Mapping, candidates: Sequence[tuple], halo: int) -> None:
+    """The bundle rule, for arrays and files alike. ``parts`` maps a part's
+    name to ``((height, width), class ids or None)``: every part shares the
+    H&E ``frame``, each logit part carries its ``_ROSTERS`` entry, and the
+    candidates lie inside the tile plus ``halo``, with scores in [0, 1]."""
+    for name, (shape, class_ids) in parts.items():
+        if tuple(shape) != tuple(frame):
+            raise ValueError(f"{name} does not share the H&E dimensions")
+        if class_ids is not None:
+            check_roster(name, class_ids, _ROSTERS[name])
     h, w = frame
     for x, y, score in candidates:
         if not (-halo <= x < w + halo and -halo <= y < h + halo):

@@ -4,7 +4,9 @@ Layout: a little-endian u32 header length, a UTF-8 JSON header, then the
 channel planes concatenated row-major in little-endian byte order. The
 header carries ``{"magic": "TMEF1", "width", "height", "dtype", "channels",
 "mpp"?, "halo"?, "meta"?}`` with dtype one of f32 / u8 / u32. Round-trips
-are lossless; f32 payloads must be finite.
+are lossless; f32 payloads must be finite. One header rule, ``_Header``,
+checks every header a file holds and every ``StackContainer``, so
+``save_stack`` writes only headers that load.
 
 Every reader opens a file through one function, ``_open``, which checks
 its header against ``fstat`` and, where a kind of data is asked for (an
@@ -17,9 +19,9 @@ array plane by plane; a streamed read goes through one buffer of at most
 ``BundleReader``):
 
 * ``load_stack`` reads one file of any kind whole, unhashed.
-* ``load_labels`` reads a label raster whole and ``load_instances`` an
-  instance map, keeping only its nonzero pixels; each returns the file's
-  SHA-256, taken in the same read.
+* ``load_labels`` reads a label raster whole, each label a class id, and
+  ``load_instances`` an instance map, keeping only its nonzero pixels; each
+  returns the file's SHA-256, taken in the same read.
 * ``BundleReader`` reads a teacher bundle: opening it checks every header
   against the others before allocating any payload and reads H&E; its
   ``reduce`` then reads nuclei as ``load_instances`` does and reduces each
@@ -40,7 +42,7 @@ import struct
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterator, Optional, Sequence
+from typing import BinaryIO, Iterator, Optional
 
 import numpy as np
 
@@ -94,19 +96,12 @@ class StackContainer:
 
     def __post_init__(self):
         self.channels = tuple(str(c) for c in self.channels)
-        # so save_stack writes loadable headers
-        check_scale(self.mpp, self.halo, "container", ContainerError)
-        if self.dtype not in _DTYPES:
-            raise DtypeError(f"unknown dtype {self.dtype!r}; expected f32/u8/u32")
-        self.planes = np.ascontiguousarray(self.planes, dtype=_NATIVE[self.dtype])
-        if self.planes.ndim != 3 or self.planes.shape[0] != len(self.channels):
+        shape = np.shape(self.planes)
+        if len(shape) != 3 or shape[0] != len(self.channels):
             raise ContainerError("planes must be (C, H, W) with one name per channel")
-        if 0 in self.planes.shape[1:]:
-            raise ContainerError("planes must have positive height and width")
-        if not self.channels:
-            raise ContainerError("at least one channel required")
-        if len(set(self.channels)) != len(self.channels):
-            raise ContainerError("channel names must be distinct")
+        # the header rule, so save_stack writes only headers that load
+        _Header(self.dtype, shape[1], shape[2], self.channels, self.mpp, self.halo, self.meta)
+        self.planes = np.ascontiguousarray(self.planes, dtype=_NATIVE[self.dtype])
 
     @property
     def height(self) -> int:
@@ -155,7 +150,9 @@ def _read_header(fh, path, file_size: int) -> tuple[int, dict]:
 
 @dataclass(frozen=True)
 class _Header:
-    """A checked TMEF1 header whose payload size matches the file."""
+    """A TMEF1 header, checked when built: the one header rule, which a
+    ``StackContainer`` and every file read share. Errors name ``where``,
+    the file or ``"container"`` for a stack in memory."""
 
     dtype: str
     height: int
@@ -165,6 +162,21 @@ class _Header:
     halo: Optional[int]
     meta: dict
     offset: int = 0  # of the first payload byte in the file
+    where: str | Path = field(default="container", compare=False, repr=False)
+
+    def __post_init__(self):
+        where = self.where
+        if not isinstance(self.dtype, str) or self.dtype not in _DTYPES:
+            raise DtypeError(f"{where}: unknown dtype {self.dtype!r}; expected f32/u8/u32")
+        if not all(_is_int(v) and v >= 1 for v in (self.height, self.width)):
+            raise ContainerError(f"{where}: need integer, positive height and width")
+        if not self.channels or not all(isinstance(c, str) for c in self.channels):
+            raise ContainerError(f"{where}: channels must be a non-empty list of names")
+        if len(set(self.channels)) != len(self.channels):
+            raise ContainerError(f"{where}: channel names must be distinct")
+        if not isinstance(self.meta, dict):
+            raise ContainerError(f"{where}: meta must be a JSON object")
+        check_scale(self.mpp, self.halo, where, ContainerError)
 
     @property
     def wire(self) -> np.dtype:
@@ -191,35 +203,21 @@ class _Header:
 def _read_checked_header(fh, path) -> _Header:
     """Read and check the header; leave ``fh`` at the first payload byte.
 
-    Everything is checked against the header and ``fstat`` before any
+    Everything is checked against the header rule and ``fstat`` before any
     payload-sized allocation.
     """
     file_size = os.fstat(fh.fileno()).st_size
     hlen, header = _read_header(fh, path, file_size)
     if header.get("magic") != MAGIC:
         raise MagicError(f"{path}: bad magic {header.get('magic')!r}; expected {MAGIC!r}")
-    dtype = header.get("dtype")
-    if not isinstance(dtype, str) or dtype not in _DTYPES:
-        raise DtypeError(f"{path}: unknown dtype {dtype!r}; expected f32/u8/u32")
-    width, height = header.get("width"), header.get("height")
     channels = header.get("channels")
-    if not all(_is_int(v) and v >= 1 for v in (width, height)):
-        raise ContainerError(f"{path}: width and height must be positive integers")
-    if (
-        not isinstance(channels, list)
-        or not channels
-        or not all(isinstance(c, str) for c in channels)
-    ):
+    if not isinstance(channels, list):
         raise ContainerError(f"{path}: channels must be a non-empty list of names")
-    if len(set(channels)) != len(channels):
-        raise ContainerError(f"{path}: channel names must be distinct")
-    meta = header.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ContainerError(f"{path}: meta must be a JSON object")
-    mpp, halo = header.get("mpp"), header.get("halo")
-    check_scale(mpp, halo, path, ContainerError)
-    head = _Header(dtype, height, width, tuple(channels), mpp, halo, meta, 4 + hlen)
-    expected = width * height * len(channels) * head.wire.itemsize
+    head = _Header(
+        header.get("dtype"), header.get("height"), header.get("width"), tuple(channels),
+        header.get("mpp"), header.get("halo"), header.get("meta", {}), 4 + hlen, path,
+    )
+    expected = head.height * head.width * len(channels) * head.wire.itemsize
     actual = file_size - 4 - hlen
     if actual != expected:
         raise TruncatedPayloadError(f"{path}: expected {expected} payload bytes, found {actual}")
@@ -328,10 +326,15 @@ def load_stack(path: str | Path) -> StackContainer:
 
 
 def load_labels(path: str | Path) -> tuple[np.ndarray, Optional[float], str]:
-    """A label raster read whole: ``(labels, mpp, SHA-256 of the file)``."""
+    """A label raster read whole: ``(labels, mpp, SHA-256 of the file)``.
+    Every label must be a class id of the vocabulary."""
     with ExitStack() as files:
         fh, head, _ = part = _open(files, path, "labels")
-        return _read_whole(part)[0], head.mpp, fh.sha.hexdigest()
+        labels = _read_whole(part)[0]
+        top = int(labels.max())
+        if top >= VOCABULARY.n_classes:
+            raise PayloadValueError(f"{path}: label {top} is not a class id")
+        return labels, head.mpp, fh.sha.hexdigest()
 
 
 def load_instances(path: str | Path) -> tuple[InstanceMap, str]:
@@ -490,16 +493,12 @@ def scan_stack(path: str | Path) -> tuple[dict, str]:
     return head.doc(), fh.sha.hexdigest()
 
 
-def _logit_class_ids(name: str, head: _Header, wanted: Sequence[int]) -> tuple[int, ...]:
+def _logit_class_ids(name: str, head: _Header) -> tuple[int, ...]:
     """The class ids of a logit part's channels, once its header is checked
-    to be f32 and to name each of ``wanted`` once."""
-    from .aggregate import check_roster  # deferred: aggregate is a heavier import
-
+    to be f32."""
     if head.dtype != "f32":
         raise DtypeError(f"{name} must be f32, not {head.dtype}")
-    class_ids = tuple(VOCABULARY.resolve(c) for c in head.channels)
-    check_roster(name, class_ids, wanted)
-    return class_ids
+    return tuple(VOCABULARY.resolve(c) for c in head.channels)
 
 
 def _class_blocks(part: _Part, ids: tuple[int, ...]) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -536,11 +535,12 @@ class BundleReader(ExitStack):
     """A teacher bundle read from disk, H&E first.
 
     Opening reads the manifest and all four headers, checks them against
-    each other with the checks ``TeacherBundle.validate`` uses before any
-    payload is allocated, and reads H&E into ``he``. ``reduce`` reads
-    nuclei, keeping their nonzero pixels, then the cell logits through one
-    buffer of at most ``_CHUNK_BYTES``, where every chunk is hashed, checked
-    finite and reduced. It returns the ``FusionInputs`` and fills
+    each other by ``aggregate.check_bundle``, the rule that
+    ``TeacherBundle.validate`` runs, before any payload is allocated, and
+    reads H&E into ``he``. ``reduce`` reads nuclei, keeping their nonzero
+    pixels, then the cell logits through one buffer of at most
+    ``_CHUNK_BYTES``, where every chunk is hashed, checked finite and
+    reduced. It returns the ``FusionInputs`` and fills
     ``digests`` (the SHA-256 of the manifest and of each part, keyed by path
     as ``str``).
 
@@ -559,8 +559,7 @@ class BundleReader(ExitStack):
     _hashed = True  # whether every byte read feeds ``digests``
 
     def __init__(self, manifest_path: str | Path):
-        # deferred: aggregate is a heavier import
-        from .aggregate import CELL_IDS, TISSUE_IDS, check_candidates, check_part
+        from .aggregate import _ROSTERS, check_bundle  # deferred: aggregate is a heavier import
 
         super().__init__()
         manifest_path = Path(manifest_path)
@@ -576,16 +575,11 @@ class BundleReader(ExitStack):
                 k: _open(files, p, kinds.get(k), self._hashed) for k, p in parts.items()
             }
             heads = {k: head for k, (_, head, _) in self._parts.items()}
-            he_head, ids_head = heads["he"], heads["nuclei"]
-            frame = (he_head.height, he_head.width)
-            self._class_ids = {}
+            frame = (heads["he"].height, heads["he"].width)
             try:
-                check_part("nuclei", (ids_head.height, ids_head.width), frame)
-                for name, wanted in (("tissue_logits", TISSUE_IDS), ("cell_logits", CELL_IDS)):
-                    head = heads[name]
-                    self._class_ids[name] = _logit_class_ids(name, head, wanted)
-                    check_part(name, (head.height, head.width), frame)
-                check_candidates(self.candidates, frame, self.halo)
+                ids = self._class_ids = {k: _logit_class_ids(k, heads[k]) for k in _ROSTERS}
+                shapes = {k: ((h.height, h.width), ids.get(k)) for k, h in heads.items()}
+                check_bundle(frame, shapes, self.candidates, self.halo)
             except (ValueError, UnknownClassError) as exc:
                 raise ContainerError(f"{manifest_path}: {exc}") from exc
 
@@ -662,6 +656,8 @@ class StudentReader(ExitStack):
     """
 
     def __init__(self, student_path: str | Path, nuclei_path: str | Path | None = None):
+        from .aggregate import check_roster  # deferred: aggregate is a heavier import
+
         super().__init__()
         with ExitStack() as files:  # closes the files if opening fails
             self._parts = [_open(files, Path(student_path))]
@@ -669,7 +665,8 @@ class StudentReader(ExitStack):
                 self._parts.append(_open(files, Path(nuclei_path), "instances"))
             head = self._parts[0][1]
             try:
-                self.class_ids = _logit_class_ids("student logits", head, VOCABULARY.ids)
+                self.class_ids = _logit_class_ids("student logits", head)
+                check_roster("student logits", self.class_ids, VOCABULARY.ids)
             except (ValueError, UnknownClassError) as exc:
                 raise ContainerError(f"{student_path}: {exc}") from exc
             if nuclei_path is not None:

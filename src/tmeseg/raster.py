@@ -102,7 +102,11 @@ class InstanceMap:
     """
 
     def __init__(self, ids: np.ndarray, teacher_types: Optional[dict[int, Optional[int]]] = None):
-        ids = np.asarray(ids, dtype=np.int32)
+        ids = np.asarray(ids)
+        # checked before the cast, which would wrap large ids and truncate fractions
+        if ids.dtype.kind not in "iu" or ids.size and (ids.min() < 0 or ids.max() >= 2**31):
+            raise ValueError("instance ids must be non-negative integers below 2**31")
+        ids = ids.astype(np.int32, copy=False)
         if ids.ndim != 2:
             raise ValueError("instance ids must be a 2-d raster")
         flat = ids.ravel()

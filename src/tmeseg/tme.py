@@ -11,6 +11,8 @@ tumor region.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -314,21 +316,14 @@ def association_table(
 
 
 def association_csv(table: dict[str, dict[str, dict]]) -> str:
-    """Long-format CSV (metric, gene, p_value, direction, n_mut, n_wt)."""
-    lines = ["metric,gene,p_value,direction,n_mut,n_wt,marker"]
+    """Long-format CSV (metric, gene, p_value, direction, n_mut, n_wt, marker);
+    a field holding a comma or a quote is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["metric", "gene", "p_value", "direction", "n_mut", "n_wt", "marker"])
     for metric, row in table.items():
         for gene, cell in row.items():
-            lines.append(
-                ",".join(
-                    [
-                        metric,
-                        gene,
-                        "" if "p_value" not in cell else repr(cell["p_value"]),
-                        cell.get("direction", ""),
-                        str(cell.get("n_mut", "")),
-                        str(cell.get("n_wt", "")),
-                        cell.get("marker", ""),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+            p_value = repr(cell["p_value"]) if "p_value" in cell else ""
+            rest = [cell.get(k, "") for k in ("direction", "n_mut", "n_wt", "marker")]
+            writer.writerow([metric, gene, p_value, *rest])
+    return out.getvalue()

@@ -724,6 +724,39 @@ def test_wrong_kind_of_container_exits_2_naming_the_file(tmp_path, capsys, comma
     assert not out.exists() and not out.with_suffix(".provenance.json").exists()
 
 
+@pytest.mark.parametrize("value", [15, 200])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("evaluate", "--gt"), ("evaluate", "--pred"), ("count", "--mask"), ("tme", "--mask")],
+)
+def test_a_label_that_is_not_a_class_id_exits_2_naming_the_file(
+    tmp_path, capsys, command, flag, value
+):
+    paths = _instance_inputs(tmp_path)
+    (tmp_path / "map.json").write_text(json.dumps(_GOOD_MAP))
+    (tmp_path / "classes.json").write_text(json.dumps(_GOOD_CLASSES))
+    labels = np.zeros((6, 6), np.uint8)
+    labels[2, 2] = value  # on the nucleus, where evaluate's instance protocol reads it
+    bad = tmp_path / "bad.tmef"
+    save_stack(container_from_labels(labels), bad)
+    inputs = {
+        "evaluate": {"--gt": paths["gt"], "--pred": paths["pred"], "--nuclei": paths["nuclei"],
+                     "--map": tmp_path / "map.json", "--gt-classes": tmp_path / "classes.json"},
+        "count": {},
+        "tme": {},
+    }[command]
+    inputs[flag] = bad
+    out = tmp_path / "out.json"
+    argv = [command, "--out", str(out)]
+    for name, path in inputs.items():
+        argv += [name, str(path)]
+    assert cli(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {bad}: label {value} is not a class id" in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not out.with_suffix(".provenance.json").exists()
+
+
 def _bad_nuclei(path: Path, shape, case: str) -> None:
     """An instance map of ``shape`` with an id of 2**31, or malformed teacher types."""
     ids = np.zeros((1,) + shape, np.uint32)

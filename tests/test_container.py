@@ -257,6 +257,34 @@ def test_container_refuses_a_scale_load_stack_would_refuse():
         StackContainer(("a",), np.zeros((1, 2, 2), np.uint8), "u8", mpp=-1)
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"dtype": "i16"},
+        {"height": 0},
+        {"channels": ["a", "a"]},
+        {"meta": [1]},
+        {"meta": "x"},
+    ],
+    ids=["dtype", "height-0", "channels-dup", "meta-list", "meta-str"],
+)
+def test_a_stack_and_a_file_share_one_header_rule(tmp_path, changes):
+    """The constructor refuses what a load refuses, with the same error."""
+    header = _header(**changes)
+    channels = header["channels"]
+    planes = np.zeros((len(channels), header["height"], header["width"]), np.uint8)
+    path = _write_raw(tmp_path / "bad.tmef", header, bytes(planes.size))
+    with pytest.raises(ContainerError) as from_file:
+        load_stack(path)
+    with pytest.raises(ContainerError) as in_memory:
+        StackContainer(
+            channels, planes, header["dtype"], header.get("mpp"), header.get("halo"),
+            header.get("meta", {}),
+        )
+    assert type(in_memory.value) is type(from_file.value)
+    assert str(in_memory.value) == str(from_file.value).replace(str(path), "container")
+
+
 # ---------------------------------------------------------------------------
 # Typed adapters
 # ---------------------------------------------------------------------------

@@ -620,6 +620,21 @@ def test_instance_counts_for_dense_and_sparse_ids(other):
         InstanceMap.from_ids(-ids)
 
 
+@pytest.mark.parametrize(
+    "ids",
+    [
+        np.array([[0, 2**32 + 5]]),  # int64: a cast would make it nucleus 5
+        np.array([[0, 2**31]], np.uint32),  # a cast would make it negative
+        np.array([[0.5, 7.9]]),  # a cast would make it nucleus 7 and drop a pixel
+        np.array([[False, True]]),
+    ],
+    ids=["int64-beyond-uint32", "uint32-2**31", "float", "bool"],
+)
+def test_instance_map_refuses_ids_a_cast_would_change(ids):
+    with pytest.raises(ValueError, match="non-negative integers below 2\\*\\*31"):
+        InstanceMap(ids)
+
+
 @pytest.mark.parametrize("other", [9, 10**6])
 def test_pixel_groups_slot_present_ids(other):
     ids = np.zeros((4, 5), dtype=np.int32)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -226,11 +228,11 @@ def test_mwu_empty_sample_rejected():
 # ---------------------------------------------------------------------------
 
 
-def _case(case_id, value, mutated):
+def _case(case_id, value, mutated, gene="TP53"):
     return CaseRecord(
         case_id=case_id,
         metrics={"in_tumor/lymphocyte": value},
-        mutations={"TP53": mutated},
+        mutations={gene: mutated},
     )
 
 
@@ -300,15 +302,19 @@ def test_association_null_calibration():
 
 
 def test_association_csv_format():
-    cases = [_case(f"m{i}", 10.0 + i, True) for i in range(3)] + [
-        _case(f"w{i}", 1.0, False) for i in range(3)
-    ]
-    table = association_table(cases, ["TP53", "KRAS"])
-    text = association_csv(table)
-    lines = text.strip().splitlines()
-    assert lines[0] == "metric,gene,p_value,direction,n_mut,n_wt,marker"
-    assert len(lines) == 3  # header + 2 genes x 1 metric
-    assert any("TP53" in line and "enriched" in line for line in lines[1:])
+    for gene in ("TP53", "TP53,KRAS"):  # a comma in a name is quoted
+        cases = [_case(f"m{i}", 10.0 + i, True, gene) for i in range(3)] + [
+            _case(f"w{i}", 1.0, False, gene) for i in range(3)
+        ]
+        table = association_table(cases, [gene, "KRAS"])
+        text = association_csv(table)
+        lines = text.strip().splitlines()
+        assert lines[0] == "metric,gene,p_value,direction,n_mut,n_wt,marker"
+        assert len(lines) == 3  # header + 2 genes x 1 metric
+        assert any(gene in line and "enriched" in line for line in lines[1:])
+        rows = list(csv.reader(io.StringIO(text)))
+        assert all(len(row) == 7 for row in rows)
+        assert [row[1] for row in rows[1:]] == [gene, "KRAS"]
 
 
 # ---------------------------------------------------------------------------
