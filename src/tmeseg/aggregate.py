@@ -19,8 +19,11 @@ runs all six stages on the smoothed grayscale. Stages 2-6 read the logit
 stacks only through two reductions, the tissue label before glass and the
 cell logits at the nucleus pixels (``FusionInputs``), which a bundle in
 memory (``TeacherBundle.reduce``) and a bundle streamed from disk
-(``container.BundleReader``) both produce. Both check the bundle by one
-rule, ``check_bundle``: on array shapes and on file headers.
+(``container.BundleReader``) both produce. Both are checked by one rule,
+``check_bundle``, before fusion reads them: a ``TeacherBundle`` on its
+array shapes when it is built, and it cannot change after that; a reader
+on its file headers when it is opened. ``aggregate`` checks no bundle
+again.
 
 Stages 3-6 keep each nucleus's class in one int16 array, in the order of
 ``nuclei.pixel_groups()``: the vote fills it, stages 4 and 5 give masks
@@ -54,6 +57,7 @@ from .raster import (
     LogitStack,
     _merge_runs,
     _otsu_rows,
+    _read_only,
     _run_pixels,
     blob_hulls,
     check_rgb_tile,
@@ -118,12 +122,16 @@ RULES = ("undefined", "vote", "fallback_epithelial", "fallback_fibroblast", "mit
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TeacherBundle:
-    """All teacher outputs for one tile.
+    """All teacher outputs for one tile, checked when built.
 
     ``mitosis_candidates`` holds (x, y, score) triples; x is the column.
     Candidates may fall inside the declared halo just outside the tile.
+    The bundle cannot change once built: its fields are fixed, ``he`` is
+    made read-only, the logit stacks are frozen, and the nuclei's arrays
+    and records are read-only. ``dataclasses.replace`` builds, and so
+    checks, a new one.
     """
 
     he: np.ndarray
@@ -135,32 +143,25 @@ class TeacherBundle:
     mpp: float = DEFAULT_MPP
 
     def __post_init__(self):
-        self.mitosis_candidates = tuple(
-            (float(x), float(y), float(s)) for x, y, s in self.mitosis_candidates
-        )
-
-    @property
-    def height(self) -> int:
-        return self.he.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.he.shape[1]
+        candidates = tuple((float(x), float(y), float(s)) for x, y, s in self.mitosis_candidates)
+        object.__setattr__(self, "mitosis_candidates", candidates)
+        object.__setattr__(self, "he", np.asarray(self.he))
+        self.validate()
+        _read_only(self.he)
 
     def validate(self) -> None:
+        """The checks the parts cannot make alone: the scale, the H&E tile,
+        and ``check_bundle`` on the array shapes and channel ids."""
         check_scale(self.mpp, self.halo, "bundle")
         check_rgb_tile(self.he)
         stacks = {"tissue_logits": self.tissue_logits, "cell_logits": self.cell_logits}
         parts = {k: ((s.height, s.width), s.class_ids) for k, s in stacks.items()}
         parts["nuclei"] = (self.nuclei.shape, None)
         check_bundle(self.he.shape[:2], parts, self.mitosis_candidates, self.halo or 0)
-        for stack in stacks.values():
-            stack.require_finite()
-        self.nuclei.validate()
 
     def reduce(self) -> "FusionInputs":
-        """Validate, then feed each whole logit plane through the block reducers."""
-        self.validate()
+        """Feed each whole logit plane of the checked bundle through the
+        block reducers."""
         return fusion_inputs(
             self.he,
             self.nuclei,
@@ -206,7 +207,7 @@ def check_bundle(frame: tuple, parts: Mapping, candidates: Sequence[tuple], halo
 
 @dataclass
 class FusionInputs:
-    """A validated bundle with its logit stacks reduced to what fusion reads.
+    """A checked bundle with its logit stacks reduced to what fusion reads.
 
     ``tissue_pre`` is the tissue label before glass is applied; ``_fuse``
     consumes it, writing glass and then the nucleus classes into it.
@@ -559,9 +560,10 @@ def apply_mitosis(nuclei: InstanceMap, mitosis: InstanceMap) -> np.ndarray:
 def aggregate(
     bundle, config: Optional[RunConfig] = None, workers: int = 1
 ) -> AggregationResult:
-    """Validate one bundle and run the whole pipeline on it.
+    """Run the whole pipeline on one bundle.
 
-    ``bundle`` is a ``TeacherBundle`` or an open ``container.BundleReader``.
+    ``bundle`` is a ``TeacherBundle`` or an open ``container.BundleReader``,
+    each checked when it was built or opened.
     The cells of the config's crop and stride are blurred on up to
     ``workers`` threads as soon as ``bundle.he`` is known, while this thread
     reduces the bundle; each cell is written once into one grayscale
@@ -571,7 +573,7 @@ def aggregate(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cfg = config or RunConfig()
-    he = check_rgb_tile(bundle.he)
+    he = bundle.he
     cells = tile_cells(he.shape[:2], cfg)
     gray = np.empty(he.shape[:2], dtype=np.uint8)
     if len(cells) == 1:

@@ -535,8 +535,8 @@ class BundleReader(ExitStack):
     """A teacher bundle read from disk, H&E first.
 
     Opening reads the manifest and all four headers, checks them against
-    each other by ``aggregate.check_bundle``, the rule that
-    ``TeacherBundle.validate`` runs, before any payload is allocated, and
+    each other by ``aggregate.check_bundle``, the rule a ``TeacherBundle``
+    is checked by when it is built, before any payload is allocated, and
     reads H&E into ``he``. ``reduce`` reads nuclei, keeping their nonzero
     pixels, then the cell logits through one buffer of at most
     ``_CHUNK_BYTES``, where every chunk is hashed, checked finite and
@@ -622,7 +622,8 @@ def load_bundle(manifest_path: str | Path):
 
     It opens the bundle as ``BundleReader`` does, so every header is checked
     against the others before any payload is allocated, then reads nuclei
-    and both logit stacks whole. Nothing is hashed.
+    and both logit stacks whole into a ``TeacherBundle``, which checks
+    itself as it is built. Nothing is hashed.
     """
     from .aggregate import TeacherBundle  # deferred: aggregate is a heavier import
 

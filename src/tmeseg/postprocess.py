@@ -66,7 +66,6 @@ _NUCLEUS_ROW = {c: i for i, c in enumerate(NUCLEUS_IDS.tolist())}
 def _student_planes(stack: LogitStack) -> Blocks:
     """A checked in-memory student stack as whole-plane blocks, in its order."""
     check_roster("student logits", stack.class_ids, VOCABULARY.ids)
-    stack.require_finite()
     return _whole_planes(stack)
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,24 +45,30 @@ def all_finite(arr: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogitStack:
     """Named stack of float32 logit planes, one per class channel.
 
     ``planes`` has shape ``(C, H, W)``; ``class_ids[i]`` names plane ``i``.
+    The planes are checked finite when the stack is built, and the array
+    kept is read-only: the one passed in, when it is already float32.
     """
 
     class_ids: tuple[int, ...]
     planes: np.ndarray
 
     def __post_init__(self):
-        self.class_ids = tuple(int(c) for c in self.class_ids)
-        self.planes = np.asarray(self.planes, dtype=np.float32)
-        if self.planes.ndim != 3 or self.planes.shape[0] != len(self.class_ids):
+        class_ids = tuple(int(c) for c in self.class_ids)
+        planes = np.asarray(self.planes, dtype=np.float32)
+        if planes.ndim != 3 or planes.shape[0] != len(class_ids):
             raise ValueError("planes must be (C, H, W) with one plane per channel")
-        if len(set(self.class_ids)) != len(self.class_ids):
+        if len(set(class_ids)) != len(class_ids):
             raise ValueError("channel class ids must be distinct")
-        self._index = {c: i for i, c in enumerate(self.class_ids)}
+        if not all_finite(planes):
+            raise ValueError("logit planes contain NaN or Inf")
+        object.__setattr__(self, "class_ids", class_ids)
+        object.__setattr__(self, "planes", _read_only(planes))
+        object.__setattr__(self, "_index", {c: i for i, c in enumerate(class_ids)})
 
     @property
     def height(self) -> int:
@@ -77,13 +84,10 @@ class LogitStack:
         except KeyError:
             raise KeyError(f"logit stack has no channel for class id {class_id}")
 
-    def require_finite(self) -> None:
-        if not all_finite(self.planes):
-            raise ValueError("logit planes contain NaN or Inf")
 
+class InstanceAttrs(NamedTuple):
+    """One instance's record; a tuple, so it cannot change once built."""
 
-@dataclass
-class InstanceAttrs:
     pixel_count: int
     centroid: tuple[float, float]  # (row, col)
     teacher_type: Optional[int] = None
@@ -96,9 +100,9 @@ class InstanceMap:
     Every map is built by one core, ``from_pixels``, from the ascending flat
     ``index`` of the nonzero pixels and their ids: ``InstanceMap(ids)``
     scans an int32 id raster for them, and the labellings pass their runs'
-    pixels. ``pixel_groups`` returns the stored arrays and ``validate``
-    checks ``attrs`` against them. ``ids`` is the id raster, read-only: the
-    one scanned, or the groups painted on first use.
+    pixels. ``pixel_groups`` returns the stored arrays, and ``attrs`` is a
+    read-only mapping of records derived from them. ``ids`` is the id
+    raster, read-only: the one scanned, or the groups painted on first use.
     """
 
     def __init__(self, ids: np.ndarray, teacher_types: Optional[dict[int, Optional[int]]] = None):
@@ -154,10 +158,10 @@ class InstanceMap:
             np.bincount(slot, weights=rows) / counts, np.bincount(slot, weights=cols) / counts
         )
         types = types or {}
-        self.attrs = {
+        self.attrs = MappingProxyType({
             gid: InstanceAttrs(n, centroid, types.get(gid))
             for gid, n, centroid in zip(gids.tolist(), counts.tolist(), centroids)
-        }
+        })
 
     @property
     def instance_ids(self) -> list[int]:
@@ -182,21 +186,11 @@ class InstanceMap:
         """
         return self._groups
 
-    def validate(self) -> None:
+    def __reduce__(self):
+        """Pickled and copied as its pixels: ``from_pixels`` builds the copy."""
         _, _, slot, gids = self._groups
-        counts = dict(zip(gids.tolist(), np.bincount(slot).tolist()))
-        if set(counts) - set(self.attrs):
-            raise ValueError("raster contains ids without attribute records")
-        if 0 in self.attrs:
-            raise ValueError("id 0 is reserved for no-instance")
-        if set(self.attrs) - set(counts):
-            raise ValueError("attribute records without raster pixels")
-        for gid, a in self.attrs.items():
-            if a.pixel_count != counts[gid]:
-                raise ValueError(
-                    f"instance {gid}: pixel_count {a.pixel_count} "
-                    f"!= raster count {counts[gid]}"
-                )
+        types = {gid: a.teacher_type for gid, a in self.attrs.items()}
+        return InstanceMap.from_pixels, (self.shape, self.index, gids[slot], types)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -211,8 +205,8 @@ def _group_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Ids up to ``len(vals)`` are grouped by a bincount over their values;
     larger ones by ``np.unique``, so no array is sized by an id value.
     """
-    if vals.size and vals.min() < 0:
-        raise ValueError("instance ids must be non-negative")
+    if vals.size and vals.min() < 1:
+        raise ValueError("instance ids must be positive")
     if vals.size and vals.max() <= vals.size:
         present = np.bincount(vals) > 0
         return np.flatnonzero(present), (np.cumsum(present) - 1)[vals]

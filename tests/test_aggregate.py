@@ -45,27 +45,31 @@ FIB = TAX.resolve("fibroblast")
 MIT = TAX.resolve("mitotic_cell")
 
 
-def _stack(names, h, w, fill=-2.0):
+def _stack(names, h, w, fill=-2.0, **planes):
+    """A stack of the channels ``names``, ``fill`` but for the planes named
+    in ``planes``."""
     ids = tuple(TAX.resolve(n) for n in names)
-    return LogitStack(ids, np.full((len(names), h, w), fill, dtype=np.float32))
+    values = np.full((len(names), h, w), fill, dtype=np.float32)
+    for name, value in planes.items():
+        values[ids.index(TAX.resolve(name))] = value
+    return LogitStack(ids, values)
 
 
-def _set(stack: LogitStack, name: str, value) -> None:
-    stack.planes[stack.class_ids.index(TAX.resolve(name))] = value
-
-
-def make_bundle(h=8, w=8, ink=TISSUE_INK, ids=None, types=None, candidates=()):
-    """All-ink tile (uniform gray: per-tile Otsu labels nothing as glass)."""
-    he = np.full((h, w, 3), ink, dtype=np.uint8)
+def make_bundle(
+    h=8, w=8, ink=TISSUE_INK, ids=None, types=None, candidates=(), he=None, tissue=None, **fields
+):
+    """All-ink tile (uniform gray: per-tile Otsu labels nothing as glass),
+    unless ``he`` is given; ``tissue`` maps tissue channels to logits."""
     imap = InstanceMap.from_ids(
         ids if ids is not None else np.zeros((h, w), np.int32), types or {}
     )
     return TeacherBundle(
-        he=he,
-        tissue_logits=_stack(TISSUE_CHANNELS, h, w),
+        he=np.full((h, w, 3), ink, dtype=np.uint8) if he is None else he,
+        tissue_logits=_stack(TISSUE_CHANNELS, h, w, **(tissue or {})),
         cell_logits=_stack(CELL_CHANNELS, h, w),
         nuclei=imap,
         mitosis_candidates=candidates,
+        **fields,
     )
 
 
@@ -86,9 +90,9 @@ def test_background_threshold_override():
 
 
 def test_background_otsu_separates_glass_from_ink():
-    b = make_bundle(10, 10, ink=GLASS)
-    b.he[:, :5] = TISSUE_INK
-    bg = _tissue(b) == BG
+    he = np.full((10, 10, 3), GLASS, dtype=np.uint8)
+    he[:, :5] = TISSUE_INK
+    bg = _tissue(make_bundle(10, 10, he=he)) == BG
     # smoothing blends the boundary; the outer columns are unambiguous
     assert bg[:, 9].all() and not bg[:, 0].any()
 
@@ -105,39 +109,31 @@ def test_tissue_all_negative_is_stroma():
 
 
 def test_tissue_contest_larger_logit_wins():
-    b = make_bundle()
-    _set(b.tissue_logits, "smooth_muscle", 2.0)
-    _set(b.tissue_logits, "epithelial_tissue", 1.0)
+    b = make_bundle(tissue={"smooth_muscle": 2.0, "epithelial_tissue": 1.0})
     assert (_tissue(b) == SM).all()
-    _set(b.tissue_logits, "epithelial_tissue", 3.0)
+    b = make_bundle(tissue={"smooth_muscle": 2.0, "epithelial_tissue": 3.0})
     assert (_tissue(b) == EPI).all()
 
 
 def test_tissue_contest_tie_goes_to_smooth_muscle():
-    b = make_bundle()
-    _set(b.tissue_logits, "smooth_muscle", 1.5)
-    _set(b.tissue_logits, "epithelial_tissue", 1.5)
+    b = make_bundle(tissue={"smooth_muscle": 1.5, "epithelial_tissue": 1.5})
     assert (_tissue(b) == SM).all()
 
 
 def test_tissue_one_sided_contest():
     # epithelium positive, smooth muscle negative: epithelium carries the
     # contest even though the *larger* channel comparison is one-sided
-    b = make_bundle()
-    _set(b.tissue_logits, "epithelial_tissue", 0.5)
+    b = make_bundle(tissue={"epithelial_tissue": 0.5})
     assert (_tissue(b) == EPI).all()
 
 
 def test_rbc_overlays_tissue_winner():
-    b = make_bundle()
-    _set(b.tissue_logits, "smooth_muscle", 2.0)
-    _set(b.tissue_logits, "red_blood_cell", 0.1)
+    b = make_bundle(tissue={"smooth_muscle": 2.0, "red_blood_cell": 0.1})
     assert (_tissue(b) == RBC).all()
 
 
 def test_background_trumps_positive_logits():
-    b = make_bundle(ink=GLASS)
-    _set(b.tissue_logits, "epithelial_tissue", 5.0)
+    b = make_bundle(ink=GLASS, tissue={"epithelial_tissue": 5.0})
     labels = _tissue(b, RunConfig(background_threshold=200))
     assert (labels == BG).all()
 
@@ -152,17 +148,13 @@ def _vote(stack: LogitStack, n_pixels: int):
     pixels of row 0 of a bundle carrying the cell logits ``stack``."""
     ids = np.zeros((stack.height, stack.width), np.int32)
     ids[0, :n_pixels] = 1
-    b = make_bundle(stack.height, stack.width, ids=ids)
-    b.cell_logits = stack
+    b = dataclasses.replace(make_bundle(stack.height, stack.width, ids=ids), cell_logits=stack)
     res = aggregate(b)
     return res.classes[1], res.provenance[1]
 
 
 def _one_pixel_logits(**name_to_logit):
-    stack = _stack(CELL_CHANNELS, 1, 1)
-    for name, v in name_to_logit.items():
-        _set(stack, name, v)
-    return stack
+    return _stack(CELL_CHANNELS, 1, 1, **name_to_logit)
 
 
 def test_deeper_level_overrides_shallower():
@@ -190,23 +182,20 @@ def test_all_nonpositive_is_undefined():
 
 
 def test_majority_vote_three_to_two():
-    stack = _stack(CELL_CHANNELS, 1, 5)
     plane = np.full((1, 5), -2.0, dtype=np.float32)
     plane[0, :3] = 1.0
-    _set(stack, "lymphocyte", plane)
     plane2 = np.full((1, 5), -2.0, dtype=np.float32)
     plane2[0, 3:] = 1.0
-    _set(stack, "plasma_cell", plane2)
+    stack = _stack(CELL_CHANNELS, 1, 5, lymphocyte=plane, plasma_cell=plane2)
     cls, dec = _vote(stack, 5)
     assert cls == LYM
     assert dec.votes == {LYM: 3, PLS: 2}
 
 
 def test_undefined_needs_strict_plurality():
-    stack = _stack(CELL_CHANNELS, 1, 5)
     plane = np.full((1, 5), -2.0, dtype=np.float32)
     plane[0, :2] = 1.0  # two endothelial pixels, the rest undefined
-    _set(stack, "endothelial_cell", plane)
+    stack = _stack(CELL_CHANNELS, 1, 5, endothelial_cell=plane)
     cls, _ = _vote(stack, 4)
     assert cls == ENDO  # 2 endothelial vs 2 undefined: the defined class wins
     cls, _ = _vote(stack, 5)
@@ -215,23 +204,21 @@ def test_undefined_needs_strict_plurality():
 
 
 def test_defined_tie_takes_lowest_class_id():
-    stack = _stack(CELL_CHANNELS, 1, 2)
     a = np.full((1, 2), -2.0, dtype=np.float32)
     a[0, 0] = 1.0
-    _set(stack, "lymphocyte", a)
     b = np.full((1, 2), -2.0, dtype=np.float32)
     b[0, 1] = 1.0
-    _set(stack, "endothelial_cell", b)
+    stack = _stack(CELL_CHANNELS, 1, 2, lymphocyte=a, endothelial_cell=b)
     cls, _ = _vote(stack, 2)
     assert cls == ENDO  # 5 < 7
 
 
 def test_empty_pixel_set_rejected():
-    # a nucleus record whose pixels are gone is rejected, not voted undefined
+    # a nucleus record without pixels cannot be added, so none is voted undefined
     b = make_bundle(2, 2)
-    b.nuclei.attrs[1] = InstanceAttrs(pixel_count=0, centroid=(0.0, 0.0))
-    with pytest.raises(ValueError, match="without raster pixels"):
-        aggregate(b)
+    with pytest.raises(TypeError):
+        b.nuclei.attrs[1] = InstanceAttrs(pixel_count=0, centroid=(0.0, 0.0))
+    assert aggregate(b).classes == {}
 
 
 # ---------------------------------------------------------------------------
@@ -386,31 +373,46 @@ def test_bundle_rejects_missing_channel():
     short = LogitStack(
         b.cell_logits.class_ids[:-1], b.cell_logits.planes[:-1]
     )
-    broken = dataclasses.replace(b, cell_logits=short)
     with pytest.raises(ValueError, match="epithelial_tissue"):
-        broken.validate()
+        dataclasses.replace(b, cell_logits=short)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.cell_logits = short
+
+
+def test_bundle_rejects_a_part_off_the_h_and_e_frame():
+    b = make_bundle(8, 8)
+    with pytest.raises(ValueError, match="nuclei does not share the H&E dimensions"):
+        dataclasses.replace(b, nuclei=InstanceMap(np.zeros((8, 7), np.int32)))
+    with pytest.raises(ValueError, match="cell_logits does not share the H&E dimensions"):
+        dataclasses.replace(b, cell_logits=_stack(CELL_CHANNELS, 7, 8))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.nuclei = InstanceMap(np.zeros((8, 7), np.int32))
 
 
 def test_bundle_rejects_nonfinite_logits():
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        _stack(TISSUE_CHANNELS, 8, 8, smooth_muscle=np.nan)
     b = make_bundle()
-    b.tissue_logits.planes[0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
-        b.validate()
+    with pytest.raises(ValueError, match="read-only"):
+        b.tissue_logits.planes[0, 0, 0] = np.nan
+    assert np.isfinite(b.tissue_logits.planes).all()
 
 
 def test_bundle_rejects_candidate_outside_halo():
-    b = make_bundle(candidates=((-5.0, 2.0, 0.9),))
     with pytest.raises(ValueError, match="outside"):
-        b.validate()
-    ok = make_bundle(candidates=((-5.0, 2.0, 0.9),))
-    ok.halo = 8
+        make_bundle(candidates=((-5.0, 2.0, 0.9),))
+    ok = make_bundle(candidates=((-5.0, 2.0, 0.9),), halo=8)
     ok.validate()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ok.halo = 0
 
 
 def test_bundle_rejects_bad_score():
-    b = make_bundle(candidates=((2.0, 2.0, 1.5),))
     with pytest.raises(ValueError, match="score"):
-        b.validate()
+        make_bundle(candidates=((2.0, 2.0, 1.5),))
+    b = make_bundle(candidates=((2.0, 2.0, 0.5),))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.mitosis_candidates = ((2.0, 2.0, 1.5),)
 
 
 @pytest.mark.parametrize(
@@ -425,22 +427,55 @@ def test_bundle_rejects_bad_score():
     ids=["halo-negative", "halo-float", "mpp-negative", "mpp-zero", "mpp-nan"],
 )
 def test_bundle_rejects_a_scale_a_container_header_refuses(scale, message):
-    # the same rule as for TMEF1 headers and manifests, so save_bundle never
-    # meets a bundle that validate and aggregate accepted
-    b = dataclasses.replace(make_bundle(candidates=((4.0, 4.0, 0.9),)), **scale)
+    # the same rule as for TMEF1 headers and manifests, so save_bundle and
+    # aggregate never meet a bundle it refuses
+    b = make_bundle(candidates=((4.0, 4.0, 0.9),))
     with pytest.raises(ValueError, match=message):
-        b.validate()
+        dataclasses.replace(b, **scale)
     with pytest.raises(ValueError, match=message):
-        aggregate(b)
+        make_bundle(candidates=((4.0, 4.0, 0.9),), **scale)
+    ((field, value),) = scale.items()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(b, field, value)
 
 
 def test_bundle_without_a_halo_has_halo_0():
     # as in a bundle manifest, where a missing or null halo means 0
     inside = dataclasses.replace(make_bundle(candidates=((4.0, 4.0, 0.9),)), halo=None)
     inside.validate()
-    outside = dataclasses.replace(make_bundle(candidates=((-1.0, 4.0, 0.9),)), halo=None)
     with pytest.raises(ValueError, match="outside tile plus halo 0"):
-        outside.validate()
+        make_bundle(candidates=((-1.0, 4.0, 0.9),), halo=None)
+
+
+def test_nothing_reachable_through_a_built_bundle_is_writable():
+    ids = np.zeros((8, 8), np.int32)
+    ids[2:4, 2:4] = 1
+    planes = np.full((len(TISSUE_CHANNELS), 8, 8), -2.0, dtype=np.float32)
+    tissue = LogitStack(tuple(TAX.resolve(n) for n in TISSUE_CHANNELS), planes)
+    b = dataclasses.replace(
+        make_bundle(ids=ids, candidates=((4.0, 4.0, 0.9),)), tissue_logits=tissue
+    )
+    # the H&E, the logit planes, and the array handed to LogitStack, which it keeps
+    for arr in (b.he, b.tissue_logits.planes, planes, b.cell_logits.planes):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0
+    for field, value in (("halo", 8), ("mitosis_candidates", ()), ("he", b.he.copy())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(b, field, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.tissue_logits.planes = planes.copy()
+    for gid in (0, 1, 2):
+        with pytest.raises(TypeError):
+            b.nuclei.attrs[gid] = InstanceAttrs(pixel_count=4, centroid=(2.5, 2.5))
+    with pytest.raises(AttributeError):
+        b.nuclei.attrs[1].pixel_count = 5
+    # replace builds a new bundle, so it runs the checks again
+    with pytest.raises(ValueError, match="halo must be an integer >= 0"):
+        dataclasses.replace(b, halo=-1)
+    short = LogitStack(b.cell_logits.class_ids[:-1], b.cell_logits.planes[:-1])
+    with pytest.raises(ValueError, match="channel mismatch"):
+        dataclasses.replace(b, cell_logits=short)
+    assert b.halo == 0 and b.nuclei.attrs[1].pixel_count == 4 and (planes == -2.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +563,9 @@ def test_aggregate_rejects_records_without_pixels(ghost):
     ids = np.zeros((8, 8), np.int32)
     ids[2:4, 2:4] = 1
     bundle = make_bundle(ids=ids)
-    bundle.nuclei.attrs[ghost] = InstanceAttrs(pixel_count=0, centroid=(0.0, 0.0))
-    with pytest.raises(ValueError, match="without raster pixels"):
-        aggregate(bundle)
+    with pytest.raises(TypeError):
+        bundle.nuclei.attrs[ghost] = InstanceAttrs(pixel_count=0, centroid=(0.0, 0.0))
+    assert set(aggregate(bundle).classes) == {1}
 
 
 def test_mitotic_label_confined_to_nuclei():

@@ -77,11 +77,11 @@ from tmeseg.raster import InstanceMap
 from tmeseg.synth import build_bundle, random_scene
 
 recorder = tracer.install()
-InstanceMap.from_ids(np.ones((2, 2), np.int32)).validate()
-build_bundle(random_scene(1)).validate()
+InstanceMap.from_ids(np.ones((2, 2), np.int32))
+build_bundle(random_scene(1)).validate()  # the constructor's call, then this one
 calls = recorder.summary()["calls"]
 assert calls["raster.InstanceMap.from_ids"] >= 1, calls
-assert calls["aggregate.TeacherBundle.validate"] == 1, calls
+assert calls["aggregate.TeacherBundle.validate"] == 2, calls
 """)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -370,7 +371,9 @@ def test_bundle_round_trip(tmp_path):
     square = build_bundle(random_scene(33))
     oblong = build_bundle(random_scene(35, 37, 52))
     stack = oblong.cell_logits
-    oblong.cell_logits = LogitStack(stack.class_ids[::-1], stack.planes[::-1])
+    oblong = dataclasses.replace(
+        oblong, cell_logits=LogitStack(stack.class_ids[::-1], stack.planes[::-1])
+    )
     for i, bundle in enumerate((square, oblong)):
         manifest = save_bundle(bundle, tmp_path / f"bundle{i}")
         assert manifest.name == "bundle.json"
@@ -428,11 +431,6 @@ def test_instance_load_peak_is_about_one_payload(tmp_path):
     path = _write(tmp_path, container_from_instances(nuclei))
     peak = _traced_peak(lambda: load_instances(path))
     assert peak <= 1.5 * nuclei.ids.nbytes
-
-
-def test_instance_validate_allocates_less_than_half_the_raster():
-    nuclei = throughput_bundle(512).nuclei
-    assert _traced_peak(nuclei.validate) <= 0.5 * nuclei.ids.nbytes
 
 
 # ---------------------------------------------------------------------------

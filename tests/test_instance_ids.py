@@ -33,7 +33,7 @@ def _renumber(nuclei: InstanceMap, new_ids: list[int]) -> InstanceMap:
 def _student(bundle, seed):
     rng = np.random.default_rng(seed)
     ids = tuple(TAX.ids)
-    planes = rng.normal(size=(len(ids), bundle.height, bundle.width))
+    planes = rng.normal(size=(len(ids),) + bundle.he.shape[:2])
     return LogitStack(ids, planes.astype(np.float32))
 
 

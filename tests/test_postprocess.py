@@ -13,13 +13,13 @@ from tmeseg.taxonomy import default_taxonomy
 TAX = default_taxonomy()
 
 
-def full_stack(h=4, w=4, fill=-1.0):
+def full_stack(h=4, w=4, fill=-1.0, **planes):
+    """A stack of every class, ``fill`` but for the planes named in ``planes``."""
     ids = tuple(TAX.ids)
-    return LogitStack(ids, np.full((len(ids), h, w), fill, dtype=np.float32))
-
-
-def set_plane(stack, name, value):
-    stack.planes[stack.class_ids.index(TAX.resolve(name))] = value
+    values = np.full((len(ids), h, w), fill, dtype=np.float32)
+    for name, value in planes.items():
+        values[ids.index(TAX.resolve(name))] = value
+    return LogitStack(ids, values)
 
 
 def test_vocabulary_must_be_complete():
@@ -44,36 +44,27 @@ def test_rosters_partition_the_vocabulary():
 
 
 def test_force_mode_is_argmax():
-    stack = full_stack()
-    set_plane(stack, "stroma", 2.0)
-    set_plane(stack, "epithelial_tissue", 1.0)
+    stack = full_stack(stroma=2.0, epithelial_tissue=1.0)
     labels = force_mode(stack)
     assert (labels == TAX.resolve("stroma")).all()
 
 
 def test_force_mode_pushes_leukocyte_to_subtype():
-    stack = full_stack()
-    set_plane(stack, "leukocyte", 5.0)
-    set_plane(stack, "plasma_cell", -0.5)  # best subtype despite being negative
-    set_plane(stack, "lymphocyte", -0.8)
+    # plasma_cell is the best subtype despite being negative
+    stack = full_stack(leukocyte=5.0, plasma_cell=-0.5, lymphocyte=-0.8)
     labels = force_mode(stack)
     assert (labels == TAX.resolve("plasma_cell")).all()
     assert not (labels == TAX.resolve("leukocyte")).any()
 
 
 def test_force_mode_subtype_tie_takes_lowest_id():
-    stack = full_stack()
-    set_plane(stack, "leukocyte", 5.0)
-    set_plane(stack, "myeloid_cell", 1.0)
-    set_plane(stack, "neutrophil", 1.0)
+    stack = full_stack(leukocyte=5.0, myeloid_cell=1.0, neutrophil=1.0)
     labels = force_mode(stack)
     assert (labels == TAX.resolve("myeloid_cell")).all()  # 9 < 11
 
 
 def test_force_mode_global_tie_takes_lowest_id():
-    stack = full_stack()
-    set_plane(stack, "stroma", 3.0)
-    set_plane(stack, "fibroblast", 3.0)
+    stack = full_stack(stroma=3.0, fibroblast=3.0)
     assert (force_mode(stack) == TAX.resolve("stroma")).all()
 
 
@@ -83,26 +74,23 @@ def test_force_mode_global_tie_takes_lowest_id():
 
 
 def test_panoptic_regions_ignore_nucleus_channels():
-    stack = full_stack()
-    set_plane(stack, "lymphocyte", 9.0)  # nucleus class: irrelevant outside nuclei
-    set_plane(stack, "smooth_muscle", 0.5)
+    # lymphocyte is a nucleus class: irrelevant outside nuclei
+    stack = full_stack(lymphocyte=9.0, smooth_muscle=0.5)
     labels, classes = panoptic_assign(stack, InstanceMap.from_ids(np.zeros((4, 4), np.int32)))
     assert (labels == TAX.resolve("smooth_muscle")).all()
     assert classes == {}
 
 
 def test_panoptic_nucleus_takes_best_logit_sum():
-    stack = full_stack(4, 4)
     ids = np.zeros((4, 4), np.int32)
     ids[1:3, 1:3] = 1
     lym = np.full((4, 4), -1.0, dtype=np.float32)
     lym[1:3, 1:3] = (
         np.array([[3.0, -1.0], [0.5, 0.5]], dtype=np.float32)
     )  # sum 3.0 over the nucleus
-    set_plane(stack, "lymphocyte", lym)
     neu = np.full((4, 4), -1.0, dtype=np.float32)
     neu[1:3, 1:3] = 0.6  # sum 2.4: loses despite winning 3 of 4 pixels
-    set_plane(stack, "neutrophil", neu)
+    stack = full_stack(4, 4, lymphocyte=lym, neutrophil=neu)
     labels, classes = panoptic_assign(stack, InstanceMap.from_ids(ids))
     assert classes == {1: TAX.resolve("lymphocyte")}
     assert (labels[ids == 1] == TAX.resolve("lymphocyte")).all()
@@ -122,8 +110,8 @@ def test_panoptic_every_nucleus_gets_a_class():
 
 def test_panoptic_never_emits_leukocyte_or_tissue_on_nuclei():
     rng = np.random.default_rng(6)
-    stack = full_stack(12, 12)
-    stack.planes[:] = rng.normal(size=stack.planes.shape).astype(np.float32)
+    channels = tuple(TAX.ids)
+    stack = LogitStack(channels, rng.normal(size=(len(channels), 12, 12)).astype(np.float32))
     ids = np.zeros((12, 12), np.int32)
     ids[2:5, 2:5] = 1
     ids[7:9, 7:10] = 2

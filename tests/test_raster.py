@@ -1,5 +1,7 @@
 import json
 import math
+import pickle
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -549,20 +551,15 @@ def test_logit_stack_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_require_finite_checks_every_block(bad):
-    stack = LogitStack((1,), np.zeros((1, 1, _BLOCK + 1), dtype=np.float32))
-    stack.require_finite()
-    flat = stack.planes.reshape(-1)
+    # the constructor's finiteness check, which leaves a refused array writable
+    planes = np.zeros((1, 1, _BLOCK + 1), dtype=np.float32)
+    LogitStack((1,), planes.copy())
+    flat = planes.reshape(-1)
     for pos in (0, _BLOCK - 1, _BLOCK, flat.size - 1):
         flat[pos] = bad
         with pytest.raises(ValueError, match="NaN or Inf"):
-            stack.require_finite()
+            LogitStack((1,), planes)
         flat[pos] = 0.0
-
-
-def _reserved_id_record():
-    imap = InstanceMap.from_ids(np.eye(3, dtype=np.int32))
-    imap.attrs[0] = InstanceAttrs(pixel_count=6, centroid=(1.0, 1.0))
-    imap.validate()
 
 
 @pytest.mark.parametrize(
@@ -576,7 +573,10 @@ def _reserved_id_record():
         (lambda: as_bitmask(np.zeros((4, 4), np.uint8)), "2-d bool array"),
         (lambda: as_bitmask(np.zeros((2, 4, 4), bool)), "2-d bool array"),
         (lambda: InstanceMap(np.zeros((2, 4, 4), np.int32)), "2-d raster"),
-        (_reserved_id_record, "id 0 is reserved"),
+        (
+            lambda: InstanceMap.from_pixels((2, 2), np.array([0, 3]), np.array([0, 4])),
+            "instance ids must be positive",
+        ),
     ],
     ids=["rgb-2d", "rgb-uint16", "rgb-empty", "otsu-empty", "otsu-int16", "bitmask-uint8",
          "bitmask-3d", "instances-3d", "instances-id-0"],
@@ -597,7 +597,6 @@ def test_instance_map_attrs_from_ids():
     assert imap.attrs[4].teacher_type == 7
     assert imap.attrs[9].pixel_count == 1
     assert imap.attrs[9].teacher_type is None
-    imap.validate()
 
 
 @pytest.mark.parametrize("other", [5, 2**31 - 1])  # ids up to / far above the pixel count
@@ -609,13 +608,12 @@ def test_instance_counts_for_dense_and_sparse_ids(other):
     assert imap.instance_ids == [4, other]
     assert imap.attrs[other].pixel_count == 1
     assert imap.attrs[other].centroid == (4.0, 4.0)
-    imap.validate()
-    imap.attrs[other].pixel_count = 2
-    with pytest.raises(ValueError, match="pixel_count"):
-        imap.validate()
-    del imap.attrs[other]
-    with pytest.raises(ValueError, match="without attribute records"):
-        imap.validate()
+    # the records are derived from the pixels and cannot be changed or dropped
+    with pytest.raises(AttributeError):
+        imap.attrs[other].pixel_count = 2
+    with pytest.raises(TypeError):
+        del imap.attrs[other]
+    assert imap.attrs[other].pixel_count == 1
     with pytest.raises(ValueError, match="non-negative"):
         InstanceMap.from_ids(-ids)
 
@@ -665,9 +663,10 @@ def test_validate_rejects_attribute_records_without_pixels(ghost):
     ids[0, :2] = 1
     ids[2, 2] = 3
     imap = InstanceMap.from_ids(ids)
-    imap.attrs[ghost] = InstanceAttrs(pixel_count=0, centroid=(0.0, 0.0))
-    with pytest.raises(ValueError, match="without raster pixels"):
-        imap.validate()
+    assert set(imap.attrs) == {1, 3}  # a record for each id with pixels, and none else
+    with pytest.raises(TypeError):
+        imap.attrs[ghost] = InstanceAttrs(pixel_count=0, centroid=(0.0, 0.0))
+    assert ghost not in imap.attrs
 
 
 def test_a_map_built_from_a_raster_is_valid():
@@ -675,8 +674,8 @@ def test_a_map_built_from_a_raster_is_valid():
     ids[1:3, 1:4] = 7
     ids[4, 0] = 2
     imap = InstanceMap(ids, {7: 3})
-    imap.validate()
     assert imap.instance_ids == [2, 7] and imap.attrs[7].teacher_type == 3
+    assert [imap.attrs[g].pixel_count for g in (2, 7)] == [1, 6]
     assert imap.shape == (5, 6) and np.array_equal(imap.ids, ids)
 
 
@@ -693,6 +692,20 @@ def test_ids_are_read_only():
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
     assert ids.flags.writeable  # the caller's array is left as it was
+
+
+def test_a_map_pickles_and_copies_as_a_map_of_the_same_pixels():
+    ids = np.zeros((4, 5), dtype=np.int32)
+    ids[1, 1:3] = 5
+    ids[3, 4] = 2**31 - 1
+    imap = InstanceMap(ids, {5: 7})
+    for copy in (pickle.loads(pickle.dumps(imap)), deepcopy(imap)):
+        assert copy.shape == imap.shape and copy.attrs == imap.attrs
+        assert np.array_equal(copy.index, imap.index) and np.array_equal(copy.ids, ids)
+        for got, want in zip(copy.pixel_groups(), imap.pixel_groups()):
+            assert np.array_equal(got, want) and not got.flags.writeable
+        with pytest.raises(TypeError):
+            copy.attrs[5] = InstanceAttrs(pixel_count=0, centroid=(0.0, 0.0))
 
 
 def _evaluated_nuclei(tmp_path, monkeypatch, nuclei: InstanceMap) -> InstanceMap:
@@ -743,7 +756,8 @@ def test_every_source_of_a_map_stores_its_ascending_pixel_index(tmp_path, monkey
         assert (np.diff(imap.index) > 0).all(), name
         assert not imap.index.flags.writeable, name
         assert all(type(n) is int for n in imap.shape), name
-        imap.validate()
+        counts = np.bincount(imap.pixel_groups()[2]).tolist()
+        assert [imap.attrs[g].pixel_count for g in imap.instance_ids] == counts, name
 
 
 def test_reducing_a_bundle_never_rescans_its_nuclei(monkeypatch):

@@ -297,7 +297,7 @@ def test_a_large_nucleus_id_in_a_later_chunk_is_rejected(tmp_path, monkeypatch):
     ids = bundle.nuclei.ids.astype(np.uint32)
     ids[-1, -1] = 2**31
     save_stack(StackContainer(("instance_ids",), ids[None], "u32"), tmp_path / "nuclei.tmef")
-    planes = np.zeros((len(VOCABULARY.ids), bundle.height, bundle.width), np.float32)
+    planes = np.zeros((len(VOCABULARY.ids),) + bundle.he.shape[:2], np.float32)
     student = tmp_path / "student.tmef"
     save_stack(container_from_logits(LogitStack(VOCABULARY.ids, planes)), student)
     before = _open_fds()
