@@ -25,10 +25,11 @@ array shapes when it is built, and it cannot change after that; a reader
 on its file headers when it is opened. ``aggregate`` checks no bundle
 again.
 
-Stages 3-6 keep each nucleus's class in one int16 array, in the order of
-``nuclei.pixel_groups()``: the vote fills it, stages 4 and 5 give masks
-that set class and rule, and stage 6 paints it. The result's dicts are
-built once, and every result passes ``check_invariants``.
+Stages 3-6 keep each nucleus's class in one int16 array, in ``gids``
+order: the vote fills it, stages 4 and 5 give masks that set class and
+rule, and stage 6 paints it. The result keeps the vote's arrays as its
+``provenance``, builds its ``classes`` dict once, and passes
+``check_invariants``.
 
 Everything is deterministic: identical bundles give bit-identical results.
 A structurally separate per-pixel reference of the same rules lives in
@@ -37,8 +38,8 @@ A structurally separate per-pixel reference of the same rules lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .raster import (
     LogitStack,
     _merge_runs,
     _otsu_rows,
+    _owned,
     _read_only,
     _run_pixels,
     blob_hulls,
@@ -113,7 +115,7 @@ AlignedBlocks = Iterable[tuple[int, Mapping[int, np.ndarray]]]
 
 # Internal sentinel for "no class"; the public API uses None.
 UNDEFINED = -1
-# ``NucleusDecision.rule`` by code; a later rule overrides an earlier one.
+# ``Decisions.rule`` codes, in ``gids`` order; a later rule overrides an earlier one.
 RULES = ("undefined", "vote", "fallback_epithelial", "fallback_fibroblast", "mitosis")
 
 
@@ -129,9 +131,9 @@ class TeacherBundle:
     ``mitosis_candidates`` holds (x, y, score) triples; x is the column.
     Candidates may fall inside the declared halo just outside the tile.
     The bundle cannot change once built: its fields are fixed, ``he`` is
-    made read-only, the logit stacks are frozen, and the nuclei's arrays
-    and records are read-only. ``dataclasses.replace`` builds, and so
-    checks, a new one.
+    made read-only (copied first when it is a view), the logit stacks are
+    frozen, and the nuclei cannot change. ``dataclasses.replace`` and
+    ``copy`` build, and so check, a new one.
     """
 
     he: np.ndarray
@@ -145,9 +147,13 @@ class TeacherBundle:
     def __post_init__(self):
         candidates = tuple((float(x), float(y), float(s)) for x, y, s in self.mitosis_candidates)
         object.__setattr__(self, "mitosis_candidates", candidates)
-        object.__setattr__(self, "he", np.asarray(self.he))
+        object.__setattr__(self, "he", _owned(np.asarray(self.he)))
         self.validate()
         _read_only(self.he)
+
+    def __reduce__(self):
+        """Pickled and copied through the constructor, which checks the copy."""
+        return TeacherBundle, tuple(getattr(self, f.name) for f in fields(self))
 
     def validate(self) -> None:
         """The checks the parts cannot make alone: the scale, the H&E tile,
@@ -212,7 +218,7 @@ class FusionInputs:
     ``tissue_pre`` is the tissue label before glass is applied; ``_fuse``
     consumes it, writing glass and then the nucleus classes into it.
     ``cell_vals`` holds the cell logits at the nucleus pixels, one row per
-    ``CELL_IDS`` channel, columns in ``nuclei.pixel_groups()`` order.
+    ``CELL_IDS`` channel, columns in ``nuclei.index`` order.
     ``TeacherBundle.reduce`` and ``container.BundleReader.reduce`` both
     build it through ``fusion_inputs``.
     """
@@ -294,13 +300,12 @@ def fusion_inputs(
     )
 
 
-@dataclass(frozen=True)
-class NucleusDecision:
-    """How one nucleus got its final class."""
+class Decisions(NamedTuple):
+    """How each nucleus got its final class: read-only arrays in ``gids`` order."""
 
-    rule: str  # one of RULES
-    votes: dict[int, int]  # UNDEFINED key = -1
-    level_fired: tuple[int, int, int, int]
+    rule: np.ndarray  # (m,) int8 codes into RULES
+    votes: np.ndarray  # (m, N_CLASSES + 1): column 0 undefined, column c + 1 class c
+    level_fired: np.ndarray  # (m, 4) override hits per hierarchy level
 
 
 @dataclass
@@ -309,18 +314,19 @@ class AggregationResult:
     instances: InstanceMap
     classes: dict[int, Optional[int]]  # nucleus id -> final class (None undefined)
     mitosis: InstanceMap
-    provenance: dict[int, NucleusDecision]
+    provenance: Decisions
 
     def check_invariants(self) -> None:
         """Every classed nucleus pixel carries its nucleus' class, and every
         nucleus touching the mitosis mask is mitotic. One pass over the
-        nucleus pixels and one over the mitosis pixels."""
-        rows, cols, slot, gids = self.instances.pixel_groups()
+        nucleus pixels and one over the mitosis pixels; ``semantic`` is read
+        at the flat ``index``, so it may be any view."""
+        slot, gids = self.instances.slot, self.instances.gids
         codes = [self.classes[g] for g in gids.tolist()]
         want = np.array(
             [UNDEFINED if c is None else c for c in codes], dtype=np.int16
         )[slot]
-        wrong = (want != UNDEFINED) & (self.semantic[rows, cols] != want)
+        wrong = (want != UNDEFINED) & (np.take(self.semantic, self.instances.index) != want)
         if wrong.any():
             gid = gids[slot[np.argmax(wrong)]]
             raise AssertionError(f"nucleus {gid}: semantic/instance class mismatch")
@@ -422,15 +428,15 @@ def fallback_rules(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resolve undefined nuclei from tissue context.
 
-    ``voted`` is the class per nucleus, UNDEFINED for none, in the order of
-    ``nuclei.pixel_groups()``. Returns two disjoint masks over the nuclei:
+    ``voted`` is the class per nucleus, UNDEFINED for none, in ``gids``
+    order. Returns two disjoint masks over the nuclei:
     the undefined ones with more than half their pixels on epithelial
     tissue, which become epithelial_cell_nucleus; and the other undefined
     ones with more than half on stroma and the fibroblast teacher type
     (teacher name `connective`), which become fibroblast.
     """
-    rows, cols, slot, gids = nuclei.pixel_groups()
-    tis, m = tissue[rows, cols], gids.size
+    slot, gids = nuclei.slot, nuclei.gids
+    tis, m = np.take(tissue, nuclei.index), gids.size
     half, undefined = np.bincount(slot, minlength=m) / 2, voted == UNDEFINED
     epithelial = undefined & (np.bincount(slot[tis == EPITHELIAL_TISSUE], minlength=m) > half)
     fibroblast = undefined & ~epithelial & (np.bincount(slot[tis == STROMA], minlength=m) > half)
@@ -538,18 +544,16 @@ def detect_mitosis(
 def _nuclei_under(nuclei: InstanceMap, mitosis: InstanceMap) -> np.ndarray:
     """The ids of the nuclei with a pixel under a mitosis region, ascending:
     each mitosis pixel is looked up in the nuclei's ascending flat index."""
-    _, _, slot, gids = nuclei.pixel_groups()
     at = np.searchsorted(nuclei.index, mitosis.index)
     hit = at < nuclei.index.size
     hit[hit] = nuclei.index[at[hit]] == mitosis.index[hit]
-    return np.unique(gids[slot[at[hit]]])
+    return np.unique(nuclei.gids[nuclei.slot[at[hit]]])
 
 
 def apply_mitosis(nuclei: InstanceMap, mitosis: InstanceMap) -> np.ndarray:
-    """The mask over the nuclei, in the order of ``nuclei.pixel_groups()``,
-    of those intersecting the mitosis regions: they become mitotic_cell,
-    whatever class they had."""
-    return np.isin(nuclei.pixel_groups()[3], _nuclei_under(nuclei, mitosis))
+    """The mask over the nuclei, in ``gids`` order, of those intersecting
+    the mitosis regions: they become mitotic_cell, whatever class they had."""
+    return np.isin(nuclei.gids, _nuclei_under(nuclei, mitosis))
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +610,13 @@ def _fuse(inputs: FusionInputs, gray: np.ndarray, cfg: RunConfig) -> Aggregation
     step = max(1, _BLOCK // tissue.shape[1])
     for y in range(0, tissue.shape[0], step):
         np.copyto(tissue[y : y + step], np.uint8(BACKGROUND), where=gray[y : y + step] > threshold)
-    rows, cols, slot, gids = inputs.nuclei.pixel_groups()
+    nuclei = inputs.nuclei
+    slot, gids = nuclei.slot, nuclei.gids
     cls, votes, fired = _vote_groups(inputs.cell_vals, slot, gids.size)
     rule = (cls != UNDEFINED).astype(np.int8)  # RULES codes 0 and 1
-    epithelial, fibroblast = fallback_rules(inputs.nuclei, cls, tissue)
+    epithelial, fibroblast = fallback_rules(nuclei, cls, tissue)
     mitosis = detect_mitosis(inputs.mitosis_candidates, inputs.he, tissue)
-    mitotic = apply_mitosis(inputs.nuclei, mitosis)
+    mitotic = apply_mitosis(nuclei, mitosis)
     masks = (epithelial, EPITHELIAL_CELL_NUCLEUS), (fibroblast, FIBROBLAST), (mitotic, MITOTIC_CELL)
     for code, (mask, final) in enumerate(masks, start=2):
         cls[mask], rule[mask] = final, code
@@ -619,18 +624,14 @@ def _fuse(inputs: FusionInputs, gray: np.ndarray, cfg: RunConfig) -> Aggregation
     painted = cls[slot]
     keep = painted != UNDEFINED
     semantic = tissue  # nucleus classes paint over the tissue labels
-    semantic[rows[keep], cols[keep]] = painted[keep]
+    np.put(semantic, nuclei.index[keep], painted[keep])
 
-    gid_list = gids.tolist()
     result = AggregationResult(
         semantic=semantic,
-        instances=inputs.nuclei,
-        classes={g: None if c == UNDEFINED else c for g, c in zip(gid_list, cls.tolist())},
+        instances=nuclei,
+        classes={g: None if c == UNDEFINED else c for g, c in zip(gids.tolist(), cls.tolist())},
         mitosis=mitosis,
-        provenance={
-            g: NucleusDecision(RULES[r], {c - 1: n for c, n in enumerate(row) if n}, tuple(hits))
-            for g, r, row, hits in zip(gid_list, rule.tolist(), votes.tolist(), fired.tolist())
-        },
+        provenance=Decisions(*(_read_only(a) for a in (rule, votes, fired))),
     )
     result.check_invariants()
     return result

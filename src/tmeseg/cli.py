@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .aggregate import aggregate
+from .aggregate import RULES, aggregate
 from .config import DEFAULT_MPP, RunConfig, config_from_json
 from .container import (
     BundleReader,
@@ -188,7 +188,8 @@ def _cmd_aggregate(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "classes": {str(g): c for g, c in sorted(result.classes.items())},
             "rules": {
-                str(g): d.rule for g, d in sorted(result.provenance.items())
+                str(g): RULES[r]
+                for g, r in zip(result.instances.gids.tolist(), result.provenance.rule.tolist())
             },
             "mitosis_regions": len(result.mitosis.instance_ids),
         },
@@ -250,10 +251,10 @@ def _cmd_evaluate(args) -> int:
     if all(instance_flags):
         nuclei, digests[str(Path(args.nuclei))] = load_instances(args.nuclei)
         # nuclei marked null carry no ground-truth class; they sit out
-        _, _, slot, gids = nuclei.pixel_groups()
-        kept = np.isin(gids, list(gt_classes))[slot]
+        kept = np.isin(nuclei.gids, list(gt_classes))[nuclei.slot]
         if not kept.all():
-            nuclei = InstanceMap.from_pixels(nuclei.shape, nuclei.index[kept], gids[slot][kept])
+            ids = nuclei.gids[nuclei.slot[kept]]
+            nuclei = InstanceMap.from_pixels(nuclei.shape, nuclei.index[kept], ids)
         # rasters that do not match, else a ground-truth class the map leaves out
         same = pred.shape == nuclei.shape
         pair = (args.gt_classes, args.map) if same else (args.pred, args.nuclei)

@@ -64,18 +64,6 @@ class ConfusionCounts:
         if min(self.tp, self.tn, self.fp, self.fn) < 0:
             raise ValueError("confusion counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp,
-            self.tn + other.tn,
-            self.fp + other.fp,
-            self.fn + other.fn,
-        )
-
 
 def mcc(c: ConfusionCounts) -> float:
     """(TP·TN − FP·FN) / sqrt((TP+FP)(TP+FN)(TN+FP)(TN+FN)).
@@ -127,8 +115,8 @@ def instance_eval_units(
         idx = cmap.map_id(cid)
         lut[cid] = 0 if idx is None else idx + 1  # slot 0 = unmapped
 
-    rows, cols, slot, gids = gt_instances.pixel_groups()
-    mapped = lut[pred[rows, cols].astype(np.int64)]
+    slot, gids = gt_instances.slot, gt_instances.gids
+    mapped = lut[np.take(pred, gt_instances.index).astype(np.int64)]
     counts = np.bincount(
         slot.astype(np.int64) * (k + 1) + mapped, minlength=gids.size * (k + 1)
     ).reshape(gids.size, k + 1)

@@ -140,7 +140,7 @@ def reduce_panoptic(
     pixel order, so the float64 sums match a sum over whole planes bit for bit.
     """
     h, w = nuclei.shape
-    rows, cols, slot, gids = nuclei.pixel_groups()
+    slot, gids = nuclei.slot, nuclei.gids
     region = _Argmax(h * w)
 
     def nucleus_blocks() -> Blocks:
@@ -150,9 +150,9 @@ def reduce_panoptic(
             elif class_id in _NON_NUCLEUS_SET:
                 region(class_id, start, block)
 
-    vals = _reduce_cells(nucleus_blocks(), rows * w + cols, _NUCLEUS_ROW)
+    vals = _reduce_cells(nucleus_blocks(), nuclei.index, _NUCLEUS_ROW)
     sums = np.stack([np.bincount(slot, weights=v, minlength=gids.size) for v in vals])
     best = NUCLEUS_IDS[np.argmax(sums, axis=0)]  # ties -> lowest id
     labels = region.arg.reshape(h, w)
-    labels[rows, cols] = best[slot]
+    np.put(labels, nuclei.index, best[slot])
     return labels, dict(zip(gids.tolist(), best.tolist()))

@@ -51,7 +51,8 @@ class LogitStack:
 
     ``planes`` has shape ``(C, H, W)``; ``class_ids[i]`` names plane ``i``.
     The planes are checked finite when the stack is built, and the array
-    kept is read-only: the one passed in, when it is already float32.
+    kept is read-only: the one passed in, when it is already float32 and
+    owns its data.
     """
 
     class_ids: tuple[int, ...]
@@ -59,7 +60,7 @@ class LogitStack:
 
     def __post_init__(self):
         class_ids = tuple(int(c) for c in self.class_ids)
-        planes = np.asarray(self.planes, dtype=np.float32)
+        planes = _owned(np.asarray(self.planes, dtype=np.float32))
         if planes.ndim != 3 or planes.shape[0] != len(class_ids):
             raise ValueError("planes must be (C, H, W) with one plane per channel")
         if len(set(class_ids)) != len(class_ids):
@@ -69,6 +70,10 @@ class LogitStack:
         object.__setattr__(self, "class_ids", class_ids)
         object.__setattr__(self, "planes", _read_only(planes))
         object.__setattr__(self, "_index", {c: i for i, c in enumerate(class_ids)})
+
+    def __reduce__(self):
+        """Pickled and copied through the constructor, which checks the copy."""
+        return LogitStack, (self.class_ids, self.planes)
 
     @property
     def height(self) -> int:
@@ -100,9 +105,13 @@ class InstanceMap:
     Every map is built by one core, ``from_pixels``, from the ascending flat
     ``index`` of the nonzero pixels and their ids: ``InstanceMap(ids)``
     scans an int32 id raster for them, and the labellings pass their runs'
-    pixels. ``pixel_groups`` returns the stored arrays, and ``attrs`` is a
+    pixels. It keeps three read-only arrays: ``index``; ``gids``, the ids
+    present, ascending; and ``slot``, each pixel's place among them, so
+    ``gids[slot]`` is each pixel's id. Per-instance arrays are in ``gids``
+    order and sized by ``gids.size``, never by an id value. ``attrs`` is a
     read-only mapping of records derived from them. ``ids`` is the id
-    raster, read-only: the one scanned, or the groups painted on first use.
+    raster, read-only: the one scanned, or the pixels painted on first use.
+    Nothing can be set or deleted once the map is built.
     """
 
     def __init__(self, ids: np.ndarray, teacher_types: Optional[dict[int, Optional[int]]] = None):
@@ -120,7 +129,7 @@ class InstanceMap:
             + [np.flatnonzero(flat[i : i + _BLOCK] != 0) + i for i in range(0, flat.size, _BLOCK)]
         )
         self._keep_pixels(ids.shape, index, flat[index], teacher_types)
-        self.ids = _read_only(ids.view())
+        object.__setattr__(self, "ids", _read_only(ids.view()))
 
     @classmethod
     def from_ids(cls, ids: np.ndarray, teacher_types: Optional[dict] = None) -> "InstanceMap":
@@ -142,26 +151,31 @@ class InstanceMap:
         return imap
 
     def _keep_pixels(self, shape, index, ids, types: Optional[dict[int, Optional[int]]]) -> None:
-        """Store ``index``, the groups of its pixels and their attribute records.
+        """Store ``shape``, ``index``, ``slot``, ``gids`` and the attribute records.
 
         Centroids are float64 sums of integer coordinates over the count, so
         they are exact below 2**53 pixels and independent of the pixel order.
         """
-        self.shape = (int(shape[0]), int(shape[1]))
         index = np.asarray(index, dtype=np.intp)
-        rows, cols = np.divmod(index, self.shape[1])
         gids, slot = _group_ids(np.asarray(ids))
-        self.index = _read_only(index.view())
-        self._groups = tuple(_read_only(a) for a in (rows, cols, slot, gids))
         counts = np.bincount(slot)
+        rows, cols = np.divmod(index, shape[1])
         centroids = zip(
             np.bincount(slot, weights=rows) / counts, np.bincount(slot, weights=cols) / counts
         )
         types = types or {}
-        self.attrs = MappingProxyType({
+        object.__setattr__(self, "shape", (int(shape[0]), int(shape[1])))
+        for name, arr in (("index", index.view()), ("slot", slot), ("gids", gids)):
+            object.__setattr__(self, name, _read_only(arr))
+        object.__setattr__(self, "attrs", MappingProxyType({
             gid: InstanceAttrs(n, centroid, types.get(gid))
             for gid, n, centroid in zip(gids.tolist(), counts.tolist(), centroids)
-        })
+        }))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: an InstanceMap is fixed once built")
+
+    __delattr__ = __setattr__
 
     @property
     def instance_ids(self) -> list[int]:
@@ -169,33 +183,25 @@ class InstanceMap:
 
     @cached_property
     def ids(self) -> np.ndarray:
-        """The groups painted into a full-frame int32 id raster."""
-        rows, cols, slot, gids = self._groups
+        """The pixels painted into a full-frame int32 id raster."""
         ids = np.zeros(self.shape, dtype=np.int32)
-        ids[rows, cols] = gids[slot]
+        np.put(ids, self.index, self.gids[self.slot])
         return _read_only(ids)
-
-    def pixel_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The instance pixels in raster order (``index`` is their flat
-        index), grouped by id.
-
-        Returns ``(rows, cols, slot, gids)``: ``gids`` holds the ids present,
-        ascending, and ``gids[slot]`` is each pixel's id. Per-instance
-        arrays indexed by ``slot`` are sized by ``gids.size``, never by an
-        id value.
-        """
-        return self._groups
 
     def __reduce__(self):
         """Pickled and copied as its pixels: ``from_pixels`` builds the copy."""
-        _, _, slot, gids = self._groups
         types = {gid: a.teacher_type for gid, a in self.attrs.items()}
-        return InstanceMap.from_pixels, (self.shape, self.index, gids[slot], types)
+        return InstanceMap.from_pixels, (self.shape, self.index, self.gids[self.slot], types)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _owned(arr: np.ndarray) -> np.ndarray:
+    """``arr``, or a copy when it is a view: a view's base could still be written."""
+    return arr if arr.base is None else arr.copy()
 
 
 def _group_ids(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

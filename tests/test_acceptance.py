@@ -16,6 +16,7 @@ import pytest
 from oracles import enumerate_mwu, exhaustive_otsu, hand_dice, hand_mcc
 from tmeseg.aggregate import (
     CELL_CHANNELS,
+    RULES,
     TISSUE_IDS,
     TeacherBundle,
     aggregate,
@@ -270,7 +271,7 @@ def test_criterion_05_hierarchy_properties():
         )
         res = aggregate(bundle)
         # no teacher types and no epithelium, so no fallback: classes are votes
-        assert {d.rule for d in res.provenance.values()} <= {"vote", "undefined"}
+        assert {RULES[r] for r in res.provenance.rule.tolist()} <= {"vote", "undefined"}
         return [res.classes[g] for g in range(1, n_nuclei + 1)]
 
     violations = {"scalar": 0, "override": 0, "undefined": 0}

@@ -5,8 +5,10 @@ import pytest
 
 from tmeseg.aggregate import (
     CELL_CHANNELS,
+    RULES,
     TISSUE_CHANNELS,
     UNDEFINED,
+    Decisions,
     TeacherBundle,
     aggregate,
     apply_mitosis,
@@ -143,14 +145,25 @@ def test_background_trumps_positive_logits():
 # ---------------------------------------------------------------------------
 
 
+def _decision(res, gid: int) -> Decisions:
+    """Nucleus ``gid``'s row of each ``res.provenance`` array."""
+    at = np.searchsorted(res.instances.gids, gid)
+    return Decisions(*(a[at] for a in res.provenance))
+
+
+def _votes(dec: Decisions) -> dict[int, int]:
+    """The nonzero vote counts of one decision row, by class id; UNDEFINED is -1."""
+    return {c - 1: n for c, n in enumerate(dec.votes.tolist()) if n}
+
+
 def _vote(stack: LogitStack, n_pixels: int):
-    """Class and decision record of one nucleus on the first ``n_pixels``
+    """Class and decision row of one nucleus on the first ``n_pixels``
     pixels of row 0 of a bundle carrying the cell logits ``stack``."""
     ids = np.zeros((stack.height, stack.width), np.int32)
     ids[0, :n_pixels] = 1
     b = dataclasses.replace(make_bundle(stack.height, stack.width, ids=ids), cell_logits=stack)
     res = aggregate(b)
-    return res.classes[1], res.provenance[1]
+    return res.classes[1], _decision(res, 1)
 
 
 def _one_pixel_logits(**name_to_logit):
@@ -161,8 +174,8 @@ def test_deeper_level_overrides_shallower():
     stack = _one_pixel_logits(leukocyte=1.0, lymphocyte=2.0)
     cls, dec = _vote(stack, 1)
     assert cls == LYM
-    assert dec.rule == "vote"
-    assert dec.level_fired == (0, 1, 1, 0)
+    assert RULES[dec.rule] == "vote"
+    assert dec.level_fired.tolist() == [0, 1, 1, 0]
 
 
 def test_weaker_deep_positive_still_overrides():
@@ -177,8 +190,8 @@ def test_all_nonpositive_is_undefined():
     stack = _stack(CELL_CHANNELS, 1, 1)
     cls, dec = _vote(stack, 1)
     assert cls is None
-    assert dec.rule == "undefined"
-    assert dec.votes == {-1: 1}
+    assert RULES[dec.rule] == "undefined"
+    assert _votes(dec) == {-1: 1}
 
 
 def test_majority_vote_three_to_two():
@@ -189,7 +202,7 @@ def test_majority_vote_three_to_two():
     stack = _stack(CELL_CHANNELS, 1, 5, lymphocyte=plane, plasma_cell=plane2)
     cls, dec = _vote(stack, 5)
     assert cls == LYM
-    assert dec.votes == {LYM: 3, PLS: 2}
+    assert _votes(dec) == {LYM: 3, PLS: 2}
 
 
 def test_undefined_needs_strict_plurality():
@@ -476,6 +489,14 @@ def test_nothing_reachable_through_a_built_bundle_is_writable():
     with pytest.raises(ValueError, match="channel mismatch"):
         dataclasses.replace(b, cell_logits=short)
     assert b.halo == 0 and b.nuclei.attrs[1].pixel_count == 4 and (planes == -2.0).all()
+    # a view is copied, so writes through its base cannot reach the stack or the H&E
+    big = np.zeros((4, 8, 8), np.float32)
+    stack = LogitStack(tuple(TAX.resolve(n) for n in TISSUE_CHANNELS), big[:3])
+    he = np.zeros((9, 8, 8, 3), np.uint8)
+    viewed = dataclasses.replace(b, he=he[0], tissue_logits=stack)
+    big[0, 0, 0], he[0, 0, 0] = np.nan, 255
+    assert (stack.planes == 0).all() and not viewed.he.any()
+    assert big.flags.writeable and he.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +514,7 @@ def test_scene_with_single_lymphocyte():
     bundle = build_bundle(scene)
     res = aggregate(bundle)
     assert res.classes == {1: LYM}
-    assert res.provenance[1].rule == "vote"
+    assert RULES[_decision(res, 1).rule] == "vote"
     nucleus = bundle.nuclei.ids == 1
     assert (res.semantic[nucleus] == LYM).all()
     assert res.semantic[0, 0] == BG  # glass corner

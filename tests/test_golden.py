@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from tmeseg.aggregate import aggregate
+from tmeseg.aggregate import RULES, aggregate
 from tmeseg.cli import cli
 from tmeseg.container import (
     BundleReader,
@@ -79,9 +79,10 @@ def _result_digest(manifest: Path) -> str:
     mitosis region ids and each nucleus's votes and level hits."""
     with BundleReader(manifest) as reader:
         res = aggregate(reader)
+    rule, votes, fired = (a.tolist() for a in res.provenance)
     decisions = {
-        str(g): [d.rule, sorted(d.votes.items()), list(d.level_fired)]
-        for g, d in sorted(res.provenance.items())
+        str(g): [RULES[r], [[c - 1, n] for c, n in enumerate(row) if n], hits]
+        for g, r, row, hits in zip(res.instances.gids.tolist(), rule, votes, fired)
     }
     doc = json.dumps({"classes": sorted(res.classes.items()), "decisions": decisions})
     return _sha(res.semantic.tobytes() + res.mitosis.ids.tobytes() + doc.encode())

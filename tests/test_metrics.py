@@ -108,11 +108,11 @@ def test_mcc_class_swap_symmetry():
 
 
 def test_confusion_counts_add_and_validate():
-    c = ConfusionCounts(1, 2, 3, 4) + ConfusionCounts(10, 20, 30, 40)
-    assert (c.tp, c.tn, c.fp, c.fn) == (11, 22, 33, 44)
-    assert c.total == 110
-    with pytest.raises(ValueError):
-        ConfusionCounts(-1, 0, 0, 0)
+    for negative in range(4):
+        counts = [0, 0, 0, 0]
+        counts[negative] = -1
+        with pytest.raises(ValueError, match="non-negative"):
+            ConfusionCounts(*counts)
 
 
 # ---------------------------------------------------------------------------

@@ -47,15 +47,14 @@ def _same_attrs(got, want):
 
 
 def _assert_equivalent(got, want: InstanceMap, nuclei: InstanceMap):
-    """Same ids, attrs, pixel groups and supersedence hits as the frame labelling."""
+    """Same ids, attrs, pixel arrays and supersedence hits as the frame labelling."""
     assert isinstance(got, InstanceMap)
     assert got.ids.tobytes() == want.ids.tobytes()
     _same_attrs(got.attrs, want.attrs)
     assert len(got.instance_ids) == len(want.instance_ids)
-    for a, b in zip(got.pixel_groups(), want.pixel_groups()):
-        assert np.array_equal(a, b)
-    gids = nuclei.pixel_groups()[3]
-    assert gids[apply_mitosis(nuclei, got)].tolist() == frame_mitosis_hits(nuclei, want)
+    for name in ("index", "slot", "gids"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert nuclei.gids[apply_mitosis(nuclei, got)].tolist() == frame_mitosis_hits(nuclei, want)
 
 
 def _scene(h, w, blobs, tissue_class=EPITHELIAL_TISSUE):
@@ -174,7 +173,7 @@ def test_no_kept_hull():
     for candidates, tis in (([], tissue), ([(11.0, 11.0, 0.9)], np.full_like(tissue, STROMA))):
         got = _check(candidates, he, tis, nuclei)
         assert got.instance_ids == [] and got.attrs == {}
-        assert got.pixel_groups()[0].size == 0
+        assert got.index.size == 0
         assert not got.ids.any()
 
 
@@ -250,8 +249,8 @@ def _assert_labels_union(runs, shape):
     ):
         assert got.ids.tobytes() == want.ids.tobytes()
         _same_attrs(got.attrs, want.attrs)
-        for a, b in zip(got.pixel_groups(), want.pixel_groups()):
-            assert np.array_equal(a, b)
+        for name in ("index", "slot", "gids"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_label_pieces_equals_whole_frame_components():
@@ -324,7 +323,7 @@ def test_check_invariants_catches_nucleus_under_a_region_without_mitotic_class()
     res.check_invariants()
     gid = next(g for g, c in res.classes.items() if c != MITOTIC_CELL)
     r, c = np.argwhere(res.instances.ids == gid)[0]
-    _, _, slot, gids = res.mitosis.pixel_groups()
+    slot, gids = res.mitosis.slot, res.mitosis.gids
     flat = r * res.mitosis.shape[1] + c
     at = np.searchsorted(res.mitosis.index, flat)
     res.mitosis = InstanceMap.from_pixels(

@@ -61,7 +61,8 @@ def _argmax_force(planes: np.ndarray) -> np.ndarray:
 
 def _argmax_panoptic(planes: np.ndarray, nuclei: InstanceMap):
     labels = NON_NUCLEUS_IDS[np.argmax(planes[NON_NUCLEUS_IDS], axis=0)]
-    rows, cols, slot, gids = nuclei.pixel_groups()
+    rows, cols = np.divmod(nuclei.index, nuclei.shape[1])
+    slot, gids = nuclei.slot, nuclei.gids
     sums = np.stack(
         [np.bincount(slot, weights=planes[c][rows, cols], minlength=gids.size) for c in NUCLEUS_IDS]
     )

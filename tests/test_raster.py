@@ -209,7 +209,7 @@ def test_labelling_no_pixels_gives_no_regions():
             label_pieces(shape, *no_runs),
         ):
             assert regions.attrs == {} and regions.instance_ids == []
-            assert [a.size for a in regions.pixel_groups()] == [0, 0, 0, 0]
+            assert [a.size for a in (regions.index, regions.slot, regions.gids)] == [0, 0, 0]
             assert regions.ids.shape == shape and not regions.ids.any()
         assert [a.size for a in blob_hulls(np.zeros(shape, dtype=bool), 1)] == [0, 0, 0, 0]
 
@@ -260,8 +260,8 @@ def test_components_on_adversarial_masks(name):
     want = ndimage_components(mask)
     assert got.ids.tobytes() == want.ids.tobytes()
     assert got.attrs == want.attrs
-    for a, b in zip(got.pixel_groups(), want.pixel_groups()):
-        assert np.array_equal(a, b)
+    for name in ("index", "slot", "gids"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
     assert np.array_equal(got.ids, union_find_components(mask, 8))
     if n is not None:
         assert len(got.attrs) == n
@@ -639,22 +639,24 @@ def test_pixel_groups_slot_present_ids(other):
     ids[0, 1] = other
     ids[1, 0:2] = 4
     ids[3, 4] = other
-    rows, cols, slot, gids = InstanceMap(ids).pixel_groups()
-    assert gids.tolist() == [4, other]
+    imap = InstanceMap(ids)
+    rows, cols = np.divmod(imap.index, imap.shape[1])
+    assert imap.gids.tolist() == [4, other]
     assert rows.tolist() == [0, 1, 1, 3] and cols.tolist() == [1, 0, 1, 4]
-    assert gids[slot].tolist() == [other, 4, 4, other]
-    empty = InstanceMap(np.zeros((2, 2), np.int32)).pixel_groups()
-    assert [a.size for a in empty] == [0, 0, 0, 0]
+    assert imap.gids[imap.slot].tolist() == [other, 4, 4, other]
+    empty = InstanceMap(np.zeros((2, 2), np.int32))
+    assert [a.size for a in (empty.index, empty.slot, empty.gids)] == [0, 0, 0]
 
 
 def test_pixel_groups_across_scan_blocks():
     ids = np.zeros((3, _BLOCK // 2 + 7), dtype=np.int32)  # spans two blocks
     ids[0, 5] = ids[1, -1] = ids[2, 3] = 8
     ids[1, 0] = ids[2, -2] = 3
-    rows, cols, slot, gids = InstanceMap(ids).pixel_groups()
+    imap = InstanceMap(ids)
+    rows, cols = np.divmod(imap.index, imap.shape[1])
     want_rows, want_cols = np.nonzero(ids)
     assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-    assert np.array_equal(gids[slot], ids[want_rows, want_cols])
+    assert np.array_equal(imap.gids[imap.slot], ids[want_rows, want_cols])
 
 
 @pytest.mark.parametrize("ghost", [2, 10**6])
@@ -688,10 +690,46 @@ def test_ids_are_read_only():
     for imap in (scanned, painted):
         with pytest.raises(ValueError, match="read-only"):
             imap.ids[0, 0] = 1
-        for arr in imap.pixel_groups():
+        for arr in (imap.index, imap.slot, imap.gids):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
     assert ids.flags.writeable  # the caller's array is left as it was
+
+
+def test_no_attribute_of_a_built_map_can_be_set_or_deleted():
+    scanned = InstanceMap(np.eye(3, dtype=np.int32))
+    painted = InstanceMap.from_pixels((3, 3), np.array([0, 4, 8]), np.array([1, 1, 1]))
+    for imap in (scanned, painted):
+        for name in ("attrs", "index", "slot", "gids", "shape", "ids"):
+            with pytest.raises(AttributeError, match="fixed once built"):
+                setattr(imap, name, getattr(imap, name))
+        with pytest.raises(AttributeError, match="fixed once built"):
+            imap.attrs = {}
+        for name in ("gids", "ids"):
+            with pytest.raises(AttributeError, match="fixed once built"):
+                delattr(imap, name)
+        assert imap.instance_ids == [1] and imap.gids.tolist() == [1]
+        assert np.array_equal(imap.ids, np.eye(3, dtype=np.int32))
+
+
+def _kept_bytes(imap: InstanceMap) -> int:
+    """The bytes of the ndarrays a map keeps, alone or in tuples, except its id raster."""
+    kept = [v for name, v in vars(imap).items() if name != "ids"]
+    arrays = [a for v in kept for a in (v if isinstance(v, tuple) else (v,))]
+    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
+
+def test_a_map_keeps_at_most_16_bytes_per_pixel_and_8_per_id():
+    comps = connected_components(np.random.default_rng(4).random((64, 80)) < 0.4)
+    index = comps.index
+    maps = {
+        "connected_components": comps,
+        "raster": InstanceMap(comps.ids),
+        "from_pixels": InstanceMap.from_pixels(comps.shape, index, comps.ids.flat[index]),
+    }
+    for name, imap in maps.items():
+        assert imap.index.size > 1000 and len(imap.attrs) > 50, name
+        assert _kept_bytes(imap) <= 16 * imap.index.size + 8 * len(imap.attrs), name
 
 
 def test_a_map_pickles_and_copies_as_a_map_of_the_same_pixels():
@@ -701,11 +739,29 @@ def test_a_map_pickles_and_copies_as_a_map_of_the_same_pixels():
     imap = InstanceMap(ids, {5: 7})
     for copy in (pickle.loads(pickle.dumps(imap)), deepcopy(imap)):
         assert copy.shape == imap.shape and copy.attrs == imap.attrs
-        assert np.array_equal(copy.index, imap.index) and np.array_equal(copy.ids, ids)
-        for got, want in zip(copy.pixel_groups(), imap.pixel_groups()):
-            assert np.array_equal(got, want) and not got.flags.writeable
+        assert np.array_equal(copy.ids, ids)
+        for name in ("index", "slot", "gids"):
+            got = getattr(copy, name)
+            assert np.array_equal(got, getattr(imap, name)) and not got.flags.writeable
         with pytest.raises(TypeError):
             copy.attrs[5] = InstanceAttrs(pixel_count=0, centroid=(0.0, 0.0))
+    # stacks and bundles are copied through their constructors, so they stay checked
+    bundle = build_bundle(random_scene(2))
+    for copy in (pickle.loads(pickle.dumps(bundle)), deepcopy(bundle)):
+        assert type(copy) is type(bundle) and copy.mitosis_candidates == bundle.mitosis_candidates
+        assert copy.nuclei.attrs == bundle.nuclei.attrs
+        pairs = [(copy.he, bundle.he)]
+        for name in ("tissue_logits", "cell_logits"):
+            got, want = getattr(copy, name), getattr(bundle, name)
+            assert type(got) is LogitStack and got.class_ids == want.class_ids
+            pairs.append((got.planes, want.planes))
+        for got, want in pairs:
+            assert np.array_equal(got, want) and not got.flags.writeable
+    stack = bundle.cell_logits
+    for copy in (pickle.loads(pickle.dumps(stack)), deepcopy(stack)):
+        assert copy.class_ids == stack.class_ids and np.array_equal(copy.planes, stack.planes)
+        with pytest.raises(ValueError, match="read-only"):
+            copy.planes[0, 0, 0] = np.nan
 
 
 def _evaluated_nuclei(tmp_path, monkeypatch, nuclei: InstanceMap) -> InstanceMap:
@@ -750,13 +806,13 @@ def test_every_source_of_a_map_stores_its_ascending_pixel_index(tmp_path, monkey
         "evaluate": _evaluated_nuclei(tmp_path, monkeypatch, bundle.nuclei),
     }
     for name, imap in sources.items():
-        rows, cols, _, _ = imap.pixel_groups()
-        assert rows.size, name
-        assert np.array_equal(imap.index, rows * imap.shape[1] + cols), name
-        assert (np.diff(imap.index) > 0).all(), name
-        assert not imap.index.flags.writeable, name
+        assert imap.index.size and imap.slot.size == imap.index.size, name
+        assert 0 <= imap.index[0] and imap.index[-1] < imap.shape[0] * imap.shape[1], name
+        assert (np.diff(imap.index) > 0).all() and (np.diff(imap.gids) > 0).all(), name
+        for arr in (imap.index, imap.slot, imap.gids):
+            assert not arr.flags.writeable, name
         assert all(type(n) is int for n in imap.shape), name
-        counts = np.bincount(imap.pixel_groups()[2]).tolist()
+        counts = np.bincount(imap.slot).tolist()
         assert [imap.attrs[g].pixel_count for g in imap.instance_ids] == counts, name
 
 
@@ -769,4 +825,5 @@ def test_reducing_a_bundle_never_rescans_its_nuclei(monkeypatch):
     )
     inputs = bundle.reduce()
     assert calls == []
-    assert inputs.nuclei.pixel_groups() is bundle.nuclei.pixel_groups()
+    for name in ("index", "slot", "gids"):
+        assert getattr(inputs.nuclei, name) is getattr(bundle.nuclei, name)

@@ -67,8 +67,8 @@ def _assert_same_inputs(a, b):
     assert np.array_equal(a.he, b.he)
     assert np.array_equal(a.nuclei.ids, b.nuclei.ids)
     assert a.nuclei.attrs == b.nuclei.attrs
-    for x, y in zip(a.nuclei.pixel_groups(), b.nuclei.pixel_groups()):
-        assert np.array_equal(x, y)
+    for name in ("index", "slot", "gids"):
+        assert np.array_equal(getattr(a.nuclei, name), getattr(b.nuclei, name))
     assert a.tissue_pre.dtype == b.tissue_pre.dtype == np.uint8
     assert np.array_equal(a.tissue_pre, b.tissue_pre)
     assert a.cell_vals.dtype == b.cell_vals.dtype == np.float32
@@ -83,7 +83,8 @@ def _assert_same_result(a, b):
     assert np.array_equal(a.instances.ids, b.instances.ids)
     assert np.array_equal(a.mitosis.ids, b.mitosis.ids)
     assert a.classes == b.classes
-    assert a.provenance == b.provenance
+    for x, y in zip(a.provenance, b.provenance):
+        assert np.array_equal(x, y)
 
 
 def _sha256(path: Path) -> str:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tmeseg.aggregate
-from tmeseg.aggregate import aggregate, axis_offsets, tile_cells
+from tmeseg.aggregate import RULES, aggregate, axis_offsets, tile_cells
 from tmeseg.config import BLUR_RADIUS, RunConfig
 from tmeseg.raster import gaussian_smooth
 from tmeseg.reference import reference_aggregate
@@ -71,7 +71,7 @@ def test_tiled_equals_full_frame_on_stitch_safe_scene():
     full = aggregate(bundle, STITCH_CFG)
     tiled = aggregate(bundle, STITCH_CFG, workers=1)
     _assert_same_result(full, tiled)
-    rules = {d.rule for d in tiled.provenance.values()}
+    rules = {RULES[r] for r in tiled.provenance.rule.tolist()}
     assert rules <= {"vote", "fallback_epithelial", "fallback_fibroblast", "mitosis", "undefined"}
 
 
@@ -80,7 +80,8 @@ def test_tiled_result_independent_of_worker_count():
     one = aggregate(bundle, STITCH_CFG, workers=1)
     three = aggregate(bundle, STITCH_CFG, workers=3)
     _assert_same_result(one, three)
-    assert one.provenance.keys() == three.provenance.keys()
+    assert np.array_equal(one.instances.gids, three.instances.gids)
+    assert {len(a) for a in one.provenance + three.provenance} == {one.instances.gids.size}
 
 
 def test_workers_must_be_positive():
@@ -196,9 +197,8 @@ def test_tiled_equals_full_frame_for_any_plan(case):
     assert tiled.semantic.tobytes() == full.semantic.tobytes()
     assert tiled.classes == full.classes
     assert np.array_equal(tiled.mitosis.ids, full.mitosis.ids)
-    assert {g: d.rule for g, d in tiled.provenance.items()} == {
-        g: d.rule for g, d in full.provenance.items()
-    }
+    assert np.array_equal(tiled.instances.gids, full.instances.gids)
+    assert np.array_equal(tiled.provenance.rule, full.provenance.rule)
     tiled.check_invariants()
 
 
