@@ -14,11 +14,15 @@ Stages, in fixed order:
 6. final mask combination (nucleus classes paint over tissue labels)
 
 ``aggregate`` is the one driver: it blurs the cells that ``RunConfig``'s
-crop and stride cut, on threads while the bundle is reduced, and ``_fuse``
-runs all six stages on the smoothed grayscale. Stages 2-6 read the logit
-stacks only through two reductions, the tissue label before glass and the
-cell logits at the nucleus pixels (``FusionInputs``), which a bundle in
-memory (``TeacherBundle.reduce``) and a bundle streamed from disk
+crop and stride cut, one row band of cells per task, on threads while the
+bundle is reduced, and ``_fuse`` runs all six stages on the smoothed
+grayscale. Each band reads only its own rows of H&E, plus the blur's halo,
+so no H&E frame is held; besides the blur, only the mitosis stage reads
+H&E, and only the R+G+B sums of each candidate's ROI box (``roi_sums``),
+which the bands fill as they pass. Stages 2-6 read the logit stacks only
+through two reductions, the tissue label before glass and the cell logits
+at the nucleus pixels (``FusionInputs``), which a bundle in memory
+(``TeacherBundle.reduce``) and a bundle streamed from disk
 (``container.BundleReader``) both produce. Both are checked by one rule,
 ``check_bundle``, before fusion reads them: a ``TeacherBundle`` on its
 array shapes when it is built, and it cannot change after that; a reader
@@ -39,6 +43,8 @@ A structurally separate per-pixel reference of the same rules lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -165,11 +171,19 @@ class TeacherBundle:
         parts["nuclei"] = (self.nuclei.shape, None)
         check_bundle(self.he.shape[:2], parts, self.mitosis_candidates, self.halo or 0)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.he.shape[:2]
+
+    def he_rows(self, top: int, bottom: int) -> np.ndarray:
+        """H&E rows ``[top, bottom)`` as ``(3, bottom - top, width)`` planes:
+        a view of ``he``."""
+        return np.moveaxis(self.he[top:bottom], 2, 0)
+
     def reduce(self) -> "FusionInputs":
         """Feed each whole logit plane of the checked bundle through the
         block reducers."""
         return fusion_inputs(
-            self.he,
             self.nuclei,
             _aligned_views(self.tissue_logits),
             _whole_planes(self.cell_logits),
@@ -220,10 +234,11 @@ class FusionInputs:
     ``cell_vals`` holds the cell logits at the nucleus pixels, one row per
     ``CELL_IDS`` channel, columns in ``nuclei.index`` order.
     ``TeacherBundle.reduce`` and ``container.BundleReader.reduce`` both
-    build it through ``fusion_inputs``.
+    build it through ``fusion_inputs``. It holds no H&E: ``aggregate`` reads
+    H&E band by band into the smoothed grayscale and the candidates' ROI
+    sums, which ``_fuse`` takes beside it.
     """
 
-    he: np.ndarray
     nuclei: InstanceMap
     tissue_pre: np.ndarray  # (H, W) uint8, C-contiguous; consumed by _fuse
     cell_vals: np.ndarray  # (len(CELL_IDS), N) float32
@@ -276,7 +291,6 @@ def _aligned_views(stack: LogitStack) -> AlignedBlocks:
 
 
 def fusion_inputs(
-    he: np.ndarray,
     nuclei: InstanceMap,
     tissue_blocks: AlignedBlocks,
     cell_blocks: Blocks,
@@ -292,7 +306,6 @@ def fusion_inputs(
     checked against each other.
     """
     return FusionInputs(
-        he=he,
         nuclei=nuclei,
         tissue_pre=_reduce_tissue(tissue_blocks, nuclei.shape),
         cell_vals=_reduce_cells(cell_blocks, nuclei.index, _CELL_ROW),
@@ -366,19 +379,28 @@ def tile_cells(shape: tuple[int, int], cfg: RunConfig) -> list[tuple[slice, slic
     return [(rows, cols) for rows in spans(shape[0]) for cols in spans(shape[1])]
 
 
-def _blur_cell(he: np.ndarray, cell: tuple[slice, slice], gray: np.ndarray) -> None:
-    """Write the smoothed grayscale of one cell into ``gray``.
+def _blur_band(
+    bundle, band: tuple[slice, list[slice]], gray: np.ndarray, sums: np.ndarray, points: np.ndarray
+) -> None:
+    """Write one band's smoothed grayscale into ``gray``, and its rows of the
+    candidates' ROI boxes into ``sums``.
 
-    The cell is blurred with a ``BLUR_RADIUS`` margin, clamped to the
-    image, so its pixels read the same neighbours as in a full-frame blur.
+    The band's rows are read with a ``BLUR_RADIUS`` halo, clamped to the
+    image, as ``(3, rows, width)`` planes by ``bundle.he_rows``. Each cell is
+    blurred with the same margin on its columns, so its pixels read the
+    same neighbours as in a full-frame blur.
     """
-    rows, cols = cell
-    h, w = he.shape[:2]
-    y0, x0 = max(rows.start - BLUR_RADIUS, 0), max(cols.start - BLUR_RADIUS, 0)
-    y1, x1 = min(rows.stop + BLUR_RADIUS, h), min(cols.stop + BLUR_RADIUS, w)
-    smooth = gaussian_smooth(he[y0:y1, x0:x1])
-    local = (slice(rows.start - y0, rows.stop - y0), slice(cols.start - x0, cols.stop - x0))
-    gray[cell] = grayscale(smooth[local])
+    rows, spans = band
+    h, w = gray.shape
+    y0, y1 = max(rows.start - BLUR_RADIUS, 0), min(rows.stop + BLUR_RADIUS, h)
+    planes = bundle.he_rows(y0, y1)
+    own = slice(rows.start - y0, rows.stop - y0)
+    for cols in spans:
+        x0, x1 = max(cols.start - BLUR_RADIUS, 0), min(cols.stop + BLUR_RADIUS, w)
+        # a channel-last view: the blur keeps the planes' memory layout
+        smooth = gaussian_smooth(np.moveaxis(planes[:, :, x0:x1], 0, 2))
+        gray[rows, cols] = grayscale(smooth[own, cols.start - x0 : cols.stop - x0])
+    _fill_roi_sums(sums, points, planes[:, own], rows.start)
 
 
 # ---------------------------------------------------------------------------
@@ -453,43 +475,88 @@ def fallback_rules(
 _BATCH = 32  # candidates per batch: a peak of about 2 MB at a 30 px radius
 
 
+def _points(candidates: Sequence[tuple]) -> np.ndarray:
+    """The candidates' ``(x, y)`` as an ``(n, 2)`` float64 array."""
+    return np.asarray([c[:2] for c in candidates], dtype=np.float64).reshape(-1, 2)
+
+
+def _roi_boxes(n: int) -> np.ndarray:
+    """``n`` blank ROI boxes for ``_fill_roi_sums``: -1 marks a pixel outside the frame."""
+    side = 2 * MITOSIS_ROI_RADIUS_PX + 1
+    return np.full((n, side, side), -1, dtype=np.int16)
+
+
+def _fill_roi_sums(sums: np.ndarray, points: np.ndarray, planes: np.ndarray, top: int) -> None:
+    """Write the R+G+B sums of frame rows ``[top, top + planes.shape[1])``,
+    given as ``(3, rows, width)`` planes, into the ROI boxes of ``points``
+    that reach them: box ``i`` covers the rows and columns from
+    ``ceil(y - r)`` and ``ceil(x - r)`` on, ``2r + 1`` of each."""
+    r = MITOSIS_ROI_RADIUS_PX
+    side, bottom, w = 2 * r + 1, top + planes.shape[1], planes.shape[2]
+    box_tops = np.ceil(points[:, 1] - r).astype(np.intp).tolist()
+    box_lefts = np.ceil(points[:, 0] - r).astype(np.intp).tolist()
+    for i, (y, x) in enumerate(zip(box_tops, box_lefts)):
+        y0, y1 = max(y, top), min(y + side, bottom)
+        x0, x1 = max(x, 0), min(x + side, w)
+        if y0 < y1 and x0 < x1:
+            rgb = planes[:, y0 - top : y1 - top, x0:x1]
+            out = sums[i, y0 - y : y1 - y, x0 - x : x1 - x]
+            np.add(rgb[0], rgb[1], out=out, dtype=np.int16)
+            out += rgb[2]
+
+
+def roi_sums(candidates: Sequence[tuple], he: np.ndarray) -> np.ndarray:
+    """The candidates' ROI boxes of an RGB tile as ``(n, 2r + 1, 2r + 1)``
+    int16 R+G+B sums, -1 outside the frame (``r`` is
+    ``MITOSIS_ROI_RADIUS_PX``): all that ``detect_mitosis`` reads of H&E.
+    ``aggregate`` fills the same boxes band by band."""
+    check_rgb_tile(he)
+    points = _points(candidates)
+    sums = _roi_boxes(len(points))
+    _fill_roi_sums(sums, points, np.moveaxis(he, 2, 0), 0)
+    return sums
+
+
 def mitosis_hulls(
-    candidates: Sequence[tuple], he: np.ndarray
+    candidates: Sequence[tuple], pixels: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The H&E-only part of ``detect_mitosis``: per batch of ``_BATCH``
     candidates, the frame row intervals ``(hull, row, start, stop)`` of
     their hulls (as ``raster.blob_hulls`` gives them), numbered in
-    candidate order, then blob order. Reads neither the blur nor the tissue.
+    candidate order, then blob order. ``pixels`` is the candidates'
+    ``roi_sums``, or the RGB tile they are taken from, batch by batch.
+    Reads neither the blur nor the tissue.
     """
-    check_rgb_tile(he)
-    pixels = he.reshape(-1, 3)  # a view of a C-contiguous tile, as every reader builds
-    points = np.asarray([c[:2] for c in candidates], dtype=np.float64).reshape(-1, 2)
+    points = _points(candidates)
+    side = 2 * MITOSIS_ROI_RADIUS_PX + 1
+    tile = pixels.dtype == np.uint8
+    if tile:
+        check_rgb_tile(pixels)
+    elif pixels.dtype != np.int16 or pixels.shape != (len(points), side, side):
+        raise ValueError("ROI sums must be int16, (candidates, 2r + 1, 2r + 1)")
     for i in range(0, len(points), _BATCH):
-        yield _batch_hulls(points[i : i + _BATCH], pixels, he.shape[:2])
+        batch = points[i : i + _BATCH]
+        yield _batch_hulls(batch, roi_sums(batch, pixels) if tile else pixels[i : i + _BATCH])
 
 
 def _batch_hulls(
-    points: np.ndarray, pixels: np.ndarray, shape: tuple[int, int]
+    points: np.ndarray, sums: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``mitosis_hulls`` of one batch of points ``(x, y)`` in a tile of ``shape``
-    with RGB ``pixels`` in raster order; its arrays are freed on return."""
-    h, w = shape
+    """``mitosis_hulls`` of one batch of points ``(x, y)`` with their ROI
+    ``sums``; its arrays are freed on return."""
     r = MITOSIS_ROI_RADIUS_PX
     side = np.arange(2 * r + 1)
     xs, ys = points[:, :, None].transpose(1, 0, 2)  # (n, 1) each
     top, left = np.ceil(ys - r).astype(np.intp), np.ceil(xs - r).astype(np.intp)
     gy, gx = top + side, left + side  # (n, 2r + 1) frame rows and columns
-    in_y = (gy >= 0) & (gy < h) & (gy <= np.floor(ys + r))
-    in_x = (gx >= 0) & (gx < w) & (gx <= np.floor(xs + r))
+    in_y, in_x = gy <= np.floor(ys + r), gx <= np.floor(xs + r)
     circle = ((gy - ys) ** 2)[:, :, None] + ((gx - xs) ** 2)[:, None, :] <= float(r) * float(r)
     circle &= in_y[:, :, None] & in_x[:, None, :]
-    rows, cols = np.clip(gy, 0, h - 1), np.clip(gx, 0, w - 1)
-    rgb = np.take(pixels, rows[:, :, None] * w + cols[:, None, :], axis=0)
-    sums = rgb[..., 0].astype(np.int16) + rgb[..., 1] + rgb[..., 2]
+    circle &= sums >= 0  # inside the frame
     count = circle.sum(axis=(1, 2))
     ranked = np.sort(np.where(circle, sums, 0x7FFF).reshape(count.size, -1), axis=1)
     mid = np.take_along_axis(ranked, np.stack([(count - 1) // 2, count // 2], axis=1), axis=1)
-    del rgb, ranked  # the rest reads the sums: fewer of the batch's arrays live at once
+    del ranked  # the rest reads the sums: fewer of the batch's arrays live at once
     live = (count > 0) & (mid.sum(axis=1) > 2 * CARBON_RGB_SUM_MAX)  # not carbon dust
     circle, gray, top, left = circle[live], (sums[live] + 1) // 3, top[live], left[live]
     n = live.sum()
@@ -506,9 +573,11 @@ def _batch_hulls(
 
 
 def detect_mitosis(
-    candidates: Sequence[tuple], he: np.ndarray, tissue: np.ndarray
+    candidates: Sequence[tuple], pixels: np.ndarray, tissue: np.ndarray
 ) -> InstanceMap:
-    """Filter mitosis candidates into hull regions.
+    """Filter mitosis candidates into hull regions of the frame of ``tissue``.
+    ``pixels`` is the candidates' ``roi_sums``, or the RGB tile to take them
+    from batch by batch.
 
     Per candidate: clip a circular ROI of radius ``MITOSIS_ROI_RADIUS_PX``
     at the tile border; reject carbon dust, a median RGB sum <=
@@ -530,9 +599,9 @@ def detect_mitosis(
     intervals join the union's runs batch by batch, so the working memory is
     one batch and the union, which ``label_pieces`` labels 8-connected.
     """
-    shape = he.shape[:2]
+    shape = tissue.shape
     union = np.zeros((3, 0), dtype=np.intp)  # rows, starts and stops of its runs
-    for hull, row, start, stop in mitosis_hulls(candidates, he):
+    for hull, row, start, stop in mitosis_hulls(candidates, pixels):
         epi = tissue[_run_pixels(row, start, stop)] == EPITHELIAL_TISSUE
         on_epi = np.repeat(hull, stop - start)[epi]
         keep = (np.bincount(on_epi, minlength=hull.size) > 0)[hull]
@@ -567,43 +636,51 @@ def aggregate(
     """Run the whole pipeline on one bundle.
 
     ``bundle`` is a ``TeacherBundle`` or an open ``container.BundleReader``,
-    each checked when it was built or opened.
-    The cells of the config's crop and stride are blurred on up to
-    ``workers`` threads as soon as ``bundle.he`` is known, while this thread
-    reduces the bundle; each cell is written once into one grayscale
-    canvas, so no float64 frame is held, and the result is the same for any
-    crop, stride and worker count.
+    each checked when it was built or opened: it gives its frame ``shape``,
+    its ``mitosis_candidates``, H&E rows by ``he_rows`` and its
+    ``FusionInputs`` by ``reduce``. The config's cells are grouped in row
+    bands, one per row of cells, and the bands are blurred on up to
+    ``workers`` threads while this thread reduces the bundle. A band reads
+    its rows of H&E plus a ``BLUR_RADIUS`` halo, writes its cells into one
+    grayscale canvas and its rows of the candidates' ROI boxes into one
+    array of R+G+B sums; bands never overlap, so no H&E or float64 frame is
+    held, and the result is the same for any crop, stride and worker count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cfg = config or RunConfig()
-    he = bundle.he
-    cells = tile_cells(he.shape[:2], cfg)
-    gray = np.empty(he.shape[:2], dtype=np.uint8)
-    if len(cells) == 1:
-        # a tile within one crop: a thread costs more than its overlap with
-        # ``reduce`` saves, 7 % of a 256² tile's time on a 2-CPU host
-        _blur_cell(he, cells[0], gray)
-        return _fuse(bundle.reduce(), gray, cfg)
+    cells = tile_cells(bundle.shape, cfg)  # row-major: a band is a run of one rows slice
+    bands = [(rows, [c for _, c in band]) for rows, band in groupby(cells, itemgetter(0))]
+    gray = np.empty(bundle.shape, dtype=np.uint8)
+    points = _points(bundle.mitosis_candidates)
+    sums = _roi_boxes(len(points))
+    if len(bands) == 1:
+        # a tile within one crop's rows: a thread costs more than its overlap
+        # with ``reduce`` saves, 7 % of a 256² tile's time on a 2-CPU host
+        _blur_band(bundle, bands[0], gray, sums, points)
+        return _fuse(bundle.reduce(), gray, sums, cfg)
     from concurrent.futures import ThreadPoolExecutor  # deferred: start-up loads no pool
 
-    pool = ThreadPoolExecutor(max_workers=min(workers, len(cells)))
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(bands)))
     try:
-        blurs = [pool.submit(_blur_cell, he, cell, gray) for cell in cells]
+        blurs = [pool.submit(_blur_band, bundle, band, gray, sums, points) for band in bands]
         inputs = bundle.reduce()
         for blur in blurs:
             blur.result()
     finally:
-        pool.shutdown(cancel_futures=True)  # on error, pending cells never start
-    return _fuse(inputs, gray, cfg)
+        pool.shutdown(cancel_futures=True)  # on error, pending bands never start
+    return _fuse(inputs, gray, sums, cfg)
 
 
-def _fuse(inputs: FusionInputs, gray: np.ndarray, cfg: RunConfig) -> AggregationResult:
+def _fuse(
+    inputs: FusionInputs, gray: np.ndarray, sums: np.ndarray, cfg: RunConfig
+) -> AggregationResult:
     """All six stages, from the smoothed grayscale
-    (``grayscale(gaussian_smooth(he))``) of ``inputs.he``; the fallback and
-    mitosis masks set class and rule code together, in ``RULES`` order.
-    ``inputs.tissue_pre`` is consumed: glass is written into it in place,
-    block by block, and it becomes the result's ``semantic``."""
+    (``grayscale(gaussian_smooth(he))``) and the candidates' ROI ``sums``
+    (``roi_sums(candidates, he)``); the fallback and mitosis masks set class
+    and rule code together, in ``RULES`` order. ``inputs.tissue_pre`` is
+    consumed: glass is written into it in place, block by block, and it
+    becomes the result's ``semantic``."""
     t = cfg.background_threshold
     threshold = otsu_threshold(gray) if t is None else t
     tissue = inputs.tissue_pre
@@ -615,7 +692,7 @@ def _fuse(inputs: FusionInputs, gray: np.ndarray, cfg: RunConfig) -> Aggregation
     cls, votes, fired = _vote_groups(inputs.cell_vals, slot, gids.size)
     rule = (cls != UNDEFINED).astype(np.int8)  # RULES codes 0 and 1
     epithelial, fibroblast = fallback_rules(nuclei, cls, tissue)
-    mitosis = detect_mitosis(inputs.mitosis_candidates, inputs.he, tissue)
+    mitosis = detect_mitosis(inputs.mitosis_candidates, sums, tissue)
     mitotic = apply_mitosis(nuclei, mitosis)
     masks = (epithelial, EPITHELIAL_CELL_NUCLEUS), (fibroblast, FIBROBLAST), (mitotic, MITOTIC_CELL)
     for code, (mask, final) in enumerate(masks, start=2):

@@ -15,7 +15,7 @@ header, all before any payload is read. The payload then goes through one
 loop, ``_chunks``, which checks the size and f32 finiteness and, for a
 hashed read, feeds every byte to a SHA-256. A whole read fills the final
 array plane by plane; a streamed read goes through one buffer of at most
-4 MB. Each file is read once, except a bundle's tissue logits (see
+4 MB. Each file is read once, except a bundle's H&E and tissue logits (see
 ``BundleReader``):
 
 * ``load_stack`` reads one file of any kind whole, unhashed.
@@ -23,11 +23,12 @@ array plane by plane; a streamed read goes through one buffer of at most
   ``load_instances`` an instance map, keeping only its nonzero pixels; each
   returns the file's SHA-256, taken in the same read.
 * ``BundleReader`` reads a teacher bundle: opening it checks every header
-  against the others before allocating any payload and reads H&E; its
-  ``reduce`` then reads nuclei as ``load_instances`` does and reduces each
-  logit file block by block, so no logit plane and no id raster sits in
-  memory. ``load_bundle`` opens a bundle the same way, then reads nuclei
-  the same way and both logit stacks whole.
+  against the others before allocating any payload, and reads none;
+  ``he_rows`` reads rows of H&E by positioned reads, for the blur's bands;
+  ``reduce`` reads nuclei as ``load_instances`` does, reduces each logit
+  file block by block and hashes H&E, so no H&E frame, no logit plane and
+  no id raster sits in memory. ``load_bundle`` opens a bundle the same way,
+  then reads H&E, nuclei and both logit stacks whole.
 * ``StudentReader`` reads a student logit file, and its nuclei, for the
   ``postprocess`` reductions in the same way.
 * ``scan_stack`` checks and hashes one file without keeping its payload.
@@ -507,21 +508,28 @@ def _class_blocks(part: _Part, ids: tuple[int, ...]) -> Iterator[tuple[int, int,
         yield ids[channel], start, chunk
 
 
+def _read_at(fd: int, part: _Part, out: np.ndarray, item: int) -> None:
+    """Fill ``out`` with the payload of ``part`` from item ``item`` on, by
+    one positioned read on ``fd``, and check it as ``_chunks`` checks a chunk."""
+    _, head, path = part
+    at = head.offset + item * head.wire.itemsize
+    _check_read(os.preadv(fd, [memoryview(out).cast("B")], at), out, head, path)
+
+
 def _aligned_blocks(
     fd: int, part: _Part, ids: tuple[int, ...]
 ) -> Iterator[tuple[int, dict[int, np.ndarray]]]:
     """A logit part's planes as aligned blocks ``(flat start, {class id:
     block})``, read by positioned reads on ``fd``; the blocks of one start
     share ``_CHUNK_BYTES``, each is checked finite and overwritten by the next."""
-    _, head, path = part
-    size, item = head.height * head.width, head.wire.itemsize
-    step = max(1, min(_CHUNK_BYTES // (item * len(ids)), size))
+    _, head, _ = part
+    size = head.height * head.width
+    step = max(1, min(_CHUNK_BYTES // (head.wire.itemsize * len(ids)), size))
     bufs = [np.empty(step, dtype=head.wire) for _ in ids]
     for start in range(0, size, step):
         blocks = [buf[: min(step, size - start)] for buf in bufs]
         for channel, block in enumerate(blocks):
-            at = head.offset + (channel * size + start) * item
-            _check_read(os.preadv(fd, [memoryview(block).cast("B")], at), block, head, path)
+            _read_at(fd, part, block, channel * size + start)
         yield start, dict(zip(ids, blocks))
 
 
@@ -532,25 +540,28 @@ def _drain(part: _Part) -> None:
 
 
 class BundleReader(ExitStack):
-    """A teacher bundle read from disk, H&E first.
+    """A teacher bundle read from disk, H&E band by band.
 
-    Opening reads the manifest and all four headers, checks them against
+    Opening reads the manifest and all four headers and checks them against
     each other by ``aggregate.check_bundle``, the rule a ``TeacherBundle``
-    is checked by when it is built, before any payload is allocated, and
-    reads H&E into ``he``. ``reduce`` reads nuclei, keeping their nonzero
-    pixels, then the cell logits through one buffer of at most
+    is checked by when it is built; it allocates no payload and keeps the
+    frame's ``shape``. ``he_rows`` reads rows of H&E as ``(3, rows,
+    width)`` planes, by one positioned read per plane on a duplicate of the
+    file's descriptor, so ``aggregate``'s bands read their rows from any
+    thread and no H&E frame is held. ``reduce`` reads nuclei, keeping their
+    nonzero pixels, then the cell logits through one buffer of at most
     ``_CHUNK_BYTES``, where every chunk is hashed, checked finite and
-    reduced. It returns the ``FusionInputs`` and fills
-    ``digests`` (the SHA-256 of the manifest and of each part, keyed by path
-    as ``str``).
+    reduced. It returns the ``FusionInputs`` and fills ``digests`` (the
+    SHA-256 of the manifest and of each part, keyed by path as ``str``).
 
-    The tissue logits are read twice. The tissue contest needs the three
-    planes at the same pixels, and in the file they lie one after another,
-    so ``reduce`` reads aligned blocks of all three by positioned reads on
-    a duplicate of the file's descriptor and checks each finite; no plane
-    is held. Meanwhile a thread reads the file once more in file order
-    through ``_chunks``, for the SHA-256 and the size and trailing-byte
-    checks; that read mostly comes from the page cache.
+    H&E and the tissue logits are read twice. The tissue contest needs the
+    three planes at the same pixels, and in the file they lie one after
+    another, so ``reduce`` reads aligned blocks of all three by positioned
+    reads on a duplicate of the file's descriptor and checks each finite; no
+    plane is held. Meanwhile a thread reads H&E and then the tissue file
+    once more in file order through ``_chunks``, for the SHA-256 and the
+    size and trailing-byte checks; that read mostly comes from the page
+    cache.
 
     It is an ``ExitStack`` holding the part files open: leaving its ``with``
     block, or ``close()``, closes them.
@@ -565,7 +576,7 @@ class BundleReader(ExitStack):
         manifest_path = Path(manifest_path)
         raw = manifest_path.read_bytes()
         doc, parts = _parse_manifest(raw, manifest_path)
-        self.candidates = tuple(tuple(map(float, c)) for c in doc.get("candidates", []))
+        self.mitosis_candidates = tuple(tuple(map(float, c)) for c in doc.get("candidates", []))
         self.halo = doc.get("halo") or 0
         self.mpp = DEFAULT_MPP if doc.get("mpp") is None else float(doc["mpp"])
         self.digests = {str(manifest_path): hashlib.sha256(raw).hexdigest()} if self._hashed else {}
@@ -575,19 +586,29 @@ class BundleReader(ExitStack):
                 k: _open(files, p, kinds.get(k), self._hashed) for k, p in parts.items()
             }
             heads = {k: head for k, (_, head, _) in self._parts.items()}
-            frame = (heads["he"].height, heads["he"].width)
+            self.shape = (heads["he"].height, heads["he"].width)
             try:
                 ids = self._class_ids = {k: _logit_class_ids(k, heads[k]) for k in _ROSTERS}
                 shapes = {k: ((h.height, h.width), ids.get(k)) for k, h in heads.items()}
-                check_bundle(frame, shapes, self.candidates, self.halo)
+                check_bundle(self.shape, shapes, self.mitosis_candidates, self.halo)
             except (ValueError, UnknownClassError) as exc:
                 raise ContainerError(f"{manifest_path}: {exc}") from exc
+            self._he_fd = self._positioned(files, "he")
+            self.push(files.pop_all())  # the files stay open for he_rows and reduce
 
-            self.he = np.empty(frame + (3,), dtype=np.uint8)
-            he_px = self.he.reshape(-1, 3)
-            for channel, start, chunk in _chunks(self._parts["he"]):
-                he_px[start : start + chunk.size, channel] = chunk
-            self.push(files.pop_all())  # the files stay open for reduce
+    def _positioned(self, files: ExitStack, name: str) -> int:
+        """A duplicate descriptor of part ``name``, held in ``files``, for positioned reads."""
+        dup = os.dup(self._parts[name][0].fileno())
+        return files.enter_context(open(dup, "rb", buffering=0)).fileno()
+
+    def he_rows(self, top: int, bottom: int) -> np.ndarray:
+        """H&E rows ``[top, bottom)`` as ``(3, bottom - top, width)`` planes."""
+        part = self._parts["he"]
+        h, w = self.shape
+        planes = np.empty((3, bottom - top, w), dtype=np.uint8)
+        for channel, plane in enumerate(planes):
+            _read_at(self._he_fd, part, plane, channel * h * w + top * w)
+        return planes
 
     def reduce(self):
         """Read nuclei and the logit files: the bundle's ``FusionInputs``."""
@@ -596,17 +617,17 @@ class BundleReader(ExitStack):
         from .aggregate import fusion_inputs
 
         tissue = self._parts["tissue_logits"]
-        positioned = self.enter_context(open(os.dup(tissue[0].fileno()), "rb", buffering=0))
-        with ThreadPoolExecutor(max_workers=1) as pool:  # leaving waits for the drain
-            drain = pool.submit(_drain, tissue)
+        positioned = self._positioned(self, "tissue_logits")
+        with ThreadPoolExecutor(max_workers=1) as pool:  # leaving waits for the drains
+            drains = [pool.submit(_drain, self._parts[k]) for k in ("he", "tissue_logits")]
             inputs = fusion_inputs(
-                self.he,
                 _read_instances(self._parts["nuclei"]),
-                _aligned_blocks(positioned.fileno(), tissue, self._class_ids["tissue_logits"]),
+                _aligned_blocks(positioned, tissue, self._class_ids["tissue_logits"]),
                 _class_blocks(self._parts["cell_logits"], self._class_ids["cell_logits"]),
-                self.candidates,
+                self.mitosis_candidates,
             )
-        drain.result()  # raises what the drain's checks found
+        for drain in drains:
+            drain.result()  # raises what the drain's checks found
         self.digests.update(_digests(self._parts.values()))
         return inputs
 
@@ -621,23 +642,28 @@ def load_bundle(manifest_path: str | Path):
     """Load a teacher bundle whole from its JSON manifest.
 
     It opens the bundle as ``BundleReader`` does, so every header is checked
-    against the others before any payload is allocated, then reads nuclei
-    and both logit stacks whole into a ``TeacherBundle``, which checks
-    itself as it is built. Nothing is hashed.
+    against the others before any payload is allocated, then reads H&E
+    whole, interleaving it chunk by chunk, and nuclei and both logit stacks
+    into a ``TeacherBundle``, which checks itself as it is built. Nothing is
+    hashed.
     """
     from .aggregate import TeacherBundle  # deferred: aggregate is a heavier import
 
     with _Unhashed(manifest_path) as reader:
+        he = np.empty(reader.shape + (3,), dtype=np.uint8)
+        pixels = he.reshape(-1, 3)
+        for channel, start, chunk in _chunks(reader._parts["he"]):
+            pixels[start : start + chunk.size, channel] = chunk
 
         def stack(name: str) -> LogitStack:
             return LogitStack(reader._class_ids[name], _read_whole(reader._parts[name]))
 
         return TeacherBundle(
-            he=reader.he,
+            he=he,
             tissue_logits=stack("tissue_logits"),
             cell_logits=stack("cell_logits"),
             nuclei=_read_instances(reader._parts["nuclei"]),
-            mitosis_candidates=reader.candidates,
+            mitosis_candidates=reader.mitosis_candidates,
             halo=reader.halo,
             mpp=reader.mpp,
         )

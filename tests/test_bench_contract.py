@@ -40,17 +40,18 @@ def test_tiled_aggregate_runs_the_driver_with_the_plan(monkeypatch):
     # ``bench/child.py`` reads ``tiling.TilePlan`` and ``tiling.tiled_aggregate``
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    cells, blur = [], tmeseg.aggregate._blur_cell
+    bands, blur = [], tmeseg.aggregate._blur_band
 
-    def counting_blur(he, cell, gray):
-        cells.append(cell)
-        blur(he, cell, gray)
+    def counting_blur(bundle, band, *canvases):
+        bands.append(band)
+        blur(bundle, band, *canvases)
 
-    monkeypatch.setattr(tmeseg.aggregate, "_blur_cell", counting_blur)
+    monkeypatch.setattr(tmeseg.aggregate, "_blur_band", counting_blur)
     cfg = RunConfig(background_threshold=200)
     bundle = build_bundle(random_scene(11, 100, 100, max_nuclei=200, max_candidates=20))
     shimmed = tiling.tiled_aggregate(bundle, cfg, tiling.TilePlan(crop=60, stride=50), workers=4)
-    assert _InlinePool.sizes == [len(cells)] == [4]  # 2 x 2 cells
+    assert _InlinePool.sizes == [len(bands)] == [2]  # 2 x 2 cells, a band per row of them
+    cells = [(rows, cols) for rows, spans in bands for cols in spans]
     assert cells == tile_cells((100, 100), RunConfig(crop_px=60, stride_px=50))
     full = aggregate(bundle, cfg)
     assert shimmed.semantic.tobytes() == full.semantic.tobytes()
@@ -153,3 +154,19 @@ def test_the_benchmark_runs_on_small_inputs(tmp_path, monkeypatch):
         op = run.run_op(path, calls(path), set())  # each call through run.cli_call
         assert op["ok"], [c["stderr"] for c in op["calls"].values()]
         assert check(path, op, run.read_json(path / "expect.json"), None), name
+
+
+def test_the_benchmark_slide_runs_on_two_bands(tmp_path, monkeypatch):
+    # at 700 px the default crop and stride cut 2 x 2 cells, so the slide's
+    # own check covers the band pool, the positioned H&E reads and the H&E
+    # hash, which the 300 px slide above, one cell, never starts
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts bench/ on it
+    child, run = _bench_module("child"), _bench_module("run")
+    child.SLIDE_SIZE = 700
+    assert len(tile_cells((700, 700), RunConfig())) == 4
+    work = tmp_path / "slide"
+    (work / "out").mkdir(parents=True)
+    child.prepare_slide(work, 0)
+    op = run.run_op(work, run.slide_calls(work), set())
+    assert op["ok"], [c["stderr"] for c in op["calls"].values()]
+    assert run.check_slide(work, op, run.read_json(work / "expect.json"), None)

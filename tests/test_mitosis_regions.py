@@ -19,9 +19,12 @@ from tmeseg.aggregate import (
     apply_mitosis,
     detect_mitosis,
     mitosis_hulls,
+    roi_sums,
 )
 from tmeseg.config import RunConfig
+from tmeseg.container import BundleReader, save_bundle
 from tmeseg.raster import InstanceMap, label_pieces
+from tmeseg.reference import reference_aggregate
 from tmeseg.synth import TISSUE_INK, Disc, build_bundle, random_scene, throughput_bundle
 from tmeseg.taxonomy import EPITHELIAL_TISSUE, MITOTIC_CELL, STROMA
 
@@ -193,6 +196,40 @@ def test_throughput_bundle_matches_frame_labelling():
     want = frame_detect_mitosis(bundle.mitosis_candidates, bundle.he, tissue)
     assert len(want.instance_ids) > 10
     _assert_equivalent(got, want, bundle.nuclei)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rois_across_band_borders_read_through_a_reader(tmp_path, monkeypatch, workers):
+    """Candidates on the rows either side of each band border, on the four
+    corners and in the halo: the ROI sums the bands fill are the whole
+    tile's, and the result is the reference's."""
+    cfg = RunConfig(crop_px=40, stride_px=30)  # bands of rows [0, 30), [30, 60), [60, 100)
+    # a scene whose epithelium keeps hulls near most of the pinned candidates
+    base = build_bundle(random_scene(35, 100, 100, max_nuclei=80, max_candidates=6))
+    h, w = base.shape
+    borders = [(x, 30.0 * k + d) for k in (1, 2) for d in (-1, 0, 1) for x in (12.0, 47.5, 80.0)]
+    corners = [(0.0, 0.0), (w - 1.0, 0.0), (0.0, h - 1.0), (w - 1.0, h - 1.0)]
+    halo = [(-3.0, 45.0), (50.0, h + 2.0), (w + 3.5, 29.5), (-2.5, -2.5)]
+    candidates = [(x, y, 0.9) for x, y in borders + corners + halo] + list(base.mitosis_candidates)
+    bundle = dataclasses.replace(base, mitosis_candidates=candidates, halo=4)
+    manifest = save_bundle(bundle, tmp_path)
+    seen, detect = [], tmeseg.aggregate.detect_mitosis
+
+    def recording(candidates, pixels, tissue):
+        seen.append(pixels.copy())
+        return detect(candidates, pixels, tissue)
+
+    monkeypatch.setattr(tmeseg.aggregate, "detect_mitosis", recording)
+    with BundleReader(manifest) as reader:
+        result = aggregate(reader, cfg, workers=workers)
+    (sums,) = seen
+    assert np.array_equal(sums, roi_sums(bundle.mitosis_candidates, bundle.he))
+    truth = reference_aggregate(bundle, cfg)
+    assert result.semantic.tobytes() == truth["semantic"].tobytes()
+    assert result.classes == truth["classes"]
+    want = frame_detect_mitosis(bundle.mitosis_candidates, bundle.he, _tissue(bundle, cfg))
+    assert len(want.instance_ids) >= 5  # overlapping hulls merge into one region
+    _assert_equivalent(result.mitosis, want, bundle.nuclei)
 
 
 @pytest.mark.parametrize("shape", [(1, 90), (90, 1), (1, 1), (2, 3), (47, 61), (90, 90)])

@@ -68,6 +68,19 @@ def test_gaussian_smooth_matches_direct_convolution():
             assert np.array_equal(gaussian_smooth(img), _blur(img, 2.0))
 
 
+def test_planes_blur_bit_identically_to_the_interleaved_tile():
+    rng = np.random.default_rng(12)
+    for shape in ((1, 1), (1, 9), (9, 1), (40, 37), (120, 97)):
+        he = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
+        planes = np.ascontiguousarray(np.moveaxis(he, 2, 0))
+        smooth = gaussian_smooth(np.moveaxis(planes, 0, 2))
+        want = gaussian_smooth(he)
+        assert np.array_equal(smooth, want)
+        assert np.moveaxis(smooth, 2, 0).flags.c_contiguous  # planes in, planes out
+        assert want.flags.c_contiguous  # interleaved in, interleaved out
+        assert np.array_equal(grayscale(smooth), grayscale(want))
+
+
 def test_gaussian_smooth_constant_tile_unchanged():
     he = np.full((16, 16, 3), 170, dtype=np.uint8)
     assert np.array_equal(gaussian_smooth(he), he)
@@ -685,7 +698,8 @@ def test_ids_are_read_only():
     ids = np.zeros((4, 4), dtype=np.int32)
     ids[1, 1:3] = 5
     scanned = InstanceMap(ids)
-    painted = InstanceMap.from_pixels((4, 4), np.array([7, 8]), np.array([4, 9]))
+    index = np.array([7, 8])
+    painted = InstanceMap.from_pixels((4, 4), index, np.array([4, 9]))
     assert painted.ids.tolist() == [[0, 0, 0, 0], [0, 0, 0, 4], [9, 0, 0, 0], [0, 0, 0, 0]]
     for imap in (scanned, painted):
         with pytest.raises(ValueError, match="read-only"):
@@ -693,7 +707,28 @@ def test_ids_are_read_only():
         for arr in (imap.index, imap.slot, imap.gids):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
-    assert ids.flags.writeable  # the caller's array is left as it was
+    assert ids.flags.writeable  # the raster is scanned, not kept: the caller's stays writable
+    assert scanned.ids is not ids and not np.shares_memory(scanned.ids, ids)
+    assert painted.index is index and not index.flags.writeable  # kept, as LogitStack keeps planes
+
+
+def test_a_callers_later_write_does_not_reach_a_built_map():
+    ids = np.eye(3, dtype=np.int32)
+    scanned = InstanceMap(ids)
+    ids[0, 0] = 0
+    assert scanned.ids[0, 0] == 1 and scanned.attrs[1].pixel_count == 3
+    assert scanned.index.tolist() == [0, 4, 8]
+
+    idx = np.array([0, 4, 8])
+    painted = InstanceMap.from_pixels((3, 3), idx, np.array([1, 1, 1]))
+    with pytest.raises(ValueError, match="read-only"):
+        idx[2] = 5
+    base = np.array([0, 4, 8, 9])
+    viewed = InstanceMap.from_pixels((3, 3), base[:3], np.array([1, 1, 1]))
+    base[2] = 5  # a view is copied, so its base stays the caller's
+    for imap in (painted, viewed):
+        assert imap.index.tolist() == [0, 4, 8] and imap.attrs[1].centroid == (1.0, 1.0)
+        assert imap.ids.tolist() == np.eye(3, dtype=np.int32).tolist()
 
 
 def test_no_attribute_of_a_built_map_can_be_set_or_deleted():

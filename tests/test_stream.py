@@ -10,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -64,7 +65,6 @@ def _permuted(stack: LogitStack, order) -> LogitStack:
 
 
 def _assert_same_inputs(a, b):
-    assert np.array_equal(a.he, b.he)
     assert np.array_equal(a.nuclei.ids, b.nuclei.ids)
     assert a.nuclei.attrs == b.nuclei.attrs
     for name in ("index", "slot", "gids"):
@@ -111,7 +111,13 @@ def test_streamed_equals_in_memory_on_random_scenes(tmp_path, monkeypatch, seed)
 
     streamed, digests = _stream(manifest)
     _assert_same_inputs(streamed, bundle.reduce())
-    _assert_same_inputs(streamed, load_bundle(manifest).reduce())  # permuted in memory
+    loaded = load_bundle(manifest)  # permuted in memory
+    _assert_same_inputs(streamed, loaded.reduce())
+    assert loaded.he.flags.c_contiguous and np.array_equal(loaded.he, bundle.he)
+    with BundleReader(manifest) as reader:
+        h = reader.shape[0]
+        for top, bottom in ((0, h), (0, 1), (h // 3, h - 2), (h - 1, h)):
+            assert np.array_equal(reader.he_rows(top, bottom), bundle.he_rows(top, bottom))
     cfg = RunConfig(background_threshold=200) if seed % 3 == 0 else RunConfig()
     with BundleReader(manifest) as reader:
         result = aggregate(reader, cfg)
@@ -197,17 +203,40 @@ def test_cli_aggregate_peak_rss_below_the_logit_files(slide, tmp_path):
     assert int(proc.stdout) * 1024 < logit_bytes  # ru_maxrss is in KiB on Linux
 
 
+def test_opening_a_reader_allocates_nothing_frame_sized(slide):
+    manifest, _ = slide
+    shapes = []
+
+    def open_reader():
+        with BundleReader(manifest) as reader:
+            shapes.append(reader.shape)
+
+    open_reader()  # one-time allocations (imports, caches) are not the opening's
+    peak = _traced_peak(open_reader)
+    assert shapes[-1] == (2048, 2048) and not hasattr(BundleReader, "he")
+    # the manifest's bytes, its parsed candidates and four headers; the H&E
+    # tile alone would be 12 MB here
+    assert peak <= 64 * 1024 + os.path.getsize(manifest), peak
+
+
 @pytest.mark.parametrize("threshold", [200, None], ids=["pinned", "otsu"])
 def test_aggregate_on_a_reader_peaks_below_8_bytes_per_pixel(slide, threshold):
     manifest, _ = slide
     cfg = RunConfig(background_threshold=threshold)
     importlib.import_module("scipy.ndimage")  # so the blur's first call traces no import
-    with BundleReader(manifest) as reader:  # H&E is read on opening
-        frame = reader.he.shape[0] * reader.he.shape[1]
-        peak = _traced_peak(lambda: aggregate(reader, cfg, workers=2))
-    # no id raster, no held tissue plane or mask, glass written in place:
-    # 6.0-6.5 bytes per pixel here, 14-18 with them
-    assert peak <= 8 * frame
+    shapes = []
+
+    def run():
+        with BundleReader(manifest) as reader:  # the opening is traced too
+            shapes.append(reader.shape)
+            aggregate(reader, cfg, workers=2)
+
+    peak = _traced_peak(run)
+    (h, w), = shapes
+    # no H&E frame, no id raster, no held tissue plane or mask, glass
+    # written in place: about 7.4 bytes per pixel here, 9.0 with the H&E
+    # frame and 14-18 with the rest
+    assert peak <= 8 * h * w
 
 
 def _narrow_cells(bundle, out_dir):
@@ -322,3 +351,17 @@ def test_a_tissue_file_resized_after_opening_is_rejected(tmp_path, monkeypatch, 
             os.truncate(tissue, os.path.getsize(tissue) + change)
             reader.reduce()
     assert _open_fds() == before
+
+
+@pytest.mark.parametrize("change", [4, -4], ids=["grown", "shrunk"])
+def test_an_he_file_resized_after_opening_is_rejected(tmp_path, change):
+    # grown, the H&E drain finds the extra bytes; shrunk, the last band's read
+    # comes up short too: either way the bands' threads are joined first
+    manifest = save_bundle(build_bundle(random_scene(7, 100, 100, max_nuclei=5)), tmp_path)
+    he = tmp_path / "he.tmef"
+    fds, threads = _open_fds(), threading.active_count()
+    with pytest.raises(TruncatedPayloadError, match="he.tmef: payload size changed while reading"):
+        with BundleReader(manifest) as reader:
+            os.truncate(he, os.path.getsize(he) + change)
+            aggregate(reader, RunConfig(crop_px=40, stride_px=30), workers=2)
+    assert (_open_fds(), threading.active_count()) == (fds, threads)

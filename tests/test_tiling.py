@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tmeseg.aggregate
-from tmeseg.aggregate import RULES, aggregate, axis_offsets, tile_cells
+from tmeseg.aggregate import RULES, TeacherBundle, aggregate, axis_offsets, tile_cells
 from tmeseg.config import BLUR_RADIUS, RunConfig
 from tmeseg.raster import gaussian_smooth
 from tmeseg.reference import reference_aggregate
@@ -115,25 +115,30 @@ class _InlinePool:
         pass
 
 
-def test_pool_size_is_bounded_by_the_cells(monkeypatch):
+def test_pool_size_is_bounded_by_the_bands(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     bundle = _scene_bundle(11, 100)
     cfg = dataclasses.replace(STITCH_CFG, crop_px=60, stride_px=50)  # 2 x 2 cells
     res = aggregate(bundle, cfg, workers=10**6)
-    assert _InlinePool.sizes == [len(tile_cells((100, 100), cfg))] == [4]
+    assert len(tile_cells((100, 100), cfg)) == 4
+    assert _InlinePool.sizes == [2]  # one task per row of cells
     _assert_same_result(aggregate(bundle, STITCH_CFG), res)
 
 
 class _ReduceAfterFirstBlur:
     """A bundle whose ``reduce`` first waits, a few seconds at most, for the
-    first cell to be blurred, and records whether it was."""
+    first cell to be blurred, and records whether it was; the rest of what
+    ``aggregate`` reads (``shape``, ``mitosis_candidates``, ``he_rows``) is
+    the wrapped bundle's."""
 
     def __init__(self, bundle, blurred: threading.Event):
-        self.he = bundle.he
         self.bundle = bundle
         self.blurred = blurred
         self.waited = []
+
+    def __getattr__(self, name):
+        return getattr(self.bundle, name)
 
     def reduce(self):
         self.waited.append(self.blurred.wait(timeout=5))
@@ -219,17 +224,27 @@ def test_each_pixel_is_blurred_in_one_owned_cell(case):
         return min(span.stop + BLUR_RADIUS, size) - max(span.start - BLUR_RADIUS, 0)
 
     bound = sum(extent(rows, shape[0]) * extent(cols, shape[1]) for rows, cols in cells)
-    blurred = []
+    blurred, read = [], []
+    he_rows = TeacherBundle.he_rows
 
     def counting_smooth(img):
         blurred.append(img.shape[0] * img.shape[1])
         return gaussian_smooth(img)
 
+    def counting_rows(self, top, bottom):
+        read.append((top, bottom))
+        return he_rows(self, top, bottom)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("tmeseg.aggregate.gaussian_smooth", counting_smooth)
+        mp.setattr(TeacherBundle, "he_rows", counting_rows)
         aggregate(bundle, cfg, workers=1)
     assert len(blurred) == len(cells)
     assert sum(blurred) <= bound
+    # each row of cells is one band, read once with its halo
+    bands = sorted({rows.start: rows for rows, _ in cells}.values(), key=lambda r: r.start)
+    halo = [(max(r.start - BLUR_RADIUS, 0), min(r.stop + BLUR_RADIUS, shape[0])) for r in bands]
+    assert sorted(read) == halo
 
 
 def test_one_cell_is_blurred_without_a_thread(monkeypatch):
