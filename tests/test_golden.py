@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from tmeseg.aggregate import RULES, aggregate
+from tmeseg.aggregate import RULES, aggregate, tile_cells
 from tmeseg.cli import cli
+from tmeseg.config import MITOSIS_ROI_RADIUS_PX, RunConfig
 from tmeseg.container import (
     BundleReader,
     container_from_logits,
@@ -34,18 +35,22 @@ from tmeseg.container import (
     save_stack,
 )
 from tmeseg.raster import LogitStack
-from tmeseg.synth import throughput_bundle
+from tmeseg.synth import build_bundle, random_scene, throughput_bundle
 from tmeseg.taxonomy import VOCABULARY
 
 GOLDEN = Path(__file__).with_name("golden.json")
 # (name, synth arguments): between them and the throughput bundle, every
-# rule fires (vote, undefined, both fallbacks, mitosis), and synth-11 has
-# more candidates than one mitosis batch
+# rule fires (vote, undefined, both fallbacks, mitosis), synth-11 has more
+# candidates than one mitosis batch, and synth-tall is cut into five row
+# bands by the default crop and stride, with nuclei and mitosis ROI boxes
+# across their borders (``test_the_tall_frame_crosses_band_borders``)
 _LARGE = ["--height", "160", "--width", "224", "--max-nuclei", "60", "--max-candidates", "40"]
+_TALL = ["--height", "1400", "--width", "300", "--max-nuclei", "300", "--max-candidates", "40"]
 SYNTH = (
     ("synth-5", ["--seed", "5"]),
     ("synth-6", ["--seed", "6", *_LARGE]),
     ("synth-11", ["--seed", "11", *_LARGE]),
+    ("synth-tall", ["--seed", "7", *_TALL]),
 )
 THROUGHPUT = "throughput-512"
 
@@ -173,6 +178,24 @@ def test_outputs_match_golden_digests(tmp_path):
     assert _moved(got["outputs"], golden["outputs"]) == [], (
         "the outputs moved", golden["versions"], got["versions"]
     )
+
+
+def test_the_tall_frame_crosses_band_borders():
+    # the synth-tall bundle: a nucleus and a candidate's ROI box each span
+    # a border between two row bands of the default crop and stride
+    bundle = build_bundle(random_scene(7, 1400, 300, max_nuclei=300, max_candidates=40))
+    bands = {rows.start: rows for rows, _ in tile_cells(bundle.shape, RunConfig())}
+    assert len(bands) == 5
+    borders = np.array(sorted(bands)[1:])
+    nuclei = bundle.nuclei
+    top = np.full(nuclei.gids.size, bundle.shape[0])
+    bottom = np.zeros(nuclei.gids.size, dtype=np.intp)
+    np.minimum.at(top, nuclei.slot, nuclei.index // bundle.shape[1])
+    np.maximum.at(bottom, nuclei.slot, nuclei.index // bundle.shape[1])
+    assert ((top[:, None] < borders) & (bottom[:, None] >= borders)).any()
+    r = MITOSIS_ROI_RADIUS_PX
+    box_tops = np.ceil(np.array([y for _, y, _ in bundle.mitosis_candidates]) - r)
+    assert ((box_tops[:, None] < borders) & (box_tops[:, None] + 2 * r >= borders)).any()
 
 
 if __name__ == "__main__":
