@@ -20,10 +20,12 @@ grayscale. Each band reads only its own rows of H&E, plus the blur's halo,
 so no H&E frame is held; besides the blur, only the mitosis stage reads
 H&E, and only the R+G+B sums of each candidate's ROI box (``roi_sums``),
 which the bands fill as they pass. Stages 2-6 read the logit stacks only
-through two reductions, the tissue label before glass and the cell logits
-at the nucleus pixels (``FusionInputs``), which a bundle in memory
-(``TeacherBundle.reduce``) and a bundle streamed from disk
-(``container.BundleReader``) both produce. Both are checked by one rule,
+through two reductions, the tissue label before glass, decided in row
+slabs, and the cell logits at the nucleus pixels (``FusionInputs``). The
+bands and the tissue slabs read through the bundle's one row reader,
+``rows``, in one planar layout. A bundle in memory (``TeacherBundle``)
+and a bundle streamed from disk (``container.BundleReader``) both give
+the rows and the reductions. Both are checked by one rule,
 ``check_bundle``, before fusion reads them: a ``TeacherBundle`` on its
 array shapes when it is built, and it cannot change after that; a reader
 on its file headers when it is opened. ``aggregate`` checks no bundle
@@ -49,6 +51,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import container
 from .config import (
     BLUR_RADIUS,
     CARBON_RGB_SUM_MAX,
@@ -116,8 +119,6 @@ _LEVELS = [
 
 # Streams of logit blocks, ``(class id, flat start, f32 block)``; see ``fusion_inputs``.
 Blocks = Iterable[tuple[int, int, np.ndarray]]
-# Streams of aligned blocks of all planes, ``(flat start, {class id: f32 block})``.
-AlignedBlocks = Iterable[tuple[int, Mapping[int, np.ndarray]]]
 
 # Internal sentinel for "no class"; the public API uses None.
 UNDEFINED = -1
@@ -175,19 +176,19 @@ class TeacherBundle:
     def shape(self) -> tuple[int, int]:
         return self.he.shape[:2]
 
-    def he_rows(self, top: int, bottom: int) -> np.ndarray:
-        """H&E rows ``[top, bottom)`` as ``(3, bottom - top, width)`` planes:
-        a view of ``he``."""
-        return np.moveaxis(self.he[top:bottom], 2, 0)
+    def rows(self, name: str, top: int, bottom: int) -> np.ndarray:
+        """Rows ``[top, bottom)`` of ``he`` or ``tissue_logits`` as
+        ``(channels, bottom - top, width)`` planes: H&E copied into planes,
+        tissue a view of the stack."""
+        if name == "he":
+            return np.ascontiguousarray(np.moveaxis(self.he[top:bottom], 2, 0))
+        return self.tissue_logits.planes[:, top:bottom]
 
     def reduce(self) -> "FusionInputs":
-        """Feed each whole logit plane of the checked bundle through the
-        block reducers."""
+        """Reduce the checked bundle: tissue in row slabs, each whole cell
+        logit plane as one block."""
         return fusion_inputs(
-            self.nuclei,
-            _aligned_views(self.tissue_logits),
-            _whole_planes(self.cell_logits),
-            self.mitosis_candidates,
+            self.nuclei, self, self.tissue_logits.class_ids, _whole_planes(self.cell_logits)
         )
 
 
@@ -234,32 +235,38 @@ class FusionInputs:
     ``cell_vals`` holds the cell logits at the nucleus pixels, one row per
     ``CELL_IDS`` channel, columns in ``nuclei.index`` order.
     ``TeacherBundle.reduce`` and ``container.BundleReader.reduce`` both
-    build it through ``fusion_inputs``. It holds no H&E: ``aggregate`` reads
-    H&E band by band into the smoothed grayscale and the candidates' ROI
-    sums, which ``_fuse`` takes beside it.
+    build it through ``fusion_inputs``. It holds neither H&E nor the mitosis
+    candidates: ``aggregate`` reads H&E band by band into the smoothed
+    grayscale and the candidates' ROI sums, which ``_fuse`` takes beside it
+    with the bundle's candidates.
     """
 
     nuclei: InstanceMap
     tissue_pre: np.ndarray  # (H, W) uint8, C-contiguous; consumed by _fuse
     cell_vals: np.ndarray  # (len(CELL_IDS), N) float32
-    mitosis_candidates: tuple
 
 
-def _reduce_tissue(blocks: AlignedBlocks, shape: tuple) -> np.ndarray:
-    """Tissue labels before glass, from aligned blocks of the three tissue
-    planes: each ``(start, planes)`` gives every plane's values at flat
-    indices ``[start, start + size)``, and the blocks cover the frame. The
-    smooth-muscle / epithelium contest and the red-blood-cell overlay are
-    decided block by block, so no plane or mask of the frame is held.
+def _reduce_tissue(bundle, class_ids: Sequence[int]) -> np.ndarray:
+    """Tissue labels before glass, from the tissue planes (channels in
+    ``class_ids`` order) read in row slabs by ``bundle.rows``, each slab at
+    most ``container._CHUNK_BYTES``. The smooth-muscle / epithelium contest
+    and the red-blood-cell overlay are decided slab by slab, and each slab
+    is released before the next is read, so no plane or mask of the frame
+    is held.
     """
-    labels = np.empty(shape[0] * shape[1], dtype=np.uint8)
-    for start, planes in blocks:
-        sm, epi = planes[SMOOTH_MUSCLE], planes[EPITHELIAL_TISSUE]
-        out = labels[start : start + sm.size]
+    h, w = bundle.shape
+    step = max(1, container._CHUNK_BYTES // (4 * len(class_ids) * w))
+    order = [class_ids.index(c) for c in (SMOOTH_MUSCLE, EPITHELIAL_TISSUE, RED_BLOOD_CELL)]
+    labels = np.empty((h, w), dtype=np.uint8)
+    for top in range(0, h, step):
+        planes = bundle.rows("tissue_logits", top, min(top + step, h))
+        sm, epi, rbc = (planes[i] for i in order)
+        out = labels[top : top + step]
         np.copyto(out, np.where(epi > sm, np.uint8(EPITHELIAL_TISSUE), np.uint8(SMOOTH_MUSCLE)))
         np.copyto(out, np.uint8(STROMA), where=(sm <= 0) & (epi <= 0))
-        np.copyto(out, np.uint8(RED_BLOOD_CELL), where=planes[RED_BLOOD_CELL] > 0)
-    return labels.reshape(shape)
+        np.copyto(out, np.uint8(RED_BLOOD_CELL), where=rbc > 0)
+        del planes, sm, epi, rbc  # the slab goes before the next is read
+    return labels
 
 
 def _reduce_cells(blocks: Blocks, index: np.ndarray, rows: Mapping[int, int]) -> np.ndarray:
@@ -280,36 +287,22 @@ def _whole_planes(stack: LogitStack) -> Blocks:
         yield class_id, 0, plane.ravel()
 
 
-def _aligned_views(stack: LogitStack) -> AlignedBlocks:
-    """The planes of ``stack`` as aligned blocks of whole rows, about
-    ``_BLOCK`` pixels each; views where the planes are contiguous."""
-    step = max(1, _BLOCK // stack.width)
-    for y in range(0, stack.height, step):
-        yield y * stack.width, {
-            c: plane[y : y + step].ravel() for c, plane in zip(stack.class_ids, stack.planes)
-        }
-
-
 def fusion_inputs(
-    nuclei: InstanceMap,
-    tissue_blocks: AlignedBlocks,
-    cell_blocks: Blocks,
-    mitosis_candidates: Sequence[tuple],
+    nuclei: InstanceMap, bundle, tissue_ids: Sequence[int], cell_blocks: Blocks
 ) -> FusionInputs:
-    """Reduce two streams of logit blocks, in that order, into ``FusionInputs``.
+    """Reduce the tissue logits, then the cell logits, into ``FusionInputs``.
 
-    The tissue stream yields aligned blocks of its three planes (see
-    ``_reduce_tissue``). The cell stream yields ``(class id, flat start,
-    block)``: the f32 values of one channel's plane at flat indices
-    ``[start, start + block.size)``, blocks of one plane in order and planes
-    one after another, as they lie in a file. The parts must already be
-    checked against each other.
+    The tissue planes come in row slabs from ``bundle.rows``, channels in
+    ``tissue_ids`` order (see ``_reduce_tissue``). The cell stream yields
+    ``(class id, flat start, block)``: the f32 values of one channel's plane
+    at flat indices ``[start, start + block.size)``, blocks of one plane in
+    order and planes one after another, as they lie in a file. The parts
+    must already be checked against each other.
     """
     return FusionInputs(
         nuclei=nuclei,
-        tissue_pre=_reduce_tissue(tissue_blocks, nuclei.shape),
+        tissue_pre=_reduce_tissue(bundle, tissue_ids),
         cell_vals=_reduce_cells(cell_blocks, nuclei.index, _CELL_ROW),
-        mitosis_candidates=tuple(mitosis_candidates),
     )
 
 
@@ -386,18 +379,19 @@ def _blur_band(
     candidates' ROI boxes into ``sums``.
 
     The band's rows are read with a ``BLUR_RADIUS`` halo, clamped to the
-    image, as ``(3, rows, width)`` planes by ``bundle.he_rows``. Each cell is
+    image, as ``(3, rows, width)`` planes by ``bundle.rows``. Each cell is
     blurred with the same margin on its columns, so its pixels read the
     same neighbours as in a full-frame blur.
     """
     rows, spans = band
     h, w = gray.shape
     y0, y1 = max(rows.start - BLUR_RADIUS, 0), min(rows.stop + BLUR_RADIUS, h)
-    planes = bundle.he_rows(y0, y1)
+    planes = bundle.rows("he", y0, y1)
     own = slice(rows.start - y0, rows.stop - y0)
     for cols in spans:
         x0, x1 = max(cols.start - BLUR_RADIUS, 0), min(cols.stop + BLUR_RADIUS, w)
-        # a channel-last view: the blur keeps the planes' memory layout
+        # the blur takes (rows, cols, 3), which bench/tracer.py counts as
+        # rows x cols; a channel-last view of the planes copies nothing
         smooth = gaussian_smooth(np.moveaxis(planes[:, :, x0:x1], 0, 2))
         gray[rows, cols] = grayscale(smooth[own, cols.start - x0 : cols.stop - x0])
     _fill_roi_sums(sums, points, planes[:, own], rows.start)
@@ -637,7 +631,7 @@ def aggregate(
 
     ``bundle`` is a ``TeacherBundle`` or an open ``container.BundleReader``,
     each checked when it was built or opened: it gives its frame ``shape``,
-    its ``mitosis_candidates``, H&E rows by ``he_rows`` and its
+    its ``mitosis_candidates``, rows of H&E and tissue by ``rows`` and its
     ``FusionInputs`` by ``reduce``. The config's cells are grouped in row
     bands, one per row of cells, and the bands are blurred on up to
     ``workers`` threads while this thread reduces the bundle. A band reads
@@ -658,7 +652,7 @@ def aggregate(
         # a tile within one crop's rows: a thread costs more than its overlap
         # with ``reduce`` saves, 7 % of a 256² tile's time on a 2-CPU host
         _blur_band(bundle, bands[0], gray, sums, points)
-        return _fuse(bundle.reduce(), gray, sums, cfg)
+        return _fuse(bundle.reduce(), bundle.mitosis_candidates, gray, sums, cfg)
     from concurrent.futures import ThreadPoolExecutor  # deferred: start-up loads no pool
 
     pool = ThreadPoolExecutor(max_workers=min(workers, len(bands)))
@@ -669,14 +663,14 @@ def aggregate(
             blur.result()
     finally:
         pool.shutdown(cancel_futures=True)  # on error, pending bands never start
-    return _fuse(inputs, gray, sums, cfg)
+    return _fuse(inputs, bundle.mitosis_candidates, gray, sums, cfg)
 
 
 def _fuse(
-    inputs: FusionInputs, gray: np.ndarray, sums: np.ndarray, cfg: RunConfig
+    inputs: FusionInputs, candidates: tuple, gray: np.ndarray, sums: np.ndarray, cfg: RunConfig
 ) -> AggregationResult:
     """All six stages, from the smoothed grayscale
-    (``grayscale(gaussian_smooth(he))``) and the candidates' ROI ``sums``
+    (``grayscale(gaussian_smooth(he))``) and the ``candidates``' ROI ``sums``
     (``roi_sums(candidates, he)``); the fallback and mitosis masks set class
     and rule code together, in ``RULES`` order. ``inputs.tissue_pre`` is
     consumed: glass is written into it in place, block by block, and it
@@ -692,7 +686,7 @@ def _fuse(
     cls, votes, fired = _vote_groups(inputs.cell_vals, slot, gids.size)
     rule = (cls != UNDEFINED).astype(np.int8)  # RULES codes 0 and 1
     epithelial, fibroblast = fallback_rules(nuclei, cls, tissue)
-    mitosis = detect_mitosis(inputs.mitosis_candidates, sums, tissue)
+    mitosis = detect_mitosis(candidates, sums, tissue)
     mitotic = apply_mitosis(nuclei, mitosis)
     masks = (epithelial, EPITHELIAL_CELL_NUCLEUS), (fibroblast, FIBROBLAST), (mitotic, MITOTIC_CELL)
     for code, (mask, final) in enumerate(masks, start=2):

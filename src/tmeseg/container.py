@@ -15,8 +15,8 @@ header, all before any payload is read. The payload then goes through one
 loop, ``_chunks``, which checks the size and f32 finiteness and, for a
 hashed read, feeds every byte to a SHA-256. A whole read fills the final
 array plane by plane; a streamed read goes through one buffer of at most
-4 MB. Each file is read once, except a bundle's H&E and tissue logits (see
-``BundleReader``):
+4 MB. Each file is read once, except a bundle's H&E and tissue logits,
+which are also read in row slabs by positioned reads (see ``BundleReader``):
 
 * ``load_stack`` reads one file of any kind whole, unhashed.
 * ``load_labels`` reads a label raster whole, each label a class id, and
@@ -24,11 +24,12 @@ array plane by plane; a streamed read goes through one buffer of at most
   returns the file's SHA-256, taken in the same read.
 * ``BundleReader`` reads a teacher bundle: opening it checks every header
   against the others before allocating any payload, and reads none;
-  ``he_rows`` reads rows of H&E by positioned reads, for the blur's bands;
-  ``reduce`` reads nuclei as ``load_instances`` does, reduces each logit
-  file block by block and hashes H&E, so no H&E frame, no logit plane and
-  no id raster sits in memory. ``load_bundle`` opens a bundle the same way,
-  then reads H&E, nuclei and both logit stacks whole.
+  ``rows`` reads rows of H&E or of the tissue logits, for the blur's bands
+  and the tissue contest's slabs; ``reduce`` reads nuclei as
+  ``load_instances`` does, reduces each logit file and hashes H&E, so no
+  H&E frame, no logit plane and no id raster sits in memory.
+  ``load_bundle`` opens a bundle the same way, then reads H&E, nuclei and
+  both logit stacks whole.
 * ``StudentReader`` reads a student logit file, and its nuclei, for the
   ``postprocess`` reductions in the same way.
 * ``scan_stack`` checks and hashes one file without keeping its payload.
@@ -516,23 +517,6 @@ def _read_at(fd: int, part: _Part, out: np.ndarray, item: int) -> None:
     _check_read(os.preadv(fd, [memoryview(out).cast("B")], at), out, head, path)
 
 
-def _aligned_blocks(
-    fd: int, part: _Part, ids: tuple[int, ...]
-) -> Iterator[tuple[int, dict[int, np.ndarray]]]:
-    """A logit part's planes as aligned blocks ``(flat start, {class id:
-    block})``, read by positioned reads on ``fd``; the blocks of one start
-    share ``_CHUNK_BYTES``, each is checked finite and overwritten by the next."""
-    _, head, _ = part
-    size = head.height * head.width
-    step = max(1, min(_CHUNK_BYTES // (head.wire.itemsize * len(ids)), size))
-    bufs = [np.empty(step, dtype=head.wire) for _ in ids]
-    for start in range(0, size, step):
-        blocks = [buf[: min(step, size - start)] for buf in bufs]
-        for channel, block in enumerate(blocks):
-            _read_at(fd, part, block, channel * size + start)
-        yield start, dict(zip(ids, blocks))
-
-
 def _drain(part: _Part) -> None:
     """Read ``part`` to its end through ``_chunks``, for its checks and hash."""
     for _ in _chunks(part):
@@ -540,25 +524,24 @@ def _drain(part: _Part) -> None:
 
 
 class BundleReader(ExitStack):
-    """A teacher bundle read from disk, H&E band by band.
+    """A teacher bundle read from disk, H&E and tissue in row slabs.
 
     Opening reads the manifest and all four headers and checks them against
     each other by ``aggregate.check_bundle``, the rule a ``TeacherBundle``
     is checked by when it is built; it allocates no payload and keeps the
-    frame's ``shape``. ``he_rows`` reads rows of H&E as ``(3, rows,
-    width)`` planes, by one positioned read per plane on a duplicate of the
-    file's descriptor, so ``aggregate``'s bands read their rows from any
-    thread and no H&E frame is held. ``reduce`` reads nuclei, keeping their
-    nonzero pixels, then the cell logits through one buffer of at most
-    ``_CHUNK_BYTES``, where every chunk is hashed, checked finite and
-    reduced. It returns the ``FusionInputs`` and fills ``digests`` (the
+    frame's ``shape``. ``rows`` reads rows of H&E or of the tissue logits as
+    ``(channels, rows, width)`` planes, by one positioned read per plane on
+    a duplicate of the file's descriptor, each read checked as ``_chunks``
+    checks a chunk; so ``aggregate``'s bands read their rows of H&E from any
+    thread, the tissue contest reads its slabs, and no H&E frame or tissue
+    plane is held. ``reduce`` reads nuclei, keeping their nonzero pixels,
+    the tissue logits slab by slab, then the cell logits through one buffer
+    of at most ``_CHUNK_BYTES``, where every chunk is hashed, checked finite
+    and reduced. It returns the ``FusionInputs`` and fills ``digests`` (the
     SHA-256 of the manifest and of each part, keyed by path as ``str``).
 
-    H&E and the tissue logits are read twice. The tissue contest needs the
-    three planes at the same pixels, and in the file they lie one after
-    another, so ``reduce`` reads aligned blocks of all three by positioned
-    reads on a duplicate of the file's descriptor and checks each finite; no
-    plane is held. Meanwhile a thread reads H&E and then the tissue file
+    H&E and the tissue logits are read twice: in rows, where their planes
+    are needed at the same pixels, and meanwhile by a thread of ``reduce``
     once more in file order through ``_chunks``, for the SHA-256 and the
     size and trailing-byte checks; that read mostly comes from the page
     cache.
@@ -593,21 +576,20 @@ class BundleReader(ExitStack):
                 check_bundle(self.shape, shapes, self.mitosis_candidates, self.halo)
             except (ValueError, UnknownClassError) as exc:
                 raise ContainerError(f"{manifest_path}: {exc}") from exc
-            self._he_fd = self._positioned(files, "he")
-            self.push(files.pop_all())  # the files stay open for he_rows and reduce
+            self._fds = {  # duplicate descriptors, for positioned reads from any thread
+                k: files.enter_context(open(os.dup(fh.fileno()), "rb", buffering=0)).fileno()
+                for k, (fh, _, _) in self._parts.items()
+                if k in ("he", "tissue_logits")
+            }
+            self.push(files.pop_all())  # the files stay open for rows and reduce
 
-    def _positioned(self, files: ExitStack, name: str) -> int:
-        """A duplicate descriptor of part ``name``, held in ``files``, for positioned reads."""
-        dup = os.dup(self._parts[name][0].fileno())
-        return files.enter_context(open(dup, "rb", buffering=0)).fileno()
-
-    def he_rows(self, top: int, bottom: int) -> np.ndarray:
-        """H&E rows ``[top, bottom)`` as ``(3, bottom - top, width)`` planes."""
-        part = self._parts["he"]
-        h, w = self.shape
-        planes = np.empty((3, bottom - top, w), dtype=np.uint8)
+    def rows(self, name: str, top: int, bottom: int) -> np.ndarray:
+        """Rows ``[top, bottom)`` of ``he`` or ``tissue_logits`` as
+        ``(channels, bottom - top, width)`` planes."""
+        _, head, _ = part = self._parts[name]
+        planes = np.empty((len(head.channels), bottom - top, head.width), dtype=head.wire)
         for channel, plane in enumerate(planes):
-            _read_at(self._he_fd, part, plane, channel * h * w + top * w)
+            _read_at(self._fds[name], part, plane, (channel * head.height + top) * head.width)
         return planes
 
     def reduce(self):
@@ -616,15 +598,13 @@ class BundleReader(ExitStack):
 
         from .aggregate import fusion_inputs
 
-        tissue = self._parts["tissue_logits"]
-        positioned = self._positioned(self, "tissue_logits")
         with ThreadPoolExecutor(max_workers=1) as pool:  # leaving waits for the drains
             drains = [pool.submit(_drain, self._parts[k]) for k in ("he", "tissue_logits")]
             inputs = fusion_inputs(
                 _read_instances(self._parts["nuclei"]),
-                _aligned_blocks(positioned, tissue, self._class_ids["tissue_logits"]),
+                self,
+                self._class_ids["tissue_logits"],
                 _class_blocks(self._parts["cell_logits"], self._class_ids["cell_logits"]),
-                self.mitosis_candidates,
             )
         for drain in drains:
             drain.result()  # raises what the drain's checks found

@@ -246,29 +246,23 @@ def gaussian_smooth(img: np.ndarray) -> np.ndarray:
     """Separable Gaussian blur of each channel, reflect edges, rounded to uint8.
 
     Sigma is ``BLUR_SIGMA`` and the kernel radius ``BLUR_RADIUS``, ceil(3
-    sigma). One filter call blurs rows and columns of all three channels
-    into a float64 output, which is rounded and clipped in place; scipy
-    filters each line in float64 whatever its stride, so the result is
-    independent of the input's strides. The filter walks the memory in its
-    own order, into an output of the same layout: plane by plane when the
-    channels lie apart, as in a channel-last view of the ``(3, H, W)``
-    planes ``aggregate`` reads, and pixel by pixel when they are
-    interleaved. Either order over the other layout is 10-30 % slower per
-    cell on a 2-CPU host.
+    sigma). One filter call blurs rows and columns of all three channels,
+    plane by plane, into a float64 ``(3, H, W)`` output, which is rounded and
+    clipped in place; scipy filters each line in float64 whatever its
+    stride, so the result is independent of the input's strides. The result
+    is a channel-last view of uint8 planes, the layout of the ``(3, H, W)``
+    planes ``aggregate`` reads.
     """
     from scipy import ndimage  # here, not at the top: commands that never call it skip the import
 
     check_rgb_tile(img)
-    planar = img.strides[2] > img.strides[1]
-    src = np.moveaxis(img, 2, 0) if planar else img
-    sm = np.empty_like(src, dtype=np.float64)
+    sm = np.empty((3,) + img.shape[:2], dtype=np.float64)
     ndimage.gaussian_filter(
-        src, BLUR_SIGMA, output=sm, mode="reflect", radius=BLUR_RADIUS,
-        axes=(1, 2) if planar else (0, 1),
+        np.moveaxis(img, 2, 0), BLUR_SIGMA, output=sm, mode="reflect", radius=BLUR_RADIUS,
+        axes=(1, 2),
     )
     np.rint(sm, out=sm)
-    out = np.clip(sm, 0, 255, out=sm).astype(np.uint8)
-    return np.moveaxis(out, 0, 2) if planar else out
+    return np.moveaxis(np.clip(sm, 0, 255, out=sm).astype(np.uint8), 0, 2)
 
 
 def grayscale(img: np.ndarray) -> np.ndarray:

@@ -126,6 +126,34 @@ assert calls.get("aggregate.apply_mitosis", 0) >= 1, calls
 """)
 
 
+def test_tracer_counts_each_cell_blurred_with_its_margin():
+    # raster.px_blurred adds img.shape[0] * img.shape[1] per blur call, so
+    # the blur keeps its (rows, cols, 3) signature: on (3, rows, cols)
+    # planes the counter would read 3 x rows per cell
+    _run_traced("""
+import tracer
+
+recorder = tracer.install()
+from tmeseg.aggregate import aggregate, tile_cells
+from tmeseg.config import BLUR_RADIUS, RunConfig
+from tmeseg.synth import build_bundle, random_scene
+
+bundle = build_bundle(random_scene(3, 100, 90))
+cfg = RunConfig(crop_px=40, stride_px=30)
+aggregate(bundle, cfg)
+
+
+def extent(span, size):
+    return min(span.stop + BLUR_RADIUS, size) - max(span.start - BLUR_RADIUS, 0)
+
+
+cells = tile_cells(bundle.shape, cfg)
+want = sum(extent(rows, 100) * extent(cols, 90) for rows, cols in cells)
+counted = recorder.summary()["counters"]["raster.px_blurred"]
+assert len(cells) == 9 and counted == want, (counted, want)
+""")
+
+
 def test_the_benchmark_runs_on_small_inputs(tmp_path, monkeypatch):
     # each workload's own steps, at 300 px and 2 tiles: a name the benchmark
     # reads that the package no longer has fails here, not in a benchmark run

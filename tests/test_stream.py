@@ -73,7 +73,6 @@ def _assert_same_inputs(a, b):
     assert np.array_equal(a.tissue_pre, b.tissue_pre)
     assert a.cell_vals.dtype == b.cell_vals.dtype == np.float32
     assert np.array_equal(a.cell_vals, b.cell_vals)
-    assert a.mitosis_candidates == b.mitosis_candidates
 
 
 def _assert_same_result(a, b):
@@ -97,10 +96,32 @@ def _stream(manifest: Path):
         return reader.reduce(), reader.digests
 
 
+def _stream_slabs(manifest: Path):
+    """``_stream`` of a bundle, and the row slabs ``(top, bottom)`` in which
+    its tissue contest read the tissue logits."""
+    slabs, rows = [], BundleReader.rows
+
+    def recording_rows(self, name, top, bottom):
+        if name == "tissue_logits":
+            slabs.append((top, bottom))
+        return rows(self, name, top, bottom)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BundleReader, "rows", recording_rows)
+        return *_stream(manifest), slabs
+
+
+def _chunk_bytes(seed: int) -> int:
+    """The read buffer of random scene ``seed``: on its 96 x 96 frame, the
+    tissue slabs run from one row (seeds 0-5) to seven (21-23), and the last
+    slab is shorter for five rows (15-17) and seven (21-23)."""
+    return 4 * (61 + 97 * seed)
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_streamed_equals_in_memory_on_random_scenes(tmp_path, monkeypatch, seed):
     # small buffers, so chunks end mid-row and planes split unevenly
-    monkeypatch.setattr(tmeseg.container, "_CHUNK_BYTES", 4 * (61 + 37 * seed))
+    monkeypatch.setattr(tmeseg.container, "_CHUNK_BYTES", _chunk_bytes(seed))
     bundle = build_bundle(random_scene(seed, max_nuclei=30, max_candidates=6))
     manifest = save_bundle(bundle, tmp_path)
     tissue_order = TISSUE_ORDERS[seed % len(TISSUE_ORDERS)]
@@ -109,15 +130,25 @@ def test_streamed_equals_in_memory_on_random_scenes(tmp_path, monkeypatch, seed)
         cell_order = np.random.default_rng(seed).permutation(len(bundle.cell_logits.class_ids))
         _rewrite(bundle, tmp_path, "cell_logits", _permuted(bundle.cell_logits, cell_order))
 
-    streamed, digests = _stream(manifest)
+    streamed, digests, slabs = _stream_slabs(manifest)
+    h = bundle.shape[0]
+    # more than one slab, and the slabs tile the frame's rows in order
+    assert len(slabs) > 1
+    assert [top for top, _ in slabs] == [0] + [bottom for _, bottom in slabs[:-1]]
+    assert slabs[-1][1] == h
     _assert_same_inputs(streamed, bundle.reduce())
     loaded = load_bundle(manifest)  # permuted in memory
     _assert_same_inputs(streamed, loaded.reduce())
     assert loaded.he.flags.c_contiguous and np.array_equal(loaded.he, bundle.he)
     with BundleReader(manifest) as reader:
-        h = reader.shape[0]
+        # the file's tissue channels, matched by class id to the bundle's
+        ids = bundle.tissue_logits.class_ids
+        order = [ids.index(c) for c in reader._class_ids["tissue_logits"]]
         for top, bottom in ((0, h), (0, 1), (h // 3, h - 2), (h - 1, h)):
-            assert np.array_equal(reader.he_rows(top, bottom), bundle.he_rows(top, bottom))
+            he = reader.rows("he", top, bottom)
+            assert np.array_equal(he, bundle.rows("he", top, bottom)) and he.flags.c_contiguous
+            tissue = bundle.rows("tissue_logits", top, bottom)[order]
+            assert np.array_equal(reader.rows("tissue_logits", top, bottom), tissue)
     cfg = RunConfig(background_threshold=200) if seed % 3 == 0 else RunConfig()
     with BundleReader(manifest) as reader:
         result = aggregate(reader, cfg)
@@ -130,6 +161,21 @@ def test_streamed_equals_in_memory_on_random_scenes(tmp_path, monkeypatch, seed)
     _assert_same_result(tiled, result)
     paths = [manifest] + [tmp_path / f"{p}.tmef" for p in PARTS]
     assert digests == {str(p): _sha256(p) for p in paths}
+
+
+def test_the_random_scenes_read_one_row_and_uneven_tissue_slabs(tmp_path, monkeypatch):
+    # the buffers of test_streamed_equals_in_memory_on_random_scenes, on
+    # one of its 96 x 96 frames: every one reads more than one slab, some
+    # one row each, some with a last slab shorter than the others
+    manifest = save_bundle(build_bundle(random_scene(0, max_nuclei=5)), tmp_path)
+    heights = []
+    for seed in range(24):
+        monkeypatch.setattr(tmeseg.container, "_CHUNK_BYTES", _chunk_bytes(seed))
+        slabs = _stream_slabs(manifest)[2]
+        assert len(slabs) > 1
+        heights.append([bottom - top for top, bottom in slabs])
+    assert heights[0] == [1] * 96
+    assert any(h[-1] < h[0] for h in heights)
 
 
 @pytest.fixture(scope="module")

@@ -129,7 +129,7 @@ def test_pool_size_is_bounded_by_the_bands(monkeypatch):
 class _ReduceAfterFirstBlur:
     """A bundle whose ``reduce`` first waits, a few seconds at most, for the
     first cell to be blurred, and records whether it was; the rest of what
-    ``aggregate`` reads (``shape``, ``mitosis_candidates``, ``he_rows``) is
+    ``aggregate`` reads (``shape``, ``mitosis_candidates``, ``rows``) is
     the wrapped bundle's."""
 
     def __init__(self, bundle, blurred: threading.Event):
@@ -225,19 +225,20 @@ def test_each_pixel_is_blurred_in_one_owned_cell(case):
 
     bound = sum(extent(rows, shape[0]) * extent(cols, shape[1]) for rows, cols in cells)
     blurred, read = [], []
-    he_rows = TeacherBundle.he_rows
+    rows = TeacherBundle.rows
 
     def counting_smooth(img):
         blurred.append(img.shape[0] * img.shape[1])
         return gaussian_smooth(img)
 
-    def counting_rows(self, top, bottom):
-        read.append((top, bottom))
-        return he_rows(self, top, bottom)
+    def counting_rows(self, name, top, bottom):
+        if name == "he":  # the tissue contest reads its slabs too
+            read.append((top, bottom))
+        return rows(self, name, top, bottom)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("tmeseg.aggregate.gaussian_smooth", counting_smooth)
-        mp.setattr(TeacherBundle, "he_rows", counting_rows)
+        mp.setattr(TeacherBundle, "rows", counting_rows)
         aggregate(bundle, cfg, workers=1)
     assert len(blurred) == len(cells)
     assert sum(blurred) <= bound
