@@ -13,23 +13,21 @@ Stages, in fixed order:
 5. mitosis candidate filtering and nucleus supersedence
 6. final mask combination (nucleus classes paint over tissue labels)
 
-``aggregate`` is the one driver: it blurs the cells that ``RunConfig``'s
-crop and stride cut, one row band of cells per task, on threads while the
-bundle is reduced, and ``_fuse`` runs all six stages on the smoothed
-grayscale. Each band reads only its own rows of H&E, plus the blur's halo,
-so no H&E frame is held; besides the blur, only the mitosis stage reads
-H&E, and only the R+G+B sums of each candidate's ROI box (``roi_sums``),
-which the bands fill as they pass. Stages 2-6 read the logit stacks only
-through two reductions, the tissue label before glass, decided in row
-slabs, and the cell logits at the nucleus pixels (``FusionInputs``). The
-bands and the tissue slabs read through the bundle's one row reader,
-``rows``, in one planar layout. A bundle in memory (``TeacherBundle``)
-and a bundle streamed from disk (``container.BundleReader``) both give
-the rows and the reductions. Both are checked by one rule,
-``check_bundle``, before fusion reads them: a ``TeacherBundle`` on its
-array shapes when it is built, and it cannot change after that; a reader
-on its file headers when it is opened. ``aggregate`` checks no bundle
-again.
+``aggregate`` is the one driver: on threads, while the bundle is reduced,
+it blurs the cells that ``RunConfig``'s crop and stride cut, one row band
+of cells per task, into one uint8 frame; stage 2 then writes the tissue
+labels over that gray, slab by slab, and ``_fuse`` runs stages 3-6. Each
+band reads only its own rows of H&E, plus the blur's halo, and fills the
+R+G+B sums of each candidate's ROI box (``roi_sums``), all that the
+mitosis stage reads of H&E. The cell logits are read only through one
+reduction, their values at the nucleus pixels (``FusionInputs``). Bands
+and tissue slabs read through the bundle's one row reader, ``rows``, in
+one planar layout; a bundle in memory (``TeacherBundle``) and one streamed
+from disk (``container.BundleReader``) both give the rows and the
+reduction. Both are checked by one rule, ``check_bundle``: a
+``TeacherBundle`` on its array shapes when it is built, and it cannot
+change after that; a reader on its file headers when it is opened.
+``aggregate`` checks no bundle again.
 
 Stages 3-6 keep each nucleus's class in one int16 array, in ``gids``
 order: the vote fills it, stages 4 and 5 give masks that set class and
@@ -62,7 +60,6 @@ from .config import (
     check_scale,
 )
 from .raster import (
-    _BLOCK,
     InstanceMap,
     LogitStack,
     _merge_runs,
@@ -184,12 +181,14 @@ class TeacherBundle:
             return np.ascontiguousarray(np.moveaxis(self.he[top:bottom], 2, 0))
         return self.tissue_logits.planes[:, top:bottom]
 
+    @property
+    def tissue_ids(self) -> tuple[int, ...]:
+        """The class ids of the tissue planes that ``rows`` gives, in order."""
+        return self.tissue_logits.class_ids
+
     def reduce(self) -> "FusionInputs":
-        """Reduce the checked bundle: tissue in row slabs, each whole cell
-        logit plane as one block."""
-        return fusion_inputs(
-            self.nuclei, self, self.tissue_logits.class_ids, _whole_planes(self.cell_logits)
-        )
+        """Reduce the checked bundle's cell logits, each whole plane as one block."""
+        return fusion_inputs(self.nuclei, _whole_planes(self.cell_logits))
 
 
 def check_roster(name: str, class_ids: Sequence[int], wanted: Sequence[int]) -> None:
@@ -222,51 +221,22 @@ def check_bundle(frame: tuple, parts: Mapping, candidates: Sequence[tuple], halo
 
 
 # ---------------------------------------------------------------------------
-# Reductions: all that stages 2-6 read of the logit stacks
+# The reduction: all that stages 3-6 read of the cell logits
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class FusionInputs:
-    """A checked bundle with its logit stacks reduced to what fusion reads.
-
-    ``tissue_pre`` is the tissue label before glass is applied; ``_fuse``
-    consumes it, writing glass and then the nucleus classes into it.
-    ``cell_vals`` holds the cell logits at the nucleus pixels, one row per
-    ``CELL_IDS`` channel, columns in ``nuclei.index`` order.
+    """A checked bundle's nuclei and ``cell_vals``, the cell logits at the
+    nucleus pixels, one row per ``CELL_IDS`` channel, columns in
+    ``nuclei.index`` order: all that stages 3-6 read of the logits.
     ``TeacherBundle.reduce`` and ``container.BundleReader.reduce`` both
-    build it through ``fusion_inputs``. It holds neither H&E nor the mitosis
-    candidates: ``aggregate`` reads H&E band by band into the smoothed
-    grayscale and the candidates' ROI sums, which ``_fuse`` takes beside it
-    with the bundle's candidates.
+    build it through ``fusion_inputs``. H&E and the tissue logits reach
+    ``_fuse`` through ``aggregate``'s frame and ROI sums instead.
     """
 
     nuclei: InstanceMap
-    tissue_pre: np.ndarray  # (H, W) uint8, C-contiguous; consumed by _fuse
     cell_vals: np.ndarray  # (len(CELL_IDS), N) float32
-
-
-def _reduce_tissue(bundle, class_ids: Sequence[int]) -> np.ndarray:
-    """Tissue labels before glass, from the tissue planes (channels in
-    ``class_ids`` order) read in row slabs by ``bundle.rows``, each slab at
-    most ``container._CHUNK_BYTES``. The smooth-muscle / epithelium contest
-    and the red-blood-cell overlay are decided slab by slab, and each slab
-    is released before the next is read, so no plane or mask of the frame
-    is held.
-    """
-    h, w = bundle.shape
-    step = max(1, container._CHUNK_BYTES // (4 * len(class_ids) * w))
-    order = [class_ids.index(c) for c in (SMOOTH_MUSCLE, EPITHELIAL_TISSUE, RED_BLOOD_CELL)]
-    labels = np.empty((h, w), dtype=np.uint8)
-    for top in range(0, h, step):
-        planes = bundle.rows("tissue_logits", top, min(top + step, h))
-        sm, epi, rbc = (planes[i] for i in order)
-        out = labels[top : top + step]
-        np.copyto(out, np.where(epi > sm, np.uint8(EPITHELIAL_TISSUE), np.uint8(SMOOTH_MUSCLE)))
-        np.copyto(out, np.uint8(STROMA), where=(sm <= 0) & (epi <= 0))
-        np.copyto(out, np.uint8(RED_BLOOD_CELL), where=rbc > 0)
-        del planes, sm, epi, rbc  # the slab goes before the next is read
-    return labels
 
 
 def _reduce_cells(blocks: Blocks, index: np.ndarray, rows: Mapping[int, int]) -> np.ndarray:
@@ -287,23 +257,11 @@ def _whole_planes(stack: LogitStack) -> Blocks:
         yield class_id, 0, plane.ravel()
 
 
-def fusion_inputs(
-    nuclei: InstanceMap, bundle, tissue_ids: Sequence[int], cell_blocks: Blocks
-) -> FusionInputs:
-    """Reduce the tissue logits, then the cell logits, into ``FusionInputs``.
-
-    The tissue planes come in row slabs from ``bundle.rows``, channels in
-    ``tissue_ids`` order (see ``_reduce_tissue``). The cell stream yields
-    ``(class id, flat start, block)``: the f32 values of one channel's plane
-    at flat indices ``[start, start + block.size)``, blocks of one plane in
-    order and planes one after another, as they lie in a file. The parts
-    must already be checked against each other.
-    """
-    return FusionInputs(
-        nuclei=nuclei,
-        tissue_pre=_reduce_tissue(bundle, tissue_ids),
-        cell_vals=_reduce_cells(cell_blocks, nuclei.index, _CELL_ROW),
-    )
+def fusion_inputs(nuclei: InstanceMap, cell_blocks: Blocks) -> FusionInputs:
+    """``FusionInputs`` of checked ``nuclei`` and a stream of cell logit
+    blocks: one channel's plane in order, planes one after another, as they
+    lie in a file."""
+    return FusionInputs(nuclei, _reduce_cells(cell_blocks, nuclei.index, _CELL_ROW))
 
 
 class Decisions(NamedTuple):
@@ -342,7 +300,7 @@ class AggregationResult:
 
 
 # ---------------------------------------------------------------------------
-# Stage 1: the blur, cell by cell
+# Stages 1 and 2: the blur, cell by cell, then the tissue over it, slab by slab
 # ---------------------------------------------------------------------------
 
 
@@ -395,6 +353,43 @@ def _blur_band(
         smooth = gaussian_smooth(np.moveaxis(planes[:, :, x0:x1], 0, 2))
         gray[rows, cols] = grayscale(smooth[own, cols.start - x0 : cols.stop - x0])
     _fill_roi_sums(sums, points, planes[:, own], rows.start)
+
+
+def _label_tissue(bundle, frame: np.ndarray, threshold: Optional[int], written) -> None:
+    """Write the tissue labels, glass included, over the smoothed gray in
+    ``frame``, in row slabs of at most ``container._CHUNK_BYTES`` of tissue
+    logits (``bundle.rows``, channels in ``bundle.tissue_ids`` order).
+
+    A slab waits until ``written(bottom)`` returns, once the gray of rows
+    ``[0, bottom)`` is in; glass is gray above ``threshold``, or above Otsu
+    of the whole gray when it is None. A slab is decided with two
+    slab-sized masks, glass and one reused for stroma and red blood cells;
+    its own rows, as booleans, hold the epithelium contest.
+    """
+    h, w = frame.shape
+    if threshold is None:
+        written(h)
+        threshold = otsu_threshold(frame)
+    ids = bundle.tissue_ids
+    step = max(1, container._CHUNK_BYTES // (4 * len(ids) * w))
+    for top in range(0, h, step):
+        bottom = min(top + step, h)
+        written(bottom)
+        planes = bundle.rows("tissue_logits", top, bottom)
+        sm, epi, rbc = (planes[ids.index(c)] for c in TISSUE_IDS)
+        out = frame[top:bottom]
+        glass = out > threshold
+        mask = sm <= 0
+        np.less_equal(epi, 0, out=out.view(bool))
+        mask &= out.view(bool)  # stroma
+        np.greater(epi, sm, out=out.view(bool))  # 1 where epithelium wins
+        out *= np.uint8(EPITHELIAL_TISSUE - SMOOTH_MUSCLE)
+        out += np.uint8(SMOOTH_MUSCLE)
+        np.copyto(out, np.uint8(STROMA), where=mask)
+        np.greater(rbc, 0, out=mask)
+        np.copyto(out, np.uint8(RED_BLOOD_CELL), where=mask)
+        np.copyto(out, np.uint8(BACKGROUND), where=glass)
+        del planes, sm, epi, rbc, glass, mask  # the slab goes before the next is read
 
 
 # ---------------------------------------------------------------------------
@@ -631,56 +626,58 @@ def aggregate(
 
     ``bundle`` is a ``TeacherBundle`` or an open ``container.BundleReader``,
     each checked when it was built or opened: it gives its frame ``shape``,
-    its ``mitosis_candidates``, rows of H&E and tissue by ``rows`` and its
-    ``FusionInputs`` by ``reduce``. The config's cells are grouped in row
-    bands, one per row of cells, and the bands are blurred on up to
-    ``workers`` threads while this thread reduces the bundle. A band reads
-    its rows of H&E plus a ``BLUR_RADIUS`` halo, writes its cells into one
-    grayscale canvas and its rows of the candidates' ROI boxes into one
-    array of R+G+B sums; bands never overlap, so no H&E or float64 frame is
-    held, and the result is the same for any crop, stride and worker count.
+    its ``mitosis_candidates``, rows of H&E and tissue by ``rows`` (tissue
+    channels in ``tissue_ids`` order) and its ``FusionInputs`` by
+    ``reduce``. The config's cells are grouped in row bands, one per row of
+    cells, blurred on up to ``workers`` threads while this thread reduces
+    the bundle. A band reads its rows of H&E plus a ``BLUR_RADIUS`` halo and
+    writes its rows of the one uint8 frame and of the candidates' ROI sums.
+    This thread then writes the tissue labels over the gray, slab by slab
+    (``_label_tissue``), so the frame becomes ``semantic``. Bands never
+    overlap, so no H&E or float64 frame is held, and the result is the same
+    for any crop, stride and worker count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cfg = config or RunConfig()
     cells = tile_cells(bundle.shape, cfg)  # row-major: a band is a run of one rows slice
     bands = [(rows, [c for _, c in band]) for rows, band in groupby(cells, itemgetter(0))]
-    gray = np.empty(bundle.shape, dtype=np.uint8)
+    frame = np.empty(bundle.shape, dtype=np.uint8)  # the smoothed gray, then the labels
     points = _points(bundle.mitosis_candidates)
     sums = _roi_boxes(len(points))
     if len(bands) == 1:
         # a tile within one crop's rows: a thread costs more than its overlap
         # with ``reduce`` saves, 7 % of a 256² tile's time on a 2-CPU host
-        _blur_band(bundle, bands[0], gray, sums, points)
-        return _fuse(bundle.reduce(), bundle.mitosis_candidates, gray, sums, cfg)
+        _blur_band(bundle, bands[0], frame, sums, points)
+        inputs = bundle.reduce()
+        _label_tissue(bundle, frame, cfg.background_threshold, lambda bottom: None)
+        return _fuse(inputs, bundle.mitosis_candidates, frame, sums)
     from concurrent.futures import ThreadPoolExecutor  # deferred: start-up loads no pool
 
     pool = ThreadPoolExecutor(max_workers=min(workers, len(bands)))
     try:
-        blurs = [pool.submit(_blur_band, bundle, band, gray, sums, points) for band in bands]
+        blurs = [pool.submit(_blur_band, bundle, band, frame, sums, points) for band in bands]
         inputs = bundle.reduce()
-        for blur in blurs:
-            blur.result()
+
+        def written(bottom: int) -> None:
+            for (rows, _), blur in zip(bands, blurs):
+                if rows.start < bottom:
+                    blur.result()
+
+        _label_tissue(bundle, frame, cfg.background_threshold, written)
     finally:
         pool.shutdown(cancel_futures=True)  # on error, pending bands never start
-    return _fuse(inputs, bundle.mitosis_candidates, gray, sums, cfg)
+    return _fuse(inputs, bundle.mitosis_candidates, frame, sums)
 
 
 def _fuse(
-    inputs: FusionInputs, candidates: tuple, gray: np.ndarray, sums: np.ndarray, cfg: RunConfig
+    inputs: FusionInputs, candidates: tuple, tissue: np.ndarray, sums: np.ndarray
 ) -> AggregationResult:
-    """All six stages, from the smoothed grayscale
-    (``grayscale(gaussian_smooth(he))``) and the ``candidates``' ROI ``sums``
-    (``roi_sums(candidates, he)``); the fallback and mitosis masks set class
-    and rule code together, in ``RULES`` order. ``inputs.tissue_pre`` is
-    consumed: glass is written into it in place, block by block, and it
-    becomes the result's ``semantic``."""
-    t = cfg.background_threshold
-    threshold = otsu_threshold(gray) if t is None else t
-    tissue = inputs.tissue_pre
-    step = max(1, _BLOCK // tissue.shape[1])
-    for y in range(0, tissue.shape[0], step):
-        np.copyto(tissue[y : y + step], np.uint8(BACKGROUND), where=gray[y : y + step] > threshold)
+    """Stages 3-6, from the tissue labels with glass (``_label_tissue``) and
+    the ``candidates``' ROI ``sums`` (``roi_sums(candidates, he)``); the
+    fallback and mitosis masks set class and rule code together, in
+    ``RULES`` order. ``tissue`` is consumed: the nucleus classes are painted
+    into it, and it becomes the result's ``semantic``."""
     nuclei = inputs.nuclei
     slot, gids = nuclei.slot, nuclei.gids
     cls, votes, fired = _vote_groups(inputs.cell_vals, slot, gids.size)

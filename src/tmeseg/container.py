@@ -15,7 +15,7 @@ header, all before any payload is read. The payload then goes through one
 loop, ``_chunks``, which checks the size and f32 finiteness and, for a
 hashed read, feeds every byte to a SHA-256. A whole read fills the final
 array plane by plane; a streamed read goes through one buffer of at most
-4 MB. Each file is read once, except a bundle's H&E and tissue logits,
+1 MB. Each file is read once, except a bundle's H&E and tissue logits,
 which are also read in row slabs by positioned reads (see ``BundleReader``):
 
 * ``load_stack`` reads one file of any kind whole, unhashed.
@@ -25,9 +25,9 @@ which are also read in row slabs by positioned reads (see ``BundleReader``):
 * ``BundleReader`` reads a teacher bundle: opening it checks every header
   against the others before allocating any payload, and reads none;
   ``rows`` reads rows of H&E or of the tissue logits, for the blur's bands
-  and the tissue contest's slabs; ``reduce`` reads nuclei as
-  ``load_instances`` does, reduces each logit file and hashes H&E, so no
-  H&E frame, no logit plane and no id raster sits in memory.
+  and the tissue slabs; ``reduce`` reads nuclei as ``load_instances``
+  does, reduces the cell logits and hashes H&E and tissue, so no H&E
+  frame, no logit plane and no id raster sits in memory.
   ``load_bundle`` opens a bundle the same way, then reads H&E, nuclei and
   both logit stacks whole.
 * ``StudentReader`` reads a student logit file, and its nuclei, for the
@@ -53,7 +53,7 @@ from .raster import InstanceMap, LogitStack, all_finite
 from .taxonomy import VOCABULARY, UnknownClassError
 
 MAGIC = "TMEF1"
-_CHUNK_BYTES = 1 << 22  # the streamed reader's buffer: 4 MB at most
+_CHUNK_BYTES = 1 << 20  # the streamed reader's buffer: 1 MB, within a 2 MB per-core L2
 _RGB = ("r", "g", "b")
 _IDS = ("instance_ids",)
 # the kinds of data a reader can ask ``_open`` for: dtype, channels, name
@@ -532,19 +532,19 @@ class BundleReader(ExitStack):
     frame's ``shape``. ``rows`` reads rows of H&E or of the tissue logits as
     ``(channels, rows, width)`` planes, by one positioned read per plane on
     a duplicate of the file's descriptor, each read checked as ``_chunks``
-    checks a chunk; so ``aggregate``'s bands read their rows of H&E from any
-    thread, the tissue contest reads its slabs, and no H&E frame or tissue
-    plane is held. ``reduce`` reads nuclei, keeping their nonzero pixels,
-    the tissue logits slab by slab, then the cell logits through one buffer
-    of at most ``_CHUNK_BYTES``, where every chunk is hashed, checked finite
-    and reduced. It returns the ``FusionInputs`` and fills ``digests`` (the
-    SHA-256 of the manifest and of each part, keyed by path as ``str``).
+    checks a chunk, from any thread, so no H&E frame or tissue plane is
+    held; ``tissue_ids`` are the tissue planes' class ids, in file order.
+    ``reduce`` reads nuclei, keeping their nonzero pixels, then the cell
+    logits through one buffer of at most ``_CHUNK_BYTES``, where every
+    chunk is hashed, checked finite and reduced. It returns the
+    ``FusionInputs`` and fills ``digests`` (the SHA-256 of the manifest and
+    of each part, keyed by path as ``str``).
 
     H&E and the tissue logits are read twice: in rows, where their planes
     are needed at the same pixels, and meanwhile by a thread of ``reduce``
     once more in file order through ``_chunks``, for the SHA-256 and the
-    size and trailing-byte checks; that read mostly comes from the page
-    cache.
+    size and trailing-byte checks; whichever read comes second mostly hits
+    the page cache.
 
     It is an ``ExitStack`` holding the part files open: leaving its ``with``
     block, or ``close()``, closes them.
@@ -572,6 +572,7 @@ class BundleReader(ExitStack):
             self.shape = (heads["he"].height, heads["he"].width)
             try:
                 ids = self._class_ids = {k: _logit_class_ids(k, heads[k]) for k in _ROSTERS}
+                self.tissue_ids = ids["tissue_logits"]
                 shapes = {k: ((h.height, h.width), ids.get(k)) for k, h in heads.items()}
                 check_bundle(self.shape, shapes, self.mitosis_candidates, self.halo)
             except (ValueError, UnknownClassError) as exc:
@@ -593,7 +594,7 @@ class BundleReader(ExitStack):
         return planes
 
     def reduce(self):
-        """Read nuclei and the logit files: the bundle's ``FusionInputs``."""
+        """Read nuclei and cell logits, and check and hash every part: the ``FusionInputs``."""
         from concurrent.futures import ThreadPoolExecutor  # deferred: only reduce starts a thread
 
         from .aggregate import fusion_inputs
@@ -602,8 +603,6 @@ class BundleReader(ExitStack):
             drains = [pool.submit(_drain, self._parts[k]) for k in ("he", "tissue_logits")]
             inputs = fusion_inputs(
                 _read_instances(self._parts["nuclei"]),
-                self,
-                self._class_ids["tissue_logits"],
                 _class_blocks(self._parts["cell_logits"], self._class_ids["cell_logits"]),
             )
         for drain in drains:

@@ -242,7 +242,7 @@ def test_info_reads_one_chunk_at_a_time(slide, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["header"] == load_stack(student).header()
     assert doc["provenance"]["inputs"] == {str(student): _sha256(student)}
-    assert peak < 8 << 20  # the 4 MB buffer; the payload is 252 MB
+    assert peak < 8 << 20  # the 1 MB buffer; the payload is 252 MB
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tmeseg.aggregate
+import tmeseg.container
 from tmeseg.aggregate import RULES, TeacherBundle, aggregate, axis_offsets, tile_cells
 from tmeseg.config import BLUR_RADIUS, RunConfig
 from tmeseg.raster import gaussian_smooth
@@ -161,7 +162,9 @@ def test_blur_runs_while_the_bundle_is_reduced(monkeypatch):
     _assert_same_result(aggregate(bundle, STITCH_CFG), res)
 
 
-def test_threaded_blur_under_frequent_thread_switches():
+def test_threaded_blur_under_frequent_thread_switches(monkeypatch):
+    # 7-row tissue slabs, so the calling thread labels them while bands blur
+    monkeypatch.setattr(tmeseg.container, "_CHUNK_BYTES", 4 * 3 * 200 * 7)
     bundle = _scene_bundle(17, 200)
     cfg = dataclasses.replace(STITCH_CFG, crop_px=24, stride_px=20)  # 100 cells, 8 threads
     interval = sys.getswitchinterval()
